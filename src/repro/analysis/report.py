@@ -80,8 +80,9 @@ def perf_footer(perf_rows: Iterable[dict]) -> str:
 
     ``perf_rows`` are the sweep runner's per-executed-run timing rows
     (:func:`repro.experiments.runner.run_perf`): scheduler wall time per
-    invocation, steady-state rounds short-circuited, and simulator
-    event-loop rounds per wall second.  Resumed runs carry no timing, so the
+    invocation, steady-state rounds short-circuited, simulator event-loop
+    rounds per wall second, and model-fitting wall time (kept out of the
+    event rate).  Resumed runs carry no timing, so the
     footer reports over the runs this invocation actually executed.
     """
     rows = [r for r in perf_rows if r.get("sim_wall_seconds", 0.0) > 0.0]
@@ -92,12 +93,14 @@ def perf_footer(perf_rows: Iterable[dict]) -> str:
     policy_wall = sum(r.get("policy_wall_seconds", 0.0) for r in rows)
     sim_rounds = sum(r.get("sim_rounds", 0) for r in rows)
     sim_wall = sum(r.get("sim_wall_seconds", 0.0) for r in rows)
+    fit_wall = sum(r.get("fit_wall_seconds", 0.0) for r in rows)
     per_invocation = 1000.0 * policy_wall / invocations if invocations else 0.0
     events = sim_rounds / sim_wall if sim_wall > 0 else 0.0
     return (
         f"perf: scheduler {per_invocation:.2f} ms/invocation · "
         f"{skips} steady-state rounds short-circuited · "
-        f"simulator {events:.0f} events/s "
+        f"simulator {events:.0f} events/s · "
+        f"fitting {fit_wall:.2f} s "
         f"({len(rows)} runs executed)"
     )
 

@@ -243,6 +243,7 @@ def run_perf(execution: RunExecution) -> dict[str, float]:
         "policy_skips": result.policy_skips,
         "sim_rounds": result.sim_rounds,
         "sim_wall_seconds": result.sim_wall_seconds,
+        "fit_wall_seconds": result.fit_wall_seconds,
     }
 
 

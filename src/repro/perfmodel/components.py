@@ -21,6 +21,7 @@ The same code path serves two masters:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.models.specs import ModelSpec
 from repro.perfmodel.overlap import overlap
@@ -187,27 +188,46 @@ def forward_pass_time(
     return effects.fwd_time(ideal, mbs, plan.tp)
 
 
-def compute_breakdown(
+class BreakdownTerms(NamedTuple):
+    """The parameter-free prelude of Eq. 1 for one (model, plan, shape, batch).
+
+    Everything here is fixed by the configuration, the environment and the
+    effects; only :func:`combine_terms` reads the fitted parameters.  The
+    fitter builds the terms once per sample and re-combines them for every
+    candidate parameter vector.
+    """
+
+    t_pass_fwd: float
+    gc: bool
+    t_comm_dp: float
+    t_comm_tp: float
+    t_comm_pp: float
+    #: Pipeline depth; ``> 1`` selects the 1F1B branch of ``T_cc``.
+    pp: int
+    #: Pipeline micro-slots ``(m + p - 1)·bubble`` (1F1B branch only).
+    slots: float
+    ga_steps: int
+    t_fwd_total: float
+    offload: bool
+    cpus_per_rank: float
+    #: Divisor of ``k · P`` in the optimizer step: ``dp · cpus_per_rank``
+    #: offloaded, ``dp`` under ZeRO-DP, ``tp · pp`` otherwise.
+    opt_divisor: float
+    t_off: float
+    param_count: float
+
+
+def breakdown_terms(
     model: ModelSpec,
     plan: ExecutionPlan,
     shape: ResourceShape,
     env: Interconnect,
-    params: PerfParams,
     t_fwd_ref: float,
     global_batch: int,
     effects: Effects = IDEAL_EFFECTS,
-) -> IterBreakdown:
-    """Assemble ``T_iter`` for (model, plan, shape) under ``params``.
-
-    The caller guarantees the plan matches the shape (``plan.num_gpus ==
-    shape.gpus``); memory feasibility is checked elsewhere (`repro.plans.memory`).
-    """
+) -> BreakdownTerms:
+    """Everything in ``T_iter`` that does not depend on :class:`PerfParams`."""
     t_pass_fwd = forward_pass_time(model, plan, global_batch, t_fwd_ref, effects)
-
-    # Backward pass per micro-batch; GC recomputes a forward on top.
-    t_pass_bwd = params.k_bwd * t_pass_fwd
-    if plan.gc:
-        t_pass_bwd += t_pass_fwd
 
     # --- Communication times ------------------------------------------
     dp_kind_nodes = shape.num_nodes
@@ -224,26 +244,73 @@ def compute_breakdown(
         b_pp, dp_kind_nodes, "pp"
     )
 
-    # --- Combine compute + communication (T_cc) ------------------------
+    slots = 0.0
     if plan.pp > 1:
         # 1F1B pipeline: (m + p - 1) sequential micro-slots per phase.
         slots = (plan.micro_batches + plan.pp - 1) * effects.bubble_factor(
             plan.pp, plan.micro_batches
         )
         t_fwd_total = (t_pass_fwd / plan.pp) * slots
-        t_bwd_total = (t_pass_bwd / plan.pp) * slots
+    else:
+        t_fwd_total = plan.ga_steps * t_pass_fwd
+
+    cpus_per_rank = 0.0
+    t_off = 0.0
+    if plan.uses_offload:
+        cpus_per_rank = max(shape.cpus / plan.dp, 0.5)
+        opt_divisor = plan.dp * cpus_per_rank
+        b_pcie = effects.bandwidth(env.pcie_bw, shape.num_nodes, "pcie")
+        t_off = offload_volume(model, plan) / b_pcie
+    elif plan.zero == ZeroStage.ZERO_DP:
+        opt_divisor = plan.dp
+    else:
+        opt_divisor = plan.tp * plan.pp
+    return BreakdownTerms(
+        t_pass_fwd, plan.gc, t_comm_dp, t_comm_tp, t_comm_pp, plan.pp, slots,
+        plan.ga_steps, t_fwd_total, plan.uses_offload, cpus_per_rank,
+        opt_divisor, t_off, model.param_count,
+    )
+
+
+def combine_terms(
+    terms: BreakdownTerms,
+    k_bwd: float,
+    k_sync: float,
+    k_opt: float,
+    k_opt_off: float,
+    k_off: float,
+    k_swap: float,
+    k_const: float,
+    effects: Effects = IDEAL_EFFECTS,
+) -> tuple[float, float, float, float, float]:
+    """The parameter-dependent half of Eq. 1 — the one copy of the formula.
+
+    Takes the seven :class:`PerfParams` in field order and returns
+    ``(t_bwd_total, t_opt, t_cc, t_oo, t_iter)``.
+    """
+    (
+        t_pass_fwd, gc, t_comm_dp, t_comm_tp, t_comm_pp, pp, slots, a,
+        t_fwd_total, offload, cpus_per_rank, opt_divisor, t_off, param_count,
+    ) = terms
+
+    # Backward pass per micro-batch; GC recomputes a forward on top.
+    t_pass_bwd = k_bwd * t_pass_fwd
+    if gc:
+        t_pass_bwd += t_pass_fwd
+
+    # --- Combine compute + communication (T_cc) ------------------------
+    if pp > 1:
+        t_bwd_total = (t_pass_bwd / pp) * slots
         t_cc = (
             t_fwd_total
-            + overlap(params.k_sync, t_bwd_total, t_comm_dp)
+            + overlap(k_sync, t_bwd_total, t_comm_dp)
             + t_comm_tp
             + t_comm_pp
         )
     else:
         # GA: a-1 local accumulation passes, last pass overlaps the sync.
-        a = plan.ga_steps
-        t_fwd_total = a * t_pass_fwd
         t_bwd_total = a * t_pass_bwd
-        if plan.uses_offload:
+        if offload:
             # Gradient sync participates in T_oo instead (see below), so the
             # compute part is plain forward+backward.
             t_cc = t_fwd_total + t_bwd_total + t_comm_tp
@@ -252,42 +319,60 @@ def compute_breakdown(
             #                        + f_overlap^{k_sync}(T_bwd, T_comm_dp);
             # with a == 1 this reduces to the 3D-parallel combination.
             t_cc = (
-                a * t_pass_fwd
+                t_fwd_total
                 + (a - 1) * t_pass_bwd
-                + overlap(params.k_sync, t_pass_bwd, t_comm_dp)
+                + overlap(k_sync, t_pass_bwd, t_comm_dp)
                 + t_comm_tp
             )
 
     # --- Optimizer and offloading (T_oo) --------------------------------
-    if plan.uses_offload:
-        cpus_per_rank = max(shape.cpus / plan.dp, 0.5)
-        t_opt_ideal = params.k_opt_off * model.param_count / (plan.dp * cpus_per_rank)
-        t_opt = effects.cpu_update_time(t_opt_ideal, cpus_per_rank)
-        b_pcie = effects.bandwidth(env.pcie_bw, shape.num_nodes, "pcie")
-        t_off = offload_volume(model, plan) / b_pcie
+    if offload:
+        t_opt = effects.cpu_update_time(
+            k_opt_off * param_count / opt_divisor, cpus_per_rank
+        )
         # Fig. 5 shows offload traffic split across two overlap windows:
         # gradients stream out against the DP sync, parameters stream back
         # against the CPU optimizer step.  We split T_off evenly.
-        t_oo = overlap(params.k_off, t_comm_dp, t_off / 2.0) + overlap(
-            params.k_swap, t_opt, t_off / 2.0
+        t_oo = overlap(k_off, t_comm_dp, t_off / 2.0) + overlap(
+            k_swap, t_opt, t_off / 2.0
         )
     else:
-        t_off = 0.0
-        if plan.zero == ZeroStage.ZERO_DP:
-            t_opt = params.k_opt * model.param_count / plan.dp
-        else:
-            t_opt = params.k_opt * model.param_count / (plan.tp * plan.pp)
+        t_opt = k_opt * param_count / opt_divisor
         t_oo = t_opt
 
-    t_iter = t_cc + t_oo + params.k_const
+    return t_bwd_total, t_opt, t_cc, t_oo, t_cc + t_oo + k_const
+
+
+def compute_breakdown(
+    model: ModelSpec,
+    plan: ExecutionPlan,
+    shape: ResourceShape,
+    env: Interconnect,
+    params: PerfParams,
+    t_fwd_ref: float,
+    global_batch: int,
+    effects: Effects = IDEAL_EFFECTS,
+) -> IterBreakdown:
+    """Assemble ``T_iter`` for (model, plan, shape) under ``params``.
+
+    The caller guarantees the plan matches the shape (``plan.num_gpus ==
+    shape.gpus``); memory feasibility is checked elsewhere (`repro.plans.memory`).
+    """
+    terms = breakdown_terms(
+        model, plan, shape, env, t_fwd_ref, global_batch, effects
+    )
+    t_bwd, t_opt, t_cc, t_oo, t_iter = combine_terms(
+        terms, params.k_bwd, params.k_sync, params.k_opt, params.k_opt_off,
+        params.k_off, params.k_swap, params.k_const, effects,
+    )
     return IterBreakdown(
-        t_fwd=t_fwd_total,
-        t_bwd=t_bwd_total,
-        t_comm_dp=t_comm_dp,
-        t_comm_tp=t_comm_tp,
-        t_comm_pp=t_comm_pp,
+        t_fwd=terms.t_fwd_total,
+        t_bwd=t_bwd,
+        t_comm_dp=terms.t_comm_dp,
+        t_comm_tp=terms.t_comm_tp,
+        t_comm_pp=terms.t_comm_pp,
         t_opt=t_opt,
-        t_off=t_off,
+        t_off=terms.t_off,
         t_cc=t_cc,
         t_oo=t_oo,
         t_iter=t_iter,

@@ -8,7 +8,15 @@ observable).
 
 We search in log-parameter space with ``scipy.optimize.least_squares`` (the
 parameters span many orders of magnitude) from a few deterministic restarts,
-keeping the best solution.
+keeping the best solution.  scipy is imported on the first fit, not with the
+package: most processes (the sweep parent, the service before its first
+submission, every consumer of a pre-fitted store) never fit anything.
+
+The residual re-combines per-sample :class:`BreakdownTerms` built once per
+fit: the parameter-free prelude of Eq. 1 is the same for every candidate
+parameter vector, and :func:`combine_terms` is the same code
+:func:`~repro.perfmodel.components.compute_breakdown` runs, so every
+prediction is bit-identical to the scalar path.
 """
 
 from __future__ import annotations
@@ -16,11 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import FittingError
 from repro.models.specs import ModelSpec
-from repro.perfmodel.components import compute_breakdown
+from repro.perfmodel.components import (
+    BreakdownTerms,
+    breakdown_terms,
+    combine_terms,
+)
 from repro.perfmodel.model import PerfModel
 from repro.perfmodel.params import PARAM_BOUNDS, PerfParams
 from repro.perfmodel.shape import Interconnect, ResourceShape
@@ -66,27 +77,24 @@ class FitReport:
         return float(np.mean(self.per_sample_error))
 
 
-def _predict_iter_times(
+def sample_terms(
     model: ModelSpec,
     env: Interconnect,
     t_fwd_ref: float,
-    params: PerfParams,
     samples: list[ThroughputSample],
+) -> list[BreakdownTerms]:
+    """The parameter-free prelude of every sample, built once per fit."""
+    return [
+        breakdown_terms(model, s.plan, s.shape, env, t_fwd_ref, s.global_batch)
+        for s in samples
+    ]
+
+
+def predict_iter_times(
+    terms: list[BreakdownTerms], params: list[float]
 ) -> np.ndarray:
-    return np.array(
-        [
-            compute_breakdown(
-                model=model,
-                plan=s.plan,
-                shape=s.shape,
-                env=env,
-                params=params,
-                t_fwd_ref=t_fwd_ref,
-                global_batch=s.global_batch,
-            ).t_iter
-            for s in samples
-        ]
-    )
+    """Predicted ``T_iter`` per sample for the seven params in field order."""
+    return np.array([combine_terms(t, *params)[4] for t in terms])
 
 
 def fit_perf_model(
@@ -130,9 +138,12 @@ def fit_perf_model(
     lo = np.log([PARAM_BOUNDS[n][0] for n in names])
     hi = np.log([PARAM_BOUNDS[n][1] for n in names])
 
+    from scipy.optimize import least_squares
+
+    terms = sample_terms(model, env, t_fwd_ref, samples)
+
     def residuals(x: np.ndarray) -> np.ndarray:
-        params = PerfParams.from_vector(list(np.exp(x)))
-        pred = _predict_iter_times(model, env, t_fwd_ref, params, samples)
+        pred = predict_iter_times(terms, np.exp(x).tolist())
         return np.log(np.maximum(pred, 1e-12)) - measured_log
 
     rng = rng_for(seed, "perfmodel-fit", model.name)
@@ -157,7 +168,7 @@ def fit_perf_model(
 
     params = PerfParams.from_vector(list(np.exp(best_x)))
     fitted = PerfModel(model=model, env=env, t_fwd_ref=t_fwd_ref, params=params)
-    pred = _predict_iter_times(model, env, t_fwd_ref, params, samples)
+    pred = predict_iter_times(terms, params.as_vector())
     meas = np.array([s.iter_time for s in samples])
     rel_err = np.abs(pred - meas) / meas
     rmsle = float(np.sqrt(np.mean((np.log(pred) - measured_log) ** 2)))

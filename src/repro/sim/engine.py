@@ -106,6 +106,11 @@ class EngineConfig:
 _CONFIG_FIELDS = frozenset(f.name for f in fields(EngineConfig))
 
 
+def _wall_clock() -> float:
+    """Host seconds for the engine's wall-clock perf fields (never persisted)."""
+    return _time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+
+
 @dataclass
 class StepReport:
     """What one :meth:`Simulator.step` slice did.
@@ -342,10 +347,12 @@ class Simulator:
         submission (:meth:`submit` fits on first sight of a model).  The
         testbed derives a fresh RNG stream per measurement from the seed, so
         *when* a model is fitted cannot change the fit — only first-sight
-        order matters, and a streamed trace preserves it.
+        order matters, and a streamed trace preserves it.  The wall time of
+        a fit lands on ``result.fit_wall_seconds``.
         """
         if self.perf_store.has(tj.model):
             return 0
+        fit_start = _wall_clock()
         try:
             perf = self._fit_model(tj)
         except (FittingError, InjectedFault) as exc:
@@ -381,6 +388,8 @@ class Simulator:
                     tj.model.global_batch_size, configs,
                 ),
             )
+        if result is not None:
+            result.fit_wall_seconds += _wall_clock() - fit_start
         return 1
 
     def _best_throughput(self, model, gpus: int, global_batch: int) -> float:
@@ -471,7 +480,7 @@ class Simulator:
         between :meth:`step` slices until :meth:`drain` closes the stream.
         ``run()`` is exactly ``start(trace)`` + ``step(until=inf)``.
         """
-        wall_start = _time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+        wall_start = _wall_clock()
         if trace is None:
             trace = Trace(jobs=(), name="live")
         # The result exists before profiling so fit failures can land
@@ -501,7 +510,11 @@ class Simulator:
             ),
             stream_open=stream,
         )
-        result.sim_wall_seconds += _time.perf_counter() - wall_start  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+        # Fitting is reported on its own (fit_wall_seconds, counted inside
+        # _ensure_model); the simulator's own setup stays here.
+        result.sim_wall_seconds += (
+            _wall_clock() - wall_start - result.fit_wall_seconds
+        )
 
     def _require_live(self) -> _LiveRun:
         if self._live is None:
@@ -613,7 +626,7 @@ class Simulator:
         is open).
         """
         st = self._require_live()
-        wall_start = _time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+        wall_start = _wall_clock()
         result = st.result
         if st.finished:
             return StepReport(
@@ -636,7 +649,7 @@ class Simulator:
                 return StepReport(
                     now=st.now, rounds=0, admitted=0, completed=0,
                     incidents=0, done=False, idle=True,
-                    wall_seconds=_time.perf_counter() - wall_start,  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+                    wall_seconds=_wall_clock() - wall_start,
                 )
             st.now = st.calendar.first_arrival_time(default=st.now)
             st.next_policy_at = st.now
@@ -647,7 +660,7 @@ class Simulator:
             outcome = self._step_default(st, until)
         if outcome is _DONE:
             self._finalize(st)
-        wall = _time.perf_counter() - wall_start  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+        wall = _wall_clock() - wall_start
         result.sim_wall_seconds += wall
         return StepReport(
             now=st.now,
@@ -785,7 +798,7 @@ class Simulator:
                     idle_rounds = 0  # steady state implies running jobs
                 else:
                     ctx.now = now
-                    wall = _time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+                    wall = _wall_clock()
                     contained = False
                     try:
                         if self.injector is not None:
@@ -797,7 +810,7 @@ class Simulator:
                         # Containment: current placements hold for the round, a
                         # structured incident lands on the result, and only N
                         # consecutive failures escalate to a hard error.
-                        result.policy_wall_seconds += _time.perf_counter() - wall  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+                        result.policy_wall_seconds += _wall_clock() - wall
                         result.policy_invocations += 1
                         policy_failures += 1
                         self._record_incident(
@@ -814,7 +827,7 @@ class Simulator:
                         steady = False
                         contained = True
                     if not contained:
-                        result.policy_wall_seconds += _time.perf_counter() - wall  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+                        result.policy_wall_seconds += _wall_clock() - wall
                         result.policy_invocations += 1
                         policy_failures = 0
                         changed = self._apply(
@@ -1009,7 +1022,7 @@ class Simulator:
                         _materialize(active[job_id], now, gpu_seconds)
                     active_list = list(active.values())
                     ctx.now = now
-                    wall = _time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+                    wall = _wall_clock()
                     contained = False
                     try:
                         if self.injector is not None:
@@ -1023,7 +1036,7 @@ class Simulator:
                         # repeatedly-failing policy cannot pin the event loop
                         # to one timestamp) and the batch stays dirty for the
                         # next round's retry.
-                        result.policy_wall_seconds += _time.perf_counter() - wall  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+                        result.policy_wall_seconds += _wall_clock() - wall
                         result.policy_invocations += 1
                         policy_failures += 1
                         self._record_incident(
@@ -1040,7 +1053,7 @@ class Simulator:
                         next_policy_at = now + self.tick_interval
                         contained = True
                     if not contained:
-                        result.policy_wall_seconds += _time.perf_counter() - wall  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+                        result.policy_wall_seconds += _wall_clock() - wall
                         result.policy_invocations += 1
                         policy_failures = 0
                         self._apply(

@@ -137,10 +137,14 @@ class SimulationResult:
     #: invoking the policy (always 0 on the reference path).
     policy_skips: int = 0
     #: Event-loop rounds processed (arrivals/completions/ticks) and the
-    #: wall-clock cost of the whole `Simulator.run` call — the simulator
-    #: speed metrics behind ``BENCH_simspeed.json`` and the sweep footer.
+    #: wall-clock cost of the session's `start`/`step` calls less model
+    #: fitting — the simulator speed metrics behind ``BENCH_simspeed.json``
+    #: and the sweep footer.
     sim_rounds: int = 0
     sim_wall_seconds: float = 0.0
+    #: Wall-clock cost of performance-model fitting in `start`/`submit`
+    #: (a per-process memo hit costs next to nothing).  Never persisted.
+    fit_wall_seconds: float = 0.0
     #: Event-calendar diagnostics: rounds resolved from the completion-hint
     #: heap alone vs. rounds that fell back to the exact completion scan
     #: (how well `COMPLETION_SLACK` is tuned).  In-memory only.

@@ -132,10 +132,10 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
         "policy_invocations": result.policy_invocations,
         "policy_skips": result.policy_skips,
         "sim_rounds": result.sim_rounds,
-        # Wall-clock fields (`policy_wall_seconds`, `sim_wall_seconds`) are
-        # deliberately NOT serialized: persisted result documents must be a
-        # deterministic function of the run spec (sweep workers are byte-
-        # identical to serial execution).  Timing travels through the sweep
+        # Wall-clock fields (`policy_wall_seconds`, `sim_wall_seconds`,
+        # `fit_wall_seconds`) are deliberately NOT serialized: persisted
+        # result documents must be a deterministic function of the run spec
+        # (sweep workers are byte-identical to serial execution).  Timing travels through the sweep
         # runner's in-memory perf channel and `sweep-meta.jsonl` instead.
         # NaN statistics (empty record sets) travel as null, like records'
         # sla_ratio: JSON has no NaN token.

@@ -14,6 +14,7 @@ from repro.analysis import (
     ratio,
     span_cell,
 )
+from repro.analysis.report import perf_footer
 from repro.scheduler import JobPriority
 from repro.sim.metrics import JobRecord, SimulationResult
 from repro.units import HOUR
@@ -198,3 +199,17 @@ class TestFormatting:
         text = format_table(["x"], [(nan,), (1.5,)])
         assert NO_DATA in text and "1.50" in text
         assert "nan" not in text
+
+    def test_perf_footer_reports_fitting_outside_the_event_rate(self):
+        rows = [
+            {"policy_invocations": 10, "policy_wall_seconds": 0.02,
+             "sim_rounds": 400, "sim_wall_seconds": 0.5,
+             "fit_wall_seconds": 1.25},
+            {"policy_invocations": 10, "policy_wall_seconds": 0.02,
+             "sim_rounds": 400, "sim_wall_seconds": 0.5,
+             "fit_wall_seconds": 0.0},
+        ]
+        footer = perf_footer(rows)
+        assert "simulator 800 events/s" in footer
+        assert "fitting 1.25 s" in footer
+        assert "(2 runs executed)" in footer

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cluster import PAPER_CLUSTER
 from repro.errors import FittingError
-from repro.models import GPT2, LLAMA2_7B
+from repro.models import GPT2, LLAMA2_7B, all_models
+from repro.oracle import SyntheticTestbed
+from repro.oracle.profiler import collect_samples, default_profile_configs
 from repro.perfmodel import (
     Interconnect,
     PerfModel,
@@ -18,7 +27,13 @@ from repro.perfmodel import (
     comm_volume_tp,
     fit_perf_model,
 )
+from repro.perfmodel.components import compute_breakdown
+from repro.perfmodel.fitting import predict_iter_times, sample_terms
+from repro.perfmodel.params import PARAM_BOUNDS
+from repro.planeval.scoring import fused_throughputs
 from repro.plans import ExecutionPlan, ZeroStage
+from repro.plans.enumerate import enumerate_plans
+from repro.rng import rng_for
 
 ENV = Interconnect.from_cluster(PAPER_CLUSTER)
 
@@ -176,3 +191,99 @@ class TestFitting:
         ]
         with pytest.raises(FittingError):
             fit_perf_model(GPT2, ENV, 0.02, bad, strict=False)
+
+
+class TestFitKernel:
+    """The fitter's hoisted residual kernel is the scalar path, bit for bit."""
+
+    @staticmethod
+    def _param_vectors() -> list[list[float]]:
+        names = PerfParams.names()
+        bounds = [PARAM_BOUNDS[n] for n in names]
+        corners = [list(c) for c in itertools.product(*bounds)]
+        rng = rng_for(0, "test-fit-kernel")
+        randoms = [
+            [float(lo * (hi / lo) ** rng.random()) for lo, hi in bounds]
+            for _ in range(16)
+        ]
+        return corners + randoms
+
+    def test_kernel_equals_compute_breakdown_exactly(self):
+        vectors = self._param_vectors()
+        branches = set()
+        for seed, model in itertools.product((0, 1, 2), all_models()):
+            testbed = SyntheticTestbed(PAPER_CLUSTER, seed=seed)
+            batch = model.global_batch_size
+            configs = default_profile_configs(testbed, model, batch)
+            samples = collect_samples(testbed, model, batch, configs)
+            # Odd CPU counts: optimizer divisors that are not powers of
+            # two, where regrouping k·P/(dp·c) would change the last bit.
+            for gpus in (2, 8, 16):
+                shape = ResourceShape.packed(gpus, cpus=5 * gpus + 1)
+                plans = enumerate_plans(
+                    model, batch, gpus, min_gpus_per_node=shape.min_gpus_per_node
+                )
+                samples += [
+                    ThroughputSample(plan, shape, batch, 1.0)
+                    for plan in plans[:: max(1, len(plans) // 8)]
+                ]
+            t_fwd_ref = testbed.profiled_fwd_ref(model)
+            terms = sample_terms(model, testbed.env, t_fwd_ref, samples)
+            for s in samples:
+                plan = s.plan
+                branches.add("pipeline" if plan.pp > 1 else "ga")
+                if plan.uses_offload:
+                    branches.add("offload")
+                elif plan.zero == ZeroStage.ZERO_DP:
+                    branches.add("zero-dp")
+                elif plan.pp == 1:
+                    branches.add("plain")
+                if plan.gc:
+                    branches.add("gc")
+            for vector in vectors:
+                params = PerfParams.from_vector(vector)
+                kernel = predict_iter_times(terms, vector).tolist()
+                scalar = [
+                    compute_breakdown(
+                        model, s.plan, s.shape, testbed.env, params,
+                        t_fwd_ref, s.global_batch,
+                    ).t_iter
+                    for s in samples
+                ]
+                assert kernel == scalar, (model.name, seed, vector)
+                # The plan engine's fused scorer is an independent copy of
+                # the formula: the kernel must agree with it too.
+                perf = PerfModel(model, testbed.env, t_fwd_ref, params)
+                fused = [
+                    fused_throughputs(perf, [s.plan], s.shape, batch)[0]
+                    for s in samples
+                ]
+                assert fused == [batch / t for t in kernel], (model.name, seed)
+        assert branches >= {"pipeline", "offload", "gc", "zero-dp", "plain"}
+
+
+class TestLazyScipy:
+    """``import repro`` must not pay for (or require) scipy."""
+
+    @staticmethod
+    def _python(code: str) -> subprocess.CompletedProcess:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+
+    def test_import_leaves_scipy_unloaded(self):
+        done = self._python(
+            "import sys, repro, repro.cli\n"
+            "assert 'scipy' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_import_works_without_scipy(self):
+        done = self._python(
+            "import sys\nsys.modules['scipy'] = None\nimport repro, repro.cli\n"
+        )
+        assert done.returncode == 0, done.stderr

@@ -183,8 +183,10 @@ class TestStepRunEquivalence:
         doc = result_to_dict(result)
         assert "sim_wall_seconds" not in json.dumps(doc)
         assert "policy_wall_seconds" not in json.dumps(doc)
+        assert "fit_wall_seconds" not in json.dumps(doc)
         metrics = metrics_payload(result)
         assert "sim_wall_seconds" not in json.dumps(metrics)
+        assert "fit_wall_seconds" not in json.dumps(metrics)
         assert "events_per_second" not in json.dumps(metrics)
 
 
