@@ -21,6 +21,12 @@ from typing import Sequence
 
 from repro.plans.plan import ExecutionPlan
 
+#: An envelope rise at or below this does not move a curve's peak count.
+_PEAK_EPS = 1e-9
+
+#: An envelope rise at or below this does not end a lookahead plateau.
+_RISE_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class BestConfig:
@@ -43,6 +49,12 @@ class GpuCurve:
     raw: tuple[BestConfig | None, ...]  # index g: best plan using exactly g GPUs
     envelope: tuple[float, ...]  # index g: best throughput with <= g GPUs
     envelope_config: tuple[BestConfig | None, ...]
+    #: index g: per-GPU gain from g to the next count whose envelope rises
+    #: by more than ``_RISE_EPS`` (0.0 where none does).
+    lookahead: tuple[float, ...]
+    #: Peak count: the last count whose envelope beats the previous peak
+    #: count's by more than ``_PEAK_EPS``, scanning up from 0 (0 if none).
+    peak_gpus: int
 
     def throughput_at(self, gpus: int) -> float:
         gpus = max(0, min(gpus, self.max_gpus))
@@ -67,27 +79,19 @@ class GpuCurve:
             self.throughput_at(gpus) - self.throughput_at(gpus - delta)
         ) / delta
 
-    def next_better_count(self, gpus: int) -> int | None:
-        """Smallest GPU count above ``gpus`` where the envelope rises.
+    def lookahead_slope_up(self, gpus: int) -> float:
+        """Per-GPU gain to the next envelope rise (0 if the curve is done).
 
         Gang constraints make the envelope a step function; unit-slope
         signals read zero inside a flat run even when a large jump lies
-        ahead (e.g. 8 -> 16 GPUs for a 3D-parallel job).
+        ahead (e.g. 8 -> 16 GPUs for a 3D-parallel job).  An O(1) read of
+        the table :func:`build_envelope` precomputes.
         """
-        here = self.throughput_at(gpus)
-        for g in range(max(gpus, 0) + 1, self.max_gpus + 1):
-            if self.envelope[g] > here + 1e-12:
-                return g
-        return None
-
-    def lookahead_slope_up(self, gpus: int) -> float:
-        """Per-GPU gain to the next envelope rise (0 if the curve is done)."""
-        nxt = self.next_better_count(gpus)
-        if nxt is None:
+        if gpus < 0:
+            raise ValueError(f"gpus must be >= 0, got {gpus}")
+        if gpus > self.max_gpus:
             return 0.0
-        return (self.throughput_at(nxt) - self.throughput_at(gpus)) / (
-            nxt - gpus
-        )
+        return self.lookahead[gpus]
 
 
 def build_envelope(limit: int, raw: Sequence[BestConfig | None]) -> GpuCurve:
@@ -95,7 +99,9 @@ def build_envelope(limit: int, raw: Sequence[BestConfig | None]) -> GpuCurve:
 
     ``raw[g]`` is the best config using exactly ``g`` GPUs (``raw[0]`` is
     ``None``); the envelope carries the running maximum forward across GPU
-    counts where no plan exists.
+    counts where no plan exists.  The lookahead-slope table and the peak
+    count are computed here, once per curve, so the scheduler's per-node
+    slope probes are lookups.
     """
     envelope = [0.0]
     env_cfg: list[BestConfig | None] = [None]
@@ -107,9 +113,28 @@ def build_envelope(limit: int, raw: Sequence[BestConfig | None]) -> GpuCurve:
         else:
             envelope.append(envelope[-1])
             env_cfg.append(env_cfg[-1])
+    # The envelope is non-decreasing, so each count's next strict rise is
+    # at or after the previous count's: one forward pointer serves all.
+    lookahead = []
+    nxt = 1
+    for g in range(limit + 1):
+        here = envelope[g]
+        nxt = max(nxt, g + 1)
+        while nxt <= limit and not envelope[nxt] > here + _RISE_EPS:
+            nxt += 1
+        if nxt > limit:
+            lookahead.append(0.0)
+        else:
+            lookahead.append((envelope[nxt] - here) / (nxt - g))
+    peak = 0
+    for g in range(1, limit + 1):
+        if envelope[g] > envelope[peak] + _PEAK_EPS:
+            peak = g
     return GpuCurve(
         max_gpus=limit,
         raw=tuple(raw),
         envelope=tuple(envelope),
         envelope_config=tuple(env_cfg),
+        lookahead=tuple(lookahead),
+        peak_gpus=peak,
     )

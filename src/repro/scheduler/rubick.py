@@ -35,6 +35,7 @@ Rubick-N       fixed at request    initial plan only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -138,6 +139,18 @@ class _RoundState:
             np.asarray(frees, dtype=np.int64), cluster.spec.node.num_gpus
         )
         self._undo: list[tuple] = []
+        #: job_id -> fewest GPUs the job may be shrunk to (its guaranteed
+        #: minimum, else 0); jobs absent here are never victims.
+        self.gpu_floor: dict[str, int] = {
+            j.job_id: (j.min_res or ResourceVector.zero()).gpus
+            if j.spec.is_guaranteed
+            else 0
+            for j in jobs
+        }
+        #: (job_id, total GPUs) -> normalized GPU slope_down.  Curves and
+        #: baselines are fixed within a round (refits land between rounds),
+        #: so entries never go stale (DESIGN.md item 49).
+        self.down_slopes: dict[tuple[str, int], float] = {}
 
     # ------------------------------------------------------------------
     # Index maintenance (every shares/free mutation routes through these)
@@ -533,13 +546,9 @@ class RubickPolicy(SchedulerPolicy):
         if job.is_running:
             incumbent = selector.best(job, state.shape_of(job.job_id))
 
-        node_order = self._node_order(job, state)
-        for node in node_order:
-            if state.gpus_of(job.job_id) >= target_gpus:
-                break
-            self._acquire_gpus_on_node(
-                job, node, state, by_id, baselines, selector, target_gpus, min_res
-            )
+        self._acquire_gpus(
+            job, state, by_id, baselines, selector, target_gpus, min_res
+        )
         self._tune_cpus(job, state, by_id, baselines, selector, min_res)
 
         total_gpus = state.gpus_of(job.job_id)
@@ -596,11 +605,7 @@ class RubickPolicy(SchedulerPolicy):
         """How many GPUs the job could usefully hold."""
         if not self.tune_resources:
             return job.spec.requested.gpus
-        curve = selector.curve(job)
-        best_g = 0
-        for g in range(1, curve.max_gpus + 1):
-            if curve.envelope[g] > curve.envelope[best_g] + _EPS_SLOPE:
-                best_g = g
+        best_g = selector.curve(job).peak_gpus
         if best_g == 0:
             return job.spec.requested.gpus
         if self.plan_mode == "scaled_dp":
@@ -633,6 +638,55 @@ class RubickPolicy(SchedulerPolicy):
         ]
         return mine + others
 
+    def _acquire_gpus(
+        self,
+        job: Job,
+        state: _RoundState,
+        by_id: dict[str, Job],
+        baselines: dict[str, float],
+        selector: PlanSelector,
+        target_gpus: int,
+        min_res: ResourceVector,
+    ) -> None:
+        """Walk the job's node order, entering only nodes that can change.
+
+        Exact shortcuts over visiting every node (DESIGN.md item 49): the
+        walk stops once the job no longer wants GPUs — every later node
+        would stop at the same check — and a node without free GPUs whose
+        lowest-slope victim is missing or unbeatable is passed over, since
+        acquisition there would stop before touching any state.
+        """
+        job_id = job.job_id
+        # The job's curve is fixed for the round, so its slope only moves
+        # with its GPU count: probe once per distinct count.
+        curve = selector.curve(job)
+        baseline = baselines[job_id]
+
+        def my_slope(gpus: int) -> float:
+            return curve.lookahead_slope_up(gpus) / baseline
+
+        slope_at = -1
+        for node in self._node_order(job, state):
+            current = state.gpus_of(job_id)
+            if current >= target_gpus:
+                break
+            if current != slope_at:
+                slope_at = current
+                below_min = current < min_res.gpus
+                slope = my_slope(current)
+            if not below_min and slope <= _EPS_SLOPE:
+                break
+            if node.free.gpus == 0:
+                victim = self._lowest_slope_victim(
+                    node, state, by_id, baselines, selector, exclude=job_id
+                )
+                if victim is None or not (below_min or slope > victim[1]):
+                    continue
+            self._acquire_gpus_on_node(
+                job, node, state, by_id, baselines, selector, target_gpus,
+                min_res, my_slope,
+            )
+
     def _acquire_gpus_on_node(
         self,
         job: Job,
@@ -643,20 +697,33 @@ class RubickPolicy(SchedulerPolicy):
         selector: PlanSelector,
         target_gpus: int,
         min_res: ResourceVector,
+        my_slope: Callable[[int], float],
     ) -> None:
-        """Grab free GPUs, then shrink the least-sensitive job (Alg. 1 8-16)."""
+        """Grab free GPUs, then shrink the least-sensitive job (Alg. 1 8-16).
+
+        A run of free-GPU grabs is one journaled ``move`` of ``k`` GPUs and
+        ``k`` companion CPUs, ``k`` being the number of single grabs the
+        one-GPU-at-a-time loop would make in a row; the resulting state is
+        identical (DESIGN.md item 49).
+        """
         job_id = job.job_id
+        min_gpus = min_res.gpus
         while state.gpus_of(job_id) < target_gpus:
             current = state.gpus_of(job_id)
-            below_min = current < min_res.gpus
-            my_slope = selector.gpu_slope_up(job, current) / baselines[job_id]
-            if not below_min and my_slope <= _EPS_SLOPE:
+            below_min = current < min_gpus
+            slope = my_slope(current)
+            if not below_min and slope <= _EPS_SLOPE:
                 break
             if node.free.gpus > 0 and self._ensure_companion_cpu(
-                job, node, state, by_id, baselines, selector, below_min,
-                my_slope,
+                job, node, state, by_id, baselines, selector, below_min, slope,
             ):
-                state.move(node, job_id, ResourceVector(gpus=1, cpus=1))
+                limit = min(node.free.gpus, node.free.cpus, target_gpus - current)
+                k = 1
+                while k < limit and (
+                    current + k < min_gpus or my_slope(current + k) > _EPS_SLOPE
+                ):
+                    k += 1
+                state.move(node, job_id, ResourceVector(gpus=k, cpus=k))
                 continue
             # No free GPU here: try to reclaim one from the least-sensitive
             # over-minimum job on this node.
@@ -666,12 +733,11 @@ class RubickPolicy(SchedulerPolicy):
             if victim is None:
                 break
             victim_job, victim_slope = victim
-            if not (below_min or my_slope > victim_slope):
+            if not (below_min or slope > victim_slope):
                 break
             self._shrink_gpu(victim_job, node, state)
             if node.free.gpus > 0 and self._ensure_companion_cpu(
-                job, node, state, by_id, baselines, selector, below_min,
-                my_slope,
+                job, node, state, by_id, baselines, selector, below_min, slope,
             ):
                 state.move(node, job_id, ResourceVector(gpus=1, cpus=1))
             else:
@@ -719,26 +785,28 @@ class RubickPolicy(SchedulerPolicy):
         exclude: str,
     ) -> tuple[Job, float] | None:
         """GetLowestSlopeOverMinJob for GPUs on one node."""
-        best: tuple[Job, float] | None = None
+        floors = state.gpu_floor
+        memo = state.down_slopes
+        best_id: str | None = None
+        best_slope = 0.0
         for job_id, share in node.shares.items():
             if job_id == exclude or share.gpus <= 0:
                 continue
-            victim = by_id.get(job_id)
-            if victim is None:
+            floor = floors.get(job_id)
+            if floor is None:
                 continue
             total_gpus = state.gpus_of(job_id)
-            floor = (victim.min_res or ResourceVector.zero()).gpus
-            if victim.spec.is_guaranteed and total_gpus - 1 < floor:
+            if total_gpus - 1 < floor:
                 continue  # would violate its performance guarantee
-            if not victim.spec.is_guaranteed and total_gpus - 1 < 0:
-                continue
-            slope = (
-                selector.gpu_slope_down(victim, total_gpus)
-                / baselines[victim.job_id]
-            )
-            if best is None or slope < best[1]:
-                best = (victim, slope)
-        return best
+            slope = memo.get((job_id, total_gpus))
+            if slope is None:
+                slope = memo[job_id, total_gpus] = (
+                    selector.gpu_slope_down(by_id[job_id], total_gpus)
+                    / baselines[job_id]
+                )
+            if best_id is None or slope < best_slope:
+                best_id, best_slope = job_id, slope
+        return None if best_id is None else (by_id[best_id], best_slope)
 
     def _shrink_gpu(self, victim: Job, node: _NodeState, state: _RoundState) -> None:
         share = node.share_of(victim.job_id)

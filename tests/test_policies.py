@@ -233,3 +233,151 @@ class TestShrinkGpu:
                     job.start_time = ctx.now
                 job.placement = alloc.placement
                 job.plan = alloc.plan
+
+
+class TestAcquisitionShortcuts:
+    """Rubick's GPU acquisition enters only nodes where it can act, and its
+    batched free-GPU moves leave exactly the one-at-a-time state."""
+
+    SPEC3 = ClusterSpec(num_nodes=3, node=NodeSpec(num_gpus=8, num_cpus=96))
+
+    @staticmethod
+    def _held(cluster, job_id, node_id, gpus, cpus):
+        """A running guaranteed job at its minimum: never a victim."""
+        job = _queued_job(job_id, gpus=gpus, submit=0.0)
+        job.status = JobStatus.RUNNING
+        job.start_time = 0.0
+        placement = Placement({node_id: ResourceVector(gpus=gpus, cpus=cpus)})
+        cluster.apply(job_id, placement)
+        job.placement = placement
+        job.plan = job.spec.initial_plan
+        job.min_res = ResourceVector(gpus=gpus, cpus=cpus)
+        return job
+
+    def _saturated_round(self):
+        """Node 0 idle; nodes 1 and 2 held by guaranteed jobs at their
+        minimum; a guaranteed job queued below its minimum."""
+        cluster = Cluster(self.SPEC3)
+        jobs = [
+            self._held(cluster, f"held{node_id}", node_id, 8, 32)
+            for node_id in (1, 2)
+        ]
+        # Another tenant, so the queued job's quota admits it this round.
+        queued = _queued_job("queued", gpus=16, plan=ExecutionPlan(dp=16),
+                             tenant="b", submit=1.0)
+        queued.min_res = ResourceVector(gpus=12, cpus=48)
+        jobs.append(queued)
+        return cluster, jobs
+
+    def test_only_state_changing_nodes_are_entered(self, env, monkeypatch):
+        from repro.scheduler.rubick import RubickPolicy
+
+        _, store = env
+        cluster, jobs = self._saturated_round()
+        entries: list[tuple[int, bool]] = []
+        original = RubickPolicy._acquire_gpus_on_node
+
+        def counting(self, job, node, state, *args):
+            before = state.mark()
+            original(self, job, node, state, *args)
+            entries.append((node.node_id, state.mark() != before))
+
+        monkeypatch.setattr(RubickPolicy, "_acquire_gpus_on_node", counting)
+        allocations = rubick().schedule(jobs, cluster, _ctx(store))
+        # The queued job takes node 0's eight free GPUs (and, once it rolls
+        # back, a held job grows there); nodes 1 and 2 hold no free GPU and
+        # no shrinkable job, so no acquisition ever enters them.
+        assert entries[0] == (0, True)
+        assert all(node_id == 0 and changed for node_id, changed in entries)
+        assert "queued" not in allocations  # 8 < its 12-GPU minimum
+
+    def _state_with_free_node(self):
+        from repro.scheduler.rubick import _RoundState
+
+        cluster, jobs = self._saturated_round()
+        return _RoundState(cluster, jobs), jobs[-1]
+
+    @staticmethod
+    def _snapshot(state, job_ids):
+        return (
+            [(n.node_id, n.free, n.host_free, dict(n.shares)) for n in state.nodes],
+            state._free_index.snapshot(),
+            {j: (state.gpus_of(j), state.cpus_of(j)) for j in job_ids},
+            {j: state.job_node_ids(j) for j in job_ids},
+        )
+
+    def _acquire(self, state, job, slope):
+        rubick()._acquire_gpus_on_node(
+            job, state.nodes[0], state, {}, {}, None, 6, job.min_res, slope,
+        )
+
+    def test_batched_move_matches_single_moves_and_rolls_back(self):
+        ids = ["held1", "held2", "queued"]
+        state, job = self._state_with_free_node()
+        before = self._snapshot(state, ids)
+        mark = state.mark()
+        self._acquire(state, job, lambda gpus: 1.0)
+        # Six GPUs (the target) with six companion CPUs, one journal entry.
+        assert state.mark() == mark + 1
+        assert state.nodes[0].share_of("queued") == ResourceVector(6, 6, 0.0)
+        after = self._snapshot(state, ids)
+
+        single, _ = self._state_with_free_node()
+        for _ in range(6):
+            single.move(single.nodes[0], "queued", ResourceVector(gpus=1, cpus=1))
+        assert self._snapshot(single, ids) == after
+
+        state.rollback(mark)
+        assert self._snapshot(state, ids) == before
+
+    def test_batch_stops_where_the_slope_gives_out(self):
+        state, job = self._state_with_free_node()
+        job.min_res = ResourceVector()
+        # Past three GPUs the job gains nothing: the batch takes exactly
+        # the three grabs the one-at-a-time loop would make.
+        self._acquire(state, job, lambda gpus: 1.0 if gpus < 3 else 0.0)
+        assert state.gpus_of("queued") == 3
+
+    def test_batch_stops_at_the_free_cpus(self):
+        from repro.scheduler.rubick import _RoundState
+
+        cluster, jobs = self._saturated_round()
+        # Node 0 keeps 7 free GPUs but only 3 free CPUs, none reclaimable.
+        jobs.append(self._held(cluster, "hog", 0, 1, 93))
+        state = _RoundState(cluster, jobs)
+        self._acquire(state, jobs[2], lambda gpus: 1.0)
+        assert state.gpus_of("queued") == 3
+        assert state.nodes[0].free.gpus == 4
+        assert state.nodes[0].free.cpus == 0
+
+    def test_nodes_with_unbeatable_victims_are_skipped(self, monkeypatch):
+        from repro.planeval import BestConfig, build_envelope
+        from repro.scheduler.rubick import RubickPolicy, _RoundState
+
+        cluster, jobs = self._saturated_round()
+        jobs[0].min_res = ResourceVector(gpus=4, cpus=16)  # held1 may shrink
+        queued = jobs[2]
+        queued.min_res = ResourceVector()  # never below its minimum
+        state = _RoundState(cluster, jobs)
+        # Losing a GPU costs held1 more than one gains the queued job.
+        state.down_slopes["held1", 8] = 5.0
+        plan = ExecutionPlan(dp=1)
+        curve = build_envelope(
+            24, [None] + [BestConfig(plan, float(g)) for g in range(1, 25)]
+        )
+
+        class Curves:
+            def curve(self, job):
+                return curve
+
+        entered = []
+        monkeypatch.setattr(
+            RubickPolicy, "_acquire_gpus_on_node",
+            lambda self, job, node, *args: entered.append(node.node_id),
+        )
+        rubick()._acquire_gpus(
+            queued, state, {j.job_id: j for j in jobs},
+            {j.job_id: 1.0 for j in jobs}, Curves(), 16, queued.min_res,
+        )
+        # Node 1's only victim is not worth shrinking, node 2 has none.
+        assert entered == [0]

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import PAPER_CLUSTER, ResourceVector
 from repro.models import GPT2, ROBERTA
 from repro.perfmodel import ResourceShape
+from repro.planeval import BestConfig, build_envelope
 from repro.plans import ExecutionPlan
 from repro.scheduler import (
     Job,
@@ -80,14 +85,97 @@ class TestGpuCurve:
             if curve.slope_up(g) == 0.0:
                 assert curve.lookahead_slope_up(g) > 0.0
 
-    def test_next_better_count_none_at_top(self, analyzer):
+    def test_lookahead_zero_at_top(self, analyzer):
         curve = analyzer.gpu_curve(GPT2, 16, max_gpus=16)
-        assert curve.next_better_count(16) is None
+        assert curve.lookahead_slope_up(16) == 0.0
+        assert curve.lookahead_slope_up(17) == 0.0
 
     def test_out_of_range_clamped(self, analyzer):
         curve = analyzer.gpu_curve(GPT2, 16, max_gpus=8)
         assert curve.throughput_at(99) == curve.throughput_at(8)
         assert curve.throughput_at(-1) == 0.0
+
+
+def _scan_lookahead(env, gpus):
+    """Per-GPU gain to the first later count whose envelope rises by more
+    than 1e-12, by a linear scan (0.0 when none does)."""
+    for nxt in range(gpus + 1, len(env)):
+        if env[nxt] > env[gpus] + 1e-12:
+            return (env[nxt] - env[gpus]) / (nxt - gpus)
+    return 0.0
+
+
+def _scan_peak(env):
+    """Last count beating the previous peak count by more than 1e-9."""
+    peak = 0
+    for g in range(1, len(env)):
+        if env[g] > env[peak] + 1e-9:
+            peak = g
+    return peak
+
+
+def _step(value, kind, size):
+    """Next raw throughput after ``value`` for one generated step kind."""
+    if kind == "none":
+        return None  # no plan uses exactly this count: the envelope is flat
+    if kind == "same":
+        return value
+    if kind == "ulps":  # sub-1e-12 rises, a few ulps at a time
+        for _ in range(1 + int(size * 8)):
+            value = math.nextafter(value, math.inf)
+        return value
+    if kind == "edge":  # rises straddling the 1e-12 and 1e-9 thresholds
+        return value + (1e-12, 1e-9)[size > 0.5] * (0.5 + size)
+    if kind == "drop":  # a worse plan: the envelope carries its peak
+        return value - size * value
+    return value + size * 50.0  # a real rise
+
+
+_KINDS = st.sampled_from(["none", "same", "ulps", "edge", "drop", "rise"])
+
+
+@st.composite
+def _raw_configs(draw):
+    plan = ExecutionPlan(dp=1)
+    value = draw(st.floats(0.5, 1e4))
+    steps = draw(
+        st.lists(st.tuples(_KINDS, st.floats(0.0, 1.0)), min_size=0, max_size=40)
+    )
+    # A flat tail: nothing after the last step beats the envelope.
+    tail = draw(st.integers(0, 6))
+    raw: list[BestConfig | None] = [None]
+    for kind, size in steps + [("none", 0.0)] * tail:
+        nxt = _step(value, kind, size)
+        if nxt is None:
+            raw.append(None)
+            continue
+        value = nxt
+        raw.append(BestConfig(plan=plan, throughput=value))
+    return raw
+
+
+class TestCurveTables:
+    """``build_envelope``'s per-count tables against direct scans."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_raw_configs())
+    def test_tables_match_scans(self, raw):
+        limit = len(raw) - 1
+        curve = build_envelope(limit, raw)
+        env = curve.envelope
+        assert all(b >= a for a, b in zip(env, env[1:]))
+        assert len(curve.lookahead) == limit + 1
+        for g in range(limit + 1):
+            assert curve.lookahead[g] == _scan_lookahead(env, g)
+            assert curve.lookahead_slope_up(g) == curve.lookahead[g]
+        assert curve.lookahead_slope_up(limit + 1) == 0.0
+        assert curve.lookahead_slope_up(limit + 50) == 0.0
+        assert curve.peak_gpus == _scan_peak(env)
+
+    def test_negative_count_rejected(self):
+        curve = build_envelope(0, [None])
+        with pytest.raises(ValueError):
+            curve.lookahead_slope_up(-1)
 
 
 class TestMinRes:
