@@ -56,7 +56,7 @@ from repro.models import all_models
 from repro.oracle import SyntheticTestbed, build_perf_model
 from repro.scheduler import PerfModelStore
 from repro.scheduler.registry import POLICIES, make_policy
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.units import HOUR, MINUTE
 from repro.workloads.arrivals import PoissonArrivals
 
@@ -133,10 +133,9 @@ def _one_run(trace, store, policy_name: str, *, fast: bool, events=None):
     sim = Simulator(
         PAPER_CLUSTER,
         make_policy(policy_name),
+        config=EngineConfig(seed=BENCH_SEED, fast_path=fast),
         testbed=SyntheticTestbed(PAPER_CLUSTER, seed=BENCH_SEED),
         perf_store=store,
-        seed=BENCH_SEED,
-        fast_path=fast,
     )
     start = time.perf_counter()
     result = sim.run(trace, cluster_events=events)
@@ -210,13 +209,15 @@ def _collect_datacenter(*, nodes: int, jobs: int, reps: int) -> dict:
         sim = Simulator(
             cluster,
             make_policy(DATACENTER_POLICY),
+            config=EngineConfig(
+                seed=BENCH_SEED,
+                fast_path=True,
+                scale_mode=True,
+                tick_interval=DATACENTER_ROUND_INTERVAL,
+                result_record_limit=DATACENTER_RECORD_LIMIT,
+            ),
             testbed=testbed,
             perf_store=store,
-            seed=BENCH_SEED,
-            fast_path=True,
-            scale_mode=True,
-            tick_interval=DATACENTER_ROUND_INTERVAL,
-            result_record_limit=DATACENTER_RECORD_LIMIT,
         )
         start = time.perf_counter()
         res = sim.run(trace, cluster_events=events)

@@ -701,10 +701,12 @@ class RubickPolicy(SchedulerPolicy):
     ) -> None:
         """Grab free GPUs, then shrink the least-sensitive job (Alg. 1 8-16).
 
-        A run of free-GPU grabs is one journaled ``move`` of ``k`` GPUs and
-        ``k`` companion CPUs, ``k`` being the number of single grabs the
-        one-GPU-at-a-time loop would make in a row; the resulting state is
-        identical (DESIGN.md item 49).
+        Both steps run in batches that leave exactly the state of the
+        one-GPU-at-a-time loop.  A run of free-GPU grabs is one journaled
+        ``move`` of ``k`` GPUs and ``k`` companion CPUs, ``k`` being the
+        number of single grabs the loop would make in a row (DESIGN.md item
+        49); a run of reclaims on a node without free GPUs is replayed by
+        :meth:`_reclaim_run` (item 50).
         """
         job_id = job.job_id
         min_gpus = min_res.gpus
@@ -725,16 +727,29 @@ class RubickPolicy(SchedulerPolicy):
                     k += 1
                 state.move(node, job_id, ResourceVector(gpus=k, cpus=k))
                 continue
-            # No free GPU here: try to reclaim one from the least-sensitive
-            # over-minimum job on this node.
-            victim = self._lowest_slope_victim(
-                node, state, by_id, baselines, selector, exclude=job_id
-            )
-            if victim is None:
-                break
-            victim_job, victim_slope = victim
-            if not (below_min or slope > victim_slope):
-                break
+            # Reclaim from the least-sensitive over-minimum job on this node.
+            if node.free.gpus == 0:
+                victim_job = self._reclaim_run(
+                    job, node, state, by_id, baselines, selector, target_gpus,
+                    min_gpus, my_slope,
+                )
+                if victim_job is None:
+                    break
+                # The run stopped before a step whose freed GPU has no free
+                # CPU beside it: that step reclaims a CPU the one-unit way.
+                current = state.gpus_of(job_id)
+                below_min = current < min_gpus
+                slope = my_slope(current)
+            else:
+                # Free GPUs but no CPU to pair them with: one unit step.
+                victim = self._lowest_slope_victim(
+                    node, state, by_id, baselines, selector, exclude=job_id
+                )
+                if victim is None:
+                    break
+                victim_job, victim_slope = victim
+                if not (below_min or slope > victim_slope):
+                    break
             self._shrink_gpu(victim_job, node, state)
             if node.free.gpus > 0 and self._ensure_companion_cpu(
                 job, node, state, by_id, baselines, selector, below_min, slope,
@@ -742,6 +757,90 @@ class RubickPolicy(SchedulerPolicy):
                 state.move(node, job_id, ResourceVector(gpus=1, cpus=1))
             else:
                 break
+
+    def _reclaim_run(
+        self,
+        job: Job,
+        node: _NodeState,
+        state: _RoundState,
+        by_id: dict[str, Job],
+        baselines: dict[str, float],
+        selector: PlanSelector,
+        target_gpus: int,
+        min_gpus: int,
+        my_slope: Callable[[int], float],
+    ) -> Job | None:
+        """Reclaim GPUs for ``job`` on a node without free GPUs, as one run.
+
+        Replays the one-unit steps — the :meth:`_lowest_slope_victim` pick
+        and test, :meth:`_shrink_gpu`, the grab of the freed GPU with one
+        CPU — on integer copies of the node's victim shares, then writes the
+        net change: one ``take`` per touched victim, in the order of their
+        last touch, and one ``move`` (DESIGN.md item 50).  Returns the victim
+        of the step the run stops before because its freed GPU would find no
+        free CPU, or None once acquisition on this node is over.
+        """
+        job_id = job.job_id
+        floors = state.gpu_floor
+        memo = state.down_slopes
+        # [job id, GPUs here, CPUs here, total GPUs, floor], in shares order.
+        rows = []
+        for victim_id, share in node.shares.items():
+            if victim_id == job_id or share.gpus <= 0:
+                continue
+            floor = floors.get(victim_id)
+            if floor is not None:
+                rows.append([
+                    victim_id, share.gpus, share.cpus,
+                    state.gpus_of(victim_id), floor,
+                ])
+        free_cpus = node.free.cpus
+        start = current = state.gpus_of(job_id)
+        touched: dict[str, list] = {}  # insertion order = last touch
+        stop_before: Job | None = None
+        while current < target_gpus:
+            below_min = current < min_gpus
+            slope = my_slope(current)
+            if not below_min and slope <= _EPS_SLOPE:
+                break
+            best = None
+            best_slope = 0.0
+            for row in rows:
+                total = row[3]
+                if row[1] <= 0 or total - 1 < row[4]:
+                    continue
+                victim_slope = memo.get((row[0], total))
+                if victim_slope is None:
+                    victim_slope = memo[row[0], total] = (
+                        selector.gpu_slope_down(by_id[row[0]], total)
+                        / baselines[row[0]]
+                    )
+                if best is None or victim_slope < best_slope:
+                    best, best_slope = row, victim_slope
+            if best is None or not (below_min or slope > best_slope):
+                break
+            gpus, cpus = best[1], best[2]
+            drop = cpus if gpus <= 1 else (1 if cpus > gpus - 1 else 0)
+            if free_cpus + drop < 1:
+                stop_before = by_id[best[0]]
+                break
+            best[1] = gpus - 1
+            best[2] = cpus - drop
+            best[3] -= 1
+            free_cpus += drop - 1
+            current += 1
+            touched.pop(best[0], None)
+            touched[best[0]] = best
+        for victim_id, row in touched.items():
+            share = node.shares[victim_id]
+            # A victim that lost its last GPU here leaves with its share.
+            state.take(node, victim_id, share if row[1] == 0 else ResourceVector(
+                share.gpus - row[1], share.cpus - row[2]
+            ))
+        if current > start:
+            grabbed = current - start
+            state.move(node, job_id, ResourceVector(gpus=grabbed, cpus=grabbed))
+        return stop_before
 
     def _ensure_companion_cpu(
         self,
@@ -846,11 +945,12 @@ class RubickPolicy(SchedulerPolicy):
             if want > 0:
                 state.move(node, job_id, ResourceVector(cpus=want))
         # Grow further while the CPU slope says it pays off (offload jobs).
+        baseline = baselines[job_id]
         guard = 0
         while guard < 256:
             guard += 1
             shape = state.shape_of(job_id)
-            slope = selector.cpu_slope_up(job, shape) / baselines[job_id]
+            slope = selector.cpu_slope_up(job, shape) / baseline
             below_min = state.cpus_of(job_id) < min_res.cpus
             if not below_min and slope <= _EPS_SLOPE:
                 break
@@ -865,7 +965,27 @@ class RubickPolicy(SchedulerPolicy):
                 None,
             )
             if node is not None:
-                state.move(node, job_id, ResourceVector(cpus=1))
+                # A run of one-CPU grabs, moved at once (DESIGN.md item 50):
+                # while the node keeps a spare CPU it stays the first
+                # candidate, and only the shape's CPU count changes.
+                grabbed = 1
+                spare = node.free.cpus - node.free.gpus - 1
+                grow = True
+                while spare > 0 and guard < 256:
+                    guard += 1
+                    cpus = shape.cpus + grabbed
+                    slope = (
+                        selector.cpu_slope_up(job, shape.with_cpus(cpus))
+                        / baseline
+                    )
+                    if cpus >= min_res.cpus and slope <= _EPS_SLOPE:
+                        grow = False
+                        break
+                    grabbed += 1
+                    spare -= 1
+                state.move(node, job_id, ResourceVector(cpus=grabbed))
+                if not grow:
+                    break
                 continue
             moved = False
             for node_id in state.job_node_ids(job_id):
@@ -963,18 +1083,21 @@ class RubickPolicy(SchedulerPolicy):
             key=lambda n: n.share_of(job_id).gpus,
         )
         for node in nodes:
-            while excess > 0 and node.share_of(job_id).gpus > 0:
-                share = node.share_of(job_id)
-                if share.gpus == 1:
-                    drop_cpu = share.cpus  # last GPU leaves: release all CPUs
+            # Drop one GPU at a time on integers, then write the node's net
+            # drop as one take (DESIGN.md item 50).
+            share = node.share_of(job_id)
+            gpus, cpus = share.gpus, share.cpus
+            while excess > 0 and gpus > 0:
+                if gpus == 1:
+                    cpus = 0  # last GPU leaves: release all CPUs
                 else:
                     # Keep at least 1 CPU per remaining GPU.
-                    drop_cpu = min(
-                        self.cpus_per_gpu,
-                        max(share.cpus - (share.gpus - 1), 0),
-                    )
-                state.take(node, job_id, ResourceVector(gpus=1, cpus=drop_cpu))
+                    cpus -= min(self.cpus_per_gpu, max(cpus - (gpus - 1), 0))
+                gpus -= 1
                 excess -= 1
+            state.take(node, job_id, ResourceVector(
+                gpus=share.gpus - gpus, cpus=share.cpus - cpus
+            ))
             if excess <= 0:
                 break
         return True

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -28,6 +30,7 @@ from repro.scheduler import (
     rubick_r,
 )
 from repro.scheduler.baselines import AntManPolicy, SiaPolicy, SynergyPolicy
+from repro.units import GB
 
 SPEC = ClusterSpec(num_nodes=2, node=NodeSpec(num_gpus=8, num_cpus=96))
 SEED = 21
@@ -381,3 +384,408 @@ class TestAcquisitionShortcuts:
         )
         # Node 1's only victim is not worth shrinking, node 2 has none.
         assert entered == [0]
+
+
+# ----------------------------------------------------------------------
+# Exact unit runs: each batched step of Alg. 1 against its one-unit loop
+# ----------------------------------------------------------------------
+_SLOPE_VALUES = st.sampled_from([0.0, 0.25, 1.0, 4.0])
+
+
+class _TableSelector:
+    """Selector stand-in whose slopes are drawn tables (ties included)."""
+
+    def __init__(self, gpu_down, cpu_down, cpu_up, cpu_up_until):
+        self.gpu_down = gpu_down  # job id -> slopes indexed by total GPUs
+        self.cpu_down = cpu_down  # job id -> slopes indexed by CPUs mod 4
+        self.cpu_up = cpu_up  # slopes indexed by CPUs mod its length
+        self.cpu_up_until = cpu_up_until  # no CPU gain from here on
+
+    def gpu_slope_down(self, job, gpus):
+        return self.gpu_down[job.job_id][gpus]
+
+    def cpu_slope_down(self, job, shape):
+        return self.cpu_down[job.job_id][shape.cpus % 4]
+
+    def cpu_slope_up(self, job, shape):
+        if shape.cpus >= self.cpu_up_until:
+            return 0.0
+        return self.cpu_up[shape.cpus % len(self.cpu_up)]
+
+
+@st.composite
+def _round_scenarios(draw):
+    """Plain data for a small round: 1-3 nodes, several victims with mixed
+    floors, nodes saturated or CPU-tight, and the job being scheduled
+    (``grower``), which may already hold shares."""
+    num_nodes = draw(st.integers(1, 3))
+    num_cpus = draw(st.integers(4, 24))
+    victims = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    order = draw(st.permutations(victims + ["grower"]))
+    shares: dict[str, dict[int, tuple[int, int]]] = {j: {} for j in order}
+    for node_id in range(num_nodes):
+        gpus_left, cpus_left = 8, num_cpus
+        last_victim = None
+        for job_id in order:
+            if gpus_left == 0 or not draw(st.booleans()):
+                continue
+            # Small shares often: victims that leave the node mid-run.
+            gpus = draw(st.integers(1, min(gpus_left, draw(st.sampled_from([2, 8])))))
+            cpus = draw(st.integers(min(1, cpus_left), min(cpus_left, 6 * gpus)))
+            shares[job_id][node_id] = (gpus, cpus)
+            gpus_left -= gpus
+            cpus_left -= cpus
+            if job_id != "grower":
+                last_victim = job_id
+        if gpus_left and last_victim is not None and draw(st.booleans()):
+            gpus, cpus = shares[last_victim][node_id]  # saturate the node
+            shares[last_victim][node_id] = (gpus + gpus_left, cpus)
+    return {
+        "spec": ClusterSpec(
+            num_nodes=num_nodes, node=NodeSpec(num_gpus=8, num_cpus=num_cpus)
+        ),
+        "order": order,
+        "shares": shares,
+        "floors": {
+            j: (draw(st.integers(0, 8)), draw(st.integers(0, 16)))
+            if draw(st.booleans()) else None  # None: best effort
+            for j in order
+        },
+        "selector": _TableSelector(
+            {v: draw(st.lists(_SLOPE_VALUES, min_size=25, max_size=25))
+             for v in victims},
+            {v: draw(st.lists(_SLOPE_VALUES, min_size=4, max_size=4))
+             for v in victims},
+            draw(st.lists(_SLOPE_VALUES, min_size=1, max_size=5)),
+            draw(st.integers(0, 80)),
+        ),
+        "baselines": {j: draw(st.sampled_from([0.5, 1.0, 2.0])) for j in order},
+    }
+
+
+def _build_round(scenario):
+    """A fresh (round state, jobs by id) from a scenario."""
+    from repro.scheduler.rubick import _RoundState
+
+    cluster = Cluster(scenario["spec"])
+    jobs = {}
+    for job_id in scenario["order"]:
+        floor = scenario["floors"][job_id]
+        job = _queued_job(
+            job_id, gpus=1,
+            priority=JobPriority.BEST_EFFORT if floor is None
+            else JobPriority.GUARANTEED,
+        )
+        job.min_res = ResourceVector(*(floor or (0, 0)))
+        placement = {
+            node_id: ResourceVector(gpus=gpus, cpus=cpus)
+            for node_id, (gpus, cpus) in scenario["shares"][job_id].items()
+        }
+        if placement:
+            job.status = JobStatus.RUNNING
+            cluster.apply(job_id, Placement(placement))
+        jobs[job_id] = job
+    return _RoundState(cluster, list(jobs.values())), jobs
+
+
+def _round_snapshot(state, job_ids, ordered=True):
+    shares = list if ordered else dict
+    return (
+        [(n.node_id, n.free, n.host_free, shares(n.shares.items()))
+         for n in state.nodes],
+        state._free_index.snapshot(),
+        {j: (state.gpus_of(j), state.cpus_of(j), state.job_node_ids(j))
+         for j in job_ids},
+    )
+
+
+def _one_unit_acquire(policy, job, node, state, by_id, baselines, selector,
+                      target_gpus, min_res, my_slope):
+    """Alg. 1 lines 8-16 as written: one GPU + one CPU per journaled step."""
+    job_id = job.job_id
+    while state.gpus_of(job_id) < target_gpus:
+        current = state.gpus_of(job_id)
+        below_min = current < min_res.gpus
+        slope = my_slope(current)
+        if not below_min and slope <= 1e-9:
+            break
+
+        def companion():
+            return node.free.gpus > 0 and policy._ensure_companion_cpu(
+                job, node, state, by_id, baselines, selector, below_min, slope
+            )
+
+        if companion():
+            state.move(node, job_id, ResourceVector(gpus=1, cpus=1))
+            continue
+        victim = policy._lowest_slope_victim(
+            node, state, by_id, baselines, selector, exclude=job_id
+        )
+        if victim is None or not (below_min or slope > victim[1]):
+            break
+        policy._shrink_gpu(victim[0], node, state)
+        if not companion():
+            break
+        state.move(node, job_id, ResourceVector(gpus=1, cpus=1))
+
+
+def _one_unit_trim(policy, job_id, plan_gpus, state):
+    """`_trim_to_plan` as written: one journaled take per dropped GPU."""
+    excess = state.gpus_of(job_id) - plan_gpus
+    nodes = sorted(
+        (n for n in state.nodes if n.share_of(job_id).gpus > 0),
+        key=lambda n: n.share_of(job_id).gpus,
+    )
+    for node in nodes:
+        while excess > 0 and node.share_of(job_id).gpus > 0:
+            share = node.share_of(job_id)
+            if share.gpus == 1:
+                drop = share.cpus
+            else:
+                drop = min(policy.cpus_per_gpu, max(share.cpus - (share.gpus - 1), 0))
+            state.take(node, job_id, ResourceVector(gpus=1, cpus=drop))
+            excess -= 1
+        if excess <= 0:
+            break
+
+
+def _one_unit_tune_cpus(policy, job, state, by_id, baselines, selector, min_res):
+    """`_tune_cpus` as written: slope-driven growth one journaled CPU a time."""
+    job_id = job.job_id
+    if state.gpus_of(job_id) == 0:
+        return
+    for node_id in state.job_node_ids(job_id):
+        node = state.nodes[node_id]
+        share = node.share_of(job_id)
+        if share.gpus == 0:
+            continue
+        spare = node.free.cpus - node.free.gpus
+        want = min(share.gpus * policy.cpus_per_gpu - share.cpus, spare)
+        if want > 0:
+            state.move(node, job_id, ResourceVector(cpus=want))
+    guard = 0
+    while guard < 256:
+        guard += 1
+        shape = state.shape_of(job_id)
+        slope = selector.cpu_slope_up(job, shape) / baselines[job_id]
+        below_min = state.cpus_of(job_id) < min_res.cpus
+        if not below_min and slope <= 1e-9:
+            break
+        node = next(
+            (state.nodes[i] for i in state.job_node_ids(job_id)
+             if state.nodes[i].share_of(job_id).gpus > 0
+             and state.nodes[i].free.cpus > state.nodes[i].free.gpus),
+            None,
+        )
+        if node is not None:
+            state.move(node, job_id, ResourceVector(cpus=1))
+            continue
+        moved = False
+        for node_id in state.job_node_ids(job_id):
+            node = state.nodes[node_id]
+            if node.share_of(job_id).gpus == 0:
+                continue
+            victim = policy._lowest_cpu_slope_victim(
+                node, state, by_id, baselines, selector, exclude=job_id
+            )
+            if victim is not None and (below_min or slope > victim[1]):
+                state.take(node, victim[0].job_id, ResourceVector(cpus=1))
+                state.move(node, job_id, ResourceVector(cpus=1))
+                moved = True
+                break
+        if not moved:
+            break
+
+
+class TestExactUnitRuns:
+    """Each run in Rubick's Alg. 1 (victim reclaim, trim, CPU growth) leaves
+    the state — shares with their dict order, free vectors, totals and the
+    free-GPU buckets — of the one-unit loop it replaces, and rolls back to
+    the one-unit loop's rollback."""
+
+    def _check(self, scenario, run, reference):
+        job_ids = scenario["order"]
+        state, jobs = _build_round(scenario)
+        pre = _round_snapshot(state, job_ids, ordered=False)
+        mark = state.mark()
+        run(state, jobs)
+        ref_state, ref_jobs = _build_round(scenario)
+        ref_mark = ref_state.mark()
+        reference(ref_state, ref_jobs)
+        assert _round_snapshot(state, job_ids) == _round_snapshot(ref_state, job_ids)
+        assert state.down_slopes == ref_state.down_slopes
+        state.rollback(mark)
+        ref_state.rollback(ref_mark)
+        assert _round_snapshot(state, job_ids) == _round_snapshot(ref_state, job_ids)
+        assert _round_snapshot(state, job_ids, ordered=False) == pre
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=_round_scenarios(), data=st.data())
+    def test_acquisition_matches_one_unit_loop(self, scenario, data):
+        node_id = data.draw(st.integers(0, scenario["spec"].num_nodes - 1))
+        target = data.draw(st.integers(1, 24))
+        min_res = ResourceVector(gpus=data.draw(st.integers(0, target)))
+        job_slopes = data.draw(st.lists(_SLOPE_VALUES, min_size=25, max_size=25))
+        args = (scenario["baselines"], scenario["selector"], target, min_res,
+                job_slopes.__getitem__)
+
+        def run(state, jobs):
+            rubick()._acquire_gpus_on_node(
+                jobs["grower"], state.nodes[node_id], state, jobs, *args
+            )
+
+        def reference(state, jobs):
+            _one_unit_acquire(
+                rubick(), jobs["grower"], state.nodes[node_id], state, jobs, *args
+            )
+
+        self._check(scenario, run, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=_round_scenarios(), data=st.data())
+    def test_trim_matches_one_unit_loop(self, scenario, data):
+        held = sum(g for g, _ in scenario["shares"]["grower"].values())
+        assume(held > 0)
+        plan_gpus = data.draw(st.integers(0, held))
+        self._check(
+            scenario,
+            lambda state, jobs: rubick()._trim_to_plan("grower", plan_gpus, state),
+            lambda state, jobs: _one_unit_trim(rubick(), "grower", plan_gpus, state),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=_round_scenarios(), data=st.data())
+    def test_cpu_growth_matches_one_unit_loop(self, scenario, data):
+        assume(scenario["shares"]["grower"])
+        min_res = ResourceVector(cpus=data.draw(st.integers(0, 40)))
+        args = (scenario["baselines"], scenario["selector"], min_res)
+        self._check(
+            scenario,
+            lambda state, jobs: rubick()._tune_cpus(
+                jobs["grower"], state, jobs, *args
+            ),
+            lambda state, jobs: _one_unit_tune_cpus(
+                rubick(), jobs["grower"], state, jobs, *args
+            ),
+        )
+
+    # A saturated node 0 (8 GPUs): ``lean`` holds 3 GPUs on a single CPU,
+    # ``rich`` holds 5 GPUs and 10 CPUs at its GPU floor.  One CPU is free.
+    _SPEC1 = ClusterSpec(num_nodes=1, node=NodeSpec(num_gpus=8, num_cpus=12))
+
+    class _CpuDown:
+        def cpu_slope_down(self, job, shape):
+            return 0.5
+
+    def _companion_round(self):
+        from repro.scheduler.rubick import _RoundState
+
+        cluster = Cluster(self._SPEC1)
+        jobs = {}
+        for job_id, gpus, cpus, min_res in (
+            ("lean", 3, 1, ResourceVector()),
+            ("rich", 5, 10, ResourceVector(gpus=5, cpus=5)),
+        ):
+            job = _queued_job(job_id, gpus=gpus)
+            job.status = JobStatus.RUNNING
+            job.min_res = min_res
+            cluster.apply(job_id, Placement({0: ResourceVector(gpus, cpus)}))
+            jobs[job_id] = job
+        jobs["grower"] = _queued_job("grower", gpus=1)
+        jobs["grower"].min_res = ResourceVector()
+        state = _RoundState(cluster, list(jobs.values()))
+        state.down_slopes.update({("lean", g): 0.1 for g in (1, 2, 3)})
+        return state, jobs
+
+    def test_run_stops_where_the_freed_gpu_has_no_free_cpu(self, monkeypatch):
+        from repro.scheduler.rubick import RubickPolicy
+
+        state, jobs = self._companion_round()
+        node = state.nodes[0]
+        baselines = {j: 1.0 for j in jobs}
+        # The first reclaim pairs lean's GPU with the free CPU; lean then
+        # has 2 GPUs on 1 CPU, so its next GPU leaves alone and finds no
+        # free CPU: the run stops before that step and hands lean back.
+        stop = rubick()._reclaim_run(
+            jobs["grower"], node, state, jobs, baselines, None, 3, 0,
+            lambda gpus: 1.0,
+        )
+        assert stop is jobs["lean"]
+        assert node.share_of("grower") == ResourceVector(1, 1, 0.0)
+        assert node.share_of("lean") == ResourceVector(2, 1, 0.0)
+        assert node.free == ResourceVector(0, 0, 1600 * GB)
+
+        # The full acquisition takes that step the one-unit way: a CPU comes
+        # back from rich, the lowest-CPU-slope job over its CPU floor.
+        cpu_victims = []
+        original = RubickPolicy._lowest_cpu_slope_victim
+
+        def spy(self, *args, **kwargs):
+            found = original(self, *args, **kwargs)
+            cpu_victims.append(found[0].job_id)
+            return found
+
+        monkeypatch.setattr(RubickPolicy, "_lowest_cpu_slope_victim", spy)
+        args = (baselines, self._CpuDown(), 3, ResourceVector(), lambda g: 1.0)
+        state, jobs = self._companion_round()
+        rubick()._acquire_gpus_on_node(
+            jobs["grower"], state.nodes[0], state, jobs, *args
+        )
+        assert cpu_victims == ["rich"]
+        assert state.nodes[0].share_of("rich") == ResourceVector(5, 9, 0.0)
+        assert "lean" not in state.nodes[0].shares
+        ref_state, ref_jobs = self._companion_round()
+        _one_unit_acquire(
+            rubick(), ref_jobs["grower"], ref_state.nodes[0], ref_state,
+            ref_jobs, *args,
+        )
+        ids = list(jobs)
+        assert _round_snapshot(state, ids) == _round_snapshot(ref_state, ids)
+
+    def test_reclaiming_from_two_victims_journals_three_entries(self):
+        from repro.scheduler.rubick import _RoundState
+
+        cluster = Cluster(ClusterSpec(
+            num_nodes=1, node=NodeSpec(num_gpus=8, num_cpus=16)
+        ))
+        jobs = {}
+        for job_id in ("a", "b"):
+            job = _queued_job(job_id, gpus=4, priority=JobPriority.BEST_EFFORT)
+            job.status = JobStatus.RUNNING
+            cluster.apply(job_id, Placement({0: ResourceVector(4, 8)}))
+            jobs[job_id] = job
+        jobs["grower"] = _queued_job("grower", gpus=1)
+        state = _RoundState(cluster, list(jobs.values()))
+        # a is cheapest to shrink once, then b for the rest.
+        state.down_slopes.update({("a", 4): 0.1, ("a", 3): 0.3})
+        state.down_slopes.update({("b", g): 0.2 for g in (2, 3, 4)})
+        mark = state.mark()
+        rubick()._acquire_gpus_on_node(
+            jobs["grower"], state.nodes[0], state, jobs,
+            {j: 1.0 for j in jobs}, None, 4, ResourceVector(), lambda g: 1.0,
+        )
+        node = state.nodes[0]
+        assert node.share_of("grower") == ResourceVector(4, 4, 0.0)
+        assert node.share_of("a") == ResourceVector(3, 7, 0.0)
+        assert node.share_of("b") == ResourceVector(1, 5, 0.0)
+        # One take per victim and one move, where one-unit steps wrote 8.
+        assert state.mark() - mark <= 3
+
+    def test_cpu_growth_keeps_the_256_step_guard(self):
+        """CPUs that always pay off: growth stops after 256 slope steps."""
+        from repro.scheduler.rubick import _RoundState
+
+        cluster = Cluster(ClusterSpec(
+            num_nodes=1, node=NodeSpec(num_gpus=8, num_cpus=400)
+        ))
+        job = _queued_job("grower", gpus=1)
+        job.status = JobStatus.RUNNING
+        cluster.apply("grower", Placement({0: ResourceVector(1, 1)}))
+        state = _RoundState(cluster, [job])
+        selector = _TableSelector({}, {}, [1.0], 1000)
+        rubick()._tune_cpus(
+            job, state, {"grower": job}, {"grower": 1.0}, selector,
+            ResourceVector(),
+        )
+        # The top-up to 4 CPUs per GPU, then exactly 256 one-CPU steps.
+        assert state.cpus_of("grower") == 4 + 256
