@@ -2,7 +2,7 @@
 
 Measures how fast `Simulator.run` replays the 100-job `bench_overheads`
 trace (performance models pre-fitted, so the number isolates the simulation
-loop from one-time scipy fitting):
+loop from the one-time performance-model fits):
 
 * **headline** — rubick on the fast path vs the byte-identical reference
   mode (`fast_path=False`, the pre-PR loop semantics; note the reference

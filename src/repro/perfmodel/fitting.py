@@ -6,11 +6,14 @@ a handful of sampled test runs — at least seven points, at least three of
 which use ZeRO-Offload (otherwise ``k_opt_off``/``k_off``/``k_swap`` are not
 observable).
 
-We search in log-parameter space with ``scipy.optimize.least_squares`` (the
-parameters span many orders of magnitude) from a few deterministic restarts,
-keeping the best solution.  scipy is imported on the first fit, not with the
-package: most processes (the sweep parent, the service before its first
-submission, every consumer of a pre-fitted store) never fit anything.
+We search in log-parameter space (the parameters span many orders of
+magnitude) with :func:`repro.perfmodel.trf.least_squares` from a few
+deterministic restarts, keeping the best solution.  That solver is a
+numpy-only port of scipy's bounded ``least_squares(method="trf")`` whose fits
+are bit-identical to scipy's, so the runtime needs numpy alone (DESIGN.md
+item 51).  It is imported on the first fit, not with the package: most
+processes (the sweep parent, the service before its first submission, every
+consumer of a pre-fitted store) never fit anything.
 
 The residual re-combines per-sample :class:`BreakdownTerms` built once per
 fit: the parameter-free prelude of Eq. 1 is the same for every candidate
@@ -138,7 +141,7 @@ def fit_perf_model(
     lo = np.log([PARAM_BOUNDS[n][0] for n in names])
     hi = np.log([PARAM_BOUNDS[n][1] for n in names])
 
-    from scipy.optimize import least_squares
+    from repro.perfmodel import trf
 
     terms = sample_terms(model, env, t_fwd_ref, samples)
 
@@ -154,12 +157,9 @@ def fit_perf_model(
     best_x: np.ndarray | None = None
     best_cost = np.inf
     for x0 in starts:
-        x0c = np.clip(x0, lo, hi)
         try:
-            result = least_squares(
-                residuals, x0c, bounds=(lo, hi), method="trf", max_nfev=2000
-            )
-        except Exception as exc:  # pragma: no cover - scipy internal failure
+            result = trf.least_squares(residuals, np.clip(x0, lo, hi), lo, hi)
+        except (ValueError, np.linalg.LinAlgError) as exc:
             raise FittingError(f"least-squares solver failed: {exc}") from exc
         if result.cost < best_cost:
             best_cost = result.cost

@@ -22,6 +22,13 @@ A DRAIN frame closes the stream, runs the session to completion, replies
 ``DRAINED`` with the final result document (wall-clock fields excluded,
 like every persisted result), and shuts the master down — the clean-exit
 path the CI soak job asserts.
+
+Backpressure: a client's unsent replies are bounded.  While more than
+``OUTBUF_LIMIT`` bytes wait for it, the master stops reading from that
+client and handling its already-decoded frames (they queue in order); it
+resumes once the client has read the buffer back under the limit.  The
+buffer therefore never exceeds the limit by more than one reply frame, and
+other clients are served meanwhile.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 import selectors
 import socket
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -42,6 +50,8 @@ from repro.sim.metrics import SimulationResult
 from repro.sim.serialization import result_to_dict, trace_job_from_dict
 
 _RECV_BYTES = 65536
+#: Unsent reply bytes per client above which the master stops reading it.
+OUTBUF_LIMIT = 4 * 1024 * 1024
 
 
 def metrics_payload(result: SimulationResult) -> dict:
@@ -78,6 +88,12 @@ class _Client:
         default_factory=protocol.FrameDecoder
     )
     outbuf: bytearray = field(default_factory=bytearray)
+    #: Decoded frames not handled yet (held back while ``outbuf`` is full).
+    pending: deque[dict] = field(default_factory=deque)
+
+    @property
+    def backlogged(self) -> bool:
+        return len(self.outbuf) > OUTBUF_LIMIT
 
 
 class ServiceMaster:
@@ -209,7 +225,7 @@ class ServiceMaster:
     def _service(self, client: _Client) -> None:
         """One readable/writable event on an established connection."""
         try:
-            data = client.sock.recv(_RECV_BYTES)
+            data = None if client.backlogged else client.sock.recv(_RECV_BYTES)
         except BlockingIOError:
             data = None
         except OSError as exc:
@@ -222,17 +238,22 @@ class ServiceMaster:
             return
         if data:
             try:
-                frames = client.decoder.feed(data)
+                client.pending.extend(client.decoder.feed(data))
             except ProtocolError as exc:
                 # Stream damage is unrecoverable per-connection: tell the
                 # client why (best effort) and drop it.
                 self._send(client, protocol.error_frame(str(exc)))
                 self._drop(client.sock, f"protocol error: {exc}")
                 return
-            for frame in frames:
-                self._handle(client, frame)
-                self._frames_handled += 1
-        self._flush(client)
+        # Handle queued frames until the queue empties or the replies back
+        # up; a backlogged client keeps EVENT_WRITE, which resumes it here.
+        while client.sock in self._clients:
+            if client.outbuf:
+                self._flush(client)
+            if not client.pending or client.backlogged:
+                break
+            self._handle(client, client.pending.popleft())
+            self._frames_handled += 1
 
     def _send(self, client: _Client, payload: dict) -> None:
         client.outbuf += protocol.encode_frame(payload)
@@ -253,7 +274,7 @@ class ServiceMaster:
                 break
             del client.outbuf[:sent]
         if self._sel is not None:
-            mask = selectors.EVENT_READ
+            mask = 0 if client.backlogged else selectors.EVENT_READ
             if client.outbuf:
                 mask |= selectors.EVENT_WRITE
             self._sel.modify(client.sock, mask, data=client)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -192,6 +194,31 @@ class TestFitting:
         with pytest.raises(FittingError):
             fit_perf_model(GPT2, ENV, 0.02, bad, strict=False)
 
+    def test_non_finite_start_residual_is_a_fitting_error(self):
+        truth = PerfModel(model=GPT2, env=ENV, t_fwd_ref=0.02)
+        samples = self._samples(
+            truth,
+            [(ExecutionPlan(dp=8, ga_steps=2), ResourceShape.packed(8, cpus=32))] * 3,
+        )
+        samples.append(dataclasses.replace(samples[0], throughput=float("nan")))
+        with pytest.raises(FittingError, match="not finite"):
+            fit_perf_model(GPT2, ENV, 0.02, samples, strict=False)
+
+    def test_residual_bug_is_not_a_fitting_error(self, monkeypatch):
+        from repro.perfmodel import fitting
+
+        def broken(terms, params):
+            raise ZeroDivisionError("bug in the residual")
+
+        monkeypatch.setattr(fitting, "predict_iter_times", broken)
+        truth = PerfModel(model=GPT2, env=ENV, t_fwd_ref=0.02)
+        samples = self._samples(
+            truth,
+            [(ExecutionPlan(dp=8, ga_steps=2), ResourceShape.packed(8, cpus=32))] * 3,
+        )
+        with pytest.raises(ZeroDivisionError):
+            fit_perf_model(GPT2, ENV, 0.02, samples, strict=False)
+
 
 class TestFitKernel:
     """The fitter's hoisted residual kernel is the scalar path, bit for bit."""
@@ -262,8 +289,8 @@ class TestFitKernel:
         assert branches >= {"pipeline", "offload", "gc", "zero-dp", "plain"}
 
 
-class TestLazyScipy:
-    """``import repro`` must not pay for (or require) scipy."""
+class TestWithoutScipy:
+    """The runtime needs numpy alone: nothing in ``src/`` imports scipy."""
 
     @staticmethod
     def _python(code: str) -> subprocess.CompletedProcess:
@@ -287,3 +314,37 @@ class TestLazyScipy:
             "import sys\nsys.modules['scipy'] = None\nimport repro, repro.cli\n"
         )
         assert done.returncode == 0, done.stderr
+
+    def test_fit_and_simulate_without_scipy(self):
+        done = self._python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from repro.cli import main\n"
+            "from repro.cluster import PAPER_CLUSTER\n"
+            "from repro.models import GPT2\n"
+            "from repro.oracle import SyntheticTestbed\n"
+            "from repro.oracle.profiler import build_perf_model\n"
+            "_, report = build_perf_model(\n"
+            "    SyntheticTestbed(PAPER_CLUSTER, seed=0), GPT2,\n"
+            "    GPT2.global_batch_size)\n"
+            "assert report.rmsle < 0.5, report\n"
+            "sys.exit(main(['simulate', '--policy', 'rubick', '--jobs', '3',\n"
+            "               '--seed', '1']))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "rubick" in done.stdout
+
+    def test_no_source_module_imports_scipy(self):
+        root = Path(repro.__file__).resolve().parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []

@@ -16,6 +16,8 @@ Four contracts pinned here:
 * **API shim** — legacy ``Simulator(..., seed=...)`` keyword construction
   still works behind a one-release ``DeprecationWarning``; unknown
   keywords stay a ``TypeError``.
+* **Backpressure** — a client that sends without reading stops being read
+  once its unsent replies pass ``OUTBUF_LIMIT``, without starving others.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -42,6 +45,7 @@ from repro.service import (
     metrics_payload,
     replay,
 )
+from repro.service import master as master_module
 from repro.service import protocol
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.serialization import result_to_dict
@@ -240,8 +244,8 @@ class TestStreamedDeterminism:
 # ----------------------------------------------------------------------
 # Master/daemon loopback over real sockets
 # ----------------------------------------------------------------------
-def start_master(sim, **kwargs):
-    master = ServiceMaster(sim, clock=VirtualClock(), **kwargs)
+def start_master(sim, factory=ServiceMaster, **kwargs):
+    master = factory(sim, clock=VirtualClock(), **kwargs)
     master.bind()
     thread = threading.Thread(target=master.serve_forever, daemon=True)
     thread.start()
@@ -294,6 +298,98 @@ class TestLoopback:
         assert not thread.is_alive()
         assert report.result is not None
         assert report.result["summary"]["jobs"] == len(trace)
+
+
+class TestBackpressure:
+    """A client that never reads cannot grow the master without bound."""
+
+    def test_unread_replies_pause_reading_without_starving_others(
+        self, workload, monkeypatch
+    ):
+        trace, _ = workload
+        limit = 64 * 1024
+        monkeypatch.setattr(master_module, "OUTBUF_LIMIT", limit)
+        seen = {"outbuf": 0, "pending": 0, "backlogged_events": 0}
+
+        class Probe(ServiceMaster):
+            def _accept(self):
+                super()._accept()
+                # Small fixed kernel buffers, so the replies back up in
+                # the master after a few KiB instead of a few MiB.
+                for sock in self._clients:
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+            def _service(self, client):
+                if client.backlogged:
+                    seen["backlogged_events"] += 1
+                super()._service(client)
+                seen["pending"] = max(seen["pending"], len(client.pending))
+
+            def _flush(self, client):
+                seen["outbuf"] = max(seen["outbuf"], len(client.outbuf))
+                super()._flush(client)
+
+        master, thread = start_master(make_sim(), factory=Probe)
+        # ~1 KiB STATUS frames; every 50th is an unknown type whose ERROR
+        # reply names it, so the order of the replies is checkable.
+        pad = "x" * 1000
+        frames = [
+            {"type": f"SEQ{i}" if i % 50 == 0 else protocol.STATUS, "pad": pad}
+            for i in range(5000)
+        ]
+        blob = b"".join(encode_frame(f) for f in frames)
+        hog = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        hog.connect(("127.0.0.1", master.port))
+        sender = threading.Thread(target=hog.sendall, args=(blob,), daemon=True)
+        sender.start()
+
+        deadline = time.monotonic() + 60
+        while seen["outbuf"] <= limit and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert seen["outbuf"] > limit, "the hog never backed up"
+        with ServiceClient(port=master.port, timeout=10) as other:
+            assert other.status()["state"] == "streaming"
+            time.sleep(0.2)
+            # The hog is parked: not read (its sendall is blocked), and
+            # not woken either — its selector mask has no EVENT_READ.
+            assert sender.is_alive()
+            assert seen["backlogged_events"] < 20
+
+            hog.settimeout(30)
+            decoder = FrameDecoder()
+            replies: list[dict] = []
+            # A slow reader wakes the master with EVENT_WRITE while still
+            # backlogged; those wakeups must not read more requests.
+            for _ in range(40):
+                replies += decoder.feed(hog.recv(2048))
+                time.sleep(0.005)
+            while len(replies) < len(frames):
+                chunk = hog.recv(65536)
+                assert chunk, "master closed the hog's connection"
+                replies += decoder.feed(chunk)
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+            assert [r["type"] for r in replies] == [
+                protocol.STATUS if f["type"] == protocol.STATUS
+                else protocol.ERROR
+                for f in frames
+            ]
+            markers = [r["error"].split("'")[1] for r in replies
+                       if r["type"] == protocol.ERROR]
+            assert markers == [f["type"] for f in frames
+                               if f["type"] != protocol.STATUS]
+            largest = max(len(encode_frame(r)) for r in replies)
+            assert seen["outbuf"] <= limit + largest
+            # Nothing is read while backlogged: at most one recv queues.
+            per_recv = master_module._RECV_BYTES // len(encode_frame(frames[1]))
+            assert seen["pending"] <= per_recv + 1
+            hog.close()
+            other.submit_job(trace.jobs[0])
+            other.drain(trace.name)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
