@@ -17,7 +17,7 @@ from repro.analysis import format_table
 from repro.cluster import PAPER_CLUSTER
 from repro.oracle import SyntheticTestbed
 from repro.scheduler.rubick import RubickPolicy
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 
 NUM_JOBS = 100
 
@@ -35,8 +35,7 @@ def _run(policy, trace, delta=78.0):
         PAPER_CLUSTER,
         policy,
         testbed=SyntheticTestbed(PAPER_CLUSTER, seed=BENCH_SEED),
-        seed=BENCH_SEED,
-        reconfig_delta=delta,
+        config=EngineConfig(seed=BENCH_SEED, reconfig_delta=delta),
     )
     return sim.run(trace)
 

@@ -16,6 +16,7 @@ from repro.oracle import SyntheticTestbed
 from repro.scheduler import rubick
 from repro.scheduler.baselines import SynergyPolicy
 from repro.sim import (
+    EngineConfig,
     Simulator,
     WorkloadConfig,
     generate_trace,
@@ -44,7 +45,7 @@ def test_fig11_model_mix_sweep(benchmark):
                     PAPER_CLUSTER,
                     policy,
                     testbed=SyntheticTestbed(PAPER_CLUSTER, seed=BENCH_SEED),
-                    seed=BENCH_SEED,
+                    config=EngineConfig(seed=BENCH_SEED),
                 )
                 results[policy.name] = sim.run(trace)
             out.append((factor, trace, results))

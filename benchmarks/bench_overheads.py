@@ -18,7 +18,7 @@ from repro.oracle import (
     profiling_cost_seconds,
 )
 from repro.scheduler import rubick
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 
 
 def test_overheads(benchmark):
@@ -32,7 +32,7 @@ def test_overheads(benchmark):
             PAPER_CLUSTER,
             rubick(),
             testbed=SyntheticTestbed(PAPER_CLUSTER, seed=BENCH_SEED),
-            seed=BENCH_SEED,
+            config=EngineConfig(seed=BENCH_SEED),
         )
         return sim.run(trace)
 

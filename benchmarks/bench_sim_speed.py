@@ -4,13 +4,13 @@ Measures how fast `Simulator.run` replays the 100-job `bench_overheads`
 trace (performance models pre-fitted, so the number isolates the simulation
 loop from the one-time performance-model fits):
 
-* **headline** — rubick on the fast path vs the byte-identical reference
-  mode (`fast_path=False`, the pre-PR loop semantics; note the reference
-  shares the policy/cluster-layer optimizations, so the in-process ratio
-  *understates* the PR's full speedup — the `pre_pr_anchor` block records
-  the interleaved A/B against the actual pre-PR tree);
-* **per_policy** — fast-path wall seconds and scheduler split for all seven
-  registered policies, so future PRs are held to the whole table;
+* **headline** — rubick's min-of-reps wall on the trace (the
+  `pre_pr_anchor` block records the interleaved A/B of the event-driven
+  loop against the tree before it); a **dynamics** twin replays the same
+  trace under the ``flaky`` profile.  Both runs' result documents are
+  pinned by the ``*-overheads`` cases of ``tests/data/golden.json``;
+* **per_policy** — wall seconds and scheduler split for every registered
+  policy, so future PRs are held to the whole table;
 * **datacenter** — a 1024-node / 50k-job / flaky-dynamics leg through the
   ``scale_mode`` loop (antman rounds, Poisson arrivals), the fleet-scale
   throughput number this PR series optimizes for.
@@ -62,12 +62,12 @@ from repro.workloads.arrivals import PoissonArrivals
 
 NUM_JOBS = 100
 REPS = 3
-#: Dynamics profile of the flaky A/B leg (the new hot path: evictions,
-#: steady-state invalidation, post-failure rounds).
+#: Dynamics profile of the dynamics leg (evictions, steady-state
+#: invalidation, post-failure rounds).
 DYNAMICS_PROFILE = "flaky"
 #: CI tripwire: the dev container finishes the headline run in ~0.25 s;
-#: anything near this ceiling means the fast path regressed by an order of
-#: magnitude (or the runner is pathologically overloaded).
+#: anything near this ceiling means the simulation loop regressed by an
+#: order of magnitude (or the runner is pathologically overloaded).
 WALL_CEILING_SECONDS = 30.0
 
 # ----------------------------------------------------------------------
@@ -129,11 +129,11 @@ def _fitted_store(testbed: SyntheticTestbed) -> PerfModelStore:
     return store
 
 
-def _one_run(trace, store, policy_name: str, *, fast: bool, events=None):
+def _one_run(trace, store, policy_name: str, *, events=None):
     sim = Simulator(
         PAPER_CLUSTER,
         make_policy(policy_name),
-        config=EngineConfig(seed=BENCH_SEED, fast_path=fast),
+        config=EngineConfig(seed=BENCH_SEED),
         testbed=SyntheticTestbed(PAPER_CLUSTER, seed=BENCH_SEED),
         perf_store=store,
     )
@@ -142,44 +142,21 @@ def _one_run(trace, store, policy_name: str, *, fast: bool, events=None):
     return time.perf_counter() - start, result
 
 
-def _measure(trace, store, policy_name: str, *, fast: bool, reps: int):
+def _measure(trace, store, policy_name: str, *, reps: int, events=None):
     """Min wall over ``reps`` runs and the result of the fastest one."""
     best_wall, best_result = None, None
     for _ in range(reps):
-        wall, result = _one_run(trace, store, policy_name, fast=fast)
+        wall, result = _one_run(trace, store, policy_name, events=events)
         if best_wall is None or wall < best_wall:
             best_wall, best_result = wall, result
     return best_wall, best_result
 
 
-def _measure_pair(trace, store, policy_name: str, *, reps: int, events=None):
-    """Warmed, interleaved fast/reference A/B (min wall per mode).
-
-    One discarded warm-up per mode fills the process-level caches (plan
-    enumerations, `lru_cache`d memory estimates), then the modes alternate
-    so machine load skews both equally instead of whichever ran first.
-    """
-    for fast in (True, False):
-        _one_run(trace, store, policy_name, fast=fast, events=events)
-    walls = {True: None, False: None}
-    results = {True: None, False: None}
-    for _ in range(reps):
-        for fast in (True, False):
-            wall, result = _one_run(
-                trace, store, policy_name, fast=fast, events=events
-            )
-            if walls[fast] is None or wall < walls[fast]:
-                walls[fast], results[fast] = wall, result
-    return walls[True], results[True], walls[False], results[False]
-
-
 def _collect_datacenter(*, nodes: int, jobs: int, reps: int) -> dict:
     """The fleet-scale leg: ``scale_mode`` antman rounds under dynamics.
 
-    Unlike the headline pair there is no reference mode to interleave —
-    the default loop at this scale is the thing scale_mode exists to
-    avoid — so the leg reports min-of-``reps`` wall plus the invariants
-    the scale-mode test suite pins (every job completes, aggregates exact
+    The leg reports min-of-``reps`` wall plus the invariants the
+    scale-mode test suite pins (every job completes, aggregates exact
     under bounded record retention).  Trace generation is timed too: it
     is part of what a user of the leg waits for, so ``events_per_second``
     counts it and ``run_events_per_second`` is the loop alone.
@@ -211,7 +188,6 @@ def _collect_datacenter(*, nodes: int, jobs: int, reps: int) -> dict:
             make_policy(DATACENTER_POLICY),
             config=EngineConfig(
                 seed=BENCH_SEED,
-                fast_path=True,
                 scale_mode=True,
                 tick_interval=DATACENTER_ROUND_INTERVAL,
                 result_record_limit=DATACENTER_RECORD_LIMIT,
@@ -277,32 +253,24 @@ def collect(*, datacenter_jobs: int | None = None) -> dict:
     )
     store = _fitted_store(testbed)
 
-    fast_wall, fast_res, ref_wall, ref_res = _measure_pair(
-        trace, store, "rubick", reps=reps
-    )
-    # The two paths must agree exactly; the golden suite pins this per
-    # policy, the benchmark double-checks its own headline pair.
-    assert fast_res.records == ref_res.records, "fast path diverged!"
-    assert fast_res.makespan == ref_res.makespan
+    # One discarded warm-up fills the process-level caches (plan
+    # enumerations, `lru_cache`d memory estimates) before anything is timed.
+    _one_run(trace, store, "rubick")
+    head_wall, head_res = _measure(trace, store, "rubick", reps=reps)
 
     # Dynamics leg: the same trace under a flaky cluster (evictions,
-    # steady-state invalidation, post-failure rounds).  Byte-identity of
-    # fast vs reference under dynamics is the cache-audit acceptance.
+    # steady-state invalidation, post-failure rounds).
     events = resolve_dynamics(DYNAMICS_PROFILE).events(
         seed=BENCH_SEED, span=12 * HOUR, cluster=PAPER_CLUSTER
     )
-    dyn_fast_wall, dyn_fast_res, dyn_ref_wall, dyn_ref_res = _measure_pair(
+    dyn_wall, dyn_res = _measure(
         trace, store, "rubick", reps=reps, events=events
     )
-    assert dyn_fast_res.records == dyn_ref_res.records, (
-        "fast path diverged under dynamics!"
-    )
-    assert dyn_fast_res.evictions == dyn_ref_res.evictions
     small_scale_rss = _peak_rss_mb()
 
     per_policy = {}
     for name in POLICIES:
-        wall, res = _measure(trace, store, name, fast=True, reps=2)
+        wall, res = _measure(trace, store, name, reps=2)
         per_policy[name] = {
             "wall_seconds": round(wall, 4),
             "jobs_per_second": round(NUM_JOBS / wall, 1),
@@ -322,12 +290,12 @@ def collect(*, datacenter_jobs: int | None = None) -> dict:
             reps=_env_int("BENCH_DATACENTER_REPS", DATACENTER_REPS),
         )
 
-    ceiling_ok = fast_wall <= WALL_CEILING_SECONDS and (
+    ceiling_ok = head_wall <= WALL_CEILING_SECONDS and (
         datacenter is None or datacenter["ceiling_ok"]
     )
     return {
         "benchmark": "sim_speed",
-        "format_version": 2,
+        "format_version": 3,
         "config": {
             "cluster_gpus": PAPER_CLUSTER.total_gpus,
             "num_jobs": NUM_JOBS,
@@ -341,32 +309,28 @@ def collect(*, datacenter_jobs: int | None = None) -> dict:
         },
         "headline": {
             "policy": "rubick",
-            "wall_seconds_fast": round(fast_wall, 4),
-            "wall_seconds_reference": round(ref_wall, 4),
-            "speedup_vs_reference": round(ref_wall / fast_wall, 2),
-            "jobs_per_second": round(NUM_JOBS / fast_wall, 1),
-            "events_per_second": round(fast_res.events_per_second, 1),
-            "policy_wall_seconds": round(fast_res.policy_wall_seconds, 4),
+            "wall_seconds": round(head_wall, 4),
+            "jobs_per_second": round(NUM_JOBS / head_wall, 1),
+            "events_per_second": round(head_res.events_per_second, 1),
+            "policy_wall_seconds": round(head_res.policy_wall_seconds, 4),
             "policy_ms_per_invocation": round(
-                fast_res.policy_ms_per_invocation, 3
+                head_res.policy_ms_per_invocation, 3
             ),
-            "policy_invocations": fast_res.policy_invocations,
-            "policy_skips": fast_res.policy_skips,
-            "sim_rounds": fast_res.sim_rounds,
-            "calendar_fast_rounds": fast_res.calendar_fast_rounds,
-            "calendar_exact_scans": fast_res.calendar_exact_scans,
+            "policy_invocations": head_res.policy_invocations,
+            "policy_skips": head_res.policy_skips,
+            "sim_rounds": head_res.sim_rounds,
+            "calendar_fast_rounds": head_res.calendar_fast_rounds,
+            "calendar_exact_scans": head_res.calendar_exact_scans,
         },
         "dynamics": {
             "policy": "rubick",
             "profile": DYNAMICS_PROFILE,
-            "cluster_events": dyn_fast_res.cluster_events,
-            "evictions": dyn_fast_res.evictions,
-            "wall_seconds_fast": round(dyn_fast_wall, 4),
-            "wall_seconds_reference": round(dyn_ref_wall, 4),
-            "speedup_vs_reference": round(dyn_ref_wall / dyn_fast_wall, 2),
-            "policy_skips": dyn_fast_res.policy_skips,
-            "sim_rounds": dyn_fast_res.sim_rounds,
-            "lost_gpu_hours": round(dyn_fast_res.lost_gpu_hours, 3),
+            "cluster_events": dyn_res.cluster_events,
+            "evictions": dyn_res.evictions,
+            "wall_seconds": round(dyn_wall, 4),
+            "policy_skips": dyn_res.policy_skips,
+            "sim_rounds": dyn_res.sim_rounds,
+            "lost_gpu_hours": round(dyn_res.lost_gpu_hours, 3),
         },
         "per_policy": per_policy,
         "datacenter": datacenter,
@@ -398,19 +362,15 @@ def render(payload: dict) -> str:
     dyn = payload["dynamics"]
     out = (
         f"{table}\n"
-        f"headline rubick: {head['wall_seconds_fast']:.3f}s fast vs "
-        f"{head['wall_seconds_reference']:.3f}s reference "
-        f"({head['speedup_vs_reference']:.2f}x in-process; "
-        f"{payload['pre_pr_anchor']['speedup_vs_pre_pr']}x vs pre-PR tree "
+        f"headline rubick: {head['wall_seconds']:.3f}s "
+        f"({payload['pre_pr_anchor']['speedup_vs_pre_pr']}x vs pre-PR tree "
         f"{payload['pre_pr_anchor']['commit']}), "
         f"{head['events_per_second']:.0f} events/s, "
         f"{head['policy_skips']} rounds short-circuited, "
         f"calendar early-out on "
         f"{head['calendar_fast_rounds']}/"
         f"{head['calendar_fast_rounds'] + head['calendar_exact_scans']} rounds\n"
-        f"dynamics ({dyn['profile']}): {dyn['wall_seconds_fast']:.3f}s fast "
-        f"vs {dyn['wall_seconds_reference']:.3f}s reference "
-        f"({dyn['speedup_vs_reference']:.2f}x, byte-identical), "
+        f"dynamics ({dyn['profile']}): {dyn['wall_seconds']:.3f}s, "
         f"{dyn['cluster_events']} events, {dyn['evictions']} evictions, "
         f"{dyn['policy_skips']} rounds short-circuited"
     )
@@ -462,7 +422,7 @@ def test_sim_speed(benchmark, tmp_path):
     out = emit(payload, tmp_path / "BENCH_simspeed.json")
     print(f"wrote {out}")
     assert payload["ceiling_ok"], (
-        f"100-job rubick run took {payload['headline']['wall_seconds_fast']}s "
+        f"100-job rubick run took {payload['headline']['wall_seconds']}s "
         f"(> {WALL_CEILING_SECONDS}s ceiling)"
     )
 
@@ -474,7 +434,7 @@ if __name__ == "__main__":
     if not bench_payload["ceiling_ok"]:
         dc_block = bench_payload.get("datacenter")
         parts = [
-            f"headline wall {bench_payload['headline']['wall_seconds_fast']}s "
+            f"headline wall {bench_payload['headline']['wall_seconds']}s "
             f"(ceiling {WALL_CEILING_SECONDS}s)"
         ]
         if dc_block is not None:

@@ -10,6 +10,7 @@ Run:  python examples/cluster_scheduling.py
 from __future__ import annotations
 
 from repro import (
+    EngineConfig,
     PAPER_CLUSTER,
     Simulator,
     SyntheticTestbed,
@@ -40,7 +41,7 @@ def main() -> None:
             PAPER_CLUSTER,
             policy,
             testbed=SyntheticTestbed(PAPER_CLUSTER, seed=SEED),
-            seed=SEED,
+            config=EngineConfig(seed=SEED),
         )
         res = sim.run(trace)
         rows.append(

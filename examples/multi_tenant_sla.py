@@ -13,6 +13,7 @@ Run:  python examples/multi_tenant_sla.py
 from __future__ import annotations
 
 from repro import (
+    EngineConfig,
     JobPriority,
     PAPER_CLUSTER,
     Simulator,
@@ -47,7 +48,7 @@ def main() -> None:
             PAPER_CLUSTER,
             policy,
             testbed=SyntheticTestbed(PAPER_CLUSTER, seed=SEED),
-            seed=SEED,
+            config=EngineConfig(seed=SEED),
         )
         res = sim.run(trace, tenants=tenants)
         guar = res.by_priority(JobPriority.GUARANTEED)

@@ -22,9 +22,8 @@ experiments runner (`repro.experiments`), so a CLI run, a sweep worker and
 a served session are the same code path.  The shared flag vocabulary
 (``--policy``, ``--scenario``, ``--dynamics``, ``--faults``) is defined
 once in the ``_*_parent`` argparse parents below: every command spells,
-defaults and documents these flags identically, and the grid commands
-additionally accept the plural aliases (``--policies``, ``--scenarios``)
-they historically used.
+defaults and documents these flags identically; the grid commands
+(``compare``, ``sweep``) read them as comma-separated lists.
 """
 
 from __future__ import annotations
@@ -114,19 +113,19 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
 # One definition per flag family; every command that takes the flag gets
 # it from here, so spelling, defaults and help text cannot drift apart.
 # ``multi=True`` commands (compare, sweep) interpret the value as a
-# comma-separated list and accept the historical plural aliases.
+# comma-separated list.
 def _policy_parent(*, multi: bool = False) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     known = ", ".join(sorted(POLICIES))
     if multi:
         parent.add_argument(
-            "--policy", "--policies", dest="policy", metavar="POLICY",
+            "--policy", metavar="POLICY",
             default="rubick,sia,synergy",
             help=f"comma-separated scheduling policies (known: {known})",
         )
     else:
         parent.add_argument(
-            "--policy", "--policies", dest="policy", metavar="POLICY",
+            "--policy", metavar="POLICY",
             default="rubick", choices=sorted(POLICIES),
             help=f"scheduling policy (known: {known})",
         )
@@ -138,7 +137,7 @@ def _workload_parent(*, multi: bool = False) -> argparse.ArgumentParser:
     noun = "comma-separated workload scenarios" if multi else \
         "workload scenario"
     parent.add_argument(
-        "--scenario", "--scenarios", dest="scenario", metavar="SCENARIO",
+        "--scenario", metavar="SCENARIO",
         default=DEFAULT_SCENARIO,
         help=f"{noun}: registered name or replay:<path> "
              "(see `repro workload list`)",

@@ -11,9 +11,11 @@ Mechanics:
   job advances by ``throughput × dt``.  The next event comes from an
   incremental :class:`~repro.sim.events.EventCalendar`; steady-state
   tick-only rounds skip the policy invocation entirely when the previous
-  decision is provably still the fixed point (see ``fast_path`` and
+  decision is provably still the fixed point, and ``_apply`` touches only
+  the jobs whose placement or plan changed (see
   :meth:`~repro.scheduler.interfaces.SchedulerPolicy.steady_state` —
-  DESIGN.md items 26–28).
+  DESIGN.md items 26–28).  Results are pinned absolutely by the digests in
+  ``tests/data/golden.json``.
 * **Reconfiguration cost** — whenever a running job's GPU placement or plan
   changes (including preemption + later restart), the job pauses for the
   checkpoint-resume delta (default 78 s, the paper's measured mean).
@@ -33,8 +35,7 @@ Mechanics:
 from __future__ import annotations
 
 import time as _time
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.cluster.dynamics import (
@@ -85,25 +86,57 @@ _DONE = "done"
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Frozen simulator knobs (everything that is plain data, not a live
-    collaborator — testbeds, perf stores, refitters and injectors stay
-    constructor arguments).  Field semantics are documented on the matching
-    :class:`Simulator` attributes."""
+    """Frozen simulator knobs: everything that is plain data, not a live
+    collaborator (testbeds, perf stores, refitters and injectors stay
+    constructor arguments).  The engine reads them as ``self.config``; each
+    field's semantics are documented on it below."""
 
     seed: int = 0
+    #: Checkpoint-resume pause (s) a job pays whenever its GPU placement or
+    #: plan changes; the paper's measured mean.
     reconfig_delta: float = 78.0
+    #: Periodic tick (s) between events; in ``scale_mode`` also the round
+    #: cadence of the policy.
     tick_interval: float = 300.0
+    #: CPUs per requested GPU when a trace job names no CPU request.
     default_cpus_per_gpu: int = 4
+    #: Simulated-time budget (s); a run past it raises ``SimulationError``.
     max_sim_time: float = 120 * 3600.0
-    fast_path: bool = True
+    #: Extra pause an *evicted* job pays on top of the reconfiguration
+    #: delta when it restarts (checkpoint refetch + re-scheduling a
+    #: failure costs more than a planned checkpoint-resume).  Only
+    #: cluster-dynamics evictions charge it; preemptions do not.
     restart_penalty: float = 300.0
+    #: Periodic checkpoint cadence (run-seconds).  Checkpoints bound the
+    #: progress a node failure can destroy: an eviction rolls the job back
+    #: to its last checkpoint, and the GPU-seconds that produced the
+    #: destroyed progress are accounted as lost.
     checkpoint_interval: float = 1800.0
+    #: Datacenter-scale loop (opt-in).  Trades the default loop's exact
+    #: semantics for per-round costs independent of the active-job count:
+    #: job progress is *lazily materialized* from per-job anchors (no
+    #: per-round advancement sweep), completions are driven directly off
+    #: the calendar's hint heap (anchored predictions are exact under lazy
+    #: advancement), and the policy runs in Gavel/Shockwave-style *rounds*
+    #: — at most once per ``tick_interval``, batching all
+    #: arrivals/completions/evictions since the last round — instead of at
+    #: every event.  Results are therefore NOT byte-identical to the
+    #: default loop (jobs can queue up to a round longer); correctness is
+    #: asserted via invariants and uncontended-trace equivalence
+    #: (``tests/test_scale_mode.py``), per the large-scale testing policy
+    #: in DESIGN.md.
     scale_mode: bool = False
+    #: Retention bound forwarded to ``SimulationResult.max_records`` (None
+    #: keeps every record — the default).  Large runs set it so a 100k-job
+    #: result is a bounded sample plus exact streamed aggregates rather
+    #: than 100k live record objects.
     result_record_limit: int | None = None
+    #: A policy exception mid-round is *contained*: placements hold for the
+    #: round and a structured :class:`Incident` lands on the result.  After
+    #: this many CONSECUTIVE policy failures the run escalates to a hard
+    #: :class:`SimulationError` (carrying the incident stream) — a policy
+    #: that never recovers must not spin forever.
     max_policy_incidents: int = 3
-
-
-_CONFIG_FIELDS = frozenset(f.name for f in fields(EngineConfig))
 
 
 def _wall_clock() -> float:
@@ -184,88 +217,23 @@ class Simulator:
         perf_store: PerfModelStore | None = None,
         online_refitter=None,
         injector=None,
-        **legacy,
     ):
-        if legacy:
-            unknown = sorted(set(legacy) - _CONFIG_FIELDS)
-            if unknown:
-                raise TypeError(
-                    "Simulator() got unexpected keyword arguments: "
-                    + ", ".join(unknown)
-                )
-            warnings.warn(
-                "passing engine knobs as Simulator keyword arguments "
-                f"({', '.join(sorted(legacy))}) is deprecated and will be "
-                "removed next release; pass config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = replace(config or EngineConfig(), **legacy)
         config = config or EngineConfig()
-        #: The frozen knob set this simulator was built with.  The mirrored
-        #: scalar attributes below stay the supported read surface inside
-        #: the engine (and remain writable for tests that poke them).
+        #: The frozen knob set this simulator was built with.
         self.config = config
         self.cluster_spec = cluster_spec
         self.policy = policy
         self.testbed = testbed or SyntheticTestbed(cluster_spec, seed=config.seed)
         self.perf_store = perf_store or PerfModelStore()
-        self.seed = config.seed
-        self.reconfig_delta = config.reconfig_delta
-        self.tick_interval = config.tick_interval
-        self.default_cpus_per_gpu = config.default_cpus_per_gpu
-        self.max_sim_time = config.max_sim_time
         #: Optional :class:`repro.perfmodel.online.OnlineRefitter` — when
         #: set, every realized-throughput observation can trigger a refit
         #: (paper §4.3 continuous model fitting).
         self.online_refitter = online_refitter
-        #: When True (default), the run loop uses diff-based allocation
-        #: apply and the steady-state policy short-circuit.  ``False`` keeps
-        #: the pre-PR reference behavior — same results (the golden suite in
-        #: ``tests/test_sim_fastpath.py`` asserts byte-identity), used as
-        #: the baseline by ``benchmarks/bench_sim_speed.py``.
-        self.fast_path = config.fast_path
-        #: Extra pause an *evicted* job pays on top of the reconfiguration
-        #: delta when it restarts (checkpoint refetch + re-scheduling a
-        #: failure costs more than a planned checkpoint-resume).  Only
-        #: cluster-dynamics evictions charge it; preemptions do not.
-        self.restart_penalty = config.restart_penalty
-        #: Periodic checkpoint cadence (run-seconds).  Checkpoints bound
-        #: the progress a node failure can destroy: an eviction rolls the
-        #: job back to its last checkpoint, and the GPU-seconds that
-        #: produced the destroyed progress are accounted as lost.
-        self.checkpoint_interval = config.checkpoint_interval
-        #: Datacenter-scale loop (opt-in).  Trades the default loop's exact
-        #: semantics for per-round costs independent of the active-job
-        #: count: job progress is *lazily materialized* from per-job anchors
-        #: (no per-round advancement sweep), completions are driven directly
-        #: off the calendar's hint heap (anchored predictions are exact
-        #: under lazy advancement), and the policy runs in Gavel/Shockwave-
-        #: style *rounds* — at most once per ``tick_interval``, batching all
-        #: arrivals/completions/evictions since the last round — instead of
-        #: at every event.  Results are therefore NOT byte-identical to the
-        #: default path (jobs can queue up to a round longer); correctness
-        #: is asserted via invariants and uncontended-trace equivalence
-        #: (``tests/test_scale_mode.py``), per the large-scale testing
-        #: policy in DESIGN.md.
-        self.scale_mode = config.scale_mode
-        #: Retention bound forwarded to ``SimulationResult.max_records``
-        #: (None keeps every record — the default).  Large runs set it so a
-        #: 100k-job result is a bounded sample plus exact streamed
-        #: aggregates rather than 100k live record objects.
-        self.result_record_limit = config.result_record_limit
         #: Optional :class:`repro.faults.FaultInjector` arming the
         #: simulator-level seams (``policy-round``, ``perfmodel-fit``).
         #: ``None`` — the default — is the zero-fault path, byte-identical
         #: to the pre-harness simulator.
         self.injector = injector
-        #: A policy exception mid-round is *contained*: placements hold for
-        #: the round and a structured :class:`Incident` lands on the
-        #: result.  After this many CONSECUTIVE policy failures the run
-        #: escalates to a hard :class:`SimulationError` (carrying the
-        #: incident stream) — a policy that never recovers must not spin
-        #: forever.
-        self.max_policy_incidents = config.max_policy_incidents
         #: Memoized ground-truth scorer shared between the plan engine and
         #: the per-round configuration re-scoring in :meth:`_apply`.
         self.scorer = TestbedScorer(self.testbed)
@@ -319,7 +287,7 @@ class Simulator:
             self.injector.check("perfmodel-fit")
         perf, _ = build_perf_model(
             self.testbed, tj.model, tj.model.global_batch_size,
-            seed=self.seed,
+            seed=self.config.seed,
         )
         return perf
 
@@ -406,7 +374,7 @@ class Simulator:
         shape = ResourceShape.packed(
             gpus,
             node_size=self.cluster_spec.node.num_gpus,
-            cpus=gpus * self.default_cpus_per_gpu,
+            cpus=gpus * self.config.default_cpus_per_gpu,
         )
         best = self.plan_engine.best(
             model, global_batch, shape, check_host_mem=False
@@ -415,7 +383,7 @@ class Simulator:
 
     def _make_job(self, tj) -> Job:
         model = tj.model
-        cpus = tj.requested_cpus or tj.requested_gpus * self.default_cpus_per_gpu
+        cpus = tj.requested_cpus or tj.requested_gpus * self.config.default_cpus_per_gpu
         # The derived intrinsics (SLA baseline, best-plan throughput, host
         # memory demand) are pure functions of the request key: they are
         # scored against ground truth, which never refits.  Traces draw
@@ -488,14 +456,14 @@ class Simulator:
         result = SimulationResult(
             policy_name=self.policy.name,
             trace_name=trace.name,
-            max_records=self.result_record_limit,
+            max_records=self.config.result_record_limit,
         )
         result.profiling_seconds = self._profile_models(trace, result)
         self._live = _LiveRun(
             result=result,
             cluster=Cluster(self.cluster_spec),
             calendar=EventCalendar(
-                trace.jobs, self.tick_interval,
+                trace.jobs, self.config.tick_interval,
                 cluster_events=tuple(cluster_events or ()),
             ),
             # Insertion order is arrival order — the iteration order the
@@ -506,7 +474,7 @@ class Simulator:
                 cluster_spec=self.cluster_spec,
                 perf_store=self.perf_store,
                 tenants=tenants or {},
-                reconfig_delta=self.reconfig_delta,
+                reconfig_delta=self.config.reconfig_delta,
             ),
             stream_open=stream,
         )
@@ -654,7 +622,7 @@ class Simulator:
             st.now = st.calendar.first_arrival_time(default=st.now)
             st.next_policy_at = st.now
             st.started = True
-        if self.scale_mode:
+        if self.config.scale_mode:
             outcome = self._step_scale(st, until)
         else:
             outcome = self._step_default(st, until)
@@ -716,7 +684,6 @@ class Simulator:
         active = st.active
         gpu_seconds = st.gpu_seconds
         ctx = st.ctx
-        fast = self.fast_path
         steady = st.steady
         idle_rounds = st.idle_rounds
         policy_failures = st.policy_failures
@@ -781,9 +748,9 @@ class Simulator:
                     else:
                         outcome = _DONE
                     break
-                if now > self.max_sim_time:
+                if now > self.config.max_sim_time:
                     raise SimulationError(
-                        f"simulation exceeded max_sim_time={self.max_sim_time}; "
+                        f"simulation exceeded max_sim_time={self.config.max_sim_time}; "
                         f"{len(active)} jobs still active"
                     )
 
@@ -818,7 +785,7 @@ class Simulator:
                             job_ids=tuple(j.job_id for j in active_list[:5]),
                             exc=exc,
                         )
-                        if policy_failures >= self.max_policy_incidents:
+                        if policy_failures >= self.config.max_policy_incidents:
                             raise SimulationError(
                                 f"policy {self.policy.name!r} failed "
                                 f"{policy_failures} consecutive rounds",
@@ -832,20 +799,19 @@ class Simulator:
                         policy_failures = 0
                         changed = self._apply(
                             allocations, active_list, cluster, now, calendar,
-                            diff=fast, result=result,
+                            result=result,
                         )
-                        # The next rounds may skip the policy only if: the fast path
-                        # is on; models cannot refit (refit observations happen in
-                        # `_apply`, so skipping would starve the refitter); this
-                        # round was a no-op fixed point; no job is mid-pause (the
-                        # resume is a time-driven status flip the policy observes);
-                        # and the policy declares itself time-insensitive in this
-                        # state (`steady_state` — e.g. Rubick keeps running while a
-                        # queued best-effort job could cross the starvation
+                        # The next rounds may skip the policy only if: models
+                        # cannot refit (refit observations happen in `_apply`,
+                        # so skipping would starve the refitter); this round was
+                        # a no-op fixed point; no job is mid-pause (the resume
+                        # is a time-driven status flip the policy observes); and
+                        # the policy declares itself time-insensitive in this
+                        # state (`steady_state` — e.g. Rubick keeps running while
+                        # a queued best-effort job could cross the starvation
                         # threshold or a reconfiguration gate is still closed).
                         steady = (
-                            fast
-                            and self.online_refitter is None
+                            self.online_refitter is None
                             and not changed
                             and any(j.is_running for j in active_list)
                             and all(
@@ -1006,9 +972,9 @@ class Simulator:
                 if not active and not calendar.has_arrivals:
                     outcome = _IDLE if st.stream_open else _DONE
                     break
-                if now > self.max_sim_time:
+                if now > self.config.max_sim_time:
                     raise SimulationError(
-                        f"simulation exceeded max_sim_time={self.max_sim_time}; "
+                        f"simulation exceeded max_sim_time={self.config.max_sim_time}; "
                         f"{len(active)} jobs still active"
                     )
 
@@ -1044,13 +1010,13 @@ class Simulator:
                             job_ids=tuple(j.job_id for j in active_list[:5]),
                             exc=exc,
                         )
-                        if policy_failures >= self.max_policy_incidents:
+                        if policy_failures >= self.config.max_policy_incidents:
                             raise SimulationError(
                                 f"policy {self.policy.name!r} failed "
                                 f"{policy_failures} consecutive rounds",
                                 incidents=tuple(result.incidents),
                             ) from exc
-                        next_policy_at = now + self.tick_interval
+                        next_policy_at = now + self.config.tick_interval
                         contained = True
                     if not contained:
                         result.policy_wall_seconds += _wall_clock() - wall
@@ -1058,14 +1024,14 @@ class Simulator:
                         policy_failures = 0
                         self._apply(
                             allocations, active_list, cluster, now, calendar,
-                            diff=True, result=result,
+                            result=result,
                         )
                         for job in active_list:
                             job_status = job.status
                             if job_status is _RUNNING or job_status is _PAUSED:
                                 job.anchor_time = now
                         dirty = False
-                        next_policy_at = now + self.tick_interval
+                        next_policy_at = now + self.config.tick_interval
                         # Deadlock guard: the policy is deterministic, so if it
                         # left nothing running and nothing external is pending,
                         # no later round can be any different — fail fast like
@@ -1148,10 +1114,10 @@ class Simulator:
             job.run_seconds += active_dt
             while (
                 job.run_seconds - job.run_seconds_at_checkpoint
-                >= self.checkpoint_interval
+                >= self.config.checkpoint_interval
             ):
                 ckpt_run = (
-                    job.run_seconds_at_checkpoint + self.checkpoint_interval
+                    job.run_seconds_at_checkpoint + self.config.checkpoint_interval
                 )
                 job.samples_at_checkpoint = (
                     job.samples_done
@@ -1170,21 +1136,16 @@ class Simulator:
         now: float,
         calendar: EventCalendar | None = None,
         *,
-        diff: bool = True,
         result: SimulationResult | None = None,
     ) -> bool:
         """Reconcile the policy's allocation map with the cluster.
 
-        In ``diff`` mode (the fast path) jobs whose placement *and* plan are
-        unchanged are skipped entirely: no cluster release/re-apply churn, no
-        ground-truth re-query (their throughput is a pure function of the
-        unchanged configuration), no feasibility re-check.  Only the changed
-        subset is released (all of it first, then applied in order, so moves
-        between jobs never transiently over-commit a node).  The reference
-        mode (``diff=False``) keeps the pre-PR release-everything/re-apply-
-        everything behavior.  Both modes are byte-identical for maps that fit
-        cluster capacity — which every in-tree policy guarantees — and the
-        golden suite pins that equivalence.
+        Jobs whose placement *and* plan are unchanged are skipped entirely:
+        no cluster release/re-apply churn, no ground-truth re-query (their
+        throughput is a pure function of the unchanged configuration), no
+        feasibility re-check.  Only the changed subset is released (all of it
+        first, then applied in order, so moves between jobs never
+        transiently over-commit a node).
 
         Returns True if any job's state changed (placement, plan, status or
         throughput) — the fixed-point signal the steady-state short-circuit
@@ -1195,30 +1156,25 @@ class Simulator:
         for job in active:
             job_id = job.spec.job_id
             alloc = allocations.get(job_id)
-            if diff:
-                running = job.is_running
-                if alloc is None and not running:
-                    # Idle queued job the policy passed over: it holds no
-                    # cluster resources (requeue/evict/finish all release),
-                    # so the release below would be a no-op and the second
-                    # pass would skip it — elide both.  At datacenter scale
-                    # the pending queue dwarfs the placed set, making this
-                    # the common case.
-                    continue
-                unchanged = (
-                    alloc is not None
-                    and running
-                    and alloc.plan == job.plan
-                    and alloc.placement.shares == job.placement.shares
-                )
-                if unchanged:
-                    job_changed[job_id] = False
-                    continue
-                previous[job_id] = (job.placement, job.plan)
-            else:
-                previous[job_id] = (
-                    cluster.placement_of(job_id), job.plan
-                )
+            running = job.is_running
+            if alloc is None and not running:
+                # Idle queued job the policy passed over: it holds no
+                # cluster resources (requeue/evict/finish all release),
+                # so the release below would be a no-op and the second
+                # pass would skip it — elide both.  At datacenter scale
+                # the pending queue dwarfs the placed set, making this
+                # the common case.
+                continue
+            unchanged = (
+                alloc is not None
+                and running
+                and alloc.plan == job.plan
+                and alloc.placement.shares == job.placement.shares
+            )
+            if unchanged:
+                job_changed[job_id] = False
+                continue
+            previous[job_id] = (job.placement, job.plan)
             cluster.release(job_id)
             job_changed[job_id] = True
 
@@ -1307,10 +1263,10 @@ class Simulator:
                     # reconfiguring more aggressively.
                     job.status = JobStatus.PAUSED
                     job.pause_until = (
-                        now + self.reconfig_delta + job.pending_restart_penalty
+                        now + self.config.reconfig_delta + job.pending_restart_penalty
                     )
                     job.penalty_pause_from = (
-                        now + self.reconfig_delta
+                        now + self.config.reconfig_delta
                         if job.pending_restart_penalty > 0
                         else float("inf")
                     )
@@ -1318,7 +1274,7 @@ class Simulator:
                     job.reconfig_count += 1
             elif gpus_changed or plan_changed:
                 job.status = JobStatus.PAUSED
-                job.pause_until = now + self.reconfig_delta
+                job.pause_until = now + self.config.reconfig_delta
                 job.penalty_pause_from = float("inf")
                 job.reconfig_count += 1
             # CPU/host-only changes keep the job running untouched.
@@ -1400,7 +1356,7 @@ class Simulator:
                 job.lost_gpu_seconds += held * destroyed / job.throughput
                 job.samples_done = job.samples_at_checkpoint
         job.restart_count += 1
-        job.pending_restart_penalty = self.restart_penalty
+        job.pending_restart_penalty = self.config.restart_penalty
         result.evictions += 1
         self._requeue(job, now)
         calendar.invalidate(job.job_id)
@@ -1480,7 +1436,7 @@ class Simulator:
                 job.run_seconds += active_dt
                 if (
                     job.run_seconds - job.run_seconds_at_checkpoint
-                    >= self.checkpoint_interval
+                    >= self.config.checkpoint_interval
                 ):
                     job.samples_at_checkpoint = job.samples_done
                     job.run_seconds_at_checkpoint = job.run_seconds

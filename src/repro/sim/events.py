@@ -48,7 +48,7 @@ arrival by more than the slack, no completion can win this round and the
 O(active) recomputation is skipped.  Only rounds where a completion is
 within 10 ms of the tick — i.e. rounds that actually end in or near a
 completion — fall back to the exact pre-PR scan, keeping event times
-bit-for-bit identical to the reference loop.
+bit-for-bit identical to that scan.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ class EventCalendar:
 
         Bit-for-bit identical to the pre-PR full scan: the heap only decides
         *whether* completions can matter this round; whenever they can, the
-        candidates are recomputed exactly as the reference loop did.
+        candidates are recomputed exactly as that scan did.
         """
         next_time = now + self.tick_interval
         arrival = self._next_arrival_time()

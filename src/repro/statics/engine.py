@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.statics.baseline import (
     BaselineEntry,
@@ -105,24 +105,34 @@ def lint_file(src: SourceFile, rules: tuple[Rule, ...]) -> tuple[list[Finding], 
     :func:`apply_suppressions` exactly like these.
     """
     raw: list[Finding] = []
-    for rule in rules:
-        if isinstance(rule, ProjectRule) or not rule.applies_to(src.rel):
-            continue
-        raw.extend(rule.check(src))
-    findings, silenced = apply_suppressions(src, raw)
+    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
+    for rule in file_rules:
+        if rule.applies_to(src.rel):
+            raw.extend(rule.check(src))
+    findings, silenced = apply_suppressions(
+        src, raw, _left_out(file_rules)
+    )
     return findings, len(silenced)
 
 
+def _left_out(rules: Iterable[Rule]) -> frozenset[str]:
+    """Codes of the registered rules that are not in ``rules``."""
+    return frozenset(r.code for r in all_rules()) - {r.code for r in rules}
+
+
 def apply_suppressions(
-    src: SourceFile, raw: list[Finding]
+    src: SourceFile,
+    raw: list[Finding],
+    left_out: frozenset[str] = frozenset(),
 ) -> tuple[list[Finding], list[Finding]]:
     """``(active, silenced)`` after the file's suppression map.
 
     Suppressions are honored per (line, code); every suppression must earn
     its keep — one that silences nothing becomes an RPL000 finding, so the
-    inline inventory can never rot silently.  Silenced findings are
-    returned (not discarded) so ``--explain`` can still show the taint
-    path behind a justified suppression.
+    inline inventory can never rot silently.  Suppressions of the rules in
+    ``left_out`` (a ``--select`` subset run skipped them) are not judged.
+    Silenced findings are returned (not discarded) so ``--explain`` can
+    still show the taint path behind a justified suppression.
     """
     findings: list[Finding] = list(src.meta_findings)
     used: set[tuple[int, str]] = set()
@@ -137,7 +147,7 @@ def apply_suppressions(
     for line in sorted(src.suppressions):
         directive = src.suppressions[line]
         for code in directive.codes:
-            if (line, code) not in used:
+            if code not in left_out and (line, code) not in used:
                 findings.append(
                     Finding(
                         path=src.rel,
@@ -208,8 +218,11 @@ def run_lint(
             for finding in rule.check_project(project):
                 if finding.path in srcs and rule.applies_to(finding.path):
                     raw_by_rel[finding.path].append(finding)
+    left_out = _left_out(rules)
     for rel in sorted(raw_by_rel):
-        findings, silenced = apply_suppressions(srcs[rel], raw_by_rel[rel])
+        findings, silenced = apply_suppressions(
+            srcs[rel], raw_by_rel[rel], left_out
+        )
         report.findings.extend(findings)
         report.silenced.extend(silenced)
         report.suppressed += len(silenced)

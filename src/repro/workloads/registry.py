@@ -3,7 +3,7 @@
 A :class:`Scenario` composes the three workload layers — an arrival process
 (``repro.workloads.arrivals``), a job mix (``repro.workloads.mix``), and
 optionally an external-trace source (``repro.workloads.adapters``) — under
-a stable name that ``RunSpec.scenario`` / ``repro sweep --scenarios`` /
+a stable name that ``RunSpec.scenario`` / ``repro sweep --scenario`` /
 ``repro workload`` address.  ``paper-12h`` is the default and maps
 field-for-field onto the pre-subsystem generator config, so its traces are
 byte-identical to the pre-registry output (golden-tested).

@@ -57,7 +57,7 @@ class TestSimulateAndCompare:
     def test_compare_prints_ratio_table(self, capsys):
         rc = main(
             ["compare", *SMALL, "--jobs", "5",
-             "--policies", "rubick-n,synergy"]
+             "--policy", "rubick-n,synergy"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -65,7 +65,7 @@ class TestSimulateAndCompare:
         assert "(1.00x)" in out
 
     def test_compare_rejects_unknown_policy(self, capsys):
-        rc = main(["compare", *SMALL, "--jobs", "5", "--policies", "nope"])
+        rc = main(["compare", *SMALL, "--jobs", "5", "--policy", "nope"])
         assert rc == 2
 
 
@@ -73,7 +73,7 @@ class TestSweep:
     def test_sweep_writes_results_and_prints_table(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         args = ["sweep", "--nodes", "2", "--gpus-per-node", "8",
-                "--policies", "rubick-n,synergy", "--seeds", "5",
+                "--policy", "rubick-n,synergy", "--seeds", "5",
                 "--jobs", "4", "--out", str(out)]
         rc = main(args)
         assert rc == 0
@@ -90,7 +90,7 @@ class TestSweep:
 
     def test_sweep_rejects_unknown_policy_and_variant(self, tmp_path, capsys):
         base = ["sweep", "--jobs", "4", "--out", str(tmp_path / "x")]
-        assert main(base + ["--policies", "nope"]) == 2
+        assert main(base + ["--policy", "nope"]) == 2
         assert main(base + ["--variants", "weird"]) == 2
 
     def test_sweep_rejects_malformed_grids(self, tmp_path, capsys):
@@ -103,20 +103,20 @@ class TestSweep:
 
     def test_sweep_rejects_unknown_scenario(self, tmp_path, capsys):
         base = ["sweep", "--jobs", "4", "--out", str(tmp_path / "x")]
-        assert main(base + ["--scenarios", "nope"]) == 2
+        assert main(base + ["--scenario", "nope"]) == 2
         assert "unknown scenarios" in capsys.readouterr().out
 
     def test_sweep_rejects_missing_replay_file_up_front(self, tmp_path, capsys):
         base = ["sweep", "--jobs", "4", "--out", str(tmp_path / "x")]
-        assert main(base + ["--scenarios", "replay:missing.csv"]) == 2
+        assert main(base + ["--scenario", "replay:missing.csv"]) == 2
         assert "no such file" in capsys.readouterr().out
 
     def test_sweep_over_scenarios_prints_grouped_table(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main(
             ["sweep", "--nodes", "2", "--gpus-per-node", "8",
-             "--policies", "rubick-n", "--seeds", "5", "--jobs", "3",
-             "--scenarios", "paper-12h,poisson-12h", "--out", str(out)]
+             "--policy", "rubick-n", "--seeds", "5", "--jobs", "3",
+             "--scenario", "paper-12h,poisson-12h", "--out", str(out)]
         )
         assert rc == 0
         text = capsys.readouterr().out
@@ -147,7 +147,7 @@ class TestDynamicsFlag:
         assert "lost_gpu_h" in out
 
     def test_compare_grows_dynamics_columns_only_when_dynamic(self, capsys):
-        args = ["compare", "--policies", "rubick-n,synergy", "--jobs", "4"]
+        args = ["compare", "--policy", "rubick-n,synergy", "--jobs", "4"]
         assert main(args + SMALL) == 0
         static = capsys.readouterr().out
         assert "lost GPU-h" not in static
@@ -159,7 +159,7 @@ class TestDynamicsFlag:
         out = tmp_path / "sweep"
         rc = main(
             ["sweep", "--nodes", "2", "--gpus-per-node", "8",
-             "--policies", "rubick-n", "--seeds", "5", "--jobs", "3",
+             "--policy", "rubick-n", "--seeds", "5", "--jobs", "3",
              "--dynamics", "none,scaleout-midday", "--out", str(out)]
         )
         assert rc == 0

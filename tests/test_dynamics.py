@@ -5,9 +5,9 @@ Covers the three layers end to end: the `repro.cluster.dynamics` profiles
 `add_node` transitions (eviction semantics, down-node invisibility), and
 the simulator wiring — evictions re-queue through `_requeue` with cleared
 placements, the restart penalty is charged once, lost/goodput GPU-hours
-sum to the total, failure rounds never take the steady-state short-circuit,
-and the fast path stays byte-identical to the reference loop under a
-failure/recovery stream (the PR-3 cache audit's regression golden).
+sum to the total, and failure rounds never take the steady-state
+short-circuit.  Every policy's result under ``FAIL_AT_1H`` is pinned
+absolutely by the ``*-fail-1h-*`` cases of ``tests/data/golden.json``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from repro.models import all_models
 from repro.oracle import SyntheticTestbed, build_perf_model
 from repro.scheduler import PerfModelStore
 from repro.scheduler.job import JobStatus
-from repro.scheduler.registry import POLICIES, make_policy
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.scheduler.registry import make_policy
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.events import EventCalendar
 from repro.sim.serialization import result_from_dict, result_to_dict
 from repro.units import HOUR
@@ -259,20 +259,19 @@ def fitted():
     return trace, store
 
 
-def _run(policy_name, trace, store, events, *, fast=True, **kwargs):
+def _run(policy_name, trace, store, events, **knobs):
     sim = Simulator(
         CLUSTER,
         make_policy(policy_name),
         testbed=SyntheticTestbed(CLUSTER, seed=SEED),
         perf_store=store,
-        seed=SEED,
-        fast_path=fast,
-        **kwargs,
+        config=EngineConfig(seed=SEED, **knobs),
     )
     return sim.run(trace, cluster_events=events)
 
 
 #: One failure/recovery mid-trace: lands while several jobs are running.
+#: ``test_golden.py`` pins every policy under it (``fail-1h``).
 FAIL_AT_1H = (
     ClusterEvent(time=3600.0, kind=NODE_FAIL, node_id=0),
     ClusterEvent(time=5400.0, kind=NODE_RECOVER, node_id=0),
@@ -326,7 +325,7 @@ class TestEngineDynamics:
         sim = Simulator(
             CLUSTER, make_policy("rubick"),
             testbed=SyntheticTestbed(CLUSTER, seed=SEED),
-            perf_store=store, seed=SEED,
+            perf_store=store, config=EngineConfig(seed=SEED),
         )
         cluster = Cluster(CLUSTER)
         calendar = EventCalendar([], 300.0)
@@ -364,7 +363,7 @@ class TestEngineDynamics:
         # produced it are charged as lost: 2 GPUs x (500 samples / 10/s).
         assert job.samples_done == 0.0
         assert job.lost_gpu_seconds == pytest.approx(2 * 50.0)
-        assert job.pending_restart_penalty == sim.restart_penalty
+        assert job.pending_restart_penalty == sim.config.restart_penalty
 
     def test_restart_penalty_is_lost_not_reconfig_overhead(self, fitted):
         """The penalty tail of a restart pause must not inflate the
@@ -410,20 +409,6 @@ class TestEngineDynamics:
         result = _run("rubick", trace, store, events)
         assert len(result.records) == len(trace)
         assert result.evictions > 0
-
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    def test_fast_path_byte_identical_under_dynamics(self, fitted, policy_name):
-        """The PR-3 cache-audit golden: a post-failure round on the fast
-        path (diff-apply, steady-state skip, completion-hint heap, memos)
-        reproduces the reference loop byte for byte."""
-        trace, store = fitted
-        fast = _run(policy_name, trace, store, FAIL_AT_1H, fast=True)
-        reference = _run(policy_name, trace, store, FAIL_AT_1H, fast=False)
-        assert fast.records == reference.records  # exact float equality
-        assert fast.makespan == reference.makespan
-        assert fast.evictions == reference.evictions
-        assert fast.cluster_events == reference.cluster_events
-        assert reference.policy_skips == 0
 
 
 # ----------------------------------------------------------------------

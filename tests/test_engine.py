@@ -19,7 +19,14 @@ from repro.scheduler import (
 )
 from repro.scheduler.job import Job
 from repro.scheduler.baselines import SynergyPolicy
-from repro.sim import Simulator, Trace, TraceJob, WorkloadConfig, generate_trace
+from repro.sim import (
+    EngineConfig,
+    Simulator,
+    Trace,
+    TraceJob,
+    WorkloadConfig,
+    generate_trace,
+)
 
 CLUSTER = ClusterSpec(num_nodes=2, node=NodeSpec(num_gpus=8, num_cpus=96))
 SEED = 11
@@ -37,6 +44,13 @@ def _tiny_trace(testbed, n=8, span=1800.0):
     )
 
 
+def _sim(policy, **knobs) -> Simulator:
+    return Simulator(
+        CLUSTER, policy, testbed=SyntheticTestbed(CLUSTER, seed=SEED),
+        config=EngineConfig(seed=SEED, **knobs),
+    )
+
+
 @pytest.fixture(scope="module")
 def testbed():
     return SyntheticTestbed(CLUSTER, seed=SEED)
@@ -45,14 +59,14 @@ def testbed():
 class TestLifecycle:
     def test_all_jobs_complete(self, testbed):
         trace = _tiny_trace(testbed)
-        sim = Simulator(CLUSTER, rubick(), testbed=SyntheticTestbed(CLUSTER, seed=SEED), seed=SEED)
+        sim = _sim(rubick())
         res = sim.run(trace)
         assert len(res.records) == len(trace)
         assert all(r.finish_time >= r.submit_time for r in res.records)
 
     def test_makespan_covers_all_jcts(self, testbed):
         trace = _tiny_trace(testbed)
-        sim = Simulator(CLUSTER, SynergyPolicy(), testbed=SyntheticTestbed(CLUSTER, seed=SEED), seed=SEED)
+        sim = _sim(SynergyPolicy())
         res = sim.run(trace)
         first_submit = min(r.submit_time for r in res.records)
         assert res.makespan == pytest.approx(
@@ -63,9 +77,7 @@ class TestLifecycle:
         trace = _tiny_trace(testbed)
         jcts = []
         for _ in range(2):
-            sim = Simulator(
-                CLUSTER, rubick(), testbed=SyntheticTestbed(CLUSTER, seed=SEED), seed=SEED
-            )
+            sim = _sim(rubick())
             res = sim.run(trace)
             jcts.append(sorted((r.job_id, round(r.jct, 6)) for r in res.records))
         assert jcts[0] == jcts[1]
@@ -81,9 +93,7 @@ class TestWorkAccounting:
             requested_gpus=8, duration=1200.0,
             initial_plan=ExecutionPlan(dp=8, ga_steps=2), global_batch=16,
         )
-        sim = Simulator(
-            CLUSTER, rubick(), testbed=SyntheticTestbed(CLUSTER, seed=SEED), seed=SEED
-        )
+        sim = _sim(rubick())
         res = sim.run(Trace(jobs=(job,)))
         record = res.records[0]
         # Rubick may beat the reference duration (better plan), never by an
@@ -92,7 +102,7 @@ class TestWorkAccounting:
 
     def test_gpu_seconds_positive_and_bounded(self, testbed):
         trace = _tiny_trace(testbed)
-        sim = Simulator(CLUSTER, rubick_n(), testbed=SyntheticTestbed(CLUSTER, seed=SEED), seed=SEED)
+        sim = _sim(rubick_n())
         res = sim.run(trace)
         for r in res.records:
             assert r.gpu_seconds > 0
@@ -103,10 +113,7 @@ class TestWorkAccounting:
 class TestReconfigurationCosts:
     def test_reconfig_seconds_track_counts(self, testbed):
         trace = _tiny_trace(testbed, n=12, span=900.0)
-        sim = Simulator(
-            CLUSTER, rubick(), testbed=SyntheticTestbed(CLUSTER, seed=SEED),
-            seed=SEED, reconfig_delta=50.0,
-        )
+        sim = _sim(rubick(), reconfig_delta=50.0)
         res = sim.run(trace)
         for r in res.records:
             assert r.reconfig_seconds <= r.reconfig_count * 50.0 + 1e-6
@@ -116,10 +123,7 @@ class TestReconfigurationCosts:
         they are bounded by cluster size × pause time and are positive
         whenever a pause actually happened."""
         trace = _tiny_trace(testbed, n=12, span=900.0)
-        sim = Simulator(
-            CLUSTER, rubick(), testbed=SyntheticTestbed(CLUSTER, seed=SEED),
-            seed=SEED, reconfig_delta=50.0,
-        )
+        sim = _sim(rubick(), reconfig_delta=50.0)
         res = sim.run(trace)
         for r in res.records:
             assert (
@@ -133,7 +137,7 @@ class TestReconfigurationCosts:
 
     def test_sla_ratios_recorded(self, testbed):
         trace = _tiny_trace(testbed)
-        sim = Simulator(CLUSTER, rubick(), testbed=SyntheticTestbed(CLUSTER, seed=SEED), seed=SEED)
+        sim = _sim(rubick())
         res = sim.run(trace)
         guar = res.by_priority(JobPriority.GUARANTEED)
         assert guar
@@ -160,10 +164,7 @@ class TestRequeueStateConsistency:
         return job, placement
 
     def _sim_and_cluster(self, job, placement):
-        sim = Simulator(
-            CLUSTER, rubick_n(),
-            testbed=SyntheticTestbed(CLUSTER, seed=SEED), seed=SEED,
-        )
+        sim = _sim(rubick_n())
         cluster = Cluster(CLUSTER)
         cluster.apply(job.job_id, placement)
         return sim, cluster
@@ -195,11 +196,11 @@ class TestRequeueStateConsistency:
             raise OutOfMemoryError("plan does not fit")
 
         sim.testbed.true_throughput = boom
-        # diff=False: the fast path deliberately skips re-querying an
-        # unchanged configuration (ground truth is deterministic), so the
-        # launch-time OOM requeue is exercised through the reference mode.
-        sim._apply({job.job_id: Allocation(placement, job.plan)}, [job],
-                   cluster, now=200.0, diff=False)
+        # `_apply` skips an unchanged configuration without re-querying
+        # ground truth, so hand it a changed one (a CPU-only resize).
+        resized = Placement({0: ResourceVector(gpus=2, cpus=4)})
+        sim._apply({job.job_id: Allocation(resized, job.plan)}, [job],
+                   cluster, now=200.0)
         self._assert_clean_requeue(job, cluster, 200.0)
 
     def test_preemption_clears_placement(self):
@@ -224,7 +225,7 @@ class TestRequeueStateConsistency:
         )
         self._assert_clean_requeue(job, cluster, 400.0)
         assert job.restart_count == 1
-        assert job.pending_restart_penalty == sim.restart_penalty
+        assert job.pending_restart_penalty == sim.config.restart_penalty
         assert result.evictions == 1
         assert not cluster.nodes[0].up
 
@@ -281,7 +282,7 @@ class TestOomUnderScaleAndDynamics:
         trace = _tiny_trace(testbed, n=8, span=1800.0)
         sim = Simulator(
             CLUSTER, rubick_n(), testbed=testbed, perf_store=fitted_store,
-            seed=SEED, scale_mode=scale_mode,
+            config=EngineConfig(seed=SEED, scale_mode=scale_mode),
         )
         real = sim.scorer.true_throughput
         calls = {"n": 0}

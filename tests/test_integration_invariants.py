@@ -9,7 +9,7 @@ from repro.oracle import SyntheticTestbed
 from repro.perfmodel import ResourceShape
 from repro.scheduler import JobPriority, rubick, rubick_e, rubick_n, rubick_r
 from repro.scheduler.baselines import AntManPolicy, SiaPolicy, SynergyPolicy
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 
 SPEC = ClusterSpec(num_nodes=2, node=NodeSpec(num_gpus=8, num_cpus=96))
 SEED = 23
@@ -33,7 +33,8 @@ def trace():
 def test_policy_end_to_end_invariants(make, trace):
     policy = make()
     sim = Simulator(
-        SPEC, policy, testbed=SyntheticTestbed(SPEC, seed=SEED), seed=SEED
+        SPEC, policy, testbed=SyntheticTestbed(SPEC, seed=SEED),
+        config=EngineConfig(seed=SEED),
     )
     res = sim.run(trace)
 

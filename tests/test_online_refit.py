@@ -15,7 +15,7 @@ from repro.oracle import (
 from repro.perfmodel import OnlineRefitter, ResourceShape
 from repro.plans import ExecutionPlan
 from repro.scheduler import rubick
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 
 PLAN = ExecutionPlan(dp=8, ga_steps=2)
 SHAPE = ResourceShape.packed(8, cpus=32)
@@ -90,7 +90,8 @@ class TestSimulatorIntegration:
         refitter = OnlineRefitter(error_threshold=0.02, min_new_samples=1)
         sim = Simulator(
             cluster, rubick(),
-            testbed=SyntheticTestbed(cluster, seed=31), seed=31,
+            testbed=SyntheticTestbed(cluster, seed=31),
+            config=EngineConfig(seed=31),
             online_refitter=refitter,
         )
         res = sim.run(trace)

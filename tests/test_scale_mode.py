@@ -34,7 +34,7 @@ from repro.scheduler import PerfModelStore
 from repro.scheduler.interfaces import Tenant
 from repro.scheduler.job import JobStatus
 from repro.scheduler.registry import make_policy
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.serialization import result_to_dict
 from repro.units import HOUR, MINUTE
 
@@ -66,10 +66,7 @@ def _sim(policy: str, testbed, store, *, cluster=None, scale=True, **kw):
         make_policy(policy),
         testbed=testbed,
         perf_store=store,
-        seed=SEED,
-        fast_path=True,
-        scale_mode=scale,
-        **kw,
+        config=EngineConfig(seed=SEED, scale_mode=scale, **kw),
     )
 
 
@@ -113,9 +110,7 @@ class TestUncontendedEquivalence:
                 make_policy("synergy"),
                 testbed=SyntheticTestbed(PAPER_CLUSTER, seed=SEED),
                 perf_store=fitted_store,
-                seed=SEED,
-                fast_path=True,
-                scale_mode=scale,
+                config=EngineConfig(seed=SEED, scale_mode=scale),
             )
             results[scale] = sim.run(trace)
         ref, scaled = results[False], results[True]
@@ -277,9 +272,7 @@ class TestLockstepAndPolicies:
             probe,
             testbed=testbed,
             perf_store=store,
-            seed=SEED,
-            fast_path=True,
-            scale_mode=True,
+            config=EngineConfig(seed=SEED, scale_mode=True),
         )
         result = sim.run(trace, cluster_events=events)
         assert probe.checked > 0

@@ -10,7 +10,7 @@ from repro.cluster import PAPER_CLUSTER
 from repro.oracle import SyntheticTestbed
 from repro.plans import ExecutionPlan, ZeroStage
 from repro.scheduler import rubick_n
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.serialization import (
     load_result,
     load_trace,
@@ -76,7 +76,8 @@ class TestResultRoundTrip:
     def test_round_trip_preserves_metrics(self, trace, tmp_path):
         sim = Simulator(
             PAPER_CLUSTER, rubick_n(),
-            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=13), seed=13,
+            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=13),
+            config=EngineConfig(seed=13),
         )
         result = sim.run(trace)
         path = tmp_path / "result.json"
@@ -91,7 +92,8 @@ class TestResultRoundTrip:
     def test_result_dict_has_summary(self, trace):
         sim = Simulator(
             PAPER_CLUSTER, rubick_n(),
-            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=13), seed=13,
+            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=13),
+            config=EngineConfig(seed=13),
         )
         result = sim.run(trace)
         data = result_to_dict(result)
@@ -102,7 +104,8 @@ class TestResultRoundTrip:
 
         sim = Simulator(
             PAPER_CLUSTER, rubick_n(),
-            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=13), seed=13,
+            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=13),
+            config=EngineConfig(seed=13),
         )
         result = sim.run(trace)
         data = result_to_dict(result)

@@ -13,9 +13,8 @@ Four contracts pinned here:
   ``submit``/``post_cluster_event`` + ``step(until=t)`` (and through real
   sockets via master/client) reproduces the batch run byte for byte in
   virtual-clock mode.
-* **API shim** — legacy ``Simulator(..., seed=...)`` keyword construction
-  still works behind a one-release ``DeprecationWarning``; unknown
-  keywords stay a ``TypeError``.
+* **Engine config** — knobs go through a frozen ``EngineConfig``; any
+  other ``Simulator`` keyword is a ``TypeError``.
 * **Backpressure** — a client that sends without reading stops being read
   once its unsent replies pass ``OUTBUF_LIMIT``, without starving others.
 """
@@ -393,21 +392,9 @@ class TestBackpressure:
 
 
 # ----------------------------------------------------------------------
-# Config / deprecation shim
+# Engine config: knobs go through EngineConfig only
 # ----------------------------------------------------------------------
 class TestEngineConfigShim:
-    def test_legacy_keywords_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            sim = Simulator(
-                SMALL,
-                make_policy("rubick"),
-                testbed=SyntheticTestbed(SMALL, seed=5),
-                seed=5,
-                fast_path=False,
-            )
-        assert sim.config.seed == 5
-        assert sim.config.fast_path is False
-
     def test_unknown_keyword_is_type_error(self):
         with pytest.raises(TypeError, match="bogus_knob"):
             Simulator(

@@ -1,11 +1,9 @@
-"""Simulation fast path: golden equivalence + calendar/memo/short-circuit units.
+"""Simulation fast path: calendar, throughput memo and short-circuit units.
 
-The fast path (event calendar, diff-based apply, steady-state policy
-short-circuit, throughput memo) must be *byte-identical* to the reference
-loop (`Simulator(fast_path=False)`, the pre-PR semantics) for every
-registered policy: same `JobRecord` floats, same makespan, same reconfig
-accounting.  The golden suite pins that across all 7 policies × 2 seeds plus
-the 100-job bench-seed rubick trace the perf trajectory is measured on.
+The loop's end-to-end results (event calendar, diff-based apply,
+steady-state policy short-circuit, throughput memo) are pinned absolutely
+for every registered policy by ``tests/data/golden.json``; this module tests
+the pieces.
 """
 
 from __future__ import annotations
@@ -18,117 +16,50 @@ from repro.cluster.resources import ResourceVector
 from repro.errors import OutOfMemoryError
 from repro.models import GPT2, all_models
 from repro.oracle import SyntheticTestbed, build_perf_model
-from repro.perfmodel import OnlineRefitter
 from repro.perfmodel.shape import ResourceShape
 from repro.planeval import TestbedScorer
 from repro.plans.plan import ExecutionPlan
 from repro.scheduler import PerfModelStore
 from repro.scheduler.job import Job, JobSpec, JobStatus
-from repro.scheduler.registry import POLICIES, make_policy
+from repro.scheduler.registry import make_policy
 from repro.scheduler.variants import rubick
-from repro.sim import Simulator, WorkloadConfig, generate_trace
+from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.events import COMPLETION_SLACK, EventCalendar
 from repro.sim.serialization import result_from_dict, result_to_dict
 
-GOLDEN_SEEDS = (7, 3)
+SEED = 7
 _EPS = 1e-6
 
 
 # ----------------------------------------------------------------------
-# Shared per-seed fixtures (fitting is the expensive part — do it once)
+# Shared fixture (fitting is the expensive part — do it once)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def seeded():
-    """seed -> (trace, fitted store) for the golden matrix."""
-    out = {}
-    for seed in GOLDEN_SEEDS:
-        testbed = SyntheticTestbed(PAPER_CLUSTER, seed=seed)
-        trace = generate_trace(
-            WorkloadConfig(num_jobs=30, seed=seed, name=f"golden-{seed}"),
-            testbed,
+    """(30-job trace, fitted store) for the whole-run tests."""
+    testbed = SyntheticTestbed(PAPER_CLUSTER, seed=SEED)
+    trace = generate_trace(
+        WorkloadConfig(num_jobs=30, seed=SEED, name=f"golden-{SEED}"),
+        testbed,
+    )
+    store = PerfModelStore()
+    for model in all_models():
+        perf, _ = build_perf_model(
+            testbed, model, model.global_batch_size, seed=SEED
         )
-        store = PerfModelStore()
-        for model in all_models():
-            perf, _ = build_perf_model(
-                testbed, model, model.global_batch_size, seed=seed
-            )
-            store.add(perf)
-        out[seed] = (trace, store)
-    return out
+        store.add(perf)
+    return trace, store
 
 
-def _run(policy_name, seed, trace, store, *, fast, **sim_kwargs):
+def _run(policy_name, trace, store):
     sim = Simulator(
         PAPER_CLUSTER,
         make_policy(policy_name),
-        testbed=SyntheticTestbed(PAPER_CLUSTER, seed=seed),
+        testbed=SyntheticTestbed(PAPER_CLUSTER, seed=SEED),
         perf_store=store,
-        seed=seed,
-        fast_path=fast,
-        **sim_kwargs,
+        config=EngineConfig(seed=SEED),
     )
     return sim.run(trace)
-
-
-def assert_equivalent(fast, reference):
-    """Byte-identity of everything the metrics layer derives results from."""
-    assert fast.records == reference.records  # exact float equality
-    assert fast.makespan == reference.makespan
-    assert fast.profiling_seconds == reference.profiling_seconds
-    assert fast.policy_name == reference.policy_name
-    assert fast.trace_name == reference.trace_name
-
-
-# ----------------------------------------------------------------------
-# Golden equivalence
-# ----------------------------------------------------------------------
-class TestGoldenEquivalence:
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-    def test_policy_byte_identical(self, seeded, policy_name, seed):
-        trace, store = seeded[seed]
-        fast = _run(policy_name, seed, trace, store, fast=True)
-        reference = _run(policy_name, seed, trace, store, fast=False)
-        assert_equivalent(fast, reference)
-        assert reference.policy_skips == 0
-
-    def test_bench_seed_100_job_rubick(self):
-        """The acceptance config: the trace BENCH_simspeed.json measures."""
-        testbed = SyntheticTestbed(PAPER_CLUSTER, seed=7)
-        trace = generate_trace(
-            WorkloadConfig(num_jobs=100, seed=7, name="overheads"), testbed
-        )
-        store = PerfModelStore()
-        for model in all_models():
-            perf, _ = build_perf_model(
-                testbed, model, model.global_batch_size, seed=7
-            )
-            store.add(perf)
-        fast = _run("rubick", 7, trace, store, fast=True)
-        reference = _run("rubick", 7, trace, store, fast=False)
-        assert_equivalent(fast, reference)
-        # The short-circuit actually fired — identity above proves soundness.
-        assert fast.policy_skips > 0
-        assert (
-            fast.policy_invocations + fast.policy_skips
-            == reference.policy_invocations
-        )
-
-    def test_online_refitter_disables_short_circuit(self, seeded):
-        """Refit observations happen in `_apply`; skipping would starve them."""
-        seed = 7
-        trace, _ = seeded[seed]
-        results = {}
-        for fast in (True, False):
-            store = PerfModelStore()  # private store: refits mutate it
-            results[fast] = _run(
-                "rubick", seed, trace, store, fast=fast,
-                online_refitter=OnlineRefitter(
-                    error_threshold=0.02, min_new_samples=1
-                ),
-            )
-        assert_equivalent(results[True], results[False])
-        assert results[True].policy_skips == 0
 
 
 # ----------------------------------------------------------------------
@@ -306,13 +237,13 @@ class TestThroughputMemo:
 # ----------------------------------------------------------------------
 class TestSteadyState:
     def test_non_reactive_policy_never_skips(self, seeded):
-        trace, store = seeded[7]
+        trace, store = seeded
         policy = make_policy("simple")
         policy.reactive = False  # instance override
         sim = Simulator(
             PAPER_CLUSTER, policy,
-            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=7),
-            perf_store=store, seed=7,
+            testbed=SyntheticTestbed(PAPER_CLUSTER, seed=SEED),
+            perf_store=store, config=EngineConfig(seed=SEED),
         )
         result = sim.run(trace)
         assert result.policy_skips == 0
@@ -350,8 +281,8 @@ class TestSteadyState:
 # ----------------------------------------------------------------------
 class TestPerfCounterSerialization:
     def test_counters_roundtrip_and_wall_time_stays_out(self, seeded):
-        trace, store = seeded[7]
-        result = _run("antman", 7, trace, store, fast=True)
+        trace, store = seeded
+        result = _run("antman", trace, store)
         assert result.policy_skips > 0  # antman steady-states quickly
         doc = result_to_dict(result)
         assert "policy_wall_seconds" not in doc  # nondeterministic: not persisted
@@ -363,8 +294,8 @@ class TestPerfCounterSerialization:
         assert loaded.records == result.records
 
     def test_pre_fastpath_documents_still_load(self, seeded):
-        trace, store = seeded[7]
-        doc = result_to_dict(_run("antman", 7, trace, store, fast=True))
+        trace, store = seeded
+        doc = result_to_dict(_run("antman", trace, store))
         for legacy_missing in ("policy_skips", "sim_rounds"):
             doc.pop(legacy_missing)
         loaded = result_from_dict(doc)

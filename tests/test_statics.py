@@ -161,8 +161,8 @@ class TestRuleFixtures:
         others = tuple(r for r in all_rules() if r.code != code)
         report = lint_fixture(fixture, rules=others)
         assert code not in codes_of(report)
-        # ...and its now-pointless suppression is called out as unused.
-        assert META_CODE in codes_of(report)
+        # ...and its suppression is not judged by a run that left it out.
+        assert META_CODE not in codes_of(report)
 
     def test_rule_registry_is_complete_and_sorted(self):
         codes = [r.code for r in all_rules()]
@@ -239,7 +239,7 @@ class TestFlowRuleFixtures:
         others = tuple(r for r in all_rules() if r.code != code)
         report = lint_fixture(fixture, rules=others)
         assert code not in codes_of(report)
-        assert META_CODE in codes_of(report)
+        assert META_CODE not in codes_of(report)
 
     def test_rpl008_sees_the_two_hop_flow_rpl001_cannot(self):
         """The acceptance demo: entropy born in one function, laundered
@@ -401,6 +401,28 @@ class TestSuppressionContract:
 
     def test_nothing_suppressed(self, report):
         assert report.suppressed == 0
+
+    def test_stale_suppression_flagged_by_any_run_of_its_rule(self):
+        for rules in (None, rules_by_code(["RPL003"])):  # full run, subset
+            report = lint_fixture("rpl000_cases.py", rules)
+            assert any(
+                "matches no finding" in f.message for f in report.findings
+            )
+
+    @pytest.mark.parametrize("select", [
+        ["RPL008", "RPL009", "RPL010"],
+        ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007"],
+    ], ids=["flow-rules", "line-rules"])
+    def test_live_subset_run_reports_no_stale_suppression(self, select):
+        # Each subset leaves out rules whose live suppressions are earned.
+        report = run_lint(
+            root=REPO_ROOT, targets=DEFAULT_TARGETS,
+            rules=rules_by_code(select), baseline=Counter(),
+        )
+        assert report.suppressed > 0
+        assert [
+            f.format() for f in report.findings if f.code == META_CODE
+        ] == []
 
 
 # ----------------------------------------------------------------------
