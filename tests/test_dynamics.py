@@ -42,7 +42,7 @@ from repro.models import all_models
 from repro.oracle import SyntheticTestbed, build_perf_model
 from repro.scheduler import PerfModelStore
 from repro.scheduler.job import JobStatus
-from repro.scheduler.registry import make_policy
+from repro.scheduler.registry import POLICIES, make_policy
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.events import EventCalendar
 from repro.sim.serialization import result_from_dict, result_to_dict
@@ -259,10 +259,14 @@ def fitted():
     return trace, store
 
 
-def _run(policy_name, trace, store, events, **knobs):
+def _run(policy_name, trace, store, events, *, short_circuit=True, **knobs):
+    policy = make_policy(policy_name)
+    if not short_circuit:
+        # Disarm the steady-state skip: the policy runs on every round.
+        policy.steady_state = lambda jobs, ctx: False
     sim = Simulator(
         CLUSTER,
-        make_policy(policy_name),
+        policy,
         testbed=SyntheticTestbed(CLUSTER, seed=SEED),
         perf_store=store,
         config=EngineConfig(seed=SEED, **knobs),
@@ -409,6 +413,22 @@ class TestEngineDynamics:
         result = _run("rubick", trace, store, events)
         assert len(result.records) == len(trace)
         assert result.evictions > 0
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_fast_path_byte_identical_under_dynamics(self, fitted, policy_name):
+        """A post-failure round with the steady-state skip armed (diff-apply,
+        completion-hint heap, memos) reproduces the run that invokes the
+        policy on every round byte for byte."""
+        trace, store = fitted
+        fast = _run(policy_name, trace, store, FAIL_AT_1H)
+        reference = _run(
+            policy_name, trace, store, FAIL_AT_1H, short_circuit=False
+        )
+        assert fast.records == reference.records  # exact float equality
+        assert fast.makespan == reference.makespan
+        assert fast.evictions == reference.evictions
+        assert fast.cluster_events == reference.cluster_events
+        assert reference.policy_skips == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Simulation fast path: calendar, throughput memo and short-circuit units.
+"""Simulation fast path: short-circuit equivalence + calendar/memo units.
 
 The loop's end-to-end results (event calendar, diff-based apply,
 steady-state policy short-circuit, throughput memo) are pinned absolutely
-for every registered policy by ``tests/data/golden.json``; this module tests
-the pieces.
+for every registered policy by ``tests/data/golden.json``.  This module
+checks the short-circuit relatively as well: skipping the policy in steady
+state must be *byte-identical* to invoking it on every round, for every
+registered policy on 2 seeds plus the 100-job bench-seed rubick trace the
+perf trajectory is measured on.  The rest tests the pieces.
 """
 
 from __future__ import annotations
@@ -16,50 +19,125 @@ from repro.cluster.resources import ResourceVector
 from repro.errors import OutOfMemoryError
 from repro.models import GPT2, all_models
 from repro.oracle import SyntheticTestbed, build_perf_model
+from repro.perfmodel import OnlineRefitter
 from repro.perfmodel.shape import ResourceShape
 from repro.planeval import TestbedScorer
 from repro.plans.plan import ExecutionPlan
 from repro.scheduler import PerfModelStore
 from repro.scheduler.job import Job, JobSpec, JobStatus
-from repro.scheduler.registry import make_policy
+from repro.scheduler.registry import POLICIES, make_policy
 from repro.scheduler.variants import rubick
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.events import COMPLETION_SLACK, EventCalendar
 from repro.sim.serialization import result_from_dict, result_to_dict
 
 SEED = 7
+GOLDEN_SEEDS = (7, 3)
 _EPS = 1e-6
 
 
 # ----------------------------------------------------------------------
-# Shared fixture (fitting is the expensive part — do it once)
+# Shared per-seed fixtures (fitting is the expensive part — do it once)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def seeded():
-    """(30-job trace, fitted store) for the whole-run tests."""
-    testbed = SyntheticTestbed(PAPER_CLUSTER, seed=SEED)
+def _fit(seed, num_jobs=30, name=None):
+    """(trace, fitted store) for one seed."""
+    testbed = SyntheticTestbed(PAPER_CLUSTER, seed=seed)
     trace = generate_trace(
-        WorkloadConfig(num_jobs=30, seed=SEED, name=f"golden-{SEED}"),
+        WorkloadConfig(
+            num_jobs=num_jobs, seed=seed, name=name or f"golden-{seed}"
+        ),
         testbed,
     )
     store = PerfModelStore()
     for model in all_models():
         perf, _ = build_perf_model(
-            testbed, model, model.global_batch_size, seed=SEED
+            testbed, model, model.global_batch_size, seed=seed
         )
         store.add(perf)
     return trace, store
 
 
-def _run(policy_name, trace, store):
+@pytest.fixture(scope="module")
+def by_seed():
+    """seed -> (30-job trace, fitted store) for the golden matrix."""
+    return {seed: _fit(seed) for seed in GOLDEN_SEEDS}
+
+
+@pytest.fixture(scope="module")
+def seeded(by_seed):
+    """(30-job trace, fitted store) for the single-seed whole-run tests."""
+    return by_seed[SEED]
+
+
+def _run(policy_name, trace, store, *, seed=SEED, short_circuit=True,
+         **sim_kwargs):
+    """One default-loop run; ``short_circuit=False`` disarms the steady-state
+    skip, so the policy is invoked on every round."""
+    policy = make_policy(policy_name)
+    if not short_circuit:
+        policy.steady_state = lambda jobs, ctx: False  # instance override
     sim = Simulator(
         PAPER_CLUSTER,
-        make_policy(policy_name),
-        testbed=SyntheticTestbed(PAPER_CLUSTER, seed=SEED),
+        policy,
+        testbed=SyntheticTestbed(PAPER_CLUSTER, seed=seed),
         perf_store=store,
-        config=EngineConfig(seed=SEED),
+        config=EngineConfig(seed=seed),
+        **sim_kwargs,
     )
     return sim.run(trace)
+
+
+def assert_equivalent(fast, reference):
+    """Byte-identity of everything the metrics layer derives results from."""
+    assert fast.records == reference.records  # exact float equality
+    assert fast.makespan == reference.makespan
+    assert fast.profiling_seconds == reference.profiling_seconds
+    assert fast.policy_name == reference.policy_name
+    assert fast.trace_name == reference.trace_name
+
+
+# ----------------------------------------------------------------------
+# Golden equivalence: the short-circuit changes no result
+# ----------------------------------------------------------------------
+class TestGoldenEquivalence:
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_policy_byte_identical(self, by_seed, policy_name, seed):
+        trace, store = by_seed[seed]
+        fast = _run(policy_name, trace, store, seed=seed)
+        reference = _run(
+            policy_name, trace, store, seed=seed, short_circuit=False
+        )
+        assert_equivalent(fast, reference)
+        assert reference.policy_skips == 0
+
+    def test_bench_seed_100_job_rubick(self):
+        """The acceptance config: the trace BENCH_simspeed.json measures."""
+        trace, store = _fit(7, num_jobs=100, name="overheads")
+        fast = _run("rubick", trace, store, seed=7)
+        reference = _run("rubick", trace, store, seed=7, short_circuit=False)
+        assert_equivalent(fast, reference)
+        # The short-circuit actually fired — identity above proves soundness.
+        assert fast.policy_skips > 0
+        assert (
+            fast.policy_invocations + fast.policy_skips
+            == reference.policy_invocations
+        )
+
+    def test_online_refitter_disables_short_circuit(self, seeded):
+        """Refit observations happen in `_apply`; skipping would starve them."""
+        trace, _ = seeded
+        results = {}
+        for short_circuit in (True, False):
+            store = PerfModelStore()  # private store: refits mutate it
+            results[short_circuit] = _run(
+                "rubick", trace, store, short_circuit=short_circuit,
+                online_refitter=OnlineRefitter(
+                    error_threshold=0.02, min_new_samples=1
+                ),
+            )
+        assert_equivalent(results[True], results[False])
+        assert results[True].policy_skips == 0
 
 
 # ----------------------------------------------------------------------
