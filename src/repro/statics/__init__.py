@@ -22,62 +22,9 @@ RPL010 armed fault seams cannot escape an entry point unrecorded
 ===== ==================================================================
 
 (Plus ``RPL000``: the linter's own hygiene — malformed, reasonless, or
-unused suppressions.)  See DESIGN.md items 40 and 47, and
-``tests/test_statics.py``.
+unused suppressions, and files that do not decode or parse.)  See
+DESIGN.md items 40 and 47, and ``tests/test_statics.py``.
+
+The package root re-exports nothing, so ``repro.cli`` can build the
+``lint`` parser without loading the engine; import from the submodules.
 """
-
-from repro.statics.baseline import (
-    DEFAULT_BASELINE,
-    BaselineEntry,
-    load_baseline,
-    save_baseline,
-    split_against_baseline,
-)
-from repro.statics.callgraph import CallGraph, ProjectIndex
-from repro.statics.core import (
-    META_CODE,
-    Finding,
-    ImportMap,
-    ProjectRule,
-    Rule,
-    SourceFile,
-    parse_source,
-)
-from repro.statics.dataflow import Project
-from repro.statics.engine import (
-    DEFAULT_TARGETS,
-    LintReport,
-    apply_suppressions,
-    collect_files,
-    lint_file,
-    repo_root,
-    run_lint,
-)
-from repro.statics.rules import all_rules, rules_by_code
-
-__all__ = [
-    "BaselineEntry",
-    "CallGraph",
-    "DEFAULT_BASELINE",
-    "DEFAULT_TARGETS",
-    "Finding",
-    "ImportMap",
-    "LintReport",
-    "META_CODE",
-    "Project",
-    "ProjectIndex",
-    "ProjectRule",
-    "Rule",
-    "SourceFile",
-    "all_rules",
-    "apply_suppressions",
-    "collect_files",
-    "lint_file",
-    "load_baseline",
-    "parse_source",
-    "repo_root",
-    "rules_by_code",
-    "run_lint",
-    "save_baseline",
-    "split_against_baseline",
-]

@@ -1,7 +1,7 @@
 """Deterministic project call graph for whole-program lint rules.
 
 The graph is built from the same per-file *facts* documents the dataflow
-engine caches (`repro.statics.dataflow`): each file contributes its
+engine extracts (`repro.statics.dataflow`): each file contributes its
 module-qualified definitions (functions, classes with bases, inferred
 attribute types) and every call site's *target descriptor* — either a
 dotted name resolved through :class:`~repro.statics.core.ImportMap` at
@@ -109,7 +109,9 @@ def annotation_name(
     return dotted
 
 
-def extract_defs(tree: ast.Module, rel: str) -> dict[str, Any]:
+def extract_defs(
+    tree: ast.Module, rel: str, imap: ImportMap
+) -> dict[str, Any]:
     """The definition side of a file's facts document (JSON-able).
 
     ``{"module": ..., "functions": {name: FN}, "classes": {name: CLS}}``
@@ -118,7 +120,6 @@ def extract_defs(tree: ast.Module, rel: str) -> dict[str, Any]:
     "attrs": {attr: dotted-type}}``.
     """
     module = module_name_for(rel)
-    imap = ImportMap(tree)
     local_classes = {
         node.name for node in tree.body if isinstance(node, ast.ClassDef)
     }

@@ -1,7 +1,10 @@
 """``repro lint``: the command-line face of the invariant linter.
 
-Exit codes: 0 — clean against the baseline; 1 — new findings (or, with
-``--check-baseline``, stale baseline entries); 2 — usage error.
+Exit codes: 0 — no findings; 1 — findings; 2 — usage error.
+
+Only the parser is built at import time: the engine and the rules load
+inside :func:`cmd_lint`, so other ``repro`` subcommands do not pay for
+them.
 """
 
 from __future__ import annotations
@@ -10,13 +13,11 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.statics.baseline import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    save_baseline,
-)
-from repro.statics.engine import DEFAULT_TARGETS, repo_root, run_lint
-from repro.statics.rules import all_rules, rules_by_code
+from repro.statics.core import DEFAULT_TARGETS
+
+#: The ``--explain`` example shown in help and error text (a suppressed
+#: RPL008 flow in the live tree; ``tests/test_statics.py`` runs it).
+EXPLAIN_EXAMPLE = "RPL008:src/repro/experiments/runner.py:570"
 
 
 def add_lint_parser(sub: argparse._SubParsersAction) -> None:
@@ -30,42 +31,23 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
             "interprocedural taint). See DESIGN.md items 40 and 47."
         ),
         epilog=(
-            "exit codes: 0 clean against the baseline; 1 new findings "
-            "(or, with --check-baseline, stale baseline entries); "
-            "2 usage error (unknown rule code, missing target, "
-            "incompatible flags)."
+            "exit codes: 0 no findings; 1 findings; 2 usage error "
+            "(unknown rule code, missing target, incompatible flags)."
         ),
     )
     p.add_argument(
         "targets",
         nargs="*",
         default=list(DEFAULT_TARGETS),
-        help=f"files/directories to lint (default: {' '.join(DEFAULT_TARGETS)})",
+        help=(
+            "files/directories to lint; they are also the whole-program "
+            f"context (default: {' '.join(DEFAULT_TARGETS)})"
+        ),
     )
     p.add_argument(
         "--root",
         default=None,
         help="repository root (default: auto-detected from the package)",
-    )
-    p.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file, root-relative (default: {DEFAULT_BASELINE})",
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    p.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="CI gate: also fail on stale (already-fixed) baseline entries",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     p.add_argument(
         "--select",
@@ -83,19 +65,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         help="print every registered rule with its rationale and exit",
     )
     p.add_argument(
-        "--paths",
-        nargs="+",
-        default=None,
-        metavar="FILE",
-        help=(
-            "lint only these files (pre-commit-speed subset run); the "
-            "whole-program context still spans the default targets so "
-            "cross-file flows resolve, but the baseline gate is never "
-            "touched: every finding in the subset reports as new, and "
-            "--check-baseline/--update-baseline are rejected"
-        ),
-    )
-    p.add_argument(
         "--call-graph",
         default=None,
         metavar="OUT.json",
@@ -110,23 +79,16 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         metavar="CODE:PATH:LINE",
         help=(
             "print the interprocedural taint/escape path behind one "
-            "finding, e.g. --explain "
-            "RPL008:src/repro/experiments/runner.py:569"
-        ),
-    )
-    p.add_argument(
-        "--summary-cache",
-        default=None,
-        metavar="CACHE.json",
-        help=(
-            "content-hash-keyed per-file facts cache: warm runs "
-            "re-extract only changed files"
+            f"finding, e.g. --explain {EXPLAIN_EXAMPLE}"
         ),
     )
     p.set_defaults(func=cmd_lint)
 
 
 def cmd_lint(args) -> int:
+    from repro.statics.engine import repo_root, run_lint
+    from repro.statics.rules import all_rules, rules_by_code
+
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.code}  {rule.title}")
@@ -144,43 +106,16 @@ def cmd_lint(args) -> int:
     if args.explain:
         explain = _parse_explain(args.explain)
         if explain is None:
-            print(
-                "--explain expects CODE:PATH:LINE, e.g. "
-                "RPL008:src/repro/experiments/runner.py:569"
-            )
+            print(f"--explain expects CODE:PATH:LINE, e.g. {EXPLAIN_EXAMPLE}")
             return 2
     targets = tuple(args.targets)
-    project_targets: tuple[str, ...] | None = None
-    if args.paths is not None:
-        if args.check_baseline or args.update_baseline:
-            print(
-                "--paths is a subset run and never touches the baseline "
-                "gate; drop --check-baseline/--update-baseline"
-            )
-            return 2
-        targets = tuple(args.paths)
-        project_targets = DEFAULT_TARGETS
-    missing = [
-        t for t in targets if not (root / t).exists()
-    ]
+    missing = [t for t in targets if not (root / t).exists()]
     if missing:
         print(
             f"lint target(s) not found under {root}: {', '.join(missing)}"
         )
         return 2
-    baseline_path = root / args.baseline
-    if args.paths is not None or args.no_baseline:
-        baseline = None
-    else:
-        baseline = load_baseline(baseline_path)
-    report = run_lint(
-        root=root,
-        targets=targets,
-        rules=rules,
-        baseline=baseline,
-        project_targets=project_targets,
-        cache_path=Path(args.summary_cache) if args.summary_cache else None,
-    )
+    report = run_lint(root=root, targets=targets, rules=rules)
 
     if args.call_graph:
         graph = report.project
@@ -204,26 +139,13 @@ def cmd_lint(args) -> int:
     if explain is not None:
         return _cmd_explain(report, explain)
 
-    if args.update_baseline:
-        save_baseline(baseline_path, report.findings)
-        print(
-            f"baseline updated: {len(report.findings)} finding(s) "
-            f"recorded in {baseline_path}"
-        )
-        return 0
-
-    for finding in report.new:
+    for finding in report.findings:
         print(finding.format())
-    for entry in report.stale:
-        print(f"stale baseline entry (fixed? regenerate): {entry.format()}")
-    summary = (
+    print(
         f"lint: {report.files_scanned} files, "
-        f"{len(report.new)} new finding(s), "
-        f"{len(report.grandfathered)} baselined, "
-        f"{len(report.stale)} stale baseline entr(ies), "
+        f"{len(report.findings)} finding(s), "
         f"{report.suppressed} suppressed"
     )
-    print(summary)
 
     if args.report:
         Path(args.report).write_text(
@@ -233,12 +155,7 @@ def cmd_lint(args) -> int:
             + "\n",
             encoding="utf-8",
         )
-
-    if report.new:
-        return 1
-    if args.check_baseline and report.stale:
-        return 1
-    return 0
+    return 1 if report.findings else 0
 
 
 def _parse_explain(spec: str) -> tuple[str, str, int] | None:

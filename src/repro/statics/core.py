@@ -33,6 +33,10 @@ from pathlib import Path
 #: Code for linter-meta findings (malformed or unused suppressions).
 META_CODE = "RPL000"
 
+#: Default lint targets, repo-root-relative.  ``tests/`` is deliberately
+#: out: tests mutate state directly and smuggle NaN on purpose.
+DEFAULT_TARGETS = ("src/repro", "examples", "benchmarks")
+
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)"
     r"(?:\s*--\s*(\S.*?))?\s*$"
@@ -44,9 +48,8 @@ _SUPPRESS_MARKER = re.compile(r"#\s*repro-lint:")
 class Finding:
     """One rule violation at a precise source location.
 
-    ``content`` is the stripped text of the offending line: together with
-    ``path`` and ``code`` it forms the *baseline identity* of the finding,
-    so grandfathered entries survive unrelated line-number drift.
+    ``content`` is the stripped text of the offending line (shown in the
+    JSON report).
     """
 
     path: str  # repo-root-relative, forward slashes
@@ -56,16 +59,12 @@ class Finding:
     message: str
     content: str = ""
     #: Optional multi-line taint/escape path for ``--explain``.  Excluded
-    #: from ordering and equality so baseline identity and report sort
-    #: order are unchanged by explanation wording.
+    #: from ordering and equality so the report's sort order is unchanged
+    #: by explanation wording.
     explanation: str = field(default="", compare=False)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    @property
-    def identity(self) -> tuple[str, str, str]:
-        return (self.path, self.code, self.content)
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,18 @@ class Suppression:
 
 @dataclass
 class SourceFile:
-    """One parsed lint target: AST plus the comment-level suppression map."""
+    """One parsed lint target: AST, import aliases and suppression map.
+
+    Built once per file by :func:`parse_source`; the per-file rules and
+    the whole-program :class:`~repro.statics.dataflow.Project` all read
+    this one parse.
+    """
 
     path: Path  # absolute
     rel: str  # root-relative display path (forward slashes)
     text: str
     tree: ast.Module
+    imports: ImportMap
     lines: list[str] = field(default_factory=list)
     suppressions: dict[int, Suppression] = field(default_factory=dict)
     #: RPL000 findings produced while *parsing* directives (missing reason,
@@ -169,8 +174,23 @@ def _scan_suppressions(src: SourceFile) -> None:
 
 
 def parse_source(path: Path, rel: str) -> SourceFile | Finding:
-    """Parse one file; a syntax error is returned as an RPL000 finding."""
-    text = path.read_text(encoding="utf-8")
+    """Read and parse one file.
+
+    Undecodable bytes and syntax errors are returned as RPL000 findings.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        return Finding(
+            path=rel,
+            line=data.count(b"\n", 0, exc.start) + 1,
+            col=exc.start - line_start + 1,
+            code=META_CODE,
+            message=f"file is not valid UTF-8: {exc.reason}",
+            content="",
+        )
     try:
         tree = ast.parse(text, filename=str(path))
     except SyntaxError as exc:
@@ -183,7 +203,12 @@ def parse_source(path: Path, rel: str) -> SourceFile | Finding:
             content="",
         )
     src = SourceFile(
-        path=path, rel=rel, text=text, tree=tree, lines=text.splitlines()
+        path=path,
+        rel=rel,
+        text=text,
+        tree=tree,
+        imports=ImportMap(tree),
+        lines=text.splitlines(),
     )
     _scan_suppressions(src)
     return src
@@ -217,7 +242,7 @@ class ProjectRule(Rule):
     summaries).  They emit ordinary :class:`Finding`\\ s — ``applies_to``
     filters which files their findings may *anchor* in, and the engine
     routes each finding back through that file's suppression map, so the
-    baseline/suppression contract is identical to per-file rules.
+    suppression contract is identical to per-file rules.
     """
 
     def check(self, src: SourceFile) -> list[Finding]:

@@ -4,14 +4,11 @@ The engine answers one question for the flow rules (``rules/flow.py``):
 *can a value produced here reach a sink over there, through any number of
 calls?*  It does so in two phases:
 
-1. **Extraction** (per file, cacheable): each function body compiles to a
-   small JSON-able IR — assignment/return ops over *expression taint
+1. **Extraction** (per file): each function body compiles to a small
+   JSON-able IR — assignment/return ops over *expression taint
    templates*, call records with resolved-or-pending targets, entropy
-   sources, and fault-seam calls with their lexical containment.  The IR
-   is a pure function of the file bytes, so a content-hash-keyed cache
-   (``--summary-cache``) lets warm runs skip re-extraction of unchanged
-   files entirely.
-2. **Solving** (global, always recomputed — it is the cheap part): a
+   sources, and fault-seam calls with their lexical containment.
+2. **Solving** (global): a
    worklist fixpoint interprets each function's IR against the current
    summaries of its callees (resolved via :mod:`repro.statics.callgraph`),
    producing per-function summaries — which params/returns carry taint,
@@ -30,23 +27,14 @@ first-wins trails — so reports are byte-identical across runs and hosts.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.statics.callgraph import (
     CallGraph,
     ProjectIndex,
     extract_defs,
 )
-from repro.statics.core import ImportMap
-
-#: Bump when the IR shape or the source/sink inventory changes: cached
-#: facts are only reused when this matches.
-FACTS_FORMAT_VERSION = 1
-
-SUMMARY_CACHE_FORMAT_VERSION = 1
+from repro.statics.core import ImportMap, SourceFile
 
 # ----------------------------------------------------------------------
 # Taint inventory (RPL008)
@@ -535,11 +523,12 @@ class _FunctionExtractor:
         self._contained = contained
 
 
-def extract_file_facts(tree: ast.Module, rel: str) -> dict[str, Any]:
+def extract_file_facts(
+    tree: ast.Module, rel: str, imap: ImportMap
+) -> dict[str, Any]:
     """The complete facts document of one file (defs + function IRs)."""
-    defs = extract_defs(tree, rel)
+    defs = extract_defs(tree, rel, imap)
     module = defs["module"]
-    imap = ImportMap(tree)
     local_defs = set(defs["functions"]) | set(defs["classes"])
     functions: dict[str, dict[str, Any]] = {}
 
@@ -1212,56 +1201,17 @@ class FlowSolver:
 
 
 # ----------------------------------------------------------------------
-# The project: files + facts + graph + solver, with the summary cache
+# The project: files + facts + graph + solver
 # ----------------------------------------------------------------------
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def load_summary_cache(path: Path) -> dict[str, Any]:
-    """Cached per-file facts ({} on any mismatch — the cache is advisory)."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(doc, dict):
-        return {}
-    if doc.get("format_version") != SUMMARY_CACHE_FORMAT_VERSION:
-        return {}
-    if doc.get("facts_version") != FACTS_FORMAT_VERSION:
-        return {}
-    files = doc.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def save_summary_cache(path: Path, files: dict[str, Any]) -> None:
-    doc = {
-        "format_version": SUMMARY_CACHE_FORMAT_VERSION,
-        "facts_version": FACTS_FORMAT_VERSION,
-        "files": {rel: files[rel] for rel in sorted(files)},
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(doc, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
-
-
 class Project:
     """Whole-program context shared by every project-scoped rule."""
 
-    def __init__(
-        self,
-        facts_by_rel: dict[str, dict[str, Any]],
-        lines_by_rel: dict[str, list[str]],
-        *,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-    ) -> None:
-        self.facts_by_rel = facts_by_rel
-        self._lines = lines_by_rel
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
+    def __init__(self, srcs: dict[str, SourceFile]) -> None:
+        self._srcs = srcs
+        facts_by_rel = {
+            rel: extract_file_facts(src.tree, rel, src.imports)
+            for rel, src in srcs.items()
+        }
         self.index = ProjectIndex(facts_by_rel)
         self.graph = CallGraph(self.index, facts_by_rel)
         fn_facts: dict[str, dict[str, Any]] = {}
@@ -1269,71 +1219,10 @@ class Project:
             fn_facts.update(facts_by_rel[rel]["functions"])
         self._solver = FlowSolver(self.index, self.graph, fn_facts)
 
-    @classmethod
-    def build(
-        cls,
-        root: Path,
-        files: list[Path],
-        *,
-        cache_path: Path | None = None,
-    ) -> "Project":
-        """Extract (or cache-load) facts for every file and assemble.
-
-        Files that fail to parse are skipped here; the per-file lint path
-        already reports them as RPL000 syntax findings.
-        """
-        cached = (
-            load_summary_cache(cache_path) if cache_path is not None else {}
-        )
-        facts_by_rel: dict[str, dict[str, Any]] = {}
-        lines_by_rel: dict[str, list[str]] = {}
-        store: dict[str, Any] = {}
-        hits = misses = 0
-        for path in files:
-            try:
-                rel = path.relative_to(root).as_posix()
-            except ValueError:
-                rel = path.as_posix()
-            try:
-                data = path.read_bytes()
-            except OSError:
-                continue
-            text = data.decode("utf-8", errors="replace")
-            lines_by_rel[rel] = text.splitlines()
-            digest = _sha256(data)
-            entry = cached.get(rel)
-            if (
-                isinstance(entry, dict)
-                and entry.get("sha256") == digest
-                and isinstance(entry.get("facts"), dict)
-            ):
-                facts_by_rel[rel] = entry["facts"]
-                store[rel] = entry
-                hits += 1
-                continue
-            try:
-                tree = ast.parse(text)
-            except SyntaxError:
-                continue
-            facts = extract_file_facts(tree, rel)
-            facts_by_rel[rel] = facts
-            store[rel] = {"sha256": digest, "facts": facts}
-            misses += 1
-        if cache_path is not None:
-            save_summary_cache(cache_path, store)
-        return cls(
-            facts_by_rel,
-            lines_by_rel,
-            cache_hits=hits,
-            cache_misses=misses,
-        )
-
     # -- queries -------------------------------------------------------
     def line(self, rel: str, line: int) -> str:
-        lines = self._lines.get(rel, [])
-        if 1 <= line <= len(lines):
-            return lines[line - 1].strip()
-        return ""
+        src = self._srcs.get(rel)
+        return src.line_content(line) if src is not None else ""
 
     def flow_hits(self) -> list[FlowHit]:
         return self._solver.flow_hits()
@@ -1343,6 +1232,3 @@ class Project:
 
     def call_graph_dict(self) -> dict[str, Any]:
         return self.graph.as_dict()
-
-    def iter_rels(self) -> Iterator[str]:
-        return iter(sorted(self.facts_by_rel))

@@ -8,16 +8,12 @@ repo's own byte-determinism bar).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.statics.baseline import (
-    BaselineEntry,
-    split_against_baseline,
-)
 from repro.statics.core import (
+    DEFAULT_TARGETS,
     META_CODE,
     Finding,
     ProjectRule,
@@ -27,10 +23,6 @@ from repro.statics.core import (
 )
 from repro.statics.dataflow import Project
 from repro.statics.rules import all_rules
-
-#: Default lint targets, repo-root-relative.  ``tests/`` is deliberately
-#: out: tests mutate state directly and smuggle NaN on purpose.
-DEFAULT_TARGETS = ("src/repro", "examples", "benchmarks")
 
 
 def repo_root() -> Path:
@@ -54,12 +46,9 @@ def collect_files(root: Path, targets: tuple[str, ...]) -> list[Path]:
 
 @dataclass
 class LintReport:
-    """The outcome of one lint run."""
+    """The outcome of one lint run: every finding fails the gate."""
 
     findings: list[Finding] = field(default_factory=list)
-    new: list[Finding] = field(default_factory=list)
-    grandfathered: list[Finding] = field(default_factory=list)
-    stale: list[BaselineEntry] = field(default_factory=list)
     suppressed: int = 0
     files_scanned: int = 0
     #: Findings silenced by inline suppressions (kept for ``--explain``).
@@ -67,11 +56,6 @@ class LintReport:
     #: The whole-program context, when any :class:`ProjectRule` ran
     #: (exposes the call graph and taint paths to the CLI).
     project: Any = None
-
-    @property
-    def gate_failures(self) -> int:
-        """What the CI gate counts: new findings plus stale baseline rot."""
-        return len(self.new) + len(self.stale)
 
     def as_dict(self) -> dict:
         """JSON-friendly report (the CI artifact; one-way, hence not
@@ -88,31 +72,8 @@ class LintReport:
         return {
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "new": [as_row(f) for f in self.new],
-            "grandfathered": [as_row(f) for f in self.grandfathered],
-            "stale_baseline": [
-                {"path": e.path, "code": e.code, "content": e.content}
-                for e in self.stale
-            ],
+            "findings": [as_row(f) for f in self.findings],
         }
-
-
-def lint_file(src: SourceFile, rules: tuple[Rule, ...]) -> tuple[list[Finding], int]:
-    """``(findings, suppressed_count)`` for one parsed file.
-
-    Per-file rules only — project rules need the whole tree and are run
-    by :func:`run_lint`; their findings flow through
-    :func:`apply_suppressions` exactly like these.
-    """
-    raw: list[Finding] = []
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    for rule in file_rules:
-        if rule.applies_to(src.rel):
-            raw.extend(rule.check(src))
-    findings, silenced = apply_suppressions(
-        src, raw, _left_out(file_rules)
-    )
-    return findings, len(silenced)
 
 
 def _left_out(rules: Iterable[Rule]) -> frozenset[str]:
@@ -169,20 +130,13 @@ def run_lint(
     root: Path | None = None,
     targets: tuple[str, ...] = DEFAULT_TARGETS,
     rules: tuple[Rule, ...] | None = None,
-    baseline: Counter | None = None,
-    project_targets: tuple[str, ...] | None = None,
-    cache_path: Path | None = None,
 ) -> LintReport:
-    """Lint the targets and split findings against the baseline.
+    """Lint the targets.
 
-    Two phases: every target parses first, then per-file rules run, then
-    project rules run once over the whole-program context built from
-    ``project_targets`` (default: the lint targets themselves; a subset
-    run can widen this so cross-file call resolution still sees the full
-    tree).  Project findings are kept only when they anchor in a scanned
-    file, and pass through that file's suppression map like any other
-    finding.  ``cache_path`` enables the content-hash-keyed per-file
-    facts cache (warm runs re-extract only changed files).
+    Every target is read and parsed once; per-file rules run on each
+    parse, then project rules run once over the whole-program context
+    built from those same parses.  Project findings pass through their
+    file's suppression map like any other finding.
     """
     root = (root or repo_root()).resolve()
     rules = rules if rules is not None else all_rules()
@@ -198,7 +152,7 @@ def run_lint(
             rel = path.as_posix()
         parsed = parse_source(path, rel)
         report.files_scanned += 1
-        if isinstance(parsed, Finding):  # syntax error
+        if isinstance(parsed, Finding):  # undecodable or unparseable
             report.findings.append(parsed)
             continue
         srcs[rel] = parsed
@@ -208,15 +162,11 @@ def run_lint(
                 raw.extend(rule.check(parsed))
         raw_by_rel[rel] = raw
     if project_rules:
-        project = Project.build(
-            root,
-            collect_files(root, project_targets or targets),
-            cache_path=cache_path,
-        )
+        project = Project(srcs)
         report.project = project
         for rule in project_rules:
             for finding in rule.check_project(project):
-                if finding.path in srcs and rule.applies_to(finding.path):
+                if rule.applies_to(finding.path):
                     raw_by_rel[finding.path].append(finding)
     left_out = _left_out(rules)
     for rel in sorted(raw_by_rel):
@@ -227,7 +177,4 @@ def run_lint(
         report.silenced.extend(silenced)
         report.suppressed += len(silenced)
     report.findings.sort()
-    report.new, report.grandfathered, report.stale = split_against_baseline(
-        report.findings, baseline if baseline is not None else Counter()
-    )
     return report

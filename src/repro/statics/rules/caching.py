@@ -63,7 +63,7 @@ class CacheSoundnessRule(Rule):
     )
 
     def check(self, src: SourceFile) -> list[Finding]:
-        imports = ImportMap(src.tree)
+        imports = src.imports
         out: list[Finding] = []
         for node in ast.walk(src.tree):
             if isinstance(node, ast.ClassDef):

@@ -48,7 +48,7 @@ class SerializationContractRule(Rule):
     def check(self, src: SourceFile) -> list[Finding]:
         out: list[Finding] = []
         out.extend(self._check_pairs(src))
-        imports = ImportMap(src.tree)
+        imports = src.imports
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Call):
                 out.extend(self._check_dump(src, node, imports))

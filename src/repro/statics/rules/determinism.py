@@ -62,7 +62,7 @@ class NondeterminismRule(Rule):
     )
 
     def check(self, src: SourceFile) -> list[Finding]:
-        imports = ImportMap(src.tree)
+        imports = src.imports
         in_benchmarks = src.rel.startswith("benchmarks/")
         out: list[Finding] = []
         for node in ast.walk(src.tree):
@@ -134,7 +134,7 @@ class IterationOrderRule(Rule):
     )
 
     def check(self, src: SourceFile) -> list[Finding]:
-        imports = ImportMap(src.tree)
+        imports = src.imports
         sorted_args: set[int] = set()
         for node in ast.walk(src.tree):
             if (

@@ -127,7 +127,7 @@ class FrameConformanceRule(Rule):
     )
 
     def check(self, src: SourceFile) -> list[Finding]:
-        imap = ImportMap(src.tree)
+        imap = src.imports
         local_consts = self._module_constants(src.tree)
         if not self._engaged(src, imap):
             return []

@@ -1,4 +1,4 @@
-"""The invariant linter (``repro lint``): rules, suppressions, baseline, CLI.
+"""The invariant linter (``repro lint``): rules, suppressions, CLI.
 
 Each rule is exercised against a dedicated fixture under
 ``tests/data/statics/`` with positive cases (must be found), negative
@@ -8,48 +8,43 @@ disabling a rule makes its test fail: every expectation counts concrete
 positives.
 
 The self-check tests at the bottom are the other half of the CI gate:
-they pin the *live tree* against the committed ``LINT_BASELINE.json``, so
-a new violation (or a fixed-but-still-baselined one) fails the suite even
-before the dedicated ``static-analysis`` CI job runs.
+they pin the *live tree* at zero findings, so a new violation fails the
+suite even before the dedicated ``static-analysis`` CI job runs.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-from collections import Counter
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.statics import (
-    DEFAULT_BASELINE,
+from repro.statics.cli import EXPLAIN_EXAMPLE
+from repro.statics.core import (
     DEFAULT_TARGETS,
     META_CODE,
-    BaselineEntry,
     Finding,
     ImportMap,
-    all_rules,
-    load_baseline,
-    run_lint,
-    rules_by_code,
-    save_baseline,
-    split_against_baseline,
 )
+from repro.statics.engine import run_lint
+from repro.statics.rules import all_rules, rules_by_code
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "data" / "statics"
 
 
 def lint_fixture(name: str, rules=None):
-    """Lint one fixture file with no baseline; returns the full report."""
-    return run_lint(
-        root=FIXTURES,
-        targets=(name,),
-        rules=rules,
-        baseline=Counter(),
-    )
+    """Lint one fixture file; returns the full report."""
+    return run_lint(root=FIXTURES, targets=(name,), rules=rules)
+
+
+@pytest.fixture(scope="module")
+def live_report():
+    """One whole-tree lint run, shared by every live-tree test."""
+    return run_lint(root=REPO_ROOT, targets=DEFAULT_TARGETS)
 
 
 def codes_of(report) -> list[str]:
@@ -317,8 +312,8 @@ class TestFlowRuleFixtures:
         )
 
     def test_explanation_is_not_part_of_finding_identity(self):
-        """Baseline/ordering identity must ignore the explanation payload
-        or every dataflow refinement would churn the committed baseline."""
+        """Equality and ordering ignore the explanation payload, so a
+        dataflow refinement never reorders or dedupes the report."""
         a = Finding(
             path="m.py", line=1, col=1, code="RPL008",
             message="msg", content="c", explanation="trail A",
@@ -417,7 +412,7 @@ class TestSuppressionContract:
         # Each subset leaves out rules whose live suppressions are earned.
         report = run_lint(
             root=REPO_ROOT, targets=DEFAULT_TARGETS,
-            rules=rules_by_code(select), baseline=Counter(),
+            rules=rules_by_code(select),
         )
         assert report.suppressed > 0
         assert [
@@ -459,72 +454,9 @@ class TestImportMap:
 
 
 class TestFindingIdentity:
-    def test_identity_ignores_line_numbers(self):
-        a = Finding("p.py", 10, 1, "RPL001", "m", content="x = time.time()")
-        b = Finding("p.py", 99, 5, "RPL001", "m", content="x = time.time()")
-        assert a.identity == b.identity
-
     def test_format_is_clickable(self):
         f = Finding("src/m.py", 3, 7, "RPL002", "msg", content="c")
         assert f.format() == "src/m.py:3:7: RPL002 msg"
-
-
-# ----------------------------------------------------------------------
-# Baseline mechanics
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def findings(self, *contents: str) -> list[Finding]:
-        return [
-            Finding("mod.py", i + 1, 1, "RPL001", "m", content=c)
-            for i, c in enumerate(contents)
-        ]
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        findings = self.findings("a()", "b()")
-        save_baseline(path, findings)
-        loaded = load_baseline(path)
-        assert sum(loaded.values()) == 2
-        assert loaded[BaselineEntry("mod.py", "RPL001", "a()")] == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == Counter()
-
-    def test_unknown_format_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"format_version": 99, "findings": []}')
-        with pytest.raises(ValueError, match="format version"):
-            load_baseline(path)
-
-    def test_split_new_grandfathered_stale(self):
-        findings = self.findings("kept()", "introduced()")
-        baseline = Counter(
-            [
-                BaselineEntry("mod.py", "RPL001", "kept()"),
-                BaselineEntry("mod.py", "RPL001", "fixed()"),
-            ]
-        )
-        new, grandfathered, stale = split_against_baseline(findings, baseline)
-        assert [f.content for f in new] == ["introduced()"]
-        assert [f.content for f in grandfathered] == ["kept()"]
-        assert [e.content for e in stale] == ["fixed()"]
-
-    def test_multiset_duplicates_need_two_entries(self):
-        # Two identical offending lines, one baseline entry: the second
-        # occurrence is new.
-        findings = self.findings("dup()", "dup()")
-        baseline = Counter([BaselineEntry("mod.py", "RPL001", "dup()")])
-        new, grandfathered, stale = split_against_baseline(findings, baseline)
-        assert len(grandfathered) == 1
-        assert len(new) == 1
-        assert stale == []
-
-    def test_baseline_survives_line_drift(self):
-        # Same content on a different line still matches its entry.
-        moved = [Finding("mod.py", 500, 9, "RPL001", "m", content="kept()")]
-        baseline = Counter([BaselineEntry("mod.py", "RPL001", "kept()")])
-        new, grandfathered, stale = split_against_baseline(moved, baseline)
-        assert new == [] and stale == []
 
 
 # ----------------------------------------------------------------------
@@ -538,30 +470,40 @@ class TestEngineDeterminism:
         assert first.as_dict() == second.as_dict()
 
     def test_findings_sorted_by_location(self):
-        report = run_lint(
-            root=FIXTURES,
-            targets=(".",),
-            baseline=Counter(),
-        )
+        report = run_lint(root=FIXTURES, targets=(".",))
         assert report.findings == sorted(report.findings)
         assert report.files_scanned == len(list(FIXTURES.glob("*.py")))
 
+    def test_non_utf8_file_is_a_finding(self, tmp_path):
+        """Undecodable bytes become an RPL000 finding at the bad byte,
+        like a syntax error, instead of crashing the run."""
+        (tmp_path / "mod.py").write_bytes(b'x = 1\ny = "caf\xe9"\n')
+        (tmp_path / "ok.py").write_text("z = 2\n")
+        report = run_lint(root=tmp_path, targets=(".",))
+        assert report.files_scanned == 2
+        assert [f.format() for f in report.findings] == [
+            "mod.py:2:9: RPL000 file is not valid UTF-8: "
+            "invalid continuation byte"
+        ]
+
 
 # ----------------------------------------------------------------------
-# Call graph and summary cache (the whole-program substrate)
+# Call graph and dataflow (the whole-program substrate)
 # ----------------------------------------------------------------------
+def project_of(root: Path, targets: tuple[str, ...]):
+    """The whole-program context of a lint run over ``targets``."""
+    return run_lint(root=root, targets=targets).project
+
+
 class TestCallGraph:
     def test_same_tree_yields_identical_sorted_json(self):
-        from repro.statics import Project, collect_files
-
-        docs = []
-        for _ in range(2):
-            project = Project.build(
-                FIXTURES, collect_files(FIXTURES, (".",))
+        docs = [
+            json.dumps(
+                project_of(FIXTURES, (".",)).call_graph_dict(),
+                allow_nan=False,
             )
-            docs.append(
-                json.dumps(project.call_graph_dict(), allow_nan=False)
-            )
+            for _ in range(2)
+        ]
         assert docs[0] == docs[1]
         doc = json.loads(docs[0])
         functions = doc["functions"]
@@ -570,9 +512,7 @@ class TestCallGraph:
             assert row["calls"] == sorted(row["calls"])
 
     def test_resolves_project_internal_edges(self):
-        from repro.statics import Project, collect_files
-
-        project = Project.build(FIXTURES, collect_files(FIXTURES, (".",)))
+        project = project_of(FIXTURES, (".",))
         functions = project.call_graph_dict()["functions"]
         assert (
             "rpl010_cases.seam_site"
@@ -583,14 +523,8 @@ class TestCallGraph:
         """``from repro.experiments import execute_run`` resolves through
         the package ``__init__`` to the defining module — the edge RPL010
         needs to follow a fault from the runner up to the CLI entry."""
-        from repro.statics import Project, collect_files
-
-        project = Project.build(
-            REPO_ROOT,
-            collect_files(
-                REPO_ROOT,
-                ("src/repro/cli.py", "src/repro/experiments"),
-            ),
+        project = project_of(
+            REPO_ROOT, ("src/repro/cli.py", "src/repro/experiments")
         )
         functions = project.call_graph_dict()["functions"]
         assert (
@@ -600,6 +534,8 @@ class TestCallGraph:
 
 
 class TestSummaryCache:
+    """Every run re-derives the whole-program facts from the sources."""
+
     CLEAN = "def helper():\n    return 1\n"
     TAINTED = (
         "import json\n"
@@ -614,55 +550,24 @@ class TestSummaryCache:
         '    return json.dumps({"t": stamp()}, allow_nan=False)\n'
     )
 
-    def _build(self, root, cache):
-        from repro.statics import Project, collect_files
-
-        return Project.build(
-            root, collect_files(root, (".",)), cache_path=cache
-        )
-
     def test_warm_run_hits_and_edit_invalidates(self, tmp_path):
         mod = tmp_path / "mod.py"
         other = tmp_path / "other.py"
         mod.write_text(self.TAINTED)
         other.write_text(self.CLEAN)
-        cache = tmp_path / "cache" / "summaries.json"
 
-        cold = self._build(tmp_path, cache)
-        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
-        cold_hits = [h.sort_key() for h in cold.flow_hits()]
-        assert len(cold_hits) == 1  # stamp() -> json.dumps crosses a call
+        first = project_of(tmp_path, (".",))
+        first_hits = [h.sort_key() for h in first.flow_hits()]
+        assert len(first_hits) == 1  # stamp() -> json.dumps crosses a call
 
-        warm = self._build(tmp_path, cache)
-        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
-        assert [h.sort_key() for h in warm.flow_hits()] == cold_hits
-
-        # Editing one file invalidates exactly that file's entry...
+        # An edit that leaves the flow alone leaves the verdict alone...
         other.write_text("def helper():\n    return 2\n")
-        edited = self._build(tmp_path, cache)
-        assert (edited.cache_hits, edited.cache_misses) == (1, 1)
-        assert [h.sort_key() for h in edited.flow_hits()] == cold_hits
+        edited = project_of(tmp_path, (".",))
+        assert [h.sort_key() for h in edited.flow_hits()] == first_hits
 
-        # ...and an edit that changes the facts changes the verdict.
+        # ...and an edit that removes the source removes the finding.
         mod.write_text(self.TAINTED.replace("time.time()", "0.0"))
-        fixed = self._build(tmp_path, cache)
-        assert (fixed.cache_hits, fixed.cache_misses) == (1, 1)
-        assert fixed.flow_hits() == []
-
-    def test_version_mismatch_discards_cache(self, tmp_path):
-        from repro.statics.dataflow import load_summary_cache
-
-        cache = tmp_path / "summaries.json"
-        (tmp_path / "mod.py").write_text(self.CLEAN)
-        self._build(tmp_path, cache)
-        assert load_summary_cache(cache) != {}
-
-        doc = json.loads(cache.read_text())
-        doc["facts_version"] = -1
-        cache.write_text(json.dumps(doc))
-        assert load_summary_cache(cache) == {}
-        rebuilt = self._build(tmp_path, cache)
-        assert (rebuilt.cache_hits, rebuilt.cache_misses) == (0, 1)
+        assert project_of(tmp_path, (".",)).flow_hits() == []
 
 
 # ----------------------------------------------------------------------
@@ -674,14 +579,13 @@ class TestLintCli:
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--no-baseline",
                 "rpl001_cases.py",
             ]
         )
         out = capsys.readouterr().out
         assert rc == 1
         assert "RPL001" in out
-        assert "5 new finding(s)" in out
+        assert "5 finding(s)" in out
         assert "1 suppressed" in out
 
     def test_select_restricts_rules(self, capsys):
@@ -689,7 +593,6 @@ class TestLintCli:
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--no-baseline",
                 "--select", "RPL004",
                 "rpl004_cases.py",
             ]
@@ -721,7 +624,6 @@ class TestLintCli:
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--no-baseline",
                 "--report", str(artifact),
                 "rpl006_cases.py",
             ]
@@ -730,69 +632,50 @@ class TestLintCli:
         doc = json.loads(artifact.read_text())
         assert doc["files_scanned"] == 1
         assert doc["suppressed"] == 1
-        assert [row["code"] for row in doc["new"]] == ["RPL006"]
-        assert doc["new"][0]["line"] == 14
+        assert [row["code"] for row in doc["findings"]] == ["RPL006"]
+        assert doc["findings"][0]["line"] == 14
 
     def test_baseline_lifecycle(self, tmp_path, capsys):
-        """update -> clean gate -> fix -> stale entry fails --check-baseline."""
+        """A violation fails the gate; fixing the code clears it."""
         target = tmp_path / "mod.py"
         target.write_text("import time\n\nT0 = time.time()\n")
-
-        # A fresh violation fails against the (absent == empty) baseline.
         argv = ["lint", "--root", str(tmp_path), "mod.py"]
         assert main(argv) == 1
+        assert "mod.py:3:6: RPL001" in capsys.readouterr().out
 
-        # Grandfather it; the gate goes green without touching the code.
-        assert main([*argv, "--update-baseline"]) == 0
-        baseline = json.loads((tmp_path / DEFAULT_BASELINE).read_text())
-        assert [e["code"] for e in baseline["findings"]] == ["RPL001"]
-        assert main([*argv, "--check-baseline"]) == 0
-
-        # Fix the code: the lingering entry is stale — tolerated by a
-        # plain run, fatal under --check-baseline.
         target.write_text("T0 = 0.0\n")
         assert main(argv) == 0
-        assert main([*argv, "--check-baseline"]) == 1
-        assert "stale" in capsys.readouterr().out
-
-        # Regenerating empties the baseline and the gate is green again.
-        assert main([*argv, "--update-baseline"]) == 0
-        baseline = json.loads((tmp_path / DEFAULT_BASELINE).read_text())
-        assert baseline["findings"] == []
-        assert main([*argv, "--check-baseline"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_paths_subset_reports_without_baseline(self, capsys):
-        """--paths lints just the named files and never consults (or
-        writes) the baseline: findings always report as new."""
+        """Positional targets lint just the named files, which are also
+        the whole-program context."""
         rc = main(
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--paths", "rpl009_cases.py",
                 "--select", "RPL009",
+                "rpl009_cases.py",
             ]
         )
         out = capsys.readouterr().out
         assert rc == 1
-        assert "3 new finding(s)" in out
+        assert "lint: 1 files, 3 finding(s), 1 suppressed" in out
 
     def test_paths_refuses_baseline_operations(self, capsys):
-        for flag in ("--check-baseline", "--update-baseline"):
-            rc = main(
-                [
-                    "lint",
-                    "--root", str(FIXTURES),
-                    "--paths", "rpl009_cases.py",
-                    flag,
-                ]
-            )
-            assert rc == 2, flag
+        """The removed run modes are usage errors, not silent no-ops."""
+        for flag in (
+            "--baseline", "--no-baseline", "--check-baseline",
+            "--update-baseline", "--summary-cache", "--paths",
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["lint", "--root", str(FIXTURES), flag, "rpl009_cases.py"])
+            assert exc.value.code == 2, flag
 
     def test_call_graph_artifact_is_deterministic(self, tmp_path, capsys):
         argv = [
             "lint",
             "--root", str(FIXTURES),
-            "--no-baseline",
             "--select", "RPL010",
             "rpl010_cases.py",
         ]
@@ -817,7 +700,6 @@ class TestLintCli:
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--no-baseline",
                 "--select", "RPL001",
                 "--call-graph", str(tmp_path / "graph.json"),
                 "rpl001_cases.py",
@@ -830,7 +712,6 @@ class TestLintCli:
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--no-baseline",
                 "--select", "RPL008",
                 "--explain", "RPL008:rpl008_cases.py:35",
                 "rpl008_cases.py",
@@ -847,7 +728,6 @@ class TestLintCli:
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--no-baseline",
                 "--select", "RPL008",
                 "--explain", "RPL008:rpl008_cases.py:1",
                 "rpl008_cases.py",
@@ -861,55 +741,38 @@ class TestLintCli:
         rc = main(["lint", "--explain", "RPL008-rpl008_cases.py-35"])
         assert rc == 2
 
-    def test_summary_cache_round_trip(self, tmp_path, capsys):
-        cache = tmp_path / "summaries.json"
-        argv = [
-            "lint",
-            "--root", str(FIXTURES),
-            "--no-baseline",
-            "--select", "RPL010",
-            "--summary-cache", str(cache),
-            "rpl010_cases.py",
-        ]
-        assert main(argv) == 1
-        first = cache.read_bytes()
-        assert main(argv) == 1
-        assert cache.read_bytes() == first
+    def test_readme_explain_example_resolves(self, capsys):
+        """README's ``--explain`` address names a live finding, so the
+        documented example cannot rot into "no finding"."""
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        (address,) = set(re.findall(r"--explain (RPL\d{3}:\S+:\d+)", readme))
+        assert address == EXPLAIN_EXAMPLE
+        rc = main(["lint", "--explain", address])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "[suppressed inline]" in out
 
 
 # ----------------------------------------------------------------------
-# Self-check: the live tree matches the committed baseline exactly
+# Self-check: the live tree has zero findings
 # ----------------------------------------------------------------------
 class TestLiveTreeSelfCheck:
-    def test_live_tree_matches_committed_baseline(self):
-        """The tree the repo ships is lint-clean against LINT_BASELINE.json.
+    def test_live_tree_matches_committed_baseline(self, live_report):
+        """The tree the repo ships is lint-clean: zero findings, the exact
+        gate the CI ``static-analysis`` job enforces."""
+        assert [f.format() for f in live_report.findings] == []
 
-        Zero new findings (no unreviewed violation slipped in) and zero
-        stale entries (every baselined finding still exists) — the exact
-        gate the CI ``static-analysis`` job enforces.
-        """
-        baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
-        report = run_lint(
-            root=REPO_ROOT, targets=DEFAULT_TARGETS, baseline=baseline
-        )
-        assert [f.format() for f in report.new] == []
-        assert [e.format() for e in report.stale] == []
+    def test_committed_baseline_is_empty(self, live_report):
+        """Nothing is grandfathered: there is no baseline file, and every
+        waiver is an inline suppression with a written reason."""
+        assert not (REPO_ROOT / "LINT_BASELINE.json").exists()
+        assert live_report.suppressed > 0
 
-    def test_committed_baseline_is_empty(self):
-        """Every pre-existing finding was fixed or justified inline; keep
-        it that way (grandfather via the baseline only with review)."""
-        baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
-        assert baseline == Counter()
-
-    def test_every_live_suppression_has_a_reason(self):
-        # run_lint already turns reasonless directives into RPL000 meta
-        # findings; assert the live tree has none (belt and braces on top
-        # of the baseline match above).
-        report = run_lint(
-            root=REPO_ROOT, targets=DEFAULT_TARGETS, baseline=Counter()
-        )
+    def test_every_live_suppression_has_a_reason(self, live_report):
+        # run_lint turns reasonless directives into RPL000 meta findings;
+        # assert the live tree has none.
         assert [
-            f.format() for f in report.findings if f.code == META_CODE
+            f.format() for f in live_report.findings if f.code == META_CODE
         ] == []
 
 
@@ -938,17 +801,13 @@ class TestFixedViolationsStayFixed:
             "benchmarks/bench_sim_speed.py",
         ],
     )
-    def test_fixed_file_stays_clean(self, rel):
-        # Subset lint with whole-tree project context — the same
-        # semantics as ``repro lint --paths`` (a file's RPL010 verdict
-        # depends on its callers, which a one-file project cannot see).
-        report = run_lint(
-            root=REPO_ROOT,
-            targets=(rel,),
-            project_targets=DEFAULT_TARGETS,
-            baseline=Counter(),
-        )
-        assert [f.format() for f in report.new] == []
+    def test_fixed_file_stays_clean(self, rel, live_report):
+        # Read from the whole-tree run: a file's RPL010 verdict depends on
+        # its callers, which a one-file project cannot see.
+        assert (REPO_ROOT / rel).is_file()
+        assert [
+            f.format() for f in live_report.findings if f.path == rel
+        ] == []
 
     def test_cli_entry_points_contain_injected_faults(self):
         """RPL010: ``cmd_simulate``/``cmd_compare`` must catch
@@ -963,9 +822,8 @@ class TestFixedViolationsStayFixed:
                 "src/repro/experiments",
                 "src/repro/faults",
             ),
-            baseline=Counter(),
         )
-        assert [f.format() for f in report.new] == []
+        assert [f.format() for f in report.findings] == []
 
     def test_simulate_converts_injected_fault_to_incident_record(
         self, capsys
