@@ -85,6 +85,10 @@ class ClusterEvent:
             raise ClusterDynamicsError(
                 f"{self.kind} event needs a node_id"
             )
+        if self.node_id is not None and self.node_id < 0:
+            raise ClusterDynamicsError(
+                f"cluster event node_id must be >= 0, got {self.node_id}"
+            )
         if self.kind in (SCALE_UP, SCALE_DOWN) and self.count <= 0:
             raise ClusterDynamicsError(
                 f"{self.kind} event needs a positive count, got {self.count}"

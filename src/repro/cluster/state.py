@@ -205,6 +205,16 @@ class Cluster:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
+    def _node_for(self, node_id: int, verb: str) -> Node:
+        """The node a dynamics transition names (ids are list positions, so
+        a negative id must not index from the end)."""
+        if not 0 <= node_id < len(self.nodes):
+            raise ClusterDynamicsError(
+                f"cannot {verb} node {node_id}: cluster has "
+                f"{len(self.nodes)} nodes"
+            )
+        return self.nodes[node_id]
+
     def remove_node(self, node_id: int) -> list[str]:
         """Take a node down (failure/decommission), evicting its jobs.
 
@@ -214,13 +224,7 @@ class Cluster:
         Returns the evicted job ids in deterministic (sorted) order; the
         simulator re-queues them through its ``_requeue`` path.
         """
-        try:
-            node = self.nodes[node_id]
-        except IndexError:
-            raise ClusterDynamicsError(
-                f"cannot remove node {node_id}: cluster has "
-                f"{len(self.nodes)} nodes"
-            ) from None
+        node = self._node_for(node_id, "remove")
         if not node.up:
             raise ClusterDynamicsError(
                 f"cannot remove node {node_id}: already down"
@@ -245,13 +249,7 @@ class Cluster:
             self.nodes.append(node)
             self._index.append_node()
             return node.node_id
-        try:
-            node = self.nodes[node_id]
-        except IndexError:
-            raise ClusterDynamicsError(
-                f"cannot recover node {node_id}: cluster has "
-                f"{len(self.nodes)} nodes"
-            ) from None
+        node = self._node_for(node_id, "recover")
         if node.up:
             raise ClusterDynamicsError(
                 f"cannot recover node {node_id}: already up"

@@ -116,7 +116,7 @@ class Job:
     penalty_pause_from: float = float("inf")
     #: Progress as of the last checkpoint.  Checkpoints are written at
     #: every configuration change (checkpoint-resume) and periodically
-    #: while running (the simulator's ``checkpoint_interval``); an evicted
+    #: while running (the simulator's ``CHECKPOINT_INTERVAL``); an evicted
     #: job resumes from here.
     samples_at_checkpoint: float = 0.0
     run_seconds_at_checkpoint: float = 0.0

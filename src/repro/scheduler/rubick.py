@@ -318,10 +318,10 @@ class RubickPolicy(SchedulerPolicy):
         plan_mode: str = "best",  # "best" | "scaled_dp" | "fixed"
         cpus_per_gpu: int = 4,
         replan_improvement_threshold: float = 0.15,
-        growth_mode: str = "always",  # "never" | "slack" | "always"
+        growth_mode: str = "always",  # "never" | "always"
         engine: PlanEvalEngine | None = None,
     ):
-        if growth_mode not in ("never", "slack", "always"):
+        if growth_mode not in ("never", "always"):
             raise ValueError(f"unknown growth mode {growth_mode!r}")
         self.tune_resources = tune_resources
         self.plan_mode = plan_mode
@@ -498,23 +498,13 @@ class RubickPolicy(SchedulerPolicy):
         def sort_key(j: Job) -> tuple:
             gpus = state.gpus_of(j.job_id)
             slope = selector.gpu_slope_up(j, gpus) / baselines[j.job_id]
-            cpu_slope = 0.0
-            return (starving(j), slope, cpu_slope, -j.spec.submit_time)
+            return (starving(j), slope, -j.spec.submit_time)
 
-        queue_pressure = any(
-            j.status == JobStatus.QUEUED and j.job_id not in scheduled
-            for j in active
-        )
         for job in sorted(rest, key=sort_key, reverse=True):
             if not self.tune_resources and job.is_running:
                 continue  # fixed-resource variants leave running jobs alone
             if job.is_running:
                 if self.growth_mode == "never":
-                    continue
-                if self.growth_mode == "slack" and queue_pressure:
-                    # Queue-first work conservation: free resources go to
-                    # waiting jobs before running jobs are grown (growing now
-                    # would just be reclaimed — with a restart — shortly).
                     continue
                 if not job.reconfig_gate_open(ctx.reconfig_delta):
                     continue  # reconfiguration-frequency guard

@@ -50,6 +50,7 @@ from repro.cluster.resources import ResourceVector
 from repro.cluster.state import Cluster
 from repro.cluster.topology import ClusterSpec
 from repro.errors import (
+    ClusterDynamicsError,
     FittingError,
     InjectedFault,
     OutOfMemoryError,
@@ -84,6 +85,23 @@ _IDLE = "idle"
 _DONE = "done"
 
 
+#: CPUs per requested GPU when a trace job names no CPU request.
+DEFAULT_CPUS_PER_GPU = 4
+#: Simulated-time budget (s); a run past it raises ``SimulationError``.
+MAX_SIM_TIME = 120 * 3600.0
+#: Periodic checkpoint cadence (run-seconds).  Checkpoints bound the
+#: progress a node failure can destroy: an eviction rolls the job back
+#: to its last checkpoint, and the GPU-seconds that produced the
+#: destroyed progress are accounted as lost.
+CHECKPOINT_INTERVAL = 1800.0
+#: A policy exception mid-round is *contained*: placements hold for the
+#: round and a structured :class:`Incident` lands on the result.  After
+#: this many CONSECUTIVE policy failures the run escalates to a hard
+#: :class:`SimulationError` (carrying the incident stream) — a policy
+#: that never recovers must not spin forever.
+MAX_POLICY_INCIDENTS = 3
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Frozen simulator knobs: everything that is plain data, not a live
@@ -98,20 +116,11 @@ class EngineConfig:
     #: Periodic tick (s) between events; in ``scale_mode`` also the round
     #: cadence of the policy.
     tick_interval: float = 300.0
-    #: CPUs per requested GPU when a trace job names no CPU request.
-    default_cpus_per_gpu: int = 4
-    #: Simulated-time budget (s); a run past it raises ``SimulationError``.
-    max_sim_time: float = 120 * 3600.0
     #: Extra pause an *evicted* job pays on top of the reconfiguration
     #: delta when it restarts (checkpoint refetch + re-scheduling a
     #: failure costs more than a planned checkpoint-resume).  Only
     #: cluster-dynamics evictions charge it; preemptions do not.
     restart_penalty: float = 300.0
-    #: Periodic checkpoint cadence (run-seconds).  Checkpoints bound the
-    #: progress a node failure can destroy: an eviction rolls the job back
-    #: to its last checkpoint, and the GPU-seconds that produced the
-    #: destroyed progress are accounted as lost.
-    checkpoint_interval: float = 1800.0
     #: Datacenter-scale loop (opt-in).  Trades the default loop's exact
     #: semantics for per-round costs independent of the active-job count:
     #: job progress is *lazily materialized* from per-job anchors (no
@@ -131,12 +140,30 @@ class EngineConfig:
     #: result is a bounded sample plus exact streamed aggregates rather
     #: than 100k live record objects.
     result_record_limit: int | None = None
-    #: A policy exception mid-round is *contained*: placements hold for the
-    #: round and a structured :class:`Incident` lands on the result.  After
-    #: this many CONSECUTIVE policy failures the run escalates to a hard
-    #: :class:`SimulationError` (carrying the incident stream) — a policy
-    #: that never recovers must not spin forever.
-    max_policy_incidents: int = 3
+
+
+def _accrue_pause(job: Job, held_gpus: int, t_from: float, t: float) -> float:
+    """Accrue a PAUSED job's pause over ``[t_from, t]``; returns the
+    seconds of that window it spends running after the pause ends.
+
+    The checkpoint-resume part of the pause is reconfiguration overhead;
+    the restart-penalty tail (evictions only — ``penalty_pause_from`` is
+    +inf otherwise) is dynamics waste and accrues to lost GPU-seconds
+    instead.  Overhead accounting is in *held* GPU-seconds: Rubick's whole
+    point is that held != requested (§7.3).  The job resumes (RUNNING)
+    once the window reaches the pause end.
+    """
+    pause_end = min(job.pause_until, t)
+    paused_dt = max(pause_end - t_from, 0.0)
+    reconfig_dt = max(min(pause_end, job.penalty_pause_from) - t_from, 0.0)
+    job.reconfig_seconds += reconfig_dt
+    job.reconfig_gpu_seconds += held_gpus * reconfig_dt
+    penalty_dt = paused_dt - reconfig_dt
+    if penalty_dt > 0.0:
+        job.lost_gpu_seconds += held_gpus * penalty_dt
+    if t + _EPS >= job.pause_until:
+        job.status = JobStatus.RUNNING
+    return max(t - max(t_from, job.pause_until), 0.0)
 
 
 def _wall_clock() -> float:
@@ -195,10 +222,12 @@ class _LiveRun:
     #: Job ids pushed but not yet admitted (duplicate-submission guard —
     #: admitted ids are tracked by ``gpu_seconds``).
     pending_ids: set[str] = field(default_factory=set)
+    #: Consecutive contained policy failures (escalation counter).
+    policy_failures: int = 0
+    #: Consecutive stuck rounds (deadlock guard).
+    idle_rounds: int = 0
     # Default-loop state.
     steady: bool = False
-    idle_rounds: int = 0
-    policy_failures: int = 0
     # Scale-loop state.
     next_policy_at: float = 0.0
     dirty: bool = False
@@ -231,8 +260,7 @@ class Simulator:
         self.online_refitter = online_refitter
         #: Optional :class:`repro.faults.FaultInjector` arming the
         #: simulator-level seams (``policy-round``, ``perfmodel-fit``).
-        #: ``None`` — the default — is the zero-fault path, byte-identical
-        #: to the pre-harness simulator.
+        #: ``None`` — the default — is the zero-fault path.
         self.injector = injector
         #: Memoized ground-truth scorer shared between the plan engine and
         #: the per-round configuration re-scoring in :meth:`_apply`.
@@ -244,7 +272,7 @@ class Simulator:
         self.plan_engine = PlanEvalEngine(
             cluster_spec,
             scorer=self.scorer,
-            cpus_per_gpu=config.default_cpus_per_gpu,
+            cpus_per_gpu=DEFAULT_CPUS_PER_GPU,
         )
         #: ``(model, batch, gpus, cpus, plan) -> (baseline, best, host_mem)``
         #: memo for :meth:`_make_job` — all ground-truth-derived, so entries
@@ -291,9 +319,7 @@ class Simulator:
         )
         return perf
 
-    def _profile_models(
-        self, trace: Trace, result: SimulationResult | None = None
-    ) -> float:
+    def _profile_models(self, trace: Trace, result: SimulationResult) -> float:
         """Fit a performance model per model type (paper phase ①).
 
         A fit failure (a real :class:`FittingError` or the injected
@@ -306,9 +332,7 @@ class Simulator:
             count += self._ensure_model(tj, result)
         return count * profiling_cost_seconds()
 
-    def _ensure_model(
-        self, tj, result: SimulationResult | None = None
-    ) -> int:
+    def _ensure_model(self, tj, result: SimulationResult) -> int:
         """Fit the job's model unless already fitted; returns fits done (0/1).
 
         Shared by batch profiling (phase ①, every model up front) and live
@@ -324,20 +348,14 @@ class Simulator:
         try:
             perf = self._fit_model(tj)
         except (FittingError, InjectedFault) as exc:
-            if result is not None:
-                self._record_incident(
-                    result, "perfmodel-fit-error", 0.0, exc=exc
-                )
+            self._record_incident(result, "perfmodel-fit-error", 0.0, exc=exc)
             try:
                 perf = self._fit_model(tj)
             except (FittingError, InjectedFault) as exc2:
-                incidents = (
-                    tuple(result.incidents) if result is not None else ()
-                )
                 raise SimulationError(
                     f"performance-model fitting failed twice for "
                     f"model {tj.model.name!r}: {exc2}",
-                    incidents=incidents,
+                    incidents=tuple(result.incidents),
                 ) from exc2
         self.perf_store.add(perf)
         if self.online_refitter is not None:
@@ -356,8 +374,7 @@ class Simulator:
                     tj.model.global_batch_size, configs,
                 ),
             )
-        if result is not None:
-            result.fit_wall_seconds += _wall_clock() - fit_start
+        result.fit_wall_seconds += _wall_clock() - fit_start
         return 1
 
     def _best_throughput(self, model, gpus: int, global_batch: int) -> float:
@@ -374,7 +391,7 @@ class Simulator:
         shape = ResourceShape.packed(
             gpus,
             node_size=self.cluster_spec.node.num_gpus,
-            cpus=gpus * self.config.default_cpus_per_gpu,
+            cpus=gpus * DEFAULT_CPUS_PER_GPU,
         )
         best = self.plan_engine.best(
             model, global_batch, shape, check_host_mem=False
@@ -383,7 +400,7 @@ class Simulator:
 
     def _make_job(self, tj) -> Job:
         model = tj.model
-        cpus = tj.requested_cpus or tj.requested_gpus * self.config.default_cpus_per_gpu
+        cpus = tj.requested_cpus or tj.requested_gpus * DEFAULT_CPUS_PER_GPU
         # The derived intrinsics (SLA baseline, best-plan throughput, host
         # memory demand) are pure functions of the request key: they are
         # scored against ground truth, which never refits.  Traces draw
@@ -466,8 +483,8 @@ class Simulator:
                 trace.jobs, self.config.tick_interval,
                 cluster_events=tuple(cluster_events or ()),
             ),
-            # Insertion order is arrival order — the iteration order the
-            # pre-PR `[j for j in jobs.values() if j.is_active]` rebuild had.
+            # Insertion order is arrival order: the policy sees jobs in
+            # admission order.
             active={},
             gpu_seconds={},
             ctx=SchedulingContext(
@@ -493,6 +510,30 @@ class Simulator:
         """The open session's (possibly still-accumulating) result."""
         return self._require_live().result
 
+    def _stream_stamp(
+        self, what: str, t: float, clamp: bool
+    ) -> tuple[_LiveRun, bool]:
+        """The streaming session, and whether an item stamped ``t`` is late.
+
+        Shared by :meth:`submit` and :meth:`post_cluster_event`: the
+        stream must be open, and an item behind the session clock is an
+        error unless ``clamp`` asks to re-stamp it to "now" (returned
+        ``True``; the caller re-stamps).
+        """
+        st = self._require_live()
+        if not st.stream_open:
+            raise SimulationError(
+                "submission stream is closed; open the session with "
+                "start(stream=True)"
+            )
+        late = st.started and t < st.now - _EPS
+        if late and not clamp:
+            raise ValueError(
+                f"{what} {t:.3f} is behind the session clock {st.now:.3f} "
+                "(pass clamp=True to admit it now)"
+            )
+        return st, late
+
     def submit(self, tj, *, clamp: bool = False):
         """Stream one :class:`~repro.sim.trace.TraceJob` into the session.
 
@@ -503,21 +544,12 @@ class Simulator:
         to "now" (wall-clock arrival order *is* the semantics there).
         Returns the (possibly re-stamped) trace job.
         """
-        st = self._require_live()
-        if not st.stream_open:
-            raise SimulationError(
-                "submission stream is closed; open the session with "
-                "start(stream=True)"
-            )
+        st, late = self._stream_stamp(
+            f"job {tj.job_id!r} submit_time", tj.submit_time, clamp
+        )
         if tj.job_id in st.pending_ids or tj.job_id in st.gpu_seconds:
             raise ValueError(f"duplicate job id {tj.job_id!r}")
-        if st.started and tj.submit_time < st.now - _EPS:
-            if not clamp:
-                raise ValueError(
-                    f"job {tj.job_id!r} submit_time {tj.submit_time:.3f} is "
-                    f"behind the session clock {st.now:.3f} "
-                    "(pass clamp=True to admit it now)"
-                )
+        if late:
             tj = replace(tj, submit_time=st.now)
         st.result.profiling_seconds += (
             self._ensure_model(tj, st.result) * profiling_cost_seconds()
@@ -530,18 +562,8 @@ class Simulator:
         self, event: ClusterEvent, *, clamp: bool = False
     ) -> ClusterEvent:
         """Stream one cluster-dynamics event into the session."""
-        st = self._require_live()
-        if not st.stream_open:
-            raise SimulationError(
-                "submission stream is closed; open the session with "
-                "start(stream=True)"
-            )
-        if st.started and event.time < st.now - _EPS:
-            if not clamp:
-                raise ValueError(
-                    f"cluster event time {event.time:.3f} is behind the "
-                    f"session clock {st.now:.3f} (pass clamp=True)"
-                )
+        st, late = self._stream_stamp("cluster event time", event.time, clamp)
+        if late:
             event = replace(event, time=st.now)
         st.calendar.push_cluster_event(event)
         return event
@@ -659,13 +681,139 @@ class Simulator:
         """Replay a whole trace to completion.
 
         A thin wrapper over the incremental core: opens a session with the
-        stream already closed and takes one unbounded step.  Byte-identical
-        to the pre-step() monolithic loop (golden-tested across all
-        policies, both loop modes, dynamics on/off).
+        stream already closed and takes one unbounded step.
         """
         self.start(trace, tenants=tenants, cluster_events=cluster_events)
         self.step(until=float("inf"))
         return self._live.result
+
+    # ------------------------------------------------------------------
+    # Round phases shared by both loops
+    # ------------------------------------------------------------------
+    def _complete(self, st: _LiveRun, job: Job, now: float) -> None:
+        """FINISHED transition: release, invalidate, record."""
+        job_id = job.spec.job_id
+        job.status = JobStatus.FINISHED
+        job.finish_time = now
+        job.throughput = 0.0
+        st.cluster.release(job_id)
+        st.calendar.invalidate(job_id)
+        del st.active[job_id]
+        st.result.add_record(JobRecord.from_job(job, st.gpu_seconds[job_id]))
+
+    def _apply_cluster_events(self, st: _LiveRun, now: float) -> bool:
+        """Apply every cluster event due at ``now``; True if any applied.
+
+        Runs after completions (a job finishing exactly at a failure
+        instant keeps its completion) and before the policy: victims are
+        already re-queued with cleared placements when the scheduler next
+        runs — which it must, so both loops treat a dynamics round like an
+        arrival.  An event that cannot apply at its time (a node id beyond
+        the cluster, failing a down node, recovering an up node) is skipped
+        with a ``cluster-event-error`` incident and not counted.
+        """
+        result = st.result
+        # Scale-mode victims are lazily advanced: `_evict` materializes
+        # them to `now` before rolling them back.
+        gpu_seconds = st.gpu_seconds if self.config.scale_mode else None
+        applied = False
+        for event in st.calendar.pop_cluster_events(now + _EPS):
+            try:
+                self._apply_cluster_event(
+                    event, st.cluster, st.active, now, st.calendar, result,
+                    gpu_seconds=gpu_seconds,
+                )
+            except ClusterDynamicsError as exc:
+                self._record_incident(
+                    result, "cluster-event-error", now, exc=exc
+                )
+                continue
+            result.cluster_events += 1
+            applied = True
+        return applied
+
+    def _stop(self, st: _LiveRun, now: float) -> str | None:
+        """``_IDLE``/``_DONE`` once nothing is active or arriving, else None.
+
+        A run still going past ``MAX_SIM_TIME`` raises instead.
+        """
+        if not st.active and not st.calendar.has_arrivals:
+            return _IDLE if st.stream_open else _DONE
+        if now > MAX_SIM_TIME:
+            raise SimulationError(
+                f"simulation exceeded max_sim_time={MAX_SIM_TIME}; "
+                f"{len(st.active)} jobs still active"
+            )
+        return None
+
+    def _schedule(
+        self, st: _LiveRun, active_list: list[Job], now: float
+    ) -> dict[str, Allocation] | None:
+        """One policy invocation; ``None`` when the round was contained.
+
+        Containment: a policy exception leaves current placements holding
+        for the round, lands a ``policy-error`` incident on the result,
+        and only ``MAX_POLICY_INCIDENTS`` consecutive failures escalate to
+        a hard :class:`SimulationError`.
+        """
+        result = st.result
+        ctx = st.ctx
+        ctx.now = now
+        wall = _wall_clock()
+        try:
+            if self.injector is not None:
+                self.injector.check("policy-round")
+            allocations = self.policy.schedule(active_list, st.cluster, ctx)
+        except Exception as exc:
+            st.policy_failures += 1
+            self._record_incident(
+                result, "policy-error", now,
+                job_ids=tuple(j.job_id for j in active_list[:5]),
+                exc=exc,
+            )
+            if st.policy_failures >= MAX_POLICY_INCIDENTS:
+                raise SimulationError(
+                    f"policy {self.policy.name!r} failed "
+                    f"{st.policy_failures} consecutive rounds",
+                    incidents=tuple(result.incidents),
+                ) from exc
+            return None
+        finally:
+            result.policy_wall_seconds += _wall_clock() - wall
+            result.policy_invocations += 1
+        st.policy_failures = 0
+        return allocations
+
+    def _check_deadlock(
+        self, st: _LiveRun, active_list: list[Job], now: float, patience: int
+    ) -> None:
+        """Deadlock guard: nothing running, nothing arriving, queue stuck.
+
+        Pending cluster events disarm it: a recovery or scale-up may be
+        exactly what unblocks the queue.  The run fails after more than
+        ``patience`` consecutive stuck rounds, reporting through the same
+        incident stream as contained faults before escalating.
+        """
+        calendar = st.calendar
+        if (
+            any(j.is_running for j in active_list)
+            or calendar.has_arrivals
+            or calendar.has_cluster_events
+        ):
+            st.idle_rounds = 0
+            return
+        st.idle_rounds += 1
+        if st.idle_rounds <= patience:
+            return
+        stuck = tuple(j.job_id for j in active_list[:5])
+        message = (
+            f"policy {self.policy.name!r} cannot place "
+            f"remaining jobs ({', '.join(stuck)} ...) on an empty cluster"
+        )
+        self._record_incident(
+            st.result, "deadlock", now, job_ids=stuck, message=message
+        )
+        raise SimulationError(message, incidents=tuple(st.result.incidents))
 
     # ------------------------------------------------------------------
     # Default loop (one until-bounded slice per call)
@@ -673,20 +821,17 @@ class Simulator:
     def _step_default(self, st: _LiveRun, until: float | None) -> str:
         """Default event loop, sliced.
 
-        The body is the pre-step() ``run`` loop; session state is loaded
-        into locals on entry and stored back in the ``finally`` so the hot
-        loop keeps its local-variable speed (``run()`` makes exactly one
-        call here, paying the load/store once per run).
+        Session state is loaded into locals on entry and stored back in
+        the ``finally`` so the hot loop keeps its local-variable speed
+        (``run()`` makes exactly one call here, paying the load/store once
+        per run).
         """
         result = st.result
         cluster = st.cluster
         calendar = st.calendar
         active = st.active
         gpu_seconds = st.gpu_seconds
-        ctx = st.ctx
         steady = st.steady
-        idle_rounds = st.idle_rounds
-        policy_failures = st.policy_failures
         seq = st.seq
         now = st.now
         outcome = _CONTINUE
@@ -703,103 +848,44 @@ class Simulator:
                     arrived = True
 
                 # --- detect completions ------------------------------------
-                finished = False
                 finished_now = [
                     j
                     for j in active.values()
                     if j.is_running and j.remaining_samples <= _EPS
                 ]
                 for job in finished_now:
-                    job.status = JobStatus.FINISHED
-                    job.finish_time = now
-                    job.throughput = 0.0
-                    cluster.release(job.job_id)
-                    calendar.invalidate(job.job_id)
-                    del active[job.job_id]
-                    result.add_record(
-                        JobRecord.from_job(job, gpu_seconds[job.job_id])
-                    )
-                    finished = True
+                    self._complete(st, job, now)
 
-                # --- apply cluster dynamics at `now` ------------------------
-                # After completions (a job finishing exactly at a failure
-                # instant keeps its completion), before the policy: victims
-                # are already re-queued with cleared placements when the
-                # scheduler next runs — which it must, so a dynamics round is
-                # treated like an arrival by the steady-state gating below.
-                cluster_changed = False
-                for event in calendar.pop_cluster_events(now + _EPS):
-                    self._apply_cluster_event(
-                        event, cluster, active, now, calendar, result
-                    )
-                    result.cluster_events += 1
-                    cluster_changed = True
+                cluster_changed = self._apply_cluster_events(st, now)
 
-                # --- termination / stream pause -----------------------------
-                if not active and not calendar.has_arrivals:
-                    if st.stream_open:
-                        # Live session with a drained queue: pause before the
-                        # round is counted.  The slice that resumes after the
-                        # next submission re-runs this round — with the
-                        # short-circuit disarmed, so the policy observes the
-                        # arrivals exactly as a batch round would have.
-                        steady = False
-                        outcome = _IDLE
-                    else:
-                        outcome = _DONE
+                stop = self._stop(st, now)
+                if stop is not None:
+                    # A live session pauses before the round is counted.
+                    # The slice that resumes after the next submission
+                    # re-runs this round — with the short-circuit disarmed,
+                    # so the policy observes the arrivals exactly as a
+                    # batch round would have.
+                    steady = False
+                    outcome = stop
                     break
-                if now > self.config.max_sim_time:
-                    raise SimulationError(
-                        f"simulation exceeded max_sim_time={self.config.max_sim_time}; "
-                        f"{len(active)} jobs still active"
-                    )
 
                 # --- run the policy -----------------------------------------
                 result.sim_rounds += 1
                 active_list = list(active.values())
-                if steady and not arrived and not finished and not cluster_changed:
+                if steady and not arrived and not finished_now and not cluster_changed:
                     # Steady-state short-circuit: nothing the policy's decision
                     # depends on has changed since it last ran, so invoking it
                     # would reproduce the current allocation verbatim.
                     result.policy_skips += 1
-                    idle_rounds = 0  # steady state implies running jobs
+                    st.idle_rounds = 0  # steady state implies running jobs
                 else:
-                    ctx.now = now
-                    wall = _wall_clock()
-                    contained = False
-                    try:
-                        if self.injector is not None:
-                            self.injector.check("policy-round")
-                        allocations = self.policy.schedule(
-                            active_list, cluster, ctx
-                        )
-                    except Exception as exc:
-                        # Containment: current placements hold for the round, a
-                        # structured incident lands on the result, and only N
-                        # consecutive failures escalate to a hard error.
-                        result.policy_wall_seconds += _wall_clock() - wall
-                        result.policy_invocations += 1
-                        policy_failures += 1
-                        self._record_incident(
-                            result, "policy-error", now,
-                            job_ids=tuple(j.job_id for j in active_list[:5]),
-                            exc=exc,
-                        )
-                        if policy_failures >= self.config.max_policy_incidents:
-                            raise SimulationError(
-                                f"policy {self.policy.name!r} failed "
-                                f"{policy_failures} consecutive rounds",
-                                incidents=tuple(result.incidents),
-                            ) from exc
+                    allocations = self._schedule(st, active_list, now)
+                    if allocations is None:
                         steady = False
-                        contained = True
-                    if not contained:
-                        result.policy_wall_seconds += _wall_clock() - wall
-                        result.policy_invocations += 1
-                        policy_failures = 0
+                    else:
                         changed = self._apply(
                             allocations, active_list, cluster, now, calendar,
-                            result=result,
+                            result,
                         )
                         # The next rounds may skip the policy only if: models
                         # cannot refit (refit observations happen in `_apply`,
@@ -817,41 +903,9 @@ class Simulator:
                             and all(
                                 j.status != JobStatus.PAUSED for j in active_list
                             )
-                            and self.policy.steady_state(active_list, ctx)
+                            and self.policy.steady_state(active_list, st.ctx)
                         )
-
-                        # Deadlock guard: nothing running, nothing arriving, queue
-                        # stuck.  Pending cluster events disarm it: a recovery or
-                        # scale-up may be exactly what unblocks the queue.
-                        if (
-                            not any(j.is_running for j in active_list)
-                            and not calendar.has_arrivals
-                            and not calendar.has_cluster_events
-                        ):
-                            idle_rounds += 1
-                            if idle_rounds > 3:
-                                stuck = ", ".join(
-                                    j.job_id for j in active_list[:5]
-                                )
-                                message = (
-                                    f"policy {self.policy.name!r} cannot place "
-                                    f"remaining jobs ({stuck} ...) on an empty "
-                                    f"cluster"
-                                )
-                                # The watchdog reports through the same incident
-                                # stream as contained faults before escalating.
-                                self._record_incident(
-                                    result, "deadlock", now,
-                                    job_ids=tuple(
-                                        j.job_id for j in active_list[:5]
-                                    ),
-                                    message=message,
-                                )
-                                raise SimulationError(
-                                    message, incidents=tuple(result.incidents)
-                                )
-                        else:
-                            idle_rounds = 0
+                        self._check_deadlock(st, active_list, now, patience=3)
 
                 # --- choose the next event time ------------------------------
                 next_time = calendar.next_event_time(now, active_list)
@@ -864,8 +918,6 @@ class Simulator:
             # session then reflects the state at escalation (the service
             # layer reports it from here).
             st.steady = steady
-            st.idle_rounds = idle_rounds
-            st.policy_failures = policy_failures
             st.seq = seq
             st.now = now
         return outcome
@@ -900,11 +952,9 @@ class Simulator:
         calendar = st.calendar
         active = st.active
         gpu_seconds = st.gpu_seconds
-        ctx = st.ctx
         now = st.now
         next_policy_at = st.next_policy_at
         dirty = st.dirty
-        policy_failures = st.policy_failures
         seq = st.seq
         # Bound-method/attribute hoists: the loop below runs once per event
         # (~100k rounds on the datacenter leg), so repeated lookups are
@@ -913,7 +963,6 @@ class Simulator:
         _materialize = self._materialize
         pop_arrivals = calendar.pop_arrivals
         pop_due_completions = calendar.pop_due_completions
-        pop_cluster_events = calendar.pop_cluster_events
         active_get = active.get
         _RUNNING = JobStatus.RUNNING
         _PAUSED = JobStatus.PAUSED
@@ -946,37 +995,18 @@ class Simulator:
                         # Ulp-level residue after many re-anchorings: push a
                         # fresh hint for the (tiny) remainder.
                         calendar.track(job, now)
-                for job in sorted(finished_now, key=lambda j: j.seq):
-                    job_id = job.spec.job_id
-                    job.status = JobStatus.FINISHED
-                    job.finish_time = now
-                    job.throughput = 0.0
-                    cluster.release(job_id)
-                    calendar.invalidate(job_id)
-                    del active[job_id]
-                    result.add_record(
-                        JobRecord.from_job(job, gpu_seconds[job_id])
-                    )
+                if finished_now:
+                    for job in sorted(finished_now, key=lambda j: j.seq):
+                        self._complete(st, job, now)
                     dirty = True
 
-                # --- apply cluster dynamics at `now` ------------------------
-                for event in pop_cluster_events(cutoff):
-                    self._apply_cluster_event(
-                        event, cluster, active, now, calendar, result,
-                        gpu_seconds=gpu_seconds,
-                    )
-                    result.cluster_events += 1
+                if self._apply_cluster_events(st, now):
                     dirty = True
 
-                # --- termination / stream pause -----------------------------
-                if not active and not calendar.has_arrivals:
-                    outcome = _IDLE if st.stream_open else _DONE
+                stop = self._stop(st, now)
+                if stop is not None:
+                    outcome = stop
                     break
-                if now > self.config.max_sim_time:
-                    raise SimulationError(
-                        f"simulation exceeded max_sim_time={self.config.max_sim_time}; "
-                        f"{len(active)} jobs still active"
-                    )
 
                 result.sim_rounds += 1
                 # --- policy round (at most one per tick interval) -----------
@@ -987,75 +1017,26 @@ class Simulator:
                     for job_id in cluster.all_job_ids():
                         _materialize(active[job_id], now, gpu_seconds)
                     active_list = list(active.values())
-                    ctx.now = now
-                    wall = _wall_clock()
-                    contained = False
-                    try:
-                        if self.injector is not None:
-                            self.injector.check("policy-round")
-                        allocations = self.policy.schedule(
-                            active_list, cluster, ctx
-                        )
-                    except Exception as exc:
-                        # Same containment as the default loop: placements hold
-                        # for this round; the round clock still advances (so a
-                        # repeatedly-failing policy cannot pin the event loop
-                        # to one timestamp) and the batch stays dirty for the
-                        # next round's retry.
-                        result.policy_wall_seconds += _wall_clock() - wall
-                        result.policy_invocations += 1
-                        policy_failures += 1
-                        self._record_incident(
-                            result, "policy-error", now,
-                            job_ids=tuple(j.job_id for j in active_list[:5]),
-                            exc=exc,
-                        )
-                        if policy_failures >= self.config.max_policy_incidents:
-                            raise SimulationError(
-                                f"policy {self.policy.name!r} failed "
-                                f"{policy_failures} consecutive rounds",
-                                incidents=tuple(result.incidents),
-                            ) from exc
-                        next_policy_at = now + self.config.tick_interval
-                        contained = True
-                    if not contained:
-                        result.policy_wall_seconds += _wall_clock() - wall
-                        result.policy_invocations += 1
-                        policy_failures = 0
+                    allocations = self._schedule(st, active_list, now)
+                    # The round clock advances even when the round was
+                    # contained (so a repeatedly-failing policy cannot pin
+                    # the event loop to one timestamp); a contained batch
+                    # stays dirty for the next round's retry.
+                    next_policy_at = now + self.config.tick_interval
+                    if allocations is not None:
                         self._apply(
                             allocations, active_list, cluster, now, calendar,
-                            result=result,
+                            result,
                         )
                         for job in active_list:
                             job_status = job.status
                             if job_status is _RUNNING or job_status is _PAUSED:
                                 job.anchor_time = now
                         dirty = False
-                        next_policy_at = now + self.config.tick_interval
-                        # Deadlock guard: the policy is deterministic, so if it
-                        # left nothing running and nothing external is pending,
-                        # no later round can be any different — fail fast like
-                        # the default loop's idle-round counter.
-                        if (
-                            not any(j.is_running for j in active_list)
-                            and not calendar.has_arrivals
-                            and not calendar.has_cluster_events
-                        ):
-                            stuck = ", ".join(j.job_id for j in active_list[:5])
-                            message = (
-                                f"policy {self.policy.name!r} cannot place "
-                                f"remaining jobs ({stuck} ...) on an empty cluster"
-                            )
-                            self._record_incident(
-                                result, "deadlock", now,
-                                job_ids=tuple(
-                                    j.job_id for j in active_list[:5]
-                                ),
-                                message=message,
-                            )
-                            raise SimulationError(
-                                message, incidents=tuple(result.incidents)
-                            )
+                        # The policy is deterministic, so if it left nothing
+                        # running and nothing external is pending, no later
+                        # round can be any different: fail fast.
+                        self._check_deadlock(st, active_list, now, patience=0)
 
                 # --- choose the next event time ------------------------------
                 now = calendar.next_event_time_lazy(
@@ -1067,7 +1048,6 @@ class Simulator:
             st.now = now
             st.next_policy_at = next_policy_at
             st.dirty = dirty
-            st.policy_failures = policy_failures
             st.seq = seq
         return outcome
 
@@ -1093,19 +1073,7 @@ class Simulator:
         held_gpus = job.placement.total.gpus
         gpu_seconds[job.spec.job_id] += held_gpus * dt
         if status is JobStatus.PAUSED:
-            pause_end = min(job.pause_until, t)
-            paused_dt = max(pause_end - t_from, 0.0)
-            reconfig_dt = max(
-                min(pause_end, job.penalty_pause_from) - t_from, 0.0
-            )
-            job.reconfig_seconds += reconfig_dt
-            job.reconfig_gpu_seconds += held_gpus * reconfig_dt
-            penalty_dt = paused_dt - reconfig_dt
-            if penalty_dt > 0.0:
-                job.lost_gpu_seconds += held_gpus * penalty_dt
-            if t + _EPS >= job.pause_until:
-                job.status = JobStatus.RUNNING
-            active_dt = max(t - max(t_from, job.pause_until), 0.0)
+            active_dt = _accrue_pause(job, held_gpus, t_from, t)
         else:
             active_dt = dt
         thr = job.throughput
@@ -1114,10 +1082,10 @@ class Simulator:
             job.run_seconds += active_dt
             while (
                 job.run_seconds - job.run_seconds_at_checkpoint
-                >= self.config.checkpoint_interval
+                >= CHECKPOINT_INTERVAL
             ):
                 ckpt_run = (
-                    job.run_seconds_at_checkpoint + self.config.checkpoint_interval
+                    job.run_seconds_at_checkpoint + CHECKPOINT_INTERVAL
                 )
                 job.samples_at_checkpoint = (
                     job.samples_done
@@ -1134,9 +1102,8 @@ class Simulator:
         active: list[Job],
         cluster: Cluster,
         now: float,
-        calendar: EventCalendar | None = None,
-        *,
-        result: SimulationResult | None = None,
+        calendar: EventCalendar,
+        result: SimulationResult,
     ) -> bool:
         """Reconcile the policy's allocation map with the cluster.
 
@@ -1186,8 +1153,8 @@ class Simulator:
                 continue
             if not changed:
                 # Unchanged running job: the refitter still observes its
-                # realized throughput each round, exactly as the pre-PR loop
-                # did (the value comes from the memo, not a re-derivation).
+                # realized throughput each round (the value comes from the
+                # memo, not a re-derivation).
                 if self.online_refitter is not None:
                     self._observe(
                         job,
@@ -1200,9 +1167,7 @@ class Simulator:
             prev_placement, prev_plan = previous[job_id]
             if alloc is None or alloc.placement.is_empty:
                 if job.is_running:  # preemption
-                    self._requeue(job, now)
-                    if calendar is not None:
-                        calendar.invalidate(job_id)
+                    self._requeue(job, now, calendar)
                     changed_any = True
                 continue
             changed_any = True
@@ -1211,18 +1176,13 @@ class Simulator:
             except Exception as exc:
                 # Policy produced an over-committed placement; treat as a
                 # failed launch, leave the job queued, and surface the
-                # containment on the incident stream (it used to be
-                # swallowed silently — the RPL007 audit target).
-                if result is not None:
-                    self._record_incident(
-                        result, "apply-error", now,
-                        job_ids=(job_id,), exc=exc,
-                    )
+                # containment on the incident stream.
+                self._record_incident(
+                    result, "apply-error", now, job_ids=(job_id,), exc=exc
+                )
                 cluster.release(job_id)
                 if job.is_running:
-                    self._requeue(job, now)
-                    if calendar is not None:
-                        calendar.invalidate(job_id)
+                    self._requeue(job, now, calendar)
                 continue
             shape = ResourceShape.from_placement(alloc.placement)
             try:
@@ -1232,9 +1192,7 @@ class Simulator:
             except OutOfMemoryError:
                 cluster.release(job_id)
                 if job.is_running:
-                    self._requeue(job, now)
-                    if calendar is not None:
-                        calendar.invalidate(job_id)
+                    self._requeue(job, now, calendar)
                 continue
 
             if self.online_refitter is not None:
@@ -1283,8 +1241,7 @@ class Simulator:
                 # progress saved here is what a later eviction falls back to.
                 job.samples_at_checkpoint = job.samples_done
                 job.run_seconds_at_checkpoint = job.run_seconds
-            if calendar is not None:
-                calendar.track(job, now)
+            calendar.track(job, now)
         return changed_any
 
     # ------------------------------------------------------------------
@@ -1305,7 +1262,8 @@ class Simulator:
         ``gpu_seconds`` is passed only by the scale-mode loop: its victims
         are lazily advanced and must be materialized to ``now`` before the
         eviction rolls them back.  The default loop advances every job each
-        round, so it passes nothing and behaves exactly as before.
+        round, so it passes nothing.  A cluster transition that cannot apply
+        raises :class:`ClusterDynamicsError` before changing any state.
         """
         victims: list[str] = []
         if event.kind == NODE_FAIL:
@@ -1358,8 +1316,7 @@ class Simulator:
         job.restart_count += 1
         job.pending_restart_penalty = self.config.restart_penalty
         result.evictions += 1
-        self._requeue(job, now)
-        calendar.invalidate(job.job_id)
+        self._requeue(job, now, calendar)
 
     def _observe(self, job: Job, plan, shape, thr: float) -> None:
         """Feed one realized-throughput observation to the online refitter."""
@@ -1371,17 +1328,19 @@ class Simulator:
             self.perf_store.add(updated)
 
     @staticmethod
-    def _requeue(job: Job, now: float) -> None:
+    def _requeue(job: Job, now: float, calendar: EventCalendar) -> None:
         """Send a running job back to the queue with no residual allocation.
 
-        Used for both preemption and failed launches; the cluster side has
-        already been released, so the job must not keep a stale placement.
+        Used for preemption, failed launches and evictions; the cluster
+        side has already been released, so the job must not keep a stale
+        placement, and its completion hint is invalidated.
         """
         job.status = JobStatus.QUEUED
         job.placement = Placement.empty()
         job.plan = None
         job.throughput = 0.0
         job.last_queue_enter = now
+        calendar.invalidate(job.job_id)
 
     @staticmethod
     def _gpu_shares(placement) -> dict[int, int]:
@@ -1410,25 +1369,7 @@ class Simulator:
             held_gpus = job.placement.total.gpus
             gpu_seconds[job.job_id] += held_gpus * dt
             if job.status == JobStatus.PAUSED:
-                pause_end = min(job.pause_until, t_to)
-                paused_dt = max(pause_end - t_from, 0.0)
-                # The checkpoint-resume part of the pause is reconfiguration
-                # overhead; the restart-penalty tail (evictions only —
-                # `penalty_pause_from` is +inf otherwise) is dynamics waste
-                # and accrues to lost GPU-seconds instead.
-                reconfig_dt = max(
-                    min(pause_end, job.penalty_pause_from) - t_from, 0.0
-                )
-                job.reconfig_seconds += reconfig_dt
-                # Overhead accounting is in *held* GPU-seconds: Rubick's whole
-                # point is that held != requested (§7.3).
-                job.reconfig_gpu_seconds += held_gpus * reconfig_dt
-                penalty_dt = paused_dt - reconfig_dt
-                if penalty_dt > 0.0:
-                    job.lost_gpu_seconds += held_gpus * penalty_dt
-                if t_to + _EPS >= job.pause_until:
-                    job.status = JobStatus.RUNNING
-                active_dt = max(t_to - max(t_from, job.pause_until), 0.0)
+                active_dt = _accrue_pause(job, held_gpus, t_from, t_to)
             else:
                 active_dt = dt
             if active_dt > 0 and job.throughput > 0:
@@ -1436,7 +1377,7 @@ class Simulator:
                 job.run_seconds += active_dt
                 if (
                     job.run_seconds - job.run_seconds_at_checkpoint
-                    >= self.config.checkpoint_interval
+                    >= CHECKPOINT_INTERVAL
                 ):
                     job.samples_at_checkpoint = job.samples_done
                     job.run_seconds_at_checkpoint = job.run_seconds

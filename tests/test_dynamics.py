@@ -63,6 +63,8 @@ class TestDynamicsProfiles:
             ClusterEvent(time=-1.0, kind=NODE_FAIL, node_id=0)
         with pytest.raises(ClusterDynamicsError):
             ClusterEvent(time=10.0, kind=NODE_FAIL)  # no node_id
+        with pytest.raises(ClusterDynamicsError, match="node_id must be >= 0"):
+            ClusterEvent(time=10.0, kind=NODE_FAIL, node_id=-1)
         with pytest.raises(ClusterDynamicsError):
             ClusterEvent(time=10.0, kind=SCALE_UP, count=0)
 
@@ -197,6 +199,13 @@ class TestClusterTransitions:
         cluster = Cluster(CLUSTER)
         with pytest.raises(ClusterDynamicsError):
             cluster.remove_node(7)  # no such node
+        # A negative id must not index from the end of the node list.
+        with pytest.raises(ClusterDynamicsError):
+            cluster.remove_node(-1)
+        with pytest.raises(ClusterDynamicsError):
+            cluster.add_node(-1)
+        assert all(node.up for node in cluster.nodes)
+        assert cluster.total == Cluster(CLUSTER).total
         with pytest.raises(ClusterDynamicsError):
             cluster.add_node(0)  # already up
         cluster.remove_node(0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, Placement, ResourceVector
-from repro.errors import OutOfMemoryError
+from repro.errors import OutOfMemoryError, SimulationError
 from repro.models import GPT2
 from repro.oracle import SyntheticTestbed
 from repro.plans import ExecutionPlan
@@ -27,6 +27,8 @@ from repro.sim import (
     WorkloadConfig,
     generate_trace,
 )
+from repro.sim.events import EventCalendar
+from repro.sim.metrics import SimulationResult
 
 CLUSTER = ClusterSpec(num_nodes=2, node=NodeSpec(num_gpus=8, num_cpus=96))
 SEED = 11
@@ -169,6 +171,11 @@ class TestRequeueStateConsistency:
         cluster.apply(job.job_id, placement)
         return sim, cluster
 
+    @staticmethod
+    def _sinks() -> tuple[EventCalendar, SimulationResult]:
+        """A fresh calendar and result for a direct ``_apply`` call."""
+        return EventCalendar([], 300.0), SimulationResult("p", "t")
+
     def _assert_clean_requeue(self, job, cluster, now):
         assert job.status == JobStatus.QUEUED
         assert job.placement.is_empty
@@ -185,7 +192,7 @@ class TestRequeueStateConsistency:
             {0: ResourceVector(gpus=CLUSTER.node.num_gpus + 1, cpus=1)}
         )
         sim._apply({job.job_id: Allocation(too_big, job.plan)}, [job],
-                   cluster, now=100.0)
+                   cluster, 100.0, *self._sinks())
         self._assert_clean_requeue(job, cluster, 100.0)
 
     def test_oom_launch_clears_placement(self):
@@ -200,20 +207,18 @@ class TestRequeueStateConsistency:
         # ground truth, so hand it a changed one (a CPU-only resize).
         resized = Placement({0: ResourceVector(gpus=2, cpus=4)})
         sim._apply({job.job_id: Allocation(resized, job.plan)}, [job],
-                   cluster, now=200.0)
+                   cluster, 200.0, *self._sinks())
         self._assert_clean_requeue(job, cluster, 200.0)
 
     def test_preemption_clears_placement(self):
         job, placement = self._running_job()
         sim, cluster = self._sim_and_cluster(job, placement)
-        sim._apply({}, [job], cluster, now=300.0)
+        sim._apply({}, [job], cluster, 300.0, *self._sinks())
         self._assert_clean_requeue(job, cluster, 300.0)
 
     def test_node_failure_eviction_clears_placement(self):
         """Cluster-dynamics eviction goes through the same clean requeue."""
         from repro.cluster.dynamics import ClusterEvent, NODE_FAIL
-        from repro.sim.events import EventCalendar
-        from repro.sim.metrics import SimulationResult
 
         job, placement = self._running_job()
         sim, cluster = self._sim_and_cluster(job, placement)
@@ -310,3 +315,67 @@ class TestOomUnderScaleAndDynamics:
         assert res.incidents == []
         if dynamic:
             assert res.cluster_events == len(events)
+
+
+@pytest.mark.parametrize("scale_mode", [False, True],
+                         ids=["default-loop", "scale-loop"])
+class TestContainmentBothLoops:
+    """Policy containment, escalation and the deadlock guard hold in both
+    loops (they share one copy of each phase)."""
+
+    def _sim(self, scale_mode, times=None) -> Simulator:
+        from repro.faults import FaultPlan, FaultRule
+
+        injector = None
+        if times is not None:
+            plan = FaultPlan(
+                name="t", rules=(FaultRule("policy-round", times=times),)
+            )
+            injector = plan.injector("run")
+        return Simulator(
+            CLUSTER, rubick_n(), testbed=SyntheticTestbed(CLUSTER, seed=SEED),
+            config=EngineConfig(seed=SEED, scale_mode=scale_mode),
+            injector=injector,
+        )
+
+    def test_transient_policy_fault_is_contained(self, testbed, scale_mode):
+        trace = _tiny_trace(testbed, n=4)
+        res = self._sim(scale_mode, times=(1,)).run(trace)
+        assert [i.kind for i in res.incidents] == ["policy-error"]
+        assert res.incidents[0].error == "InjectedFault"
+        assert len(res.records) == len(trace)
+
+    def test_poisoned_policy_escalates_with_incidents(self, testbed, scale_mode):
+        trace = _tiny_trace(testbed, n=4)
+        with pytest.raises(SimulationError, match="3 consecutive") as err:
+            self._sim(scale_mode, times=(1, 2, 3)).run(trace)
+        assert [i.kind for i in err.value.incidents] == ["policy-error"] * 3
+
+    def test_zero_quota_deadlock_names_stuck_jobs(self, testbed, scale_mode):
+        from repro.scheduler.interfaces import Tenant
+
+        trace = _tiny_trace(testbed, n=3)
+        with pytest.raises(SimulationError, match="cannot place") as err:
+            self._sim(scale_mode).run(
+                trace, tenants={"default": Tenant("default", gpu_quota=0)}
+            )
+        (incident,) = err.value.incidents
+        assert incident.kind == "deadlock"
+        assert set(incident.job_ids) == {tj.job_id for tj in trace}
+        for job_id in incident.job_ids:
+            assert job_id in incident.message
+        assert incident.message == str(err.value)
+
+    def test_inapplicable_cluster_events_are_skipped(self, testbed, scale_mode):
+        from repro.cluster.dynamics import NODE_FAIL, NODE_RECOVER, ClusterEvent
+
+        trace = _tiny_trace(testbed, n=4)
+        events = (
+            ClusterEvent(time=600.0, kind=NODE_FAIL, node_id=99),
+            ClusterEvent(time=700.0, kind=NODE_RECOVER, node_id=0),  # up
+        )
+        res = self._sim(scale_mode).run(trace, cluster_events=events)
+        assert [i.kind for i in res.incidents] == ["cluster-event-error"] * 2
+        assert [i.error for i in res.incidents] == ["ClusterDynamicsError"] * 2
+        assert res.cluster_events == 0
+        assert len(res.records) == len(trace)

@@ -22,6 +22,7 @@ from repro.scheduler import (
     JobSpec,
     JobStatus,
     PerfModelStore,
+    RubickPolicy,
     SchedulingContext,
     Tenant,
     rubick,
@@ -131,6 +132,10 @@ class TestRubickSpecifics:
         job = _queued_job(tenant="team")
         allocations = rubick_n().schedule([job], cluster, _ctx(store, tenants))
         assert job.job_id not in allocations
+
+    def test_unknown_growth_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown growth mode"):
+            RubickPolicy(growth_mode="slack")
 
     def test_min_res_cached_on_job(self, env):
         _, store = env

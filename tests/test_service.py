@@ -276,11 +276,28 @@ class TestLoopback:
                 client.submit_job(trace.jobs[0])  # duplicate job id
             with pytest.raises(ProtocolError, match="unknown frame type"):
                 client.request({"type": "BOGUS"})
-            # The connection survived both rejections.
+            # A negative node id is rejected at decode; an id beyond the
+            # cluster is accepted, then skipped with an incident when due.
+            with pytest.raises(ProtocolError, match="CLUSTER_EVENT rejected"):
+                client.request(
+                    {"type": "CLUSTER_EVENT",
+                     "event": {"time": 0.0, "kind": "fail", "node_id": -1}}
+                )
+            client.request(
+                {"type": "CLUSTER_EVENT",
+                 "event": {"time": trace.jobs[0].submit_time, "kind": "fail",
+                           "node_id": 99}}
+            )
+            # The connection survived every rejection, and the session
+            # still steps.
+            client.submit_job(trace.jobs[1])
             assert client.status()["admitted"] >= 0
-            client.drain(trace.name)
+            drained = client.drain(trace.name)
         thread.join(timeout=60)
         assert not thread.is_alive()
+        incidents = drained["result"]["incidents"]
+        assert [i["kind"] for i in incidents] == ["cluster-event-error"]
+        assert "node 99" in incidents[0]["message"]
 
     def test_daemon_lost_mid_frame_does_not_kill_session(self, workload):
         trace, _ = workload
