@@ -13,14 +13,14 @@ from conftest import run_once
 from repro.analysis import format_series
 from repro.models import GPT2
 from repro.cluster import PAPER_CLUSTER
-from repro.scheduler import SensitivityAnalyzer
+from repro.planeval import PlanEvalEngine
 
 
 def test_fig06_gpu_sensitivity_curve(benchmark, perf_store):
-    analyzer = SensitivityAnalyzer(perf_store, PAPER_CLUSTER)
+    engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=perf_store)
 
     def experiment():
-        return analyzer.gpu_curve(GPT2, GPT2.global_batch_size, max_gpus=8)
+        return engine.curve(GPT2, GPT2.global_batch_size, max_gpus=8)
 
     curve = run_once(benchmark, experiment)
     xs, ys, plans = [], [], []

@@ -14,7 +14,7 @@ from repro.analysis import format_table
 from repro.cluster import PAPER_CLUSTER
 from repro.models import LLAMA2_7B
 from repro.perfmodel import ResourceShape
-from repro.scheduler import SensitivityAnalyzer
+from repro.planeval import PlanEvalEngine
 
 #: (label, gpus, num_nodes, cpus)
 STAGES = [
@@ -27,7 +27,7 @@ STAGES = [
 
 
 def test_fig07_reconfiguration_walk(benchmark, testbed, perf_store):
-    analyzer = SensitivityAnalyzer(perf_store, PAPER_CLUSTER)
+    engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=perf_store)
     batch = LLAMA2_7B.global_batch_size
 
     def experiment():
@@ -39,7 +39,7 @@ def test_fig07_reconfiguration_walk(benchmark, testbed, perf_store):
                 min_gpus_per_node=gpus // nodes,
                 cpus=cpus,
             )
-            best = analyzer.best_for_shape(LLAMA2_7B, batch, shape)
+            best = engine.best(LLAMA2_7B, batch, shape)
             assert best is not None, f"no feasible plan at stage {label}"
             true_thr = testbed.true_throughput(
                 LLAMA2_7B, best.plan, shape, batch

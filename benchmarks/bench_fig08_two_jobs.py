@@ -15,18 +15,19 @@ from repro.cluster import single_node_cluster
 from repro.models import ROBERTA, T5
 from repro.oracle import SyntheticTestbed, build_perf_model
 from repro.perfmodel import ResourceShape
-from repro.scheduler import PerfModelStore, SensitivityAnalyzer
+from repro.planeval import PlanEvalEngine
+from repro.scheduler import PerfModelStore
 
 
-def _baseline(testbed, analyzer, model):
+def _baseline(testbed, engine, model):
     """Rigid reference: the model's best plan on all 4 GPUs."""
     shape = ResourceShape.packed(4, node_size=4, cpus=16)
-    best = analyzer.best_for_shape(model, model.global_batch_size, shape)
+    best = engine.best(model, model.global_batch_size, shape)
     assert best is not None
     return testbed.true_throughput(model, best.plan, shape, model.global_batch_size)
 
 
-def _speedup_for_split(testbed, analyzer, split):
+def _speedup_for_split(testbed, engine, split):
     """Aggregate normalized speedup for a (roberta_gpus, t5_gpus) split."""
     total = 0.0
     parts = {}
@@ -35,14 +36,14 @@ def _speedup_for_split(testbed, analyzer, split):
             parts[model.name] = 0.0
             continue
         shape = ResourceShape.packed(gpus, node_size=4, cpus=gpus * 4)
-        best = analyzer.best_for_shape(model, model.global_batch_size, shape)
+        best = engine.best(model, model.global_batch_size, shape)
         if best is None:
             parts[model.name] = 0.0
             continue
         thr = testbed.true_throughput(
             model, best.plan, shape, model.global_batch_size
         )
-        speedup = thr / _baseline(testbed, analyzer, model)
+        speedup = thr / _baseline(testbed, engine, model)
         parts[model.name] = speedup
         total += speedup
     return total, parts
@@ -59,16 +60,16 @@ def test_fig08_two_job_throughput(benchmark):
             testbed, model, model.global_batch_size, max_gpus=4, seed=BENCH_SEED
         )
         store.add(perf)
-    analyzer = SensitivityAnalyzer(store, cluster)
+    engine = PlanEvalEngine(cluster, perf_store=store)
 
     def experiment():
-        simple_total, simple_parts = _speedup_for_split(testbed, analyzer, (2, 2))
+        simple_total, simple_parts = _speedup_for_split(testbed, engine, (2, 2))
         # Rubick's policy: pick the split with the best predicted aggregate
         # normalized speedup (the sensitivity-curve comparison of §5.2).
         best_split, best_total, best_parts = None, -1.0, None
         for roberta_gpus in range(0, 5):
             split = (roberta_gpus, 4 - roberta_gpus)
-            total, parts = _speedup_for_split(testbed, analyzer, split)
+            total, parts = _speedup_for_split(testbed, engine, split)
             if total > best_total:
                 best_split, best_total, best_parts = split, total, parts
         return simple_total, simple_parts, best_split, best_total, best_parts

@@ -14,8 +14,8 @@ from repro import (
     GPT2,
     PAPER_CLUSTER,
     PerfModelStore,
+    PlanEvalEngine,
     ResourceShape,
-    SensitivityAnalyzer,
     SyntheticTestbed,
     build_perf_model,
 )
@@ -62,8 +62,8 @@ def main() -> None:
 
     store = PerfModelStore()
     store.add(perf)
-    analyzer = SensitivityAnalyzer(store, PAPER_CLUSTER)
-    curve = analyzer.gpu_curve(GPT2, batch, max_gpus=8)
+    engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store)
+    curve = engine.curve(GPT2, batch, max_gpus=8)
     print("\nGPU sensitivity curve (best plan per GPU count):")
     for gpus in range(1, 9):
         cfg = curve.config_at(gpus)

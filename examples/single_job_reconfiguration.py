@@ -14,8 +14,8 @@ from repro import (
     LLAMA2_7B,
     PAPER_CLUSTER,
     PerfModelStore,
+    PlanEvalEngine,
     ResourceShape,
-    SensitivityAnalyzer,
     SyntheticTestbed,
     build_perf_model,
 )
@@ -36,7 +36,7 @@ def main() -> None:
     perf, _ = build_perf_model(testbed, LLAMA2_7B, batch, seed=42)
     store = PerfModelStore()
     store.add(perf)
-    analyzer = SensitivityAnalyzer(store, PAPER_CLUSTER)
+    engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store)
 
     rows = []
     for label, gpus, nodes, cpus in STAGES:
@@ -44,7 +44,7 @@ def main() -> None:
             gpus=gpus, num_nodes=nodes,
             min_gpus_per_node=gpus // nodes, cpus=cpus,
         )
-        best = analyzer.best_for_shape(LLAMA2_7B, batch, shape)
+        best = engine.best(LLAMA2_7B, batch, shape)
         if best is None:
             rows.append((label, "(nothing fits)", "-"))
             continue

@@ -58,7 +58,6 @@ from repro.scheduler import (
     PerfModelStore,
     RubickPolicy,
     SchedulingContext,
-    SensitivityAnalyzer,
     Tenant,
     rubick,
     rubick_e,
@@ -110,7 +109,6 @@ __all__ = [
     "ResourceVector",
     "RubickPolicy",
     "SchedulingContext",
-    "SensitivityAnalyzer",
     "ServiceClient",
     "ServiceMaster",
     "SimulationResult",

@@ -45,10 +45,8 @@ class FreeGpuIndex:
     sort ties back to list order, which is ascending node id) — the
     ordering contract every packing loop in the scheduler relies on.
 
-    Updates are O(log bucket) via bisect; ``largest_free`` / ``first_fit``
-    are O(node_size) worst case with node_size a small constant (8), which
-    is the "O(log n) feasibility query" the round state and free pool need
-    without the per-call O(n log n) sort.
+    Updates are O(log bucket) via bisect, so the round state and free pool
+    visit nodes most-free-first without a per-call O(n log n) sort.
     """
 
     __slots__ = ("node_size", "_buckets", "_key_of")
@@ -87,9 +85,6 @@ class FreeGpuIndex:
         self._key_of[node_id] = key
         insort(self._buckets[key], node_id)
 
-    def free_of(self, node_id: int) -> int:
-        return self._key_of[node_id]
-
     def iter_ids_by_free_desc(self):
         """Node ids, most-free first, ascending id within equal free."""
         for key in range(self.node_size, -1, -1):
@@ -99,22 +94,6 @@ class FreeGpuIndex:
         """Like :meth:`iter_ids_by_free_desc` but skips free == 0 nodes."""
         for key in range(self.node_size, 0, -1):
             yield from self._buckets[key]
-
-    def largest_free(self) -> int:
-        """The largest per-node free-GPU count (0 on a saturated cluster)."""
-        for key in range(self.node_size, 0, -1):
-            if self._buckets[key]:
-                return key
-        return 0
-
-    def first_fit(self, gpus: int) -> int | None:
-        """Lowest node id with at least ``gpus`` free, or None."""
-        best: int | None = None
-        for key in range(self._clamp(gpus), self.node_size + 1):
-            bucket = self._buckets[key]
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        return best
 
     def _clamp(self, free_gpus: int) -> int:
         if free_gpus < 0:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.placement import Placement
 from repro.cluster.resources import ResourceVector
-from repro.cluster.soa import ClusterIndex, FreeGpuIndex
+from repro.cluster.soa import ClusterIndex
 from repro.cluster.topology import ClusterSpec, NodeSpec
 from repro.errors import ClusterDynamicsError, PlacementError
 
@@ -149,11 +149,6 @@ class Cluster:
     def index(self) -> ClusterIndex:
         """The array-backed mirror (read-only for callers)."""
         return self._index
-
-    @property
-    def free_gpu_index(self) -> FreeGpuIndex:
-        """Per-node free-GPU bucket index (largest-free / first-fit queries)."""
-        return self._index.free_gpus
 
     @property
     def num_up_nodes(self) -> int:

@@ -36,10 +36,6 @@ class FittingError(ReproError):
     """Performance-model fitting failed or was given insufficient samples."""
 
 
-class SchedulingError(ReproError):
-    """A scheduling policy produced an inconsistent or invalid decision."""
-
-
 class WorkloadError(ReproError):
     """A workload scenario could not be resolved or built."""
 

@@ -169,9 +169,6 @@ class RunStore:
     def load_result(self, run_key: str) -> SimulationResult:
         return self.load(run_key)[1]
 
-    def load_all(self) -> list[tuple[RunSpec, SimulationResult]]:
-        return [self.load(key) for key in sorted(self.completed_keys())]
-
     def quarantine_record(self, run_key: str) -> Path | None:
         """Move an unreadable run record to a ``.corrupt`` sidecar.
 

@@ -72,11 +72,6 @@ class ModelSpec:
     # Derived quantities
     # ------------------------------------------------------------------
     @property
-    def tokens_per_sample(self) -> int:
-        """Tokens processed per training sample (= ``s``)."""
-        return self.seq_len
-
-    @property
     def fwd_flops_per_sample(self) -> float:
         """Approximate forward-pass FLOPs for one sample (dense transformer).
 

@@ -78,10 +78,6 @@ class IterBreakdown:
     t_oo: float
     t_iter: float
 
-    @property
-    def throughput_denominator(self) -> float:
-        return self.t_iter
-
     def as_dict(self) -> dict[str, float]:
         return {
             "t_fwd": self.t_fwd,

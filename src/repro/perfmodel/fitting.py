@@ -70,10 +70,6 @@ class FitReport:
     per_sample_error: tuple[float, ...]  # relative |pred - meas| / meas
 
     @property
-    def max_error(self) -> float:
-        return max(self.per_sample_error) if self.per_sample_error else 0.0
-
-    @property
     def avg_error(self) -> float:
         if not self.per_sample_error:
             return 0.0

@@ -1,9 +1,9 @@
 """The unified plan-evaluation engine (``GetBestPlan`` as a service).
 
 Every consumer of "best execution plan + predicted throughput for (model,
-batch, shape)" — the sensitivity analyzer, the variant plan selectors, the
-Rubick policy and the baselines, and the simulator's intrinsic-work
-accounting — routes through one :class:`PlanEvalEngine`.  The engine owns:
+batch, shape)" — the plan selectors, the Rubick policy and the baselines,
+and the simulator's intrinsic-work accounting — routes through one
+:class:`PlanEvalEngine`.  The engine owns:
 
 * **plan enumeration**, memoized per (model, batch, shape-class) — the
   enumeration does not depend on CPU counts, so CPU-slope probes reuse it;
@@ -15,11 +15,7 @@ accounting — routes through one :class:`PlanEvalEngine`.  The engine owns:
   backend's per-model version (the :class:`~repro.scheduler.interfaces.
   PerfModelStore` refit generation).  An online refit of one model type
   drops exactly that model's entries; every other model keeps its warm
-  caches.  This replaces the three ad-hoc caches the repo grew first
-  (``SensitivityAnalyzer._best_cache``/``_curve_cache``,
-  ``ScaledDpSelector._curve_cache``, ``Simulator._best_thr_cache``), whose
-  invalidation was clear-everything (or, for version-keyed entries, never
-  evicted at all);
+  caches;
 * **cache statistics** — hit/miss/eval/invalidation counters via
   :meth:`PlanEvalEngine.stats`, surfaced by ``repro simulate
   --planeval-stats`` and ``benchmarks/bench_planeval_cache.py``.
@@ -45,7 +41,9 @@ from repro.plans.enumerate import (
 from repro.plans.memory import estimate_memory, host_mem_demand_per_node
 from repro.plans.plan import ExecutionPlan
 
-#: Default CPU:GPU ratio used when building curves ("other resources fixed").
+#: CPUs per GPU: the packed shapes of sensitivity curves ("other resources
+#: fixed"), the policies' proportional CPU shares, and the CPU request of a
+#: trace job that names none.
 DEFAULT_CPUS_PER_GPU = 4
 
 
@@ -105,7 +103,6 @@ class PlanRequest:
     shape: ResourceShape
     candidates: object | None = None
     key: tuple | None = None
-    space: PlanSpace | None = None
     check_gpu_mem: bool = False
     check_host_mem: bool = True
 
@@ -132,8 +129,9 @@ class PlanEvalEngine:
             ``scorer=PerfStoreScorer(perf_store)``.
         scorer: Explicit scoring backend (see `repro.planeval.scoring`);
             overrides ``perf_store``.
-        cpus_per_gpu: CPU:GPU ratio assumed by sensitivity curves.
-        plan_space_fn: Maps a model to its default plan search space.
+
+    Plans are enumerated from :func:`default_plan_space` of the model, and
+    curves pack :data:`DEFAULT_CPUS_PER_GPU` CPUs per GPU.
     """
 
     def __init__(
@@ -142,8 +140,6 @@ class PlanEvalEngine:
         *,
         perf_store=None,
         scorer=None,
-        cpus_per_gpu: int = DEFAULT_CPUS_PER_GPU,
-        plan_space_fn: Callable[[ModelSpec], PlanSpace] = default_plan_space,
     ) -> None:
         if scorer is None:
             if perf_store is None:
@@ -152,8 +148,6 @@ class PlanEvalEngine:
         self.scorer = scorer
         self.perf_store = perf_store
         self.cluster_spec = cluster_spec
-        self.cpus_per_gpu = cpus_per_gpu
-        self.plan_space_fn = plan_space_fn
         self._slabs: dict[str, _ModelSlab] = {}
         # Enumeration is structural (model/batch/space/memory), independent
         # of the scoring backend's version — it survives refits.
@@ -210,12 +204,11 @@ class PlanEvalEngine:
         global_batch: int,
         gpus: int,
         min_gpus_per_node: int,
-        *,
-        space: PlanSpace | None = None,
     ) -> tuple[ExecutionPlan, ...]:
         """Memory-filtered candidate plans for one (batch, shape-class)."""
-        space = space if space is not None else self.plan_space_fn(model)
-        key = (model.name, global_batch, gpus, min_gpus_per_node, space)
+        # The plan space is a function of the model name alone, so neither
+        # this key nor the per-model slab keys carry it.
+        key = (model.name, global_batch, gpus, min_gpus_per_node)
         plans = self._enums.get(key)
         if plans is None:
             plans = tuple(
@@ -225,7 +218,7 @@ class PlanEvalEngine:
                     gpus,
                     min_gpus_per_node=min_gpus_per_node,
                     gpu_mem_budget=self.cluster_spec.node.usable_gpu_mem,
-                    space=space,
+                    space=default_plan_space(model),
                 )
             )
             self._enums[key] = plans
@@ -271,13 +264,11 @@ class PlanEvalEngine:
         model: ModelSpec,
         global_batch: int,
         shape: ResourceShape,
-        space: PlanSpace,
         check_host_mem: bool,
     ) -> tuple[tuple[ExecutionPlan, ...], list[float | None]]:
         """Enumerate, memory-filter, and batch-score one shape's plans."""
         plans = self.plans_for(
-            model, global_batch, shape.gpus, shape.min_gpus_per_node,
-            space=space,
+            model, global_batch, shape.gpus, shape.min_gpus_per_node
         )
         if check_host_mem:
             plans = self._host_filtered(model, plans, global_batch, shape)
@@ -307,13 +298,11 @@ class PlanEvalEngine:
         global_batch: int,
         shape: ResourceShape,
         *,
-        space: PlanSpace | None = None,
         check_host_mem: bool = True,
     ) -> BestConfig | None:
         """Highest-scoring feasible plan for an exact shape (``GetBestPlan``)."""
-        space = space if space is not None else self.plan_space_fn(model)
         slab = self._slab(model)
-        key = ("best", global_batch, shape, space, check_host_mem)
+        key = ("best", global_batch, shape, check_host_mem)
         if key in slab.best:
             self._hits += 1
             return slab.best[key]
@@ -321,7 +310,7 @@ class PlanEvalEngine:
         best: BestConfig | None = None
         if shape.gpus > 0:
             plans, scores = self._scored_plans(
-                model, global_batch, shape, space, check_host_mem
+                model, global_batch, shape, check_host_mem
             )
             best = self._argmax(plans, scores)
         slab.best[key] = best
@@ -395,15 +384,10 @@ class PlanEvalEngine:
         out: list[BestConfig | None] = []
         resolved: dict[tuple, BestConfig | None] = {}
         for req in requests:
-            space = (
-                req.space
-                if req.space is not None
-                else self.plan_space_fn(req.model)
-            )
             if req.candidates is None:
                 dedup = (
                     "best", req.model.name, req.global_batch, req.shape,
-                    space, req.check_host_mem,
+                    req.check_host_mem,
                 )
             elif req.key is not None:
                 dedup = (
@@ -418,7 +402,7 @@ class PlanEvalEngine:
             if req.candidates is None:
                 best = self.best(
                     req.model, req.global_batch, req.shape,
-                    space=space, check_host_mem=req.check_host_mem,
+                    check_host_mem=req.check_host_mem,
                 )
             else:
                 best = self.best_of(
@@ -438,13 +422,11 @@ class PlanEvalEngine:
         global_batch: int,
         shape: ResourceShape,
         *,
-        space: PlanSpace | None = None,
         check_host_mem: bool = True,
     ) -> tuple[tuple[ExecutionPlan, float], ...]:
         """Every feasible plan with its score, in enumeration order."""
-        space = space if space is not None else self.plan_space_fn(model)
         slab = self._slab(model)
-        key = (global_batch, shape, space, check_host_mem)
+        key = (global_batch, shape, check_host_mem)
         if key in slab.scores:
             self._hits += 1
             return slab.scores[key]
@@ -452,7 +434,7 @@ class PlanEvalEngine:
         scored: tuple[tuple[ExecutionPlan, float], ...] = ()
         if shape.gpus > 0:
             plans, scores = self._scored_plans(
-                model, global_batch, shape, space, check_host_mem
+                model, global_batch, shape, check_host_mem
             )
             scored = tuple(
                 (plan, thr)
@@ -465,11 +447,11 @@ class PlanEvalEngine:
     # ------------------------------------------------------------------
     # Sensitivity curves
     # ------------------------------------------------------------------
-    def _packed_shape(self, gpus: int, cpus_per_gpu: int) -> ResourceShape:
+    def _packed_shape(self, gpus: int) -> ResourceShape:
         return ResourceShape.packed(
             gpus,
             node_size=self.cluster_spec.node.num_gpus,
-            cpus=min(gpus * cpus_per_gpu, self.cpu_cap(gpus)),
+            cpus=min(gpus * DEFAULT_CPUS_PER_GPU, self.cpu_cap(gpus)),
         )
 
     def curve(
@@ -478,26 +460,18 @@ class PlanEvalEngine:
         global_batch: int,
         *,
         max_gpus: int | None = None,
-        cpus_per_gpu: int | None = None,
-        space: PlanSpace | None = None,
     ) -> GpuCurve:
         """Full-space GPU sensitivity curve (upper envelope, Fig. 6)."""
-        space = space if space is not None else self.plan_space_fn(model)
-        cpg = cpus_per_gpu if cpus_per_gpu is not None else self.cpus_per_gpu
         limit = max_gpus if max_gpus is not None else self.cluster_spec.total_gpus
         slab = self._slab(model)
-        key = ("full", global_batch, limit, cpg, space)
+        key = ("full", global_batch, limit)
         if key in slab.curves:
             self._hits += 1
             return slab.curves[key]
         self._misses += 1
         raw: list[BestConfig | None] = [None]
         for g in range(1, limit + 1):
-            raw.append(
-                self.best(
-                    model, global_batch, self._packed_shape(g, cpg), space=space
-                )
-            )
+            raw.append(self.best(model, global_batch, self._packed_shape(g)))
         curve = build_envelope(limit, raw)
         # Re-fetch the slab: the per-point best() calls above validated the
         # version; storing into a stale slab would resurrect dropped entries.
@@ -510,9 +484,6 @@ class PlanEvalEngine:
         global_batch: int,
         key: tuple,
         point_fn: Callable[[ResourceShape], BestConfig | None],
-        *,
-        max_gpus: int | None = None,
-        cpus_per_gpu: int | None = None,
     ) -> GpuCurve:
         """Sensitivity curve under a plan restriction (variant selectors).
 
@@ -522,17 +493,16 @@ class PlanEvalEngine:
         as for :meth:`curve` — this is what fixes the stale-curve hazard of
         the selectors' former private caches.
         """
-        cpg = cpus_per_gpu if cpus_per_gpu is not None else self.cpus_per_gpu
-        limit = max_gpus if max_gpus is not None else self.cluster_spec.total_gpus
+        limit = self.cluster_spec.total_gpus
         slab = self._slab(model)
-        memo_key = ("restricted", key, global_batch, limit, cpg)
+        memo_key = ("restricted", key, global_batch)
         if memo_key in slab.curves:
             self._hits += 1
             return slab.curves[memo_key]
         self._misses += 1
         raw: list[BestConfig | None] = [None]
         for g in range(1, limit + 1):
-            raw.append(point_fn(self._packed_shape(g, cpg)))
+            raw.append(point_fn(self._packed_shape(g)))
         curve = build_envelope(limit, raw)
         self._slab(model).curves[memo_key] = curve
         return curve

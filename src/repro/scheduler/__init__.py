@@ -1,11 +1,17 @@
 """Scheduling: jobs, sensitivity curves, the Rubick policy, and baselines.
 
 All plan selection routes through the unified plan-evaluation engine
-(`repro.planeval`); :class:`PlanEvalEngine` and :class:`EngineStats` are
-re-exported here for convenience.
+(`repro.planeval`); its engine and value types are re-exported here for
+convenience.
 """
 
-from repro.planeval import EngineStats, PlanEvalEngine
+from repro.planeval import (
+    BestConfig,
+    EngineStats,
+    GpuCurve,
+    PlanEvalEngine,
+    default_plan_space,
+)
 from repro.scheduler.interfaces import (
     Allocation,
     PerfModelStore,
@@ -20,12 +26,6 @@ from repro.scheduler.selectors import (
     FixedPlanSelector,
     PlanSelector,
     ScaledDpSelector,
-)
-from repro.scheduler.sensitivity import (
-    BestConfig,
-    GpuCurve,
-    SensitivityAnalyzer,
-    default_plan_space,
 )
 from repro.scheduler.variants import rubick, rubick_e, rubick_n, rubick_r
 
@@ -47,7 +47,6 @@ __all__ = [
     "ScaledDpSelector",
     "SchedulerPolicy",
     "SchedulingContext",
-    "SensitivityAnalyzer",
     "Tenant",
     "default_plan_space",
     "rubick",

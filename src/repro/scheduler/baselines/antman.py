@@ -6,15 +6,12 @@ exactly their requested allocation (gang-scheduled FIFO within the tenant
 quota, preempting best-effort jobs if needed); best-effort jobs run
 opportunistically on leftover GPUs and are preempted whenever a guaranteed
 job needs the space.  Plans and GPU counts are never reconfigured — AntMan
-performs no plan selection at all, so it accepts the shared
-:class:`~repro.planeval.PlanEvalEngine` only for interface uniformity with
-the other policies (CLI stats reporting); its decisions never consult it.
+performs no plan selection at all, so it never builds a plan engine.
 """
 
 from __future__ import annotations
 
 from repro.cluster.state import Cluster
-from repro.planeval import PlanEvalEngine
 from repro.scheduler.baselines.common import FreePool, HostDemandMemo
 from repro.scheduler.interfaces import (
     Allocation,
@@ -30,11 +27,7 @@ class AntManPolicy(SchedulerPolicy):
     # never reads the clock, so steady-state rounds can skip it.
     reactive = True
 
-    def __init__(
-        self, *, cpus_per_gpu: int = 4, engine: PlanEvalEngine | None = None
-    ):
-        self.cpus_per_gpu = cpus_per_gpu
-        self.engine = engine
+    def __init__(self):
         self._host_demand = HostDemandMemo()
 
     def schedule(
@@ -95,9 +88,7 @@ class AntManPolicy(SchedulerPolicy):
                 victim_alloc = allocations.pop(victim.job_id, None)
                 if victim_alloc is not None:
                     pool.release(victim_alloc.placement)
-            placement = pool.allocate_packed(
-                need, cpus_per_gpu=self.cpus_per_gpu, host_mem_per_node=host_fn(job)
-            )
+            placement = pool.allocate_packed(need, host_mem_per_node=host_fn(job))
             if placement is None:
                 continue
             allocations[job.job_id] = Allocation(placement, job.spec.initial_plan)
@@ -107,9 +98,7 @@ class AntManPolicy(SchedulerPolicy):
         queued_be = sorted(be_queued, key=lambda j: j.spec.submit_time)
         for job in queued_be:
             placement = pool.allocate_packed(
-                job.spec.requested.gpus,
-                cpus_per_gpu=self.cpus_per_gpu,
-                host_mem_per_node=host_fn(job),
+                job.spec.requested.gpus, host_mem_per_node=host_fn(job)
             )
             if placement is None:
                 continue

@@ -9,9 +9,7 @@ from the cluster's SoA mirror, plus a :class:`FreeGpuIndex` so the packing
 loop visits nodes most-free-first without re-sorting per request.  The
 visit order (free GPUs descending, node id ascending on ties) and every
 take/CPU/host decision are identical to the previous object-based
-implementation — the baseline goldens are byte-identical.  ``pool.nodes``
-remains available as a list of live views for callers that still want the
-per-node object interface.
+implementation — the baseline goldens are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from repro.cluster.placement import Placement
 from repro.cluster.resources import ResourceVector
 from repro.cluster.soa import FreeGpuIndex
 from repro.cluster.state import Cluster
+from repro.planeval import DEFAULT_CPUS_PER_GPU
 from repro.plans.memory import host_mem_demand_per_node
 
 
@@ -59,37 +58,6 @@ class HostDemandMemo:
         return demand
 
 
-class _NodeFree:
-    """Live per-node view over the pool's arrays (back-compat interface)."""
-
-    __slots__ = ("_pool", "node_id")
-
-    def __init__(self, pool: "FreePool", node_id: int):
-        self._pool = pool
-        self.node_id = node_id
-
-    @property
-    def free(self) -> ResourceVector:
-        pool = self._pool
-        return ResourceVector(
-            gpus=int(pool._fg[self.node_id]),
-            cpus=int(pool._fc[self.node_id]),
-            host_mem=float(pool._fm0[self.node_id]),
-        )
-
-    @free.setter
-    def free(self, value: ResourceVector) -> None:
-        self._pool.set_free(self.node_id, value)
-
-    @property
-    def host_free(self) -> float:
-        return float(self._pool._fm[self.node_id])
-
-    @host_free.setter
-    def host_free(self, value: float) -> None:
-        self._pool._fm[self.node_id] = value
-
-
 class FreePool:
     """Mutable view of free per-node resources during one scheduling round."""
 
@@ -112,11 +80,8 @@ class FreePool:
         # columns are zero and the where() masks them to zero free.
         self._fg = np.where(up, np.int64(spec.num_gpus) - index.used_gpus[:n], np.int64(0))
         self._fc = np.where(up, np.int64(spec.num_cpus) - index.used_cpus[:n], np.int64(0))
-        #: ``free.host_mem`` — frozen after init in the reference semantics
-        #: (claims/releases only move gpus/cpus through ``free``).
-        self._fm0 = np.where(up, float(spec.host_mem), 0.0)
-        #: ``host_free`` — the mutable host-memory budget.
-        self._fm = self._fm0.copy()
+        #: The mutable per-node host-memory budget.
+        self._fm = np.where(up, float(spec.host_mem), 0.0)
         cap_mem = float(spec.host_mem)
         nodes = cluster.nodes
         for nid in np.flatnonzero(index.num_allocs[:n] > 0):
@@ -133,7 +98,6 @@ class FreePool:
                 free = (cap - used).clamp_floor()
                 self._fg[nid] = free.gpus
                 self._fc[nid] = free.cpus
-                self._fm0[nid] = free.host_mem
                 self._fm[nid] = cap.host_mem - used.host_mem
             else:
                 # All residents kept: the int columns are already right;
@@ -143,17 +107,9 @@ class FreePool:
                 for share in node.allocations.values():
                     used_mem += share.host_mem
                 cm = cap_mem if up[nid] else 0.0
-                self._fm0[nid] = max(cm - used_mem, 0.0)
                 self._fm[nid] = cm - used_mem
         self._free_gpus = int(self._fg.sum())
         self._order = FreeGpuIndex.from_array(self._fg, spec.num_gpus)
-        self._views: list[_NodeFree] | None = None
-
-    @property
-    def nodes(self) -> list[_NodeFree]:
-        if self._views is None:
-            self._views = [_NodeFree(self, nid) for nid in range(len(self._fg))]
-        return self._views
 
     @property
     def free_gpus(self) -> int:
@@ -162,23 +118,6 @@ class FreePool:
     def free_of(self, node_id: int) -> tuple[int, int]:
         """(free gpus, free cpus) of one node — O(1)."""
         return int(self._fg[node_id]), int(self._fc[node_id])
-
-    def host_free_of(self, node_id: int) -> float:
-        return float(self._fm[node_id])
-
-    def largest_free(self) -> int:
-        """Largest per-node free-GPU count (O(node_size) feasibility probe)."""
-        return self._order.largest_free()
-
-    def set_free(self, node_id: int, value: ResourceVector) -> None:
-        """Overwrite one node's free vector (the view-setter entry point)."""
-        delta = value.gpus - int(self._fg[node_id])
-        if delta:
-            self._free_gpus += delta
-            self._fg[node_id] = value.gpus
-            self._order.update(node_id, value.gpus)
-        self._fc[node_id] = value.cpus
-        self._fm0[node_id] = value.host_mem
 
     def take_cpus(self, node_id: int, cpus: int) -> None:
         """Consume CPUs on one node without touching its GPU column."""
@@ -218,7 +157,7 @@ class FreePool:
         self,
         gpus: int,
         *,
-        cpus_per_gpu: int = 4,
+        cpus_per_gpu: int = DEFAULT_CPUS_PER_GPU,
         host_mem_per_node=None,
     ) -> Placement | None:
         """First-fit-decreasing gang placement of ``gpus`` GPUs.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.plans.memory import host_mem_demand_per_node
 from repro.cluster.state import Cluster
-from repro.planeval import PlanEvalEngine
 from repro.scheduler.baselines.common import FreePool
 from repro.scheduler.interfaces import (
     Allocation,
@@ -29,7 +28,6 @@ from repro.scheduler.interfaces import (
 )
 from repro.scheduler.job import Job
 from repro.scheduler.selectors import ScaledDpSelector
-from repro.scheduler.sensitivity import bootstrap_analyzer
 
 
 class SiaPolicy(SchedulerPolicy):
@@ -47,16 +45,12 @@ class SiaPolicy(SchedulerPolicy):
             if job.is_running
         )
 
-    def __init__(
-        self, *, cpus_per_gpu: int = 4, engine: PlanEvalEngine | None = None
-    ):
-        self.cpus_per_gpu = cpus_per_gpu
-        self.engine = engine
+    def __init__(self):
         self._selector: ScaledDpSelector | None = None
 
     def _ensure(self, ctx: SchedulingContext) -> ScaledDpSelector:
         if self._selector is None:
-            self._selector = ScaledDpSelector(bootstrap_analyzer(self, ctx))
+            self._selector = ScaledDpSelector(self.engine_for(ctx))
         return self._selector
 
     def schedule(
@@ -155,7 +149,6 @@ class SiaPolicy(SchedulerPolicy):
                     continue
             placement = pool.allocate_packed(
                 plan.num_gpus,
-                cpus_per_gpu=self.cpus_per_gpu,
                 host_mem_per_node=lambda g, j=job, p=plan: host_mem_demand_per_node(
                     j.model, p, j.spec.global_batch, g
                 ),

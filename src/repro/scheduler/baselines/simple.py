@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.plans.memory import host_mem_demand_per_node
 from repro.cluster.state import Cluster
 from repro.perfmodel.shape import ResourceShape
-from repro.planeval import PlanEvalEngine
+from repro.planeval import DEFAULT_CPUS_PER_GPU
 from repro.scheduler.baselines.common import FreePool
 from repro.scheduler.interfaces import (
     Allocation,
@@ -21,7 +21,6 @@ from repro.scheduler.interfaces import (
 )
 from repro.scheduler.job import Job
 from repro.scheduler.selectors import BestPlanSelector
-from repro.scheduler.sensitivity import bootstrap_analyzer
 
 
 class SimpleEqualPolicy(SchedulerPolicy):
@@ -30,16 +29,12 @@ class SimpleEqualPolicy(SchedulerPolicy):
     # never reads the clock, so steady-state rounds can skip it.
     reactive = True
 
-    def __init__(
-        self, *, cpus_per_gpu: int = 4, engine: PlanEvalEngine | None = None
-    ):
-        self.cpus_per_gpu = cpus_per_gpu
-        self.engine = engine
+    def __init__(self):
         self._selector: BestPlanSelector | None = None
 
     def _ensure(self, ctx: SchedulingContext) -> BestPlanSelector:
         if self._selector is None:
-            self._selector = BestPlanSelector(bootstrap_analyzer(self, ctx))
+            self._selector = BestPlanSelector(self.engine_for(ctx))
         return self._selector
 
     def schedule(
@@ -68,7 +63,7 @@ class SimpleEqualPolicy(SchedulerPolicy):
                 continue
             cfg = curve.config_at(g)
             shape = ResourceShape.packed(
-                g, node_size=node_size, cpus=g * self.cpus_per_gpu
+                g, node_size=node_size, cpus=g * DEFAULT_CPUS_PER_GPU
             )
             best = selector.best(job, shape) or cfg
             if best is None:
@@ -76,7 +71,6 @@ class SimpleEqualPolicy(SchedulerPolicy):
             plan = best.plan
             placement = pool.allocate_packed(
                 plan.num_gpus,
-                cpus_per_gpu=self.cpus_per_gpu,
                 host_mem_per_node=lambda gg, j=job, p=plan: host_mem_demand_per_node(
                     j.model, p, j.spec.global_batch, gg
                 ),

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import Cluster
 from repro.perfmodel.shape import ResourceShape
-from repro.planeval import PlanEvalEngine
 from repro.scheduler.interfaces import (
     Allocation,
     SchedulerPolicy,
@@ -23,7 +22,6 @@ from repro.scheduler.interfaces import (
 from repro.scheduler.job import Job, JobStatus
 from repro.scheduler.baselines.common import FreePool, HostDemandMemo
 from repro.scheduler.selectors import FixedPlanSelector
-from repro.scheduler.sensitivity import bootstrap_analyzer
 
 
 class SynergyPolicy(SchedulerPolicy):
@@ -32,11 +30,7 @@ class SynergyPolicy(SchedulerPolicy):
     # never reads the clock, so steady-state rounds can skip it.
     reactive = True
 
-    def __init__(
-        self, *, cpus_per_gpu: int = 4, engine: PlanEvalEngine | None = None
-    ):
-        self.cpus_per_gpu = cpus_per_gpu
-        self.engine = engine
+    def __init__(self):
         self._selector: FixedPlanSelector | None = None
         #: ``(model, batch, plan, shape) -> (model refit version, weight)``
         #: cross-round memo of the CPU-sensitivity weight.  The weight is a
@@ -49,7 +43,7 @@ class SynergyPolicy(SchedulerPolicy):
 
     def _ensure(self, ctx: SchedulingContext) -> FixedPlanSelector:
         if self._selector is None:
-            self._selector = FixedPlanSelector(bootstrap_analyzer(self, ctx))
+            self._selector = FixedPlanSelector(self.engine_for(ctx))
         return self._selector
 
     def schedule(

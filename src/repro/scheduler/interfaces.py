@@ -19,6 +19,7 @@ from repro.cluster.state import Cluster
 from repro.cluster.topology import ClusterSpec
 from repro.models.specs import ModelSpec
 from repro.perfmodel.model import PerfModel
+from repro.planeval import PlanEvalEngine
 from repro.plans.plan import ExecutionPlan
 from repro.scheduler.job import Job
 
@@ -124,6 +125,24 @@ class SchedulerPolicy(abc.ABC):
     #: allocation map verbatim.  Policies with time-driven behavior beyond
     #: what :meth:`steady_state` accounts for must leave this False.
     reactive: bool = False
+
+    #: The policy's plan-evaluation engine, built from the first scheduling
+    #: context by :meth:`engine_for` (``None`` until then, and for policies
+    #: that never score plans).  ``repro simulate --planeval-stats`` reads
+    #: its counters.
+    engine: PlanEvalEngine | None = None
+
+    def engine_for(self, ctx: SchedulingContext) -> PlanEvalEngine:
+        """The policy's engine, built on first use from ``ctx``.
+
+        One engine per policy instance: its memo spans every round, and the
+        policy's plan selector shares it.
+        """
+        if self.engine is None:
+            self.engine = PlanEvalEngine(
+                ctx.cluster_spec, perf_store=ctx.perf_store
+            )
+        return self.engine
 
     def steady_state(self, jobs: list[Job], ctx: SchedulingContext) -> bool:
         """May tick-only rounds skip this policy while nothing else changes?

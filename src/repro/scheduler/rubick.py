@@ -44,7 +44,7 @@ from repro.cluster.soa import FreeGpuIndex
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import Cluster
 from repro.perfmodel.shape import ResourceShape
-from repro.planeval import BestConfig, PlanEvalEngine
+from repro.planeval import DEFAULT_CPUS_PER_GPU, BestConfig
 from repro.plans.memory import host_mem_demand_per_node
 from repro.scheduler.interfaces import (
     Allocation,
@@ -58,7 +58,6 @@ from repro.scheduler.selectors import (
     PlanSelector,
     ScaledDpSelector,
 )
-from repro.scheduler.sensitivity import SensitivityAnalyzer, bootstrap_analyzer
 
 #: Slope below which an extra GPU is considered useless to a job.
 _EPS_SLOPE = 1e-9
@@ -316,37 +315,29 @@ class RubickPolicy(SchedulerPolicy):
         *,
         tune_resources: bool = True,
         plan_mode: str = "best",  # "best" | "scaled_dp" | "fixed"
-        cpus_per_gpu: int = 4,
         replan_improvement_threshold: float = 0.15,
         growth_mode: str = "always",  # "never" | "always"
-        engine: PlanEvalEngine | None = None,
     ):
         if growth_mode not in ("never", "always"):
             raise ValueError(f"unknown growth mode {growth_mode!r}")
         self.tune_resources = tune_resources
         self.plan_mode = plan_mode
-        self.cpus_per_gpu = cpus_per_gpu
         self.replan_improvement_threshold = replan_improvement_threshold
         self.growth_mode = growth_mode
-        #: The shared plan-evaluation engine; built lazily from the first
-        #: scheduling context unless injected (e.g. by the CLI for stats).
-        self.engine = engine
-        self._analyzer: SensitivityAnalyzer | None = None
         self._selector: PlanSelector | None = None
 
     # ------------------------------------------------------------------
     # Lazy per-context construction (the engine memoizes across rounds)
     # ------------------------------------------------------------------
     def _ensure_helpers(self, ctx: SchedulingContext) -> PlanSelector:
-        if self._analyzer is None:
-            self._analyzer = bootstrap_analyzer(self, ctx)
         if self._selector is None:
+            engine = self.engine_for(ctx)
             if self.plan_mode == "best":
-                self._selector = BestPlanSelector(self._analyzer)
+                self._selector = BestPlanSelector(engine)
             elif self.plan_mode == "scaled_dp":
-                self._selector = ScaledDpSelector(self._analyzer)
+                self._selector = ScaledDpSelector(engine)
             elif self.plan_mode == "fixed":
-                self._selector = FixedPlanSelector(self._analyzer)
+                self._selector = FixedPlanSelector(engine)
             else:
                 raise ValueError(f"unknown plan mode {self.plan_mode!r}")
         return self._selector
@@ -416,7 +407,7 @@ class RubickPolicy(SchedulerPolicy):
         requested = job.spec.requested
         node_size = ctx.cluster_spec.node.num_gpus
         for gpus in range(1, requested.gpus + 1):
-            cpus = min(gpus * self.cpus_per_gpu, max(requested.cpus, gpus))
+            cpus = min(gpus * DEFAULT_CPUS_PER_GPU, max(requested.cpus, gpus))
             shape = ResourceShape.packed(gpus, node_size=node_size, cpus=cpus)
             best = self._selector.best(job, shape)
             if best is None or best.throughput < baseline:
@@ -931,7 +922,7 @@ class RubickPolicy(SchedulerPolicy):
             # every GPU with a companion CPU, so a bare free GPU would be
             # unlaunchable for every later job this round.
             spare = node.free.cpus - node.free.gpus
-            want = min(share.gpus * self.cpus_per_gpu - share.cpus, spare)
+            want = min(share.gpus * DEFAULT_CPUS_PER_GPU - share.cpus, spare)
             if want > 0:
                 state.move(node, job_id, ResourceVector(cpus=want))
         # Grow further while the CPU slope says it pays off (offload jobs).
@@ -1082,7 +1073,7 @@ class RubickPolicy(SchedulerPolicy):
                     cpus = 0  # last GPU leaves: release all CPUs
                 else:
                     # Keep at least 1 CPU per remaining GPU.
-                    cpus -= min(self.cpus_per_gpu, max(cpus - (gpus - 1), 0))
+                    cpus -= min(DEFAULT_CPUS_PER_GPU, max(cpus - (gpus - 1), 0))
                 gpus -= 1
                 excess -= 1
             state.take(node, job_id, ResourceVector(

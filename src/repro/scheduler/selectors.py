@@ -12,12 +12,12 @@ variants and baselines restrict it (paper §7.3):
 
 Selectors also expose sensitivity curves consistent with their restriction,
 so slope-based ranking reflects what each policy can actually do.  All
-scoring and memoization routes through the shared
-:class:`~repro.planeval.PlanEvalEngine` (``analyzer.engine``): restricted
-selectors hand the engine their candidate lists (``best_of``) and curve
-builders (``curve_of``) under a restriction key, and the engine's per-model
-refit versioning keeps every cached result consistent with online model
-updates — the selectors hold no caches of their own.
+scoring and memoization routes through the policy's shared
+:class:`~repro.planeval.PlanEvalEngine`: restricted selectors hand the
+engine their candidate lists (``best_of``) and curve builders
+(``curve_of``) under a restriction key, and the engine's per-model refit
+versioning keeps every cached result consistent with online model updates —
+the selectors hold no caches of their own.
 """
 
 from __future__ import annotations
@@ -25,18 +25,16 @@ from __future__ import annotations
 import abc
 
 from repro.perfmodel.shape import ResourceShape
-from repro.planeval import BestConfig, GpuCurve, PlanRequest
+from repro.planeval import BestConfig, GpuCurve, PlanEvalEngine, PlanRequest
 from repro.plans.plan import ExecutionPlan
 from repro.scheduler.job import Job
-from repro.scheduler.sensitivity import SensitivityAnalyzer
 
 
 class PlanSelector(abc.ABC):
     """Maps (job, shape) -> best permitted plan, with matching curves."""
 
-    def __init__(self, analyzer: SensitivityAnalyzer):
-        self.analyzer = analyzer
-        self.engine = analyzer.engine
+    def __init__(self, engine: PlanEvalEngine):
+        self.engine = engine
         #: job_id -> (model refit version, job spec, curve).  A thin front
         #: for the engine's curve memo: slope ranking hits `curve()` many
         #: times per scheduling round, and the engine's generic lookup
@@ -112,15 +110,13 @@ class PlanSelector(abc.ABC):
 
 
 class BestPlanSelector(PlanSelector):
-    """Full plan reconfigurability: delegate to the shared analyzer."""
+    """Full plan reconfigurability: the engine's full-space search."""
 
     def best(self, job: Job, shape: ResourceShape) -> BestConfig | None:
-        return self.analyzer.best_for_shape(
-            job.model, job.spec.global_batch, shape
-        )
+        return self.engine.best(job.model, job.spec.global_batch, shape)
 
     def _build_curve(self, job: Job) -> GpuCurve:
-        return self.analyzer.gpu_curve(job.model, job.spec.global_batch)
+        return self.engine.curve(job.model, job.spec.global_batch)
 
 
 class ScaledDpSelector(PlanSelector):
@@ -204,7 +200,6 @@ class ScaledDpSelector(PlanSelector):
             job.spec.global_batch,
             ("scaled_dp", job.spec.initial_plan),
             lambda shape: self.best(job, shape),
-            cpus_per_gpu=self.analyzer.cpus_per_gpu,
         )
 
 
@@ -265,5 +260,4 @@ class FixedPlanSelector(PlanSelector):
             job.spec.global_batch,
             ("fixed", job.spec.initial_plan),
             lambda shape: self.best(job, shape),
-            cpus_per_gpu=self.analyzer.cpus_per_gpu,
         )

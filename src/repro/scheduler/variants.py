@@ -5,53 +5,38 @@
 * **Rubick-R** — only reallocates resources, plan type fixed (DP-scaled).
 * **Rubick-N** — neither; just Rubick's admission/packing policy.
 
-Every factory accepts ``engine=`` (a :class:`repro.planeval.PlanEvalEngine`)
-so callers running several variants against the *same* fitted-model store
-and cluster spec — e.g. a benchmark sweeping variants over one profiled
-store — can hand them one memo space instead of each policy warming a
-private one.  The engine must be backed by the store/cluster of the
-scheduling context the policies will see; ``bootstrap_analyzer`` rejects a
-mismatch.
+Keyword arguments pass through to :class:`RubickPolicy`.
 """
 
 from __future__ import annotations
 
-from repro.planeval import PlanEvalEngine
 from repro.scheduler.rubick import RubickPolicy
 
 
-def rubick(*, engine: PlanEvalEngine | None = None, **kwargs) -> RubickPolicy:
-    policy = RubickPolicy(
-        tune_resources=True, plan_mode="best", engine=engine, **kwargs
-    )
+def rubick(**kwargs) -> RubickPolicy:
+    policy = RubickPolicy(tune_resources=True, plan_mode="best", **kwargs)
     policy.name = "rubick"
     return policy
 
 
-def rubick_e(*, engine: PlanEvalEngine | None = None, **kwargs) -> RubickPolicy:
-    policy = RubickPolicy(
-        tune_resources=False, plan_mode="best", engine=engine, **kwargs
-    )
+def rubick_e(**kwargs) -> RubickPolicy:
+    policy = RubickPolicy(tune_resources=False, plan_mode="best", **kwargs)
     policy.name = "rubick-e"
     return policy
 
 
-def rubick_r(*, engine: PlanEvalEngine | None = None, **kwargs) -> RubickPolicy:
+def rubick_r(**kwargs) -> RubickPolicy:
     # Growth is conservative for this variant: with the plan type frozen,
     # DP-scaling a job across nodes is exactly the regime where the fitted
     # model is least reliable (Sia's weakness the paper calls out), so the
     # variant only reallocates on (re)placement, not by growing running jobs.
     kwargs.setdefault("growth_mode", "never")
-    policy = RubickPolicy(
-        tune_resources=True, plan_mode="scaled_dp", engine=engine, **kwargs
-    )
+    policy = RubickPolicy(tune_resources=True, plan_mode="scaled_dp", **kwargs)
     policy.name = "rubick-r"
     return policy
 
 
-def rubick_n(*, engine: PlanEvalEngine | None = None, **kwargs) -> RubickPolicy:
-    policy = RubickPolicy(
-        tune_resources=False, plan_mode="fixed", engine=engine, **kwargs
-    )
+def rubick_n(**kwargs) -> RubickPolicy:
+    policy = RubickPolicy(tune_resources=False, plan_mode="fixed", **kwargs)
     policy.name = "rubick-n"
     return policy

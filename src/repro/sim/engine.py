@@ -60,7 +60,7 @@ from repro.faults.injector import incident_payload
 from repro.oracle.profiler import build_perf_model, profiling_cost_seconds
 from repro.oracle.testbed import SyntheticTestbed
 from repro.perfmodel.shape import ResourceShape
-from repro.planeval import PlanEvalEngine, TestbedScorer
+from repro.planeval import DEFAULT_CPUS_PER_GPU, PlanEvalEngine, TestbedScorer
 from repro.plans.memory import estimate_memory
 from repro.scheduler.interfaces import (
     Allocation,
@@ -85,8 +85,6 @@ _IDLE = "idle"
 _DONE = "done"
 
 
-#: CPUs per requested GPU when a trace job names no CPU request.
-DEFAULT_CPUS_PER_GPU = 4
 #: Simulated-time budget (s); a run past it raises ``SimulationError``.
 MAX_SIM_TIME = 120 * 3600.0
 #: Periodic checkpoint cadence (run-seconds).  Checkpoints bound the
@@ -269,11 +267,7 @@ class Simulator:
         #: same memoized engine the policies use, but scored against the
         #: testbed instead of fitted models.  Ground truth never refits, so
         #: its memo entries live for the whole simulation.
-        self.plan_engine = PlanEvalEngine(
-            cluster_spec,
-            scorer=self.scorer,
-            cpus_per_gpu=DEFAULT_CPUS_PER_GPU,
-        )
+        self.plan_engine = PlanEvalEngine(cluster_spec, scorer=self.scorer)
         #: ``(model, batch, gpus, cpus, plan) -> (baseline, best, host_mem)``
         #: memo for :meth:`_make_job` — all ground-truth-derived, so entries
         #: never go stale (ground truth never refits).

@@ -38,11 +38,11 @@ from repro.models.catalog import (
 from repro.models.specs import ModelSpec
 from repro.oracle.testbed import SyntheticTestbed
 from repro.perfmodel.shape import ResourceShape
+from repro.planeval import default_plan_space
 from repro.plans.enumerate import enumerate_plans
 from repro.plans.plan import ExecutionPlan
 from repro.rng import rng_for
 from repro.scheduler.job import JobPriority
-from repro.scheduler.sensitivity import default_plan_space
 from repro.sim.trace import Trace, TraceJob
 from repro.units import HOUR, MINUTE
 from repro.workloads.arrivals import UNIFORM_PEAKS, ArrivalProcess

@@ -394,24 +394,6 @@ class ProjectIndex:
                 return None
         return None
 
-    def param_names(self, qn: str, *, bound: bool) -> list[str]:
-        """Positional parameter names of ``qn`` as seen by a call site.
-
-        ``bound=True`` drops the ``self``/``cls`` receiver slot of a
-        non-static method.
-        """
-        fn = self.functions[qn]
-        params = list(fn["params"])
-        if (
-            bound
-            and fn["cls"] is not None
-            and not fn["static"]
-            and params
-            and params[0] in ("self", "cls")
-        ):
-            params = params[1:]
-        return params
-
 
 def local_type_env(
     index: ProjectIndex, qn: str, facts_fn: dict[str, Any]

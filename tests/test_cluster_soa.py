@@ -143,20 +143,13 @@ class TestFreeGpuIndex:
         idx = FreeGpuIndex(8)
         for node_id, f in enumerate([2, 5, 8, 5, 0]):
             idx.add(node_id, f)
-        assert idx.largest_free() == 8
-        assert idx.first_fit(8) == 2
-        assert idx.first_fit(5) == 1
-        assert idx.first_fit(1) == 0
+        assert list(idx.iter_nonempty_desc()) == [2, 1, 3, 0]
         idx.update(2, 0)
-        assert idx.largest_free() == 5
-        assert idx.first_fit(6) is None
         assert list(idx.iter_nonempty_desc()) == [1, 3, 0]
 
     def test_saturated(self):
         idx = FreeGpuIndex(8)
         idx.add(0, 0)
-        assert idx.largest_free() == 0
-        assert idx.first_fit(1) is None
         assert list(idx.iter_nonempty_desc()) == []
 
 

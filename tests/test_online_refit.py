@@ -103,12 +103,12 @@ class TestSimulatorIntegration:
         assert total_obs > 0
 
     def test_store_version_invalidates_caches(self, fitted_store):
-        from repro.scheduler import SensitivityAnalyzer
+        from repro.planeval import PlanEvalEngine
 
-        analyzer = SensitivityAnalyzer(fitted_store, PAPER_CLUSTER)
-        curve_a = analyzer.gpu_curve(GPT2, 16, max_gpus=4)
+        engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=fitted_store)
+        curve_a = engine.curve(GPT2, 16, max_gpus=4)
         # Re-adding the same model bumps the version and drops caches.
         fitted_store.add(fitted_store.get(GPT2))
-        curve_b = analyzer.gpu_curve(GPT2, 16, max_gpus=4)
+        curve_b = engine.curve(GPT2, 16, max_gpus=4)
         assert curve_a is not curve_b
         assert curve_a.envelope == curve_b.envelope

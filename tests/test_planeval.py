@@ -22,7 +22,6 @@ from repro.scheduler import (
     JobSpec,
     PerfModelStore,
     ScaledDpSelector,
-    SensitivityAnalyzer,
     default_plan_space,
 )
 
@@ -228,8 +227,9 @@ class TestScaledDpCurveRegression:
 
     def test_curve_refreshes_after_refit(self, fitted_store):
         store = _local_store(fitted_store, GPT2, ROBERTA)
-        analyzer = SensitivityAnalyzer(store, PAPER_CLUSTER)
-        selector = ScaledDpSelector(analyzer)
+        selector = ScaledDpSelector(
+            PlanEvalEngine(PAPER_CLUSTER, perf_store=store)
+        )
         job = _job(gpus=4, plan=ExecutionPlan(dp=4, ga_steps=4))
 
         curve_a = selector.curve(job)
@@ -248,8 +248,9 @@ class TestScaledDpCurveRegression:
 
     def test_other_models_curves_survive_refit(self, fitted_store):
         store = _local_store(fitted_store, GPT2, ROBERTA)
-        analyzer = SensitivityAnalyzer(store, PAPER_CLUSTER)
-        selector = ScaledDpSelector(analyzer)
+        selector = ScaledDpSelector(
+            PlanEvalEngine(PAPER_CLUSTER, perf_store=store)
+        )
         gpt2_job = _job(gpus=4, plan=ExecutionPlan(dp=4, ga_steps=4))
         roberta_job = _job(
             model=ROBERTA, gpus=4, plan=ExecutionPlan(dp=4, ga_steps=4)
@@ -259,39 +260,6 @@ class TestScaledDpCurveRegression:
 
         store.add(store.get(GPT2))  # refit GPT-2
         assert selector.curve(roberta_job) is roberta_curve
-
-
-class TestEngineInjection:
-    def test_mismatched_store_rejected(self, fitted_store):
-        store_a = _local_store(fitted_store, GPT2)
-        store_b = _local_store(fitted_store, GPT2)
-        engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store_a)
-        with pytest.raises(ValueError, match="different PerfModelStore"):
-            SensitivityAnalyzer(store_b, PAPER_CLUSTER, engine=engine)
-
-    def test_mismatched_cluster_rejected(self, fitted_store, small_cluster):
-        store = _local_store(fitted_store, GPT2)
-        engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store)
-        with pytest.raises(ValueError, match="different ClusterSpec"):
-            SensitivityAnalyzer(store, small_cluster, engine=engine)
-
-    def test_selector_curves_use_analyzer_cpu_ratio(self, fitted_store):
-        # The injected engine defaults to 4 CPUs/GPU; the analyzer asks for
-        # 8 — restricted curves must follow the analyzer, not the engine.
-        store = _local_store(fitted_store, GPT2)
-        engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store)
-        analyzer = SensitivityAnalyzer(
-            store, PAPER_CLUSTER, cpus_per_gpu=8, engine=engine
-        )
-        selector = ScaledDpSelector(analyzer)
-        job = _job(gpus=4, plan=ExecutionPlan(dp=4, zero=3, ga_steps=4))
-        curve = selector.curve(job)
-        # An offload plan's throughput depends on CPUs: the curve point must
-        # equal the restricted best at the 8-CPUs/GPU packed shape.
-        shape = ResourceShape.packed(4, cpus=min(32, engine.cpu_cap(4)))
-        best = selector.best(job, shape)
-        assert best is not None
-        assert curve.raw[4].throughput == best.throughput
 
 
 class TestTestbedScorerPath:

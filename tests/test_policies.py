@@ -15,6 +15,7 @@ from repro.cluster import (
 )
 from repro.models import GPT2, ROBERTA
 from repro.oracle import SyntheticTestbed, build_perf_model
+from repro.planeval import DEFAULT_CPUS_PER_GPU
 from repro.plans import ExecutionPlan, ZeroStage
 from repro.scheduler import (
     Job,
@@ -547,7 +548,7 @@ def _one_unit_trim(policy, job_id, plan_gpus, state):
             if share.gpus == 1:
                 drop = share.cpus
             else:
-                drop = min(policy.cpus_per_gpu, max(share.cpus - (share.gpus - 1), 0))
+                drop = min(DEFAULT_CPUS_PER_GPU, max(share.cpus - (share.gpus - 1), 0))
             state.take(node, job_id, ResourceVector(gpus=1, cpus=drop))
             excess -= 1
         if excess <= 0:
@@ -565,7 +566,7 @@ def _one_unit_tune_cpus(policy, job, state, by_id, baselines, selector, min_res)
         if share.gpus == 0:
             continue
         spare = node.free.cpus - node.free.gpus
-        want = min(share.gpus * policy.cpus_per_gpu - share.cpus, spare)
+        want = min(share.gpus * DEFAULT_CPUS_PER_GPU - share.cpus, spare)
         if want > 0:
             state.move(node, job_id, ResourceVector(cpus=want))
     guard = 0

@@ -11,19 +11,28 @@ from hypothesis import strategies as st
 from repro.cluster import PAPER_CLUSTER, ResourceVector
 from repro.models import GPT2, ROBERTA
 from repro.perfmodel import ResourceShape
-from repro.planeval import BestConfig, build_envelope
+from repro.planeval import BestConfig, PlanEvalEngine, build_envelope
 from repro.plans import ExecutionPlan
 from repro.scheduler import (
+    BestPlanSelector,
     Job,
     JobSpec,
-    SensitivityAnalyzer,
-    default_plan_space,
+    SchedulingContext,
+    rubick,
 )
 
 
 @pytest.fixture(scope="module")
-def analyzer(fitted_store) -> SensitivityAnalyzer:
-    return SensitivityAnalyzer(fitted_store, PAPER_CLUSTER)
+def engine(fitted_store) -> PlanEvalEngine:
+    return PlanEvalEngine(PAPER_CLUSTER, perf_store=fitted_store)
+
+
+def _find_min_res(fitted_store, job: Job):
+    """Rubick's minimum-demand search (Alg. 1 preamble) for one job."""
+    policy = rubick()
+    ctx = SchedulingContext(PAPER_CLUSTER, fitted_store)
+    policy._ensure_helpers(ctx)
+    return policy._find_min_res(job, ctx)
 
 
 def _job(model=GPT2, gpus=8, plan=None) -> Job:
@@ -37,47 +46,45 @@ def _job(model=GPT2, gpus=8, plan=None) -> Job:
 
 
 class TestBestForShape:
-    def test_returns_plan_matching_gpus(self, analyzer):
-        best = analyzer.best_for_shape(GPT2, 16, ResourceShape.packed(8, cpus=32))
+    def test_returns_plan_matching_gpus(self, engine):
+        best = engine.best(GPT2, 16, ResourceShape.packed(8, cpus=32))
         assert best is not None
         assert best.plan.num_gpus == 8
         assert best.throughput > 0
 
-    def test_zero_gpus_none(self, analyzer):
-        assert analyzer.best_for_shape(GPT2, 16, ResourceShape.packed(0)) is None
+    def test_zero_gpus_none(self, engine):
+        assert engine.best(GPT2, 16, ResourceShape.packed(0)) is None
 
-    def test_cached_and_deterministic(self, analyzer):
+    def test_cached_and_deterministic(self, engine):
         shape = ResourceShape.packed(4, cpus=16)
-        a = analyzer.best_for_shape(GPT2, 16, shape)
-        b = analyzer.best_for_shape(GPT2, 16, shape)
+        a = engine.best(GPT2, 16, shape)
+        b = engine.best(GPT2, 16, shape)
         assert a is b  # same cache entry
 
-    def test_small_model_space_restricted(self, analyzer):
-        space = default_plan_space(ROBERTA)
-        best = analyzer.best_for_shape(
-            ROBERTA, 64, ResourceShape.packed(8, cpus=32), space=space
-        )
+    def test_small_model_space_restricted(self, engine):
+        # Sub-1B models search the DP plan family only.
+        best = engine.best(ROBERTA, 64, ResourceShape.packed(8, cpus=32))
         assert best is not None
         assert best.plan.tp == 1 and best.plan.pp == 1
 
 
 class TestGpuCurve:
-    def test_envelope_monotone(self, analyzer):
-        curve = analyzer.gpu_curve(GPT2, 16, max_gpus=16)
+    def test_envelope_monotone(self, engine):
+        curve = engine.curve(GPT2, 16, max_gpus=16)
         env = curve.envelope
         assert env[0] == 0.0
         assert all(b >= a for a, b in zip(env, env[1:]))
 
-    def test_slopes_consistent_with_envelope(self, analyzer):
-        curve = analyzer.gpu_curve(GPT2, 16, max_gpus=16)
+    def test_slopes_consistent_with_envelope(self, engine):
+        curve = engine.curve(GPT2, 16, max_gpus=16)
         for g in range(0, 15):
             assert curve.slope_up(g) == pytest.approx(
                 curve.envelope[g + 1] - curve.envelope[g]
             )
         assert curve.slope_down(0) == 0.0
 
-    def test_lookahead_crosses_plateaus(self, analyzer):
-        curve = analyzer.gpu_curve(GPT2, 16, max_gpus=16)
+    def test_lookahead_crosses_plateaus(self, engine):
+        curve = engine.curve(GPT2, 16, max_gpus=16)
         # Wherever the unit slope is zero before the curve tops out, the
         # lookahead must still see the next rise.
         top = max(range(17), key=lambda g: curve.envelope[g])
@@ -85,13 +92,13 @@ class TestGpuCurve:
             if curve.slope_up(g) == 0.0:
                 assert curve.lookahead_slope_up(g) > 0.0
 
-    def test_lookahead_zero_at_top(self, analyzer):
-        curve = analyzer.gpu_curve(GPT2, 16, max_gpus=16)
+    def test_lookahead_zero_at_top(self, engine):
+        curve = engine.curve(GPT2, 16, max_gpus=16)
         assert curve.lookahead_slope_up(16) == 0.0
         assert curve.lookahead_slope_up(17) == 0.0
 
-    def test_out_of_range_clamped(self, analyzer):
-        curve = analyzer.gpu_curve(GPT2, 16, max_gpus=8)
+    def test_out_of_range_clamped(self, engine):
+        curve = engine.curve(GPT2, 16, max_gpus=8)
         assert curve.throughput_at(99) == curve.throughput_at(8)
         assert curve.throughput_at(-1) == 0.0
 
@@ -179,18 +186,18 @@ class TestCurveTables:
 
 
 class TestMinRes:
-    def test_min_res_never_exceeds_request(self, analyzer):
+    def test_min_res_never_exceeds_request(self, fitted_store):
         job = _job(gpus=8)
-        found = analyzer.find_min_res(job)
+        found = _find_min_res(fitted_store, job)
         assert found is not None
         min_res, plan = found
         assert min_res.gpus <= 8
         assert min_res.cpus <= 32
         assert plan.num_gpus == min_res.gpus
 
-    def test_min_res_matches_baseline_performance(self, analyzer, fitted_store):
+    def test_min_res_matches_baseline_performance(self, fitted_store):
         job = _job(gpus=8)
-        found = analyzer.find_min_res(job)
+        found = _find_min_res(fitted_store, job)
         assert found is not None
         min_res, plan = found
         perf = fitted_store.get(GPT2)
@@ -202,27 +209,29 @@ class TestMinRes:
         )
         assert achieved >= baseline * 0.999
 
-    def test_bad_initial_plan_shrinks_demand(self, analyzer):
+    def test_bad_initial_plan_shrinks_demand(self, fitted_store):
         # A deliberately poor initial plan (offload on 8 GPUs) should be
         # matchable with far fewer GPUs under a better plan.
         from repro.plans import ZeroStage
 
         bad = ExecutionPlan(dp=8, zero=ZeroStage.OFFLOAD, ga_steps=2)
         job = _job(gpus=8, plan=bad)
-        found = analyzer.find_min_res(job)
+        found = _find_min_res(fitted_store, job)
         assert found is not None
         assert found[0].gpus < 8
 
 
 class TestCpuSlopes:
-    def test_non_offload_best_has_zero_cpu_slope(self, analyzer):
+    def test_non_offload_best_has_zero_cpu_slope(self, engine):
         shape = ResourceShape.packed(8, cpus=32)
-        best = analyzer.best_for_shape(GPT2, 16, shape)
+        best = engine.best(GPT2, 16, shape)
         if not best.plan.uses_offload:
-            assert analyzer.cpu_slope(GPT2, 16, shape) == pytest.approx(
+            selector = BestPlanSelector(engine)
+            assert selector.cpu_slope_up(_job(gpus=8), shape) == pytest.approx(
                 0.0, abs=1e-6
             )
 
-    def test_cpu_slope_down_guards_floor(self, analyzer):
+    def test_cpu_slope_down_guards_floor(self, engine):
         shape = ResourceShape.packed(4, cpus=4)  # at the 1-CPU/GPU floor
-        assert analyzer.cpu_slope_down(GPT2, 16, shape) == float("inf")
+        selector = BestPlanSelector(engine)
+        assert selector.cpu_slope_down(_job(gpus=4), shape) == float("inf")
