@@ -244,6 +244,23 @@ def _run_spec(args, policy_name: str) -> RunSpec:
     )
 
 
+def _run_specs(args, names) -> list[RunSpec] | None:
+    """The RunSpecs of one simulate/compare/serve invocation.
+
+    ``None`` after printing why the arguments make no valid run (the
+    caller exits 2).  Only spec construction is guarded: a failure once a
+    run has started is a real error and propagates.
+    """
+    if args.trace is not None and not Path(args.trace).is_file():
+        print(f"no such trace file: {args.trace}")
+        return None
+    try:
+        return [_run_spec(args, name) for name in names]
+    except ValueError as exc:
+        print(f"invalid run: {exc}")
+        return None
+
+
 def _check_scenarios(names) -> list[str]:
     """The unusable names in a scenario list (empty when all resolvable).
 
@@ -358,7 +375,10 @@ def cmd_simulate(args) -> int:
     plan, rc = _resolve_faults(args)
     if rc:
         return rc
-    run = _run_spec(args, args.policy)
+    runs = _run_specs(args, [args.policy])
+    if runs is None:
+        return 2
+    run = runs[0]
     injector = plan.injector(run.run_key) if plan is not None else None
     execution = _contained_execute(run, injector)
     if execution is None:
@@ -381,7 +401,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cluster = _cluster_from_args(args)
     names = args.policy.split(",")
     unknown = [n for n in names if n not in POLICIES]
     if unknown:
@@ -392,9 +411,11 @@ def cmd_compare(args) -> int:
     plan, rc = _resolve_faults(args)
     if rc:
         return rc
+    runs = _run_specs(args, names)
+    if runs is None:
+        return 2
     executions = []
-    for name in names:
-        run = _run_spec(args, name)
+    for run in runs:
         injector = plan.injector(run.run_key) if plan is not None else None
         execution = _contained_execute(run, injector)
         if execution is None:
@@ -431,7 +452,7 @@ def cmd_compare(args) -> int:
             headers,
             rows,
             title=f"{trace.name}: {len(trace)} jobs on "
-            f"{cluster.total_gpus} GPUs",
+            f"{runs[0].cluster.total_gpus} GPUs",
         )
     )
     if args.planeval_stats:
@@ -563,7 +584,10 @@ def cmd_serve(args) -> int:
     plan, rc = _resolve_faults(args)
     if rc:
         return rc
-    run = _run_spec(args, args.policy)
+    runs = _run_specs(args, [args.policy])
+    if runs is None:
+        return 2
+    run = runs[0]
     injector = plan.injector(run.run_key) if plan is not None else None
     sim = simulator_for_run(run, injector=injector)
     clock = (
@@ -822,9 +846,13 @@ def cmd_workload_generate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cluster = _cluster_from_args(args)
+    try:
+        cluster = _cluster_from_args(args)
+        model = get_model(args.model)
+    except (ValueError, KeyError) as exc:
+        print(exc.args[0])
+        return 2
     testbed = SyntheticTestbed(cluster, seed=args.seed)
-    model = get_model(args.model)
     perf, report = build_perf_model(
         testbed, model, model.global_batch_size, seed=args.seed
     )

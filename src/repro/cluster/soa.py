@@ -9,10 +9,9 @@ at 1024 nodes it dominates the simulator's hot loop.
 
 :class:`ClusterIndex` mirrors the object graph as numpy struct-of-arrays
 (per-node used gpus/cpus/host_mem columns, capacity columns, an up mask),
-plus a job → {node_id: share} reverse index and an incrementally-maintained
-:class:`FreeGpuIndex`.  The mirror is kept in *exact lockstep* through a
-listener hook every :class:`Node` mutation fires — see DESIGN.md for the
-lockstep contract:
+plus a job → {node_id: share} reverse index.  The mirror is kept in *exact
+lockstep* through a listener hook every :class:`Node` mutation fires — see
+DESIGN.md for the lockstep contract:
 
 * integer aggregates (GPU/CPU counts, node counts) are exact — integer
   addition is associative, so the incremental counters equal the
@@ -23,6 +22,10 @@ lockstep contract:
   recompute per-node memory exactly from the object graph); it is reset to
   exact zero whenever a node drains so drift cannot accumulate across a
   run.
+
+:class:`FreeGpuIndex` is the free-GPU bucket order the scheduler's packing
+loops walk; Rubick's round state and the baselines' free pool each build
+one from the mirror's columns with :meth:`FreeGpuIndex.from_array`.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class FreeGpuIndex:
     def __init__(self, node_size: int):
         self.node_size = node_size
         self._buckets: list[list[int]] = [[] for _ in range(node_size + 1)]
-        #: node_id -> bucket key it currently sits in (-1 = not tracked).
+        #: node_id -> bucket key it currently sits in.
         self._key_of: list[int] = []
 
     @classmethod
@@ -66,14 +69,6 @@ class FreeGpuIndex:
         for key in range(node_size + 1):
             idx._buckets[key] = np.flatnonzero(clamped == key).tolist()
         return idx
-
-    def add(self, node_id: int, free_gpus: int) -> None:
-        """Start tracking a node (ids must be added in ascending order)."""
-        while len(self._key_of) <= node_id:
-            self._key_of.append(-1)
-        key = self._clamp(free_gpus)
-        self._key_of[node_id] = key
-        insort(self._buckets[key], node_id)
 
     def update(self, node_id: int, free_gpus: int) -> None:
         key = self._clamp(free_gpus)
@@ -155,9 +150,6 @@ class ClusterIndex:
         #: job_id -> {node_id: share} — mirrors dict membership in
         #: ``Node.allocations`` (a zero share present there is present here).
         self.jobs: dict[str, dict[int, ResourceVector]] = {}
-        self.free_gpus = FreeGpuIndex(node_spec.num_gpus)
-        for node_id in range(num_nodes):
-            self.free_gpus.add(node_id, node_spec.num_gpus)
 
     # ------------------------------------------------------------------
     # Lockstep maintenance (called from Node/Cluster mutation hooks)
@@ -180,11 +172,8 @@ class ClusterIndex:
         dc = nc - oc
         dm = nm - om
         if dg:
-            g = int(self.used_gpus[node_id]) + dg
-            self.used_gpus[node_id] = g
+            self.used_gpus[node_id] += dg
             self.used_gpus_total += dg
-            if self.up[node_id]:
-                self.free_gpus.update(node_id, self.node_spec.num_gpus - g)
         if dc:
             self.used_cpus[node_id] += dc
             self.used_cpus_total += dc
@@ -221,15 +210,10 @@ class ClusterIndex:
     def node_down(self, node_id: int) -> None:
         self.up[node_id] = False
         self.up_count -= 1
-        # A node is drained before it goes down; advertise zero free.
-        self.free_gpus.update(node_id, 0)
 
     def node_up(self, node_id: int) -> None:
         self.up[node_id] = True
         self.up_count += 1
-        self.free_gpus.update(
-            node_id, self.node_spec.num_gpus - int(self.used_gpus[node_id])
-        )
 
     def append_node(self) -> None:
         node_id = self.num_nodes
@@ -243,7 +227,6 @@ class ClusterIndex:
         self.num_nodes = node_id + 1
         self.up[node_id] = True
         self.up_count += 1
-        self.free_gpus.add(node_id, self.node_spec.num_gpus)
 
     # ------------------------------------------------------------------
     # O(1) / O(answer) reads

@@ -91,6 +91,7 @@ class RunSpec:
             )
         if self.load_factor <= 0:
             raise ValueError("load_factor must be positive")
+        self.cluster  # ClusterSpec rejects a bad shape here, not mid-run
         try:
             scenario = resolve_scenario(self.scenario)
         except WorkloadError as exc:

@@ -102,7 +102,7 @@ class EventCalendar:
         self._heap: list[tuple[float, int, str]] = []  # (time, epoch, job_id)
         self._epochs: dict[str, int] = {}
         #: Diagnostic counters, copied onto ``SimulationResult.calendar_*``
-        #: at the end of a run and reported by the sim-speed benchmark.
+        #: at the end of a run and reported by perfbench.
         self.exact_scans = 0
         self.fast_rounds = 0
 

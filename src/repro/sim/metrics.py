@@ -138,8 +138,7 @@ class SimulationResult:
     policy_skips: int = 0
     #: Event-loop rounds processed (arrivals/completions/ticks) and the
     #: wall-clock cost of the session's `start`/`step` calls less model
-    #: fitting — the simulator speed metrics behind ``BENCH_simspeed.json``
-    #: and the sweep footer.
+    #: fitting — the simulator speed metrics behind the sweep footer.
     sim_rounds: int = 0
     sim_wall_seconds: float = 0.0
     #: Wall-clock cost of performance-model fitting in `start`/`submit`
@@ -314,23 +313,6 @@ class SimulationResult:
         recon = sum(self._values("reconfig_gpu_seconds")) / HOUR
         total = self.total_gpu_hours
         return recon / total if total > 0 else 0.0
-
-    # ------------------------------------------------------------------
-    # Simulator speed (perf trajectory, BENCH_simspeed.json)
-    # ------------------------------------------------------------------
-    @property
-    def events_per_second(self) -> float:
-        """Simulated event-loop rounds per wall-clock second."""
-        if self.sim_wall_seconds <= 0:
-            return 0.0
-        return self.sim_rounds / self.sim_wall_seconds
-
-    @property
-    def policy_ms_per_invocation(self) -> float:
-        """Average scheduler wall time per actual policy invocation (ms)."""
-        if self.policy_invocations <= 0:
-            return 0.0
-        return 1000.0 * self.policy_wall_seconds / self.policy_invocations
 
     # ------------------------------------------------------------------
     # SLA

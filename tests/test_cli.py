@@ -68,6 +68,28 @@ class TestSimulateAndCompare:
         rc = main(["compare", *SMALL, "--jobs", "5", "--policy", "nope"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--jobs", "0"], "num_jobs must be positive"),
+            (["simulate", "--nodes", "0", "--jobs", "2"], "at least one node"),
+            (["simulate", "--trace", "missing.json"], "no such trace file"),
+            (["compare", "--policy", "simple", "--jobs", "0"],
+             "num_jobs must be positive"),
+            (["compare", "--policy", "simple", "--nodes", "0", "--jobs", "2"],
+             "at least one node"),
+            (["compare", "--policy", "simple", "--trace", "missing.json"],
+             "no such trace file"),
+            (["profile", "--model", "nope"], "unknown model 'nope'"),
+            (["profile", "--nodes", "0", "--model", "bert"],
+             "at least one node"),
+        ],
+    )
+    def test_bad_arguments_exit_2_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert message in out and out.count("\n") == 1
+
 
 class TestSweep:
     def test_sweep_writes_results_and_prints_table(self, tmp_path, capsys):

@@ -15,7 +15,8 @@ for every policy in at least one seed).  On top of it:
 * one saturated 64-node ``scale_mode`` + ``flaky`` Rubick session whose
   rounds reach the acquisition loop's victim and no-op-node paths;
 * Rubick on the 100-job seed-7 ``overheads`` trace (the one
-  ``benchmarks/bench_sim_speed.py`` times), static and ``flaky``;
+  ``benchmarks/bench_overheads.py`` simulates and times), static and
+  ``flaky``;
 * one Rubick run with an aggressive online refitter, which must never take
   the steady-state short-circuit (refit observations happen in ``_apply``);
 * ``chaos-smoke``: the ``runs/`` tree of the ``test_faults.CHAOS_SPEC``

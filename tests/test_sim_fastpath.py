@@ -112,7 +112,7 @@ class TestGoldenEquivalence:
         assert reference.policy_skips == 0
 
     def test_bench_seed_100_job_rubick(self):
-        """The acceptance config: the trace BENCH_simspeed.json measures."""
+        """The acceptance config: ``bench_overheads.py``'s trace."""
         trace, store = _fit(7, num_jobs=100, name="overheads")
         fast = _run("rubick", trace, store, seed=7)
         reference = _run("rubick", trace, store, seed=7, short_circuit=False)

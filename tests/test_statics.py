@@ -797,8 +797,6 @@ class TestFixedViolationsStayFixed:
             "src/repro/experiments/spec.py",
             # RPL004: trace/result writers reject NaN at the encoder.
             "src/repro/sim/serialization.py",
-            # RPL004: bench emitter fixed in the examples/benchmarks audit.
-            "benchmarks/bench_sim_speed.py",
         ],
     )
     def test_fixed_file_stays_clean(self, rel, live_report):
