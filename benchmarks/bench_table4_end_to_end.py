@@ -10,7 +10,7 @@ Three trace variants on the paper cluster:
 * **MT** — two tenants (guaranteed vs best-effort); Rubick vs AntMan
   (paper: 1.6× all-jobs JCT, 1.28× makespan).
 
-The trace is down-scaled (120 jobs vs the paper's 406) to keep the benchmark
+The trace is down-scaled (160 jobs vs the paper's 406) to keep the benchmark
 runnable in seconds; EXPERIMENTS.md records the shape comparison.
 
 All runs execute through the experiments sweep subsystem

@@ -74,7 +74,9 @@ class ServiceClient:
         """Send one frame and block for the master's reply frame.
 
         An ``ERROR`` reply raises :class:`ProtocolError` with the master's
-        message; any other reply is returned as a dict.
+        message, as does a reply that fails
+        :func:`~repro.service.protocol.validate_frame`; any other reply is
+        returned as a dict.
         """
         sock = self.connect()._sock
         assert sock is not None
@@ -93,10 +95,14 @@ class ServiceClient:
                         f"expected one reply frame, got {len(frames)}"
                     )
                 reply = frames[0]
-                if reply.get("type") == protocol.ERROR:
+                problems = protocol.validate_frame(reply)
+                if problems:
                     raise ProtocolError(
-                        reply.get("error", "unspecified service error")
+                        f"malformed reply to {payload.get('type')!r}: "
+                        + "; ".join(problems)
                     )
+                if reply["type"] == protocol.ERROR:
+                    raise ProtocolError(reply["error"])
                 return reply
 
     # -- frame helpers -------------------------------------------------

@@ -18,6 +18,10 @@ Two clock modes (see ``repro.service.clock``):
   engine to ``clock.now()`` (wall seconds × speed); frame timestamps
   behind the clock are clamped to "now" (arrival order is the semantics).
 
+Every request is checked against ``protocol.FRAME_SCHEMAS`` before it
+is dispatched: an unknown type, a missing or stray key, or a non-string
+``DRAIN.trace_name`` earns an ERROR reply and the connection stays up.
+
 A DRAIN frame closes the stream, runs the session to completion, replies
 ``DRAINED`` with the final result document (wall-clock fields excluded,
 like every persisted result), and shuts the master down — the clean-exit
@@ -294,6 +298,22 @@ class ServiceMaster:
     # ------------------------------------------------------------------
     def _handle(self, client: _Client, frame: dict) -> None:
         kind = frame.get("type")
+        if not isinstance(kind, str) or kind not in protocol.REQUEST_TYPES:
+            self._send(
+                client,
+                protocol.error_frame(
+                    f"unknown frame type {kind!r}; expected one of "
+                    + ", ".join(sorted(protocol.REQUEST_TYPES))
+                ),
+            )
+            return
+        problems = protocol.validate_frame(frame)
+        if problems:
+            self._send(
+                client,
+                protocol.error_frame(f"{kind} rejected: {'; '.join(problems)}"),
+            )
+            return
         if kind == protocol.SUBMIT:
             self._handle_submit(client, frame)
         elif kind == protocol.CLUSTER_EVENT:
@@ -311,22 +331,13 @@ class ServiceMaster:
                     "metrics": metrics_payload(self.simulator.result()),
                 },
             )
-        elif kind == protocol.DRAIN:
-            self._handle_drain(client, frame)
         else:
-            self._send(
-                client,
-                protocol.error_frame(
-                    f"unknown frame type {kind!r}; expected one of "
-                    + ", ".join(sorted(protocol.REQUEST_TYPES))
-                ),
-            )
+            self._handle_drain(client, frame)
 
     def _handle_submit(self, client: _Client, frame: dict) -> None:
         sim = self.simulator
         try:
-            job_doc = frame["job"]
-            tj = trace_job_from_dict(job_doc)
+            tj = trace_job_from_dict(frame["job"])
             tj = sim.submit(tj, clamp=not self.clock.virtual)
         except SimulationError:
             raise
@@ -377,8 +388,7 @@ class ServiceMaster:
 
     def _handle_drain(self, client: _Client, frame: dict) -> None:
         sim = self.simulator
-        trace_name = frame.get("trace_name")
-        sim.drain(trace_name if isinstance(trace_name, str) else None)
+        sim.drain(frame.get("trace_name"))
         wall = 0.0
         rounds = 0
         report = sim.step(until=float("inf"))

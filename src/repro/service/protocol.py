@@ -29,6 +29,11 @@ Reply frames (master → client): ``OK`` (per accepted SUBMIT /
 CLUSTER_EVENT), ``STATUS``, ``METRICS``, ``DRAINED`` (carrying the final
 result document) and ``ERROR`` (per rejected frame; the connection stays
 up — a rejected frame is the *client's* problem, not stream damage).
+
+The framing layer (:func:`encode_frame`, :class:`FrameDecoder`) carries
+any JSON object; the key contract is checked where a frame is received —
+the master runs :func:`validate_frame` on every request, the client on
+every reply.
 """
 
 from __future__ import annotations
@@ -133,10 +138,9 @@ def error_frame(message: str) -> dict:
 
 #: Key contract per frame type: ``(required, optional)``.  ``required``
 #: keys must all be present; any key outside ``required | optional`` is a
-#: contract violation.  This registry is the single source of truth the
-#: RPL009 lint rule checks every literal frame dict against, so a frame
-#: shape change must land here *and* in the docstring table above — the
-#: linter fails on any construction site left behind.
+#: contract violation.  A frame shape change lands here *and* in the
+#: docstring table above; :func:`validate_frame` enforces it at both ends
+#: of the connection.
 FRAME_SCHEMAS: dict[str, tuple[frozenset, frozenset]] = {
     SUBMIT: (frozenset({"type", "job"}), frozenset()),
     CLUSTER_EVENT: (frozenset({"type", "event"}), frozenset()),
@@ -156,14 +160,14 @@ FRAME_SCHEMAS: dict[str, tuple[frozenset, frozenset]] = {
 
 
 def validate_frame(payload: dict) -> list[str]:
-    """Schema problems of one frame payload ([] when conformant).
+    """Schema problems of one received frame ([] when conformant).
 
-    Runtime companion of the static RPL009 check: the linter proves
-    literal construction sites conform; this helper covers frames built
-    dynamically (tests, external clients).
+    Unknown type, missing required keys, keys outside the schema, and a
+    non-string ``DRAIN.trace_name`` (the one value the master would
+    otherwise have to second-guess).
     """
     frame_type = payload.get("type")
-    if frame_type not in FRAME_SCHEMAS:
+    if not isinstance(frame_type, str) or frame_type not in FRAME_SCHEMAS:
         return [f"unknown frame type {frame_type!r}"]
     required, optional = FRAME_SCHEMAS[frame_type]
     problems = [
@@ -174,4 +178,9 @@ def validate_frame(payload: dict) -> list[str]:
         f"unexpected key {key!r}"
         for key in sorted(set(payload) - required - optional)
     )
+    trace_name = payload.get("trace_name", "")
+    if frame_type == DRAIN and not isinstance(trace_name, str):
+        problems.append(
+            f"trace_name must be a string, got {type(trace_name).__name__}"
+        )
     return problems

@@ -1,7 +1,7 @@
 """``repro.statics`` — the repo's AST-based invariant linter (``repro lint``).
 
 Static enforcement of the contracts the test suite can only check
-behaviorally.  RPL001–007 are per-file rules; RPL008–010 are
+behaviorally.  RPL001–007 are per-file rules; RPL008 and RPL010 are
 whole-program rules driven by the project call graph
 (:mod:`repro.statics.callgraph`) and the interprocedural dataflow engine
 (:mod:`repro.statics.dataflow`):
@@ -17,7 +17,6 @@ RPL005 store-derived memo caches must show model_version discipline
 RPL006 object.__setattr__ on frozen specs only during construction
 RPL007 no silently swallowed exceptions on incident-bearing paths
 RPL008 no entropy *flow* into persisted documents, through any calls
-RPL009 literal service frames conform to protocol.FRAME_SCHEMAS
 RPL010 armed fault seams cannot escape an entry point unrecorded
 ===== ==================================================================
 

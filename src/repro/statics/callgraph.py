@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Any
 
-from repro.statics.core import ImportMap
+from repro.statics.core import ImportMap, dotted_name
 
 CALL_GRAPH_FORMAT_VERSION = 1
 
@@ -41,18 +41,6 @@ def module_name_for(rel: str) -> str:
     if name.endswith("/__init__"):
         name = name[: -len("/__init__")]
     return name.replace("/", ".")
-
-
-def _unparse_dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` as a string for plain Name/Attribute chains."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def annotation_name(
@@ -84,7 +72,7 @@ def annotation_name(
                 return name
         return None
     if isinstance(node, ast.Subscript):
-        head = _unparse_dotted(node.value)
+        head = dotted_name(node.value)
         if head is None:
             return None
         tail = head.rsplit(".", 1)[-1]
@@ -98,7 +86,7 @@ def annotation_name(
                 return None
             return annotation_name(inner, imap, module, local_classes)
         return None
-    dotted = _unparse_dotted(node)
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     resolved = imap.resolve(node)
@@ -214,7 +202,7 @@ def extract_defs(
             if isinstance(value, ast.Name):
                 return param_anns.get(value.id)
             if isinstance(value, ast.Call):
-                dotted = _unparse_dotted(value.func)
+                dotted = dotted_name(value.func)
                 if dotted is None:
                     return None
                 resolved = imap.resolve(value.func)

@@ -27,7 +27,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         description=(
             "Enforces the determinism/lockstep/serialization/cache "
             "contracts at lint time: per-file rules RPL001-RPL007 plus "
-            "the whole-program flow rules RPL008-RPL010 (call graph + "
+            "the whole-program flow rules RPL008 and RPL010 (call graph + "
             "interprocedural taint). See DESIGN.md items 40 and 47."
         ),
         epilog=(
@@ -122,7 +122,7 @@ def cmd_lint(args) -> int:
         if graph is None:
             print(
                 "--call-graph needs a project rule in the run "
-                "(drop --select or include RPL008/RPL009/RPL010)"
+                "(drop --select or include RPL008/RPL010)"
             )
             return 2
         Path(args.call_graph).write_text(

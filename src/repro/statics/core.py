@@ -255,8 +255,73 @@ class ProjectRule(Rule):
 
 
 # ----------------------------------------------------------------------
+# Entropy inventory (RPL001 per line, RPL008 through calls)
+# ----------------------------------------------------------------------
+#: Ambient wall clocks: nondeterministic on any path.
+WALL_CLOCKS = frozenset({
+    "time.time",
+    "time.time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+})
+#: Monotonic/perf timers: still wall-clock entropy, but measuring them is
+#: the whole point of ``benchmarks/`` — RPL001 scopes them out there.
+PERF_TIMERS = frozenset({
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+})
+#: Process/host identity and OS entropy: RPL001 leaves them alone on a
+#: line of their own, but RPL008 follows them into persisted documents.
+HOST_ENTROPY_CALLS = frozenset({
+    "os.getpid",
+    "os.getppid",
+    "os.urandom",
+    "os.getenv",
+    "socket.gethostname",
+    "platform.node",
+    "platform.uname",
+    "uuid.uuid1",
+    "uuid.uuid4",
+    "secrets.token_hex",
+    "secrets.token_bytes",
+    "secrets.token_urlsafe",
+    "secrets.randbelow",
+})
+#: Module prefixes whose calls draw from process-global random state...
+GLOBAL_RNG_PREFIXES = ("random.", "numpy.random.")
+#: ...except their seeded constructors, which are deterministic.
+SEEDED_RNG = frozenset({
+    "random.Random",
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.SeedSequence",
+    "numpy.random.PCG64",
+    "numpy.random.Philox",
+    "numpy.random.bit_generator",
+})
+
+
+# ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` as a string for plain Name/Attribute chains."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
 class ImportMap:
     """Local-name resolution for import aliases in one module.
 
@@ -289,14 +354,10 @@ class ImportMap:
         ``"datetime.datetime.now"``.  Returns ``None`` for expressions not
         rooted in an imported name (locals, attributes of ``self``, ...).
         """
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
+        dotted = dotted_name(node)
+        if dotted is None:
             return None
-        parts.reverse()
-        base = node.id
+        base, _, rest = dotted.partition(".")
         if base in self.modules:
             root = self.modules[base]
         elif base in self.symbols:
@@ -304,4 +365,4 @@ class ImportMap:
             root = f"{module}.{symbol}"
         else:
             return None
-        return ".".join([root, *parts]) if parts else root
+        return f"{root}.{rest}" if rest else root

@@ -34,7 +34,16 @@ from repro.statics.callgraph import (
     ProjectIndex,
     extract_defs,
 )
-from repro.statics.core import ImportMap, SourceFile
+from repro.statics.core import (
+    GLOBAL_RNG_PREFIXES,
+    HOST_ENTROPY_CALLS,
+    PERF_TIMERS,
+    SEEDED_RNG,
+    WALL_CLOCKS,
+    ImportMap,
+    SourceFile,
+    dotted_name,
+)
 
 # ----------------------------------------------------------------------
 # Taint inventory (RPL008)
@@ -42,45 +51,7 @@ from repro.statics.core import ImportMap, SourceFile
 #: Calls whose return value is ambient entropy: wall clocks (including the
 #: perf timers RPL001 exempts in benchmarks/ — a *flow* into a persisted
 #: document is a bug wherever it starts), process identity, host identity.
-SOURCE_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-    "os.getpid",
-    "os.getppid",
-    "os.urandom",
-    "os.getenv",
-    "socket.gethostname",
-    "platform.node",
-    "platform.uname",
-    "uuid.uuid1",
-    "uuid.uuid4",
-    "secrets.token_hex",
-    "secrets.token_bytes",
-    "secrets.token_urlsafe",
-    "secrets.randbelow",
-}
-#: Module prefixes treated as sources wholesale (process-global RNG).
-SOURCE_PREFIXES = ("random.", "numpy.random.")
-#: Exceptions to the prefixes: seeded constructors are deterministic.
-SOURCE_PREFIX_OK = {
-    "random.Random",
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "numpy.random.SeedSequence",
-    "numpy.random.PCG64",
-    "numpy.random.Philox",
-    "numpy.random.bit_generator",
-}
+SOURCE_CALLS = WALL_CLOCKS | PERF_TIMERS | HOST_ENTROPY_CALLS
 #: Ambient attribute reads (no call involved).
 SOURCE_ATTRS = {"os.environ"}
 #: Persisted-document sinks by resolved dotted name: serialization and
@@ -114,23 +85,12 @@ _MAX_TRAIL = 16
 _MAX_ELEM_DEPTH = 3
 
 
-def _dotted_of(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _is_source_call(dotted: str) -> bool:
     if dotted in SOURCE_CALLS:
         return True
-    if dotted in SOURCE_PREFIX_OK:
+    if dotted in SEEDED_RNG:
         return False
-    return dotted.startswith(SOURCE_PREFIXES)
+    return dotted.startswith(GLOBAL_RNG_PREFIXES)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +210,7 @@ class _FunctionExtractor:
         if resolved is not None:
             return resolved
         # `Cls.method` / `helper.thing` spelled through a module-local def.
-        dotted = _dotted_of(func)
+        dotted = dotted_name(func)
         if dotted is not None:
             head = dotted.split(".", 1)[0]
             if head in self.local_defs and head not in self.params:
@@ -429,7 +389,7 @@ class _FunctionExtractor:
                 _FunctionExtractor._broad_or_injected(e)
                 for e in type_node.elts
             )
-        name = _dotted_of(type_node)
+        name = dotted_name(type_node)
         if name is None:
             return False
         tail = name.rsplit(".", 1)[-1]
@@ -442,7 +402,7 @@ class _FunctionExtractor:
         for stmt in body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
-                    name = _dotted_of(node.func)
+                    name = dotted_name(node.func)
                     tail = (
                         name.rsplit(".", 1)[-1].lower()
                         if name is not None

@@ -17,11 +17,7 @@ from repro.statics.rules.determinism import (
     IterationOrderRule,
     NondeterminismRule,
 )
-from repro.statics.rules.flow import (
-    DeterminismFlowRule,
-    FrameConformanceRule,
-    SeamEscapeRule,
-)
+from repro.statics.rules.flow import DeterminismFlowRule, SeamEscapeRule
 from repro.statics.rules.lockstep import LockstepRule
 from repro.statics.rules.robustness import SwallowedExceptionRule
 
@@ -39,7 +35,6 @@ def all_rules() -> tuple[Rule, ...]:
         FrozenMutationRule(),
         SwallowedExceptionRule(),
         DeterminismFlowRule(),
-        FrameConformanceRule(),
         SeamEscapeRule(),
     )
     return tuple(sorted(rules, key=lambda r: r.code))

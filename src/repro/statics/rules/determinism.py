@@ -18,37 +18,15 @@ from __future__ import annotations
 
 import ast
 
-from repro.statics.core import Finding, ImportMap, Rule, SourceFile
-
-#: Ambient wall clocks: nondeterministic on any path.
-_WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-#: Monotonic/perf timers: still wall-clock entropy, but measuring them is
-#: the whole point of ``benchmarks/`` — the rule scopes them out there.
-_PERF_TIMERS = {
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-}
-#: Seeded-constructor entry points of ``numpy.random`` that are fine —
-#: everything else on the module is process-global state.
-_NP_RANDOM_OK = {
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "numpy.random.SeedSequence",
-    "numpy.random.PCG64",
-    "numpy.random.Philox",
-    "numpy.random.bit_generator",
-}
+from repro.statics.core import (
+    PERF_TIMERS,
+    SEEDED_RNG,
+    WALL_CLOCKS,
+    Finding,
+    ImportMap,
+    Rule,
+    SourceFile,
+)
 
 
 class NondeterminismRule(Rule):
@@ -69,9 +47,9 @@ class NondeterminismRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = imports.resolve(node.func)
-            if name is None:
+            if name is None or name in SEEDED_RNG:
                 continue
-            if name in _WALL_CLOCK:
+            if name in WALL_CLOCKS:
                 out.append(
                     src.finding(
                         self.code,
@@ -81,7 +59,7 @@ class NondeterminismRule(Rule):
                         "documents may depend on",
                     )
                 )
-            elif name in _PERF_TIMERS and not in_benchmarks:
+            elif name in PERF_TIMERS and not in_benchmarks:
                 out.append(
                     src.finding(
                         self.code,
@@ -101,10 +79,7 @@ class NondeterminismRule(Rule):
                         "repro.rng.rng_for(seed, *scope)",
                     )
                 )
-            elif (
-                name.startswith("numpy.random.")
-                and name not in _NP_RANDOM_OK
-            ):
+            elif name.startswith("numpy.random."):
                 out.append(
                     src.finding(
                         self.code,

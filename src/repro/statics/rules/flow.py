@@ -1,31 +1,19 @@
-"""Whole-program flow rules: RPL008, RPL009, RPL010.
+"""Whole-program flow rules: RPL008 and RPL010.
 
-These are the interprocedural upgrades of the per-line determinism rules:
-RPL008 follows entropy through calls into persisted documents (where
-RPL001 can only flag the source line), RPL009 checks every literal service
-frame against :data:`repro.service.protocol.FRAME_SCHEMAS`, and RPL010
-proves fault-seam exceptions cannot escape an entry point without an
-incident record (the flow-sensitive upgrade of RPL007's per-handler
-check).  RPL008/RPL010 are :class:`ProjectRule`\\ s driven by the shared
-:class:`repro.statics.dataflow.Project`; RPL009 stays per-file (a frame
-literal is checkable where it is written).
+These are the interprocedural upgrades of the per-line rules: RPL008
+follows entropy through calls into persisted documents (where RPL001 can
+only flag the source line), and RPL010 proves fault-seam exceptions cannot
+escape an entry point without an incident record (the flow-sensitive
+upgrade of RPL007's per-handler check).  Both are :class:`ProjectRule`\\ s
+driven by the shared :class:`repro.statics.dataflow.Project`.
 """
 
 from __future__ import annotations
 
-import ast
-import re
 from typing import Any
 
-from repro.service import protocol as _protocol
-from repro.statics.core import Finding, ImportMap, ProjectRule, Rule, SourceFile
+from repro.statics.core import Finding, ProjectRule
 from repro.statics.dataflow import EscapeHit, FlowHit
-
-_PROTOCOL_MODULE = "repro.service.protocol"
-#: Constant-string frame types are only checked when they look like frame
-#: type tags (ALL_CAPS); ``{"type": "gauge"}`` in unrelated service code
-#: is not a frame literal.
-_TYPE_TAG = re.compile(r"[A-Z][A-Z_]*\Z")
 
 
 def _render_flow(hit: FlowHit) -> str:
@@ -102,161 +90,6 @@ class DeterminismFlowRule(ProjectRule):
                     ),
                     content=project.line(rel, line),
                     explanation=_render_flow(hit),
-                )
-            )
-        return findings
-
-
-class FrameConformanceRule(Rule):
-    """RPL009: literal frames must match ``protocol.FRAME_SCHEMAS``.
-
-    Every dict literal with a ``"type"`` key, in any module that imports
-    the protocol (or in ``protocol.py`` itself), is checked against the
-    registry: unknown type, missing required keys, keys outside the
-    schema.  ``**splat`` construction skips the missing-required check
-    (the splat may supply them) but literal extra keys are still definite
-    violations.
-    """
-
-    code = "RPL009"
-    title = "service frame literal violates the protocol schema"
-    rationale = (
-        "A malformed frame fails at the peer, at runtime, in a live "
-        "session; the schema registry makes the contract checkable where "
-        "the frame is written."
-    )
-
-    def check(self, src: SourceFile) -> list[Finding]:
-        imap = src.imports
-        local_consts = self._module_constants(src.tree)
-        if not self._engaged(src, imap):
-            return []
-        findings: list[Finding] = []
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Dict):
-                findings.extend(
-                    self._check_dict(src, node, imap, local_consts)
-                )
-        return findings
-
-    @staticmethod
-    def _module_constants(tree: ast.Module) -> dict[str, str]:
-        consts: dict[str, str] = {}
-        for stmt in tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                consts[stmt.targets[0].id] = stmt.value.value
-        return consts
-
-    @staticmethod
-    def _engaged(src: SourceFile, imap: ImportMap) -> bool:
-        rel = src.rel
-        if rel.endswith("service/protocol.py") or rel == "protocol.py":
-            return True
-        if _PROTOCOL_MODULE in imap.modules.values():
-            return True
-        for module, symbol in imap.symbols.values():
-            if f"{module}.{symbol}" == _PROTOCOL_MODULE:
-                return True
-            if module == _PROTOCOL_MODULE:
-                return True
-        return False
-
-    def _frame_type(
-        self,
-        value: ast.expr,
-        imap: ImportMap,
-        local_consts: dict[str, str],
-    ) -> tuple[str, str] | None:
-        """``(type_value, spelled)`` of a frame-type expression.
-
-        ``type_value`` is the runtime string (or ``""`` when the spelling
-        names a protocol attribute that does not exist), ``spelled`` is
-        how the source wrote it.  ``None`` means "not recognizably a
-        frame type" and the dict is skipped.
-        """
-        if isinstance(value, ast.Constant):
-            if isinstance(value.value, str) and _TYPE_TAG.fullmatch(
-                value.value
-            ):
-                return (value.value, repr(value.value))
-            return None
-        if isinstance(value, ast.Name) and value.id in local_consts:
-            return (local_consts[value.id], value.id)
-        resolved = imap.resolve(value)
-        if resolved is None:
-            return None
-        if resolved.startswith(_PROTOCOL_MODULE + "."):
-            attr = resolved[len(_PROTOCOL_MODULE) + 1 :]
-            runtime = getattr(_protocol, attr, None)
-            if isinstance(runtime, str):
-                return (runtime, f"protocol.{attr}")
-            return ("", f"protocol.{attr}")
-        return None
-
-    def _check_dict(
-        self,
-        src: SourceFile,
-        node: ast.Dict,
-        imap: ImportMap,
-        local_consts: dict[str, str],
-    ) -> list[Finding]:
-        literal_keys: list[str] = []
-        type_value: ast.expr | None = None
-        has_splat = False
-        has_dynamic = False
-        for key, value in zip(node.keys, node.values):
-            if key is None:
-                has_splat = True
-            elif isinstance(key, ast.Constant) and isinstance(
-                key.value, str
-            ):
-                literal_keys.append(key.value)
-                if key.value == "type":
-                    type_value = value
-            else:
-                has_dynamic = True
-        if type_value is None:
-            return []
-        resolved = self._frame_type(type_value, imap, local_consts)
-        if resolved is None:
-            return []
-        frame_type, spelled = resolved
-        schemas = _protocol.FRAME_SCHEMAS
-        if frame_type not in schemas:
-            return [
-                src.finding(
-                    self.code,
-                    node,
-                    f"frame literal has unknown type {spelled} "
-                    f"(known: {', '.join(sorted(schemas))})",
-                )
-            ]
-        required, optional = schemas[frame_type]
-        findings: list[Finding] = []
-        missing = sorted(required - set(literal_keys))
-        if missing and not has_splat and not has_dynamic:
-            findings.append(
-                src.finding(
-                    self.code,
-                    node,
-                    f"{frame_type} frame literal is missing required "
-                    f"key(s): {', '.join(missing)}",
-                )
-            )
-        extra = sorted(set(literal_keys) - required - optional)
-        if extra:
-            findings.append(
-                src.finding(
-                    self.code,
-                    node,
-                    f"{frame_type} frame literal has key(s) outside the "
-                    f"schema: {', '.join(extra)}",
                 )
             )
         return findings

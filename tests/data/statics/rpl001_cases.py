@@ -37,6 +37,10 @@ def negative_seeded_stream(seed: int) -> float:
     return float(rng.exponential(2.0))
 
 
+def negative_seeded_stdlib_stream(seed: int) -> float:
+    return random.Random(seed).random()
+
+
 def negative_local_attribute(job) -> float:
     return job.random.draw()
 

@@ -366,6 +366,45 @@ class TestContainmentBothLoops:
             assert job_id in incident.message
         assert incident.message == str(err.value)
 
+    def test_overcommitted_placement_is_an_apply_error(
+        self, testbed, scale_mode
+    ):
+        """The cluster rejects a policy's over-committed placement: the
+        running job it was meant for goes back to the queue, one
+        ``apply-error`` incident names it, and the run still completes."""
+        trace = _tiny_trace(testbed, n=4)
+        sim = self._sim(scale_mode)
+        schedule = sim.policy.schedule
+        seen: dict = {}
+
+        def overcommit(jobs, cluster, ctx):
+            allocations = schedule(jobs, cluster, ctx)
+            if "victim" in seen:
+                if "requeued" not in seen:
+                    victim = next(j for j in jobs if j.job_id == seen["victim"])
+                    seen["requeued"] = (victim.status, victim.placement)
+                return allocations
+            for job in jobs:
+                alloc = allocations.get(job.job_id)
+                if job.is_running and alloc is not None:
+                    seen["victim"] = job.job_id
+                    allocations[job.job_id] = Allocation(
+                        placement=Placement(
+                            {0: ResourceVector(gpus=99, cpus=1)}
+                        ),
+                        plan=alloc.plan,
+                    )
+                    break
+            return allocations
+
+        sim.policy.schedule = overcommit
+        res = sim.run(trace)
+        (incident,) = res.incidents
+        assert (incident.kind, incident.error) == ("apply-error", "PlacementError")
+        assert incident.job_ids == (seen["victim"],)
+        assert seen["requeued"] == (JobStatus.QUEUED, Placement.empty())
+        assert len(res.records) == len(trace)
+
     def test_inapplicable_cluster_events_are_skipped(self, testbed, scale_mode):
         from repro.cluster.dynamics import NODE_FAIL, NODE_RECOVER, ClusterEvent
 

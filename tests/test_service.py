@@ -1,6 +1,6 @@
 """Live scheduling service: framing, step()/run() equivalence, streaming.
 
-Four contracts pinned here:
+The contracts pinned here:
 
 * **Wire framing** — length-delimited JSON frames round-trip through
   :class:`FrameDecoder` at every possible tear point, and stream damage
@@ -17,6 +17,9 @@ Four contracts pinned here:
   other ``Simulator`` keyword is a ``TypeError``.
 * **Backpressure** — a client that sends without reading stops being read
   once its unsent replies pass ``OUTBUF_LIMIT``, without starving others.
+* **Frame schemas** — the master rejects a request that breaks
+  ``protocol.FRAME_SCHEMAS`` with an ERROR and keeps the connection; the
+  client raises :class:`ProtocolError` on a reply that breaks it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.service import (
 from repro.service import master as master_module
 from repro.service import protocol
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
-from repro.sim.serialization import result_to_dict
+from repro.sim.serialization import result_to_dict, trace_job_to_dict
 
 SMALL = ClusterSpec(num_nodes=2, node=PAPER_CLUSTER.node)
 SEED = 7
@@ -316,6 +319,161 @@ class TestLoopback:
         assert report.result["summary"]["jobs"] == len(trace)
 
 
+# ----------------------------------------------------------------------
+# Frame schemas, checked where each frame is received
+# ----------------------------------------------------------------------
+_REQUESTS = "CLUSTER_EVENT, DRAIN, METRICS, STATUS, SUBMIT"
+
+#: (id, request built from a valid job document, the master's ERROR text)
+MALFORMED_REQUESTS = [
+    ("submit-extra-key",
+     lambda job: {"type": "SUBMIT", "job": job, "priority": "high"},
+     "SUBMIT rejected: unexpected key 'priority'"),
+    ("status-extra-key",
+     lambda job: {"type": "STATUS", "verbose": True},
+     "STATUS rejected: unexpected key 'verbose'"),
+    ("metrics-extra-key",
+     lambda job: {"type": "METRICS", "since": 0},
+     "METRICS rejected: unexpected key 'since'"),
+    ("event-missing",
+     lambda job: {"type": "CLUSTER_EVENT"},
+     "CLUSTER_EVENT rejected: missing required key 'event'"),
+    ("drain-int-name",
+     lambda job: {"type": "DRAIN", "trace_name": 5},
+     "DRAIN rejected: trace_name must be a string, got int"),
+    ("reply-type",
+     lambda job: {"type": "OK"},
+     f"unknown frame type 'OK'; expected one of {_REQUESTS}"),
+    ("unhashable-type",
+     lambda job: {"type": ["SUBMIT"], "job": job},
+     f"unknown frame type ['SUBMIT']; expected one of {_REQUESTS}"),
+]
+
+
+class TestFrameSchemas:
+    """``protocol.FRAME_SCHEMAS``: the master validates every request it
+    receives, the client every reply."""
+
+    def test_every_schema_requires_the_type_key(self):
+        for frame_type, (required, optional) in sorted(
+            protocol.FRAME_SCHEMAS.items()
+        ):
+            assert "type" in required, frame_type
+            assert not (required & optional), frame_type
+
+    def test_validate_frame_verdicts(self):
+        assert protocol.validate_frame({"type": protocol.STATUS}) == []
+        assert protocol.validate_frame(
+            {"type": protocol.STATUS, "status": "idle"}
+        ) == []
+        assert protocol.validate_frame({"type": "NOPE"}) == [
+            "unknown frame type 'NOPE'"
+        ]
+        assert protocol.validate_frame({"type": {}}) == [
+            "unknown frame type {}"
+        ]
+        assert protocol.validate_frame(
+            {"type": protocol.SUBMIT, "jbo": {}}
+        ) == ["missing required key 'job'", "unexpected key 'jbo'"]
+        assert protocol.validate_frame(
+            {"type": protocol.DRAIN, "trace_name": None}
+        ) == ["trace_name must be a string, got NoneType"]
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [case[1:] for case in MALFORMED_REQUESTS],
+        ids=[case[0] for case in MALFORMED_REQUESTS],
+    )
+    def test_malformed_request_is_rejected_on_a_live_connection(
+        self, workload, build, error
+    ):
+        trace, _ = workload
+        job = trace.jobs[0]
+        master, thread = start_master(make_sim())
+        with ServiceClient(port=master.port) as client:
+            with pytest.raises(ProtocolError) as rejected:
+                client.request(build(trace_job_to_dict(job)))
+            assert str(rejected.value) == error
+            # Nothing of the rejected frame was acted on: the same job
+            # submits (no duplicate id) and the session drains under the
+            # name this connection gives it.
+            client.submit_job(job)
+            drained = client.drain(trace.name)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert drained["result"]["trace_name"] == trace.name
+        assert drained["result"]["summary"]["jobs"] == 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"type": protocol.OK, "job_id": "j0", "priority": "high"},
+            {"type": protocol.ERROR},
+            {"type": protocol.DRAINED, "metrics": {}},
+            {"type": "NOPE"},
+        ],
+        ids=["stray-key", "error-without-text", "drained-without-result",
+             "unknown-type"],
+    )
+    def test_malformed_reply_raises_protocol_error(self, reply):
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def answer() -> None:
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(encode_frame(reply))
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient(port=server.getsockname()[1], timeout=10) as c:
+                with pytest.raises(
+                    ProtocolError, match="malformed reply to 'STATUS'"
+                ):
+                    c.request({"type": protocol.STATUS})
+        finally:
+            thread.join(timeout=10)
+            server.close()
+
+    def test_every_frame_type_is_validated_where_received(
+        self, workload, monkeypatch
+    ):
+        """One record-limited session sends and receives every frame type
+        in the registry, and each passes through ``validate_frame`` at its
+        receiving end — including the metrics-only DRAINED reply whose
+        ``note`` says why the full document could not be built."""
+        trace, events = workload
+        seen: list[str] = []
+        validate = protocol.validate_frame
+
+        def spy(payload: dict) -> list[str]:
+            seen.append(payload["type"])
+            return validate(payload)
+
+        monkeypatch.setattr(protocol, "validate_frame", spy)
+        sim = Simulator(
+            SMALL,
+            make_policy("rubick"),
+            config=EngineConfig(seed=SEED, result_record_limit=2),
+            testbed=SyntheticTestbed(SMALL, seed=SEED),
+        )
+        master, thread = start_master(sim)
+        with ServiceClient(port=master.port) as client:
+            assert client.status()["state"] == "streaming"
+            assert client.metrics()["completed"] == 0
+            with pytest.raises(ProtocolError, match="unknown frame type"):
+                client.request({"type": "BOGUS"})
+            replay(trace, client, events=events, drain=False)
+            drained = client.drain(trace.name)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert drained["result"] is None
+        assert "records were dropped" in drained["note"]
+        assert drained["metrics"]["completed"] == len(trace)
+        assert set(seen) == set(protocol.FRAME_SCHEMAS)
+
+
 class TestBackpressure:
     """A client that never reads cannot grow the master without bound."""
 
@@ -346,11 +504,14 @@ class TestBackpressure:
                 super()._flush(client)
 
         master, thread = start_master(make_sim(), factory=Probe)
-        # ~1 KiB STATUS frames; every 50th is an unknown type whose ERROR
-        # reply names it, so the order of the replies is checkable.
+        # ~1 KiB STATUS frames (padded in the schema's optional
+        # ``status`` key, which the master ignores on a request); every
+        # 50th is an unknown type whose ERROR reply names it, so the order
+        # of the replies is checkable.
         pad = "x" * 1000
         frames = [
-            {"type": f"SEQ{i}" if i % 50 == 0 else protocol.STATUS, "pad": pad}
+            {"type": f"SEQ{i}" if i % 50 == 0 else protocol.STATUS,
+             "status": pad}
             for i in range(5000)
         ]
         blob = b"".join(encode_frame(f) for f in frames)

@@ -164,14 +164,14 @@ class TestRuleFixtures:
         assert codes == sorted(codes)
         assert codes == [
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
-            "RPL007", "RPL008", "RPL009", "RPL010",
+            "RPL007", "RPL008", "RPL010",
         ]
         with pytest.raises(ValueError):
             rules_by_code(["RPL999"])
 
 
 # ----------------------------------------------------------------------
-# Whole-program flow rules (RPL008-010)
+# Whole-program flow rules (RPL008, RPL010)
 # ----------------------------------------------------------------------
 #: Same shape as RULE_CASES, but these fixtures are linted with only the
 #: rule under test selected: they deliberately contain RPL001-visible
@@ -184,12 +184,6 @@ FLOW_CASES = [
         "RPL008",
         3,
         ["json.dumps(doc", 'persist({"stamp"', "hashlib.sha256"],
-    ),
-    (
-        "rpl009_cases.py",
-        "RPL009",
-        3,
-        ['"statu": "idle"', '{"type": protocol.SUBMIT}', '"SUBMITT"'],
     ),
     (
         "rpl010_cases.py",
@@ -276,19 +270,6 @@ class TestFlowRuleFixtures:
         assert "sink json.dumps (rpl008_cases.py:29)" in hit.message
         assert "into rpl008_cases.persist()" in hit.explanation
 
-    def test_rpl009_violation_shapes(self):
-        report = lint_fixture(
-            "rpl009_cases.py", rules=rules_by_code(["RPL009"])
-        )
-        messages = sorted(f.message for f in report.findings)
-        assert messages == [
-            "STATUS frame literal has key(s) outside the schema: statu",
-            "SUBMIT frame literal is missing required key(s): job",
-            "frame literal has unknown type 'SUBMITT' (known: "
-            "CLUSTER_EVENT, DRAIN, DRAINED, ERROR, METRICS, OK, STATUS, "
-            "SUBMIT)",
-        ]
-
     def test_rpl010_escape_chain_and_containment(self):
         report = lint_fixture(
             "rpl010_cases.py", rules=rules_by_code(["RPL010"])
@@ -324,33 +305,6 @@ class TestFlowRuleFixtures:
         )
         assert a == b
         assert not a < b and not b < a
-
-
-class TestFrameSchemas:
-    """``protocol.FRAME_SCHEMAS`` and its runtime companion."""
-
-    def test_every_schema_requires_the_type_key(self):
-        from repro.service import protocol
-
-        for frame_type, (required, optional) in sorted(
-            protocol.FRAME_SCHEMAS.items()
-        ):
-            assert "type" in required, frame_type
-            assert not (required & optional), frame_type
-
-    def test_validate_frame_matches_static_verdicts(self):
-        from repro.service import protocol
-
-        assert protocol.validate_frame({"type": protocol.STATUS}) == []
-        assert protocol.validate_frame(
-            {"type": protocol.STATUS, "status": "idle"}
-        ) == []
-        assert protocol.validate_frame({"type": "NOPE"}) == [
-            "unknown frame type 'NOPE'"
-        ]
-        assert protocol.validate_frame(
-            {"type": protocol.SUBMIT, "jbo": {}}
-        ) == ["missing required key 'job'", "unexpected key 'jbo'"]
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +359,7 @@ class TestSuppressionContract:
             )
 
     @pytest.mark.parametrize("select", [
-        ["RPL008", "RPL009", "RPL010"],
+        ["RPL008", "RPL010"],
         ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007"],
     ], ids=["flow-rules", "line-rules"])
     def test_live_subset_run_reports_no_stale_suppression(self, select):
@@ -614,9 +568,21 @@ class TestLintCli:
         rc = main(["lint", "--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for code in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-                     "RPL006", "RPL007", "RPL008", "RPL009", "RPL010"):
-            assert code in out
+        assert re.findall(r"^(RPL\d{3})  ", out, re.M) == [
+            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
+            "RPL007", "RPL008", "RPL010",
+        ]
+
+    def test_package_rule_table_matches_registry(self):
+        """The rule table in ``repro.statics``' docstring names exactly
+        the registered rules, so removing or adding one cannot leave it
+        stale."""
+        import repro.statics
+
+        table = re.findall(
+            r"^(RPL\d{3}) \S", repro.statics.__doc__ or "", re.M
+        )
+        assert table == [r.code for r in all_rules()]
 
     def test_report_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "lint-report.json"
@@ -654,8 +620,8 @@ class TestLintCli:
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--select", "RPL009",
-                "rpl009_cases.py",
+                "--select", "RPL008",
+                "rpl008_cases.py",
             ]
         )
         out = capsys.readouterr().out
@@ -669,7 +635,7 @@ class TestLintCli:
             "--update-baseline", "--summary-cache", "--paths",
         ):
             with pytest.raises(SystemExit) as exc:
-                main(["lint", "--root", str(FIXTURES), flag, "rpl009_cases.py"])
+                main(["lint", "--root", str(FIXTURES), flag, "rpl008_cases.py"])
             assert exc.value.code == 2, flag
 
     def test_call_graph_artifact_is_deterministic(self, tmp_path, capsys):
@@ -823,15 +789,16 @@ class TestFixedViolationsStayFixed:
         )
         assert [f.format() for f in report.findings] == []
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_simulate_converts_injected_fault_to_incident_record(
-        self, capsys
+        self, command, capsys
     ):
         # The behavioral half of the RPL010 fix: a run killed by an
         # injected fault prints a deterministic incident record and exits
         # 3 instead of dying with a raw traceback.
         rc = main(
             [
-                "simulate",
+                command,
                 "--policy", "rubick",
                 "--jobs", "2",
                 "--seed", "0",
