@@ -344,7 +344,7 @@ def _bad_scenarios(names) -> bool:
 
 
 def _contained_execute(run, injector):
-    """Execute one run, containing armed injected faults (RPL010).
+    """Execute one run, containing armed injected faults.
 
     A fault that escapes the runner's own retry/quarantine path must not
     surface as a raw traceback: the incident record *is* the contract.

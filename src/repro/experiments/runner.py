@@ -567,5 +567,5 @@ def run_sweep(
         if fault_plan is not None:
             meta["fault_plan"] = fault_plan.name
             meta["fault_plan_digest"] = fault_plan.digest
-        store.append_meta(meta)  # repro-lint: disable=RPL008 -- sweep meta is the sanctioned wall-clock channel: perf rows are observability-only, excluded from result documents and digests
+        store.append_meta(meta)
     return outcome

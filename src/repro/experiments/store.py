@@ -64,6 +64,11 @@ def build_failure_doc(
     }
 
 
+def _pid() -> int:
+    """This process's id, for temp-file names and lease ownership only."""
+    return os.getpid()  # repro-lint: disable=RPL001 -- temp-file names and lease owners; never written into a result document or digest
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -111,7 +116,7 @@ class RunStore:
             text = injector.mangle("store-record", text)
         path = self.path_for(run.run_key)
         # Atomic publish: concurrent workers each write a private temp file.
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(f".{path.name}.{_pid()}.tmp")
         tmp.write_text(text)
         if injector is not None:
             # Publish seam: a matching rule dies here, leaving tmp litter
@@ -198,7 +203,7 @@ class RunStore:
             pid = None
             if len(parts) == 3 and parts[1].isdigit():
                 pid = int(parts[1])
-            if pid is not None and pid != os.getpid() and _pid_alive(pid):
+            if pid is not None and pid != _pid() and _pid_alive(pid):
                 continue
             try:
                 tmp.unlink()
@@ -225,7 +230,7 @@ class RunStore:
         doc = build_failure_doc(run, attempts)
         self.failures_dir.mkdir(parents=True, exist_ok=True)
         path = self.failure_path_for(run.run_key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(f".{path.name}.{_pid()}.tmp")
         tmp.write_text(
             json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
         )
@@ -258,7 +263,7 @@ class RunStore:
         """
         self.leases_dir.mkdir(parents=True, exist_ok=True)
         path = self.lease_path_for(run_key)
-        payload = json.dumps({"pid": os.getpid()}, allow_nan=False)  # repro-lint: disable=RPL008 -- lease files are transient ownership markers, deleted on release and never part of a result document
+        payload = json.dumps({"pid": _pid()}, allow_nan=False)
         try:
             with open(path, "x") as fh:
                 fh.write(payload)
@@ -269,7 +274,7 @@ class RunStore:
             owner = json.loads(path.read_text()).get("pid")
         except (OSError, json.JSONDecodeError, AttributeError):
             owner = None
-        if owner == os.getpid():
+        if owner == _pid():
             return True
         if owner is None or not _pid_alive(int(owner)):
             # Steal a dead worker's lease.

@@ -74,8 +74,8 @@ class ServiceClient:
         """Send one frame and block for the master's reply frame.
 
         An ``ERROR`` reply raises :class:`ProtocolError` with the master's
-        message, as does a reply that fails
-        :func:`~repro.service.protocol.validate_frame`; any other reply is
+        message, as does a reply that breaks
+        :data:`~repro.service.protocol.REPLY_SCHEMAS`; any other reply is
         returned as a dict.
         """
         sock = self.connect()._sock
@@ -95,7 +95,9 @@ class ServiceClient:
                         f"expected one reply frame, got {len(frames)}"
                     )
                 reply = frames[0]
-                problems = protocol.validate_frame(reply)
+                problems = protocol.validate_frame(
+                    reply, protocol.REPLY_SCHEMAS
+                )
                 if problems:
                     raise ProtocolError(
                         f"malformed reply to {payload.get('type')!r}: "

@@ -18,7 +18,7 @@ Two clock modes (see ``repro.service.clock``):
   engine to ``clock.now()`` (wall seconds × speed); frame timestamps
   behind the clock are clamped to "now" (arrival order is the semantics).
 
-Every request is checked against ``protocol.FRAME_SCHEMAS`` before it
+Every request is checked against ``protocol.REQUEST_SCHEMAS`` before it
 is dispatched: an unknown type, a missing or stray key, or a non-string
 ``DRAIN.trace_name`` earns an ERROR reply and the connection stays up.
 
@@ -307,7 +307,7 @@ class ServiceMaster:
                 ),
             )
             return
-        problems = protocol.validate_frame(frame)
+        problems = protocol.validate_frame(frame, protocol.REQUEST_SCHEMAS)
         if problems:
             self._send(
                 client,

@@ -31,9 +31,10 @@ result document) and ``ERROR`` (per rejected frame; the connection stays
 up — a rejected frame is the *client's* problem, not stream damage).
 
 The framing layer (:func:`encode_frame`, :class:`FrameDecoder`) carries
-any JSON object; the key contract is checked where a frame is received —
-the master runs :func:`validate_frame` on every request, the client on
-every reply.
+any RFC 8259 JSON object — both ends reject ``NaN``/``Infinity``.  The key
+contract is checked where a frame is received: the master runs
+:func:`validate_frame` against :data:`REQUEST_SCHEMAS` on every request,
+the client against :data:`REPLY_SCHEMAS` on every reply.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ OK = "OK"
 ERROR = "ERROR"
 DRAINED = "DRAINED"
 
-REQUEST_TYPES = frozenset({SUBMIT, CLUSTER_EVENT, STATUS, METRICS, DRAIN})
-
 
 def encode_frame(payload: dict) -> bytes:
     """Serialize one frame (header + compact JSON body).
@@ -87,13 +86,20 @@ def encode_frame(payload: dict) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
+def _reject_constant(name: str) -> float:
+    raise ProtocolError(f"undecodable frame body: {name} is not RFC 8259 JSON")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 class FrameDecoder:
     """Incremental frame decoder with torn-frame buffering.
 
     Feed it whatever ``recv()`` returned; it yields every frame that is now
     complete and keeps the tail buffered for the next feed.  One decoder
     per connection — frames from different sockets must never share a
-    buffer.
+    buffer.  Like :func:`encode_frame`, it refuses ``NaN``/``Infinity``.
     """
 
     def __init__(self) -> None:
@@ -121,7 +127,7 @@ class FrameDecoder:
             body = bytes(self._buf[HEADER_BYTES:HEADER_BYTES + length])
             del self._buf[:HEADER_BYTES + length]
             try:
-                payload = json.loads(body.decode("utf-8"))
+                payload = _DECODER.decode(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ProtocolError(f"undecodable frame body: {exc}") from exc
             if not isinstance(payload, dict):
@@ -136,40 +142,48 @@ def error_frame(message: str) -> dict:
     return {"type": ERROR, "error": message}
 
 
-#: Key contract per frame type: ``(required, optional)``.  ``required``
-#: keys must all be present; any key outside ``required | optional`` is a
-#: contract violation.  A frame shape change lands here *and* in the
-#: docstring table above; :func:`validate_frame` enforces it at both ends
-#: of the connection.
-FRAME_SCHEMAS: dict[str, tuple[frozenset, frozenset]] = {
+#: Key contract per frame type and direction: ``(required, optional)``.
+#: ``required`` keys must all be present; any key outside
+#: ``required | optional`` is a contract violation.  STATUS and METRICS
+#: travel both ways with different keys, hence one table per direction.  A
+#: frame shape change lands here *and* in the docstring table above.
+Schemas = dict[str, tuple[frozenset, frozenset]]
+REQUEST_SCHEMAS: Schemas = {
     SUBMIT: (frozenset({"type", "job"}), frozenset()),
     CLUSTER_EVENT: (frozenset({"type", "event"}), frozenset()),
-    STATUS: (frozenset({"type"}), frozenset({"status"})),
-    METRICS: (frozenset({"type"}), frozenset({"metrics"})),
+    STATUS: (frozenset({"type"}), frozenset()),
+    METRICS: (frozenset({"type"}), frozenset()),
     DRAIN: (frozenset({"type"}), frozenset({"trace_name"})),
+}
+REPLY_SCHEMAS: Schemas = {
     OK: (
         frozenset({"type"}),
         frozenset({"completed", "event", "job_id", "now"}),
     ),
+    STATUS: (frozenset({"type", "status"}), frozenset()),
+    METRICS: (frozenset({"type", "metrics"}), frozenset()),
     ERROR: (frozenset({"type", "error"}), frozenset()),
     DRAINED: (
         frozenset({"type", "result"}),
         frozenset({"metrics", "note"}),
     ),
 }
+REQUEST_TYPES = frozenset(REQUEST_SCHEMAS)
 
 
-def validate_frame(payload: dict) -> list[str]:
+def validate_frame(payload: dict, schemas: Schemas) -> list[str]:
     """Schema problems of one received frame ([] when conformant).
 
-    Unknown type, missing required keys, keys outside the schema, and a
-    non-string ``DRAIN.trace_name`` (the one value the master would
-    otherwise have to second-guess).
+    ``schemas`` is the table of the direction the frame travelled
+    (:data:`REQUEST_SCHEMAS` or :data:`REPLY_SCHEMAS`).  Unknown type,
+    missing required keys, keys outside the schema, and a non-string
+    ``DRAIN.trace_name`` (the one value the master would otherwise have to
+    second-guess).
     """
     frame_type = payload.get("type")
-    if not isinstance(frame_type, str) or frame_type not in FRAME_SCHEMAS:
+    if not isinstance(frame_type, str) or frame_type not in schemas:
         return [f"unknown frame type {frame_type!r}"]
-    required, optional = FRAME_SCHEMAS[frame_type]
+    required, optional = schemas[frame_type]
     problems = [
         f"missing required key {key!r}"
         for key in sorted(required - set(payload))

@@ -392,14 +392,19 @@ class Simulator:
         )
         return best.throughput if best is not None else 0.0
 
-    def _make_job(self, tj) -> Job:
+    def _intrinsics(self, tj) -> tuple[int, float, float, float]:
+        """``(cpus, baseline, best_thr, host_mem)`` of one job request.
+
+        The derived intrinsics (SLA baseline, best-plan throughput, host
+        memory demand) are pure functions of the request key: they are
+        scored against ground truth, which never refits.  Traces draw
+        from a small set of model/batch/plan/gpu combinations, so at
+        datacenter scale (50k arrivals) almost every job is a memo hit.
+        Raises the testbed's feasibility error (e.g.
+        :class:`OutOfMemoryError`) for a request the cluster cannot launch.
+        """
         model = tj.model
         cpus = tj.requested_cpus or tj.requested_gpus * DEFAULT_CPUS_PER_GPU
-        # The derived intrinsics (SLA baseline, best-plan throughput, host
-        # memory demand) are pure functions of the request key: they are
-        # scored against ground truth, which never refits.  Traces draw
-        # from a small set of model/batch/plan/gpu combinations, so at
-        # datacenter scale (50k arrivals) almost every job is a memo hit.
         key = (model.name, tj.global_batch, tj.requested_gpus, cpus, tj.initial_plan)
         hit = self._intrinsics_cache.get(key)
         if hit is not None:
@@ -421,6 +426,11 @@ class Simulator:
                 model, tj.initial_plan, tj.global_batch
             ).host_total
             self._intrinsics_cache[key] = (baseline, best_thr, host_mem)
+        return cpus, baseline, best_thr, host_mem
+
+    def _make_job(self, tj) -> Job:
+        model = tj.model
+        cpus, baseline, best_thr, host_mem = self._intrinsics(tj)
         spec = JobSpec(
             job_id=tj.job_id,
             model=model,
@@ -536,13 +546,16 @@ class Simulator:
         an error, because admitting it would depend on delivery timing.
         Real-time mode passes ``clamp=True`` instead, re-stamping the job
         to "now" (wall-clock arrival order *is* the semantics there).
-        Returns the (possibly re-stamped) trace job.
+        Returns the (possibly re-stamped) trace job.  A request the cluster
+        cannot launch raises here, before anything is queued, through the
+        same memoized scoring admission uses.
         """
         st, late = self._stream_stamp(
             f"job {tj.job_id!r} submit_time", tj.submit_time, clamp
         )
         if tj.job_id in st.pending_ids or tj.job_id in st.gpu_seconds:
             raise ValueError(f"duplicate job id {tj.job_id!r}")
+        self._intrinsics(tj)
         if late:
             tj = replace(tj, submit_time=st.now)
         st.result.profiling_seconds += (

@@ -11,6 +11,7 @@ that configuration, mirroring the paper's duration→mini-batches translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.models.catalog import get_model
@@ -35,8 +36,12 @@ class TraceJob:
     tenant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"{self.job_id}: duration must be positive")
+        if not math.isfinite(self.submit_time):
+            raise ValueError(f"{self.job_id}: submit_time must be finite")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(
+                f"{self.job_id}: duration must be finite and positive"
+            )
         if self.requested_gpus < self.initial_plan.num_gpus:
             raise ValueError(
                 f"{self.job_id}: plan needs {self.initial_plan.num_gpus} GPUs, "

@@ -58,10 +58,6 @@ class Finding:
     code: str
     message: str
     content: str = ""
-    #: Optional multi-line taint/escape path for ``--explain``.  Excluded
-    #: from ordering and equality so the report's sort order is unchanged
-    #: by explanation wording.
-    explanation: str = field(default="", compare=False)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -80,9 +76,8 @@ class Suppression:
 class SourceFile:
     """One parsed lint target: AST, import aliases and suppression map.
 
-    Built once per file by :func:`parse_source`; the per-file rules and
-    the whole-program :class:`~repro.statics.dataflow.Project` all read
-    this one parse.
+    Built once per file by :func:`parse_source`; every rule reads this one
+    parse.
     """
 
     path: Path  # absolute
@@ -234,28 +229,8 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that needs the whole program, not one file.
-
-    Project rules run after every target parses, against the shared
-    :class:`repro.statics.dataflow.Project` (call graph + interprocedural
-    summaries).  They emit ordinary :class:`Finding`\\ s — ``applies_to``
-    filters which files their findings may *anchor* in, and the engine
-    routes each finding back through that file's suppression map, so the
-    suppression contract is identical to per-file rules.
-    """
-
-    def check(self, src: SourceFile) -> list[Finding]:
-        return []
-
-    def check_project(
-        self, project: "object"
-    ) -> list[Finding]:  # pragma: no cover
-        raise NotImplementedError
-
-
 # ----------------------------------------------------------------------
-# Entropy inventory (RPL001 per line, RPL008 through calls)
+# Entropy inventory (RPL001)
 # ----------------------------------------------------------------------
 #: Ambient wall clocks: nondeterministic on any path.
 WALL_CLOCKS = frozenset({
@@ -276,8 +251,9 @@ PERF_TIMERS = frozenset({
     "time.process_time",
     "time.process_time_ns",
 })
-#: Process/host identity and OS entropy: RPL001 leaves them alone on a
-#: line of their own, but RPL008 follows them into persisted documents.
+#: Process/host identity and OS entropy: they differ per host and per
+#: run on any path, like the wall clocks.  RPL001 flags them on their own
+#: line, and ``os.environ`` reads with them.
 HOST_ENTROPY_CALLS = frozenset({
     "os.getpid",
     "os.getppid",
@@ -293,9 +269,8 @@ HOST_ENTROPY_CALLS = frozenset({
     "secrets.token_urlsafe",
     "secrets.randbelow",
 })
-#: Module prefixes whose calls draw from process-global random state...
-GLOBAL_RNG_PREFIXES = ("random.", "numpy.random.")
-#: ...except their seeded constructors, which are deterministic.
+#: Seeded constructors of ``random``/``numpy.random``: deterministic, so
+#: RPL001 exempts them from the global-RNG check.
 SEEDED_RNG = frozenset({
     "random.Random",
     "numpy.random.default_rng",

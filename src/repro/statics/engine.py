@@ -10,18 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.statics.core import (
     DEFAULT_TARGETS,
     META_CODE,
     Finding,
-    ProjectRule,
     Rule,
     SourceFile,
     parse_source,
 )
-from repro.statics.dataflow import Project
 from repro.statics.rules import all_rules
 
 
@@ -51,11 +49,6 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_scanned: int = 0
-    #: Findings silenced by inline suppressions (kept for ``--explain``).
-    silenced: list[Finding] = field(default_factory=list)
-    #: The whole-program context, when any :class:`ProjectRule` ran
-    #: (exposes the call graph and taint paths to the CLI).
-    project: Any = None
 
     def as_dict(self) -> dict:
         """JSON-friendly report (the CI artifact; one-way, hence not
@@ -85,24 +78,22 @@ def apply_suppressions(
     src: SourceFile,
     raw: list[Finding],
     left_out: frozenset[str] = frozenset(),
-) -> tuple[list[Finding], list[Finding]]:
-    """``(active, silenced)`` after the file's suppression map.
+) -> tuple[list[Finding], int]:
+    """``(active findings, silenced count)`` after the file's suppression map.
 
     Suppressions are honored per (line, code); every suppression must earn
     its keep — one that silences nothing becomes an RPL000 finding, so the
     inline inventory can never rot silently.  Suppressions of the rules in
     ``left_out`` (a ``--select`` subset run skipped them) are not judged.
-    Silenced findings are returned (not discarded) so ``--explain`` can
-    still show the taint path behind a justified suppression.
     """
     findings: list[Finding] = list(src.meta_findings)
     used: set[tuple[int, str]] = set()
-    silenced: list[Finding] = []
+    silenced = 0
     for finding in sorted(raw):
         directive = src.suppressions.get(finding.line)
         if directive is not None and finding.code in directive.codes:
             used.add((finding.line, finding.code))
-            silenced.append(finding)
+            silenced += 1
             continue
         findings.append(finding)
     for line in sorted(src.suppressions):
@@ -131,20 +122,13 @@ def run_lint(
     targets: tuple[str, ...] = DEFAULT_TARGETS,
     rules: tuple[Rule, ...] | None = None,
 ) -> LintReport:
-    """Lint the targets.
-
-    Every target is read and parsed once; per-file rules run on each
-    parse, then project rules run once over the whole-program context
-    built from those same parses.  Project findings pass through their
-    file's suppression map like any other finding.
-    """
+    """Lint the targets: every file is read and parsed once, each rule
+    runs on that parse, and the findings pass through the file's
+    suppression map."""
     root = (root or repo_root()).resolve()
     rules = rules if rules is not None else all_rules()
-    file_rules = tuple(r for r in rules if not isinstance(r, ProjectRule))
-    project_rules = tuple(r for r in rules if isinstance(r, ProjectRule))
+    left_out = _left_out(rules)
     report = LintReport()
-    srcs: dict[str, SourceFile] = {}
-    raw_by_rel: dict[str, list[Finding]] = {}
     for path in collect_files(root, targets):
         try:
             rel = path.relative_to(root).as_posix()
@@ -155,26 +139,12 @@ def run_lint(
         if isinstance(parsed, Finding):  # undecodable or unparseable
             report.findings.append(parsed)
             continue
-        srcs[rel] = parsed
         raw: list[Finding] = []
-        for rule in file_rules:
+        for rule in rules:
             if rule.applies_to(rel):
                 raw.extend(rule.check(parsed))
-        raw_by_rel[rel] = raw
-    if project_rules:
-        project = Project(srcs)
-        report.project = project
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                if rule.applies_to(finding.path):
-                    raw_by_rel[finding.path].append(finding)
-    left_out = _left_out(rules)
-    for rel in sorted(raw_by_rel):
-        findings, silenced = apply_suppressions(
-            srcs[rel], raw_by_rel[rel], left_out
-        )
+        findings, silenced = apply_suppressions(parsed, raw, left_out)
         report.findings.extend(findings)
-        report.silenced.extend(silenced)
-        report.suppressed += len(silenced)
+        report.suppressed += silenced
     report.findings.sort()
     return report

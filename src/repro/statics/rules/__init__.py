@@ -17,7 +17,6 @@ from repro.statics.rules.determinism import (
     IterationOrderRule,
     NondeterminismRule,
 )
-from repro.statics.rules.flow import DeterminismFlowRule, SeamEscapeRule
 from repro.statics.rules.lockstep import LockstepRule
 from repro.statics.rules.robustness import SwallowedExceptionRule
 
@@ -34,8 +33,6 @@ def all_rules() -> tuple[Rule, ...]:
         CacheSoundnessRule(),
         FrozenMutationRule(),
         SwallowedExceptionRule(),
-        DeterminismFlowRule(),
-        SeamEscapeRule(),
     )
     return tuple(sorted(rules, key=lambda r: r.code))
 

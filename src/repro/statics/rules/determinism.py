@@ -6,8 +6,9 @@ count, or Python version (CI diffs run documents across 3.10/3.12).  Two
 textual patterns break it silently:
 
 * reading ambient entropy — wall clocks, the process-global ``random`` /
-  ``numpy.random`` state — instead of deriving a stream from the run's seed
-  via :func:`repro.rng.rng_for` (RPL001);
+  ``numpy.random`` state, the pid, hostname or environment — instead of
+  deriving a stream from the run's seed via :func:`repro.rng.rng_for`
+  (RPL001);
 * accumulating floats in an order the language does not pin — ``sum`` over
   a ``set`` or over ``dict.values()``, or iterating an OS directory listing
   unsorted (float addition is not associative; ``os.listdir`` order is
@@ -19,6 +20,7 @@ from __future__ import annotations
 import ast
 
 from repro.statics.core import (
+    HOST_ENTROPY_CALLS,
     PERF_TIMERS,
     SEEDED_RNG,
     WALL_CLOCKS,
@@ -34,9 +36,10 @@ class NondeterminismRule(Rule):
     title = "ambient entropy on a reproducible path"
     rationale = (
         "Persisted documents must be a pure function of the run spec. "
-        "Wall clocks and the process-global random state vary per host and "
-        "per run; derive randomness from the seed via repro.rng.rng_for "
-        "and keep wall-clock timing on the non-persisted perf channel."
+        "Wall clocks, the process-global random state, pids, hostnames "
+        "and environment variables vary per host and per run; derive "
+        "randomness from the seed via repro.rng.rng_for and keep "
+        "wall-clock timing on the non-persisted perf channel."
     )
 
     def check(self, src: SourceFile) -> list[Finding]:
@@ -44,6 +47,19 @@ class NondeterminismRule(Rule):
         in_benchmarks = src.rel.startswith("benchmarks/")
         out: list[Finding] = []
         for node in ast.walk(src.tree):
+            if (
+                isinstance(node, (ast.Attribute, ast.Name))
+                and imports.resolve(node) == "os.environ"
+            ):
+                out.append(
+                    src.finding(
+                        self.code,
+                        node,
+                        "os.environ reads the host environment; pass the "
+                        "value in through the run spec or a CLI option",
+                    )
+                )
+                continue
             if not isinstance(node, ast.Call):
                 continue
             name = imports.resolve(node.func)
@@ -57,6 +73,16 @@ class NondeterminismRule(Rule):
                         f"wall-clock {name}() on a reproducible path; "
                         "simulation time is the only clock persisted "
                         "documents may depend on",
+                    )
+                )
+            elif name in HOST_ENTROPY_CALLS:
+                out.append(
+                    src.finding(
+                        self.code,
+                        node,
+                        f"{name}() reads process/host identity or OS "
+                        "entropy, which differs per host and per run; "
+                        "keep it off reproducible paths",
                     )
                 )
             elif name in PERF_TIMERS and not in_benchmarks:

@@ -5,6 +5,7 @@ linter in tests/test_statics.py.  Line *content* matters (it anchors
 baseline identities); keep edits deliberate.
 """
 
+import os
 import random
 import time as clock
 from datetime import datetime
@@ -30,6 +31,14 @@ def positive_global_numpy() -> float:
 
 def positive_perf_timer() -> float:
     return clock.perf_counter()
+
+
+def positive_process_id() -> str:
+    return f"run-{os.getpid()}"
+
+
+def positive_environment_read() -> str:
+    return os.environ["REPRO_TAG"]
 
 
 def negative_seeded_stream(seed: int) -> float:

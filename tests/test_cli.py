@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -63,6 +65,32 @@ class TestSimulateAndCompare:
         out = capsys.readouterr().out
         assert "rubick-n" in out and "synergy" in out
         assert "(1.00x)" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_simulate_converts_injected_fault_to_incident_record(
+        self, command, capsys
+    ):
+        # A run killed by an injected fault prints a deterministic incident
+        # record and exits 3 instead of dying with a raw traceback.
+        rc = main(
+            [
+                command,
+                "--policy", "rubick",
+                "--jobs", "2",
+                "--seed", "0",
+                "--faults", "chaos-smoke",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "run terminated by injected fault" in out
+        record = json.loads(out.partition("incident record:")[2])
+        assert record["error"] == "InjectedCrash"
+        assert "seam=worker-crash" in record["message"]
+        # The digest hashes frame coordinates: stable across invocations
+        # (asserted elsewhere), but not pinnable against unrelated edits.
+        assert len(record["traceback_digest"]) == 12
+        assert set(record["traceback_digest"]) <= set("0123456789abcdef")
 
     def test_compare_rejects_unknown_policy(self, capsys):
         rc = main(["compare", *SMALL, "--jobs", "5", "--policy", "nope"])

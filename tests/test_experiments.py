@@ -349,6 +349,20 @@ class TestRunnerPersistence:
         with pytest.raises(ValueError, match="duplicate"):
             run_sweep([run, run])
 
+    def test_run_store_rejects_nan_meta(self, tmp_path):
+        # allow_nan=False is live, not decorative: a NaN that reaches a
+        # raw writer fails loudly instead of emitting non-RFC-8259 JSON.
+        store = RunStore(tmp_path)
+        store.append_meta({"event": "refit", "gain": 1.5})
+        with pytest.raises(ValueError):
+            store.append_meta({"event": "refit", "gain": float("nan")})
+
+    def test_run_store_completed_keys(self, tmp_path):
+        store = RunStore(tmp_path)
+        for key in ("b-run", "a-run", "c-run"):
+            store.path_for(key).write_text("{}\n")
+        assert store.completed_keys() == {"a-run", "b-run", "c-run"}
+
 
 def outcome_keys(spec: SweepSpec) -> list[str]:
     return [run.run_key for run in spec.expand()]

@@ -4,8 +4,9 @@ The contracts pinned here:
 
 * **Wire framing** — length-delimited JSON frames round-trip through
   :class:`FrameDecoder` at every possible tear point, and stream damage
-  (oversized header, undecodable body, non-object payload) raises
-  :class:`ProtocolError` instead of desyncing silently.
+  (oversized header, undecodable body, a ``NaN``/``Infinity`` literal,
+  non-object payload) raises :class:`ProtocolError` instead of desyncing
+  silently.
 * **step() ≡ run()** — driving the engine with incremental ``step()``
   slices (one round at a time, arbitrary ``until`` cuts, or one
   ``step(inf)``) produces result documents byte-identical to ``run()``.
@@ -18,8 +19,11 @@ The contracts pinned here:
 * **Backpressure** — a client that sends without reading stops being read
   once its unsent replies pass ``OUTBUF_LIMIT``, without starving others.
 * **Frame schemas** — the master rejects a request that breaks
-  ``protocol.FRAME_SCHEMAS`` with an ERROR and keeps the connection; the
-  client raises :class:`ProtocolError` on a reply that breaks it.
+  ``protocol.REQUEST_SCHEMAS`` with an ERROR and keeps the connection; the
+  client raises :class:`ProtocolError` on a reply that breaks
+  ``protocol.REPLY_SCHEMAS``.
+* **Hostile requests** — a frame carrying ``NaN`` or a job the cluster
+  cannot launch earns an ERROR; the master keeps serving other clients.
 """
 
 from __future__ import annotations
@@ -122,6 +126,13 @@ class TestFraming:
         body = b"{not json"
         blob = struct.pack(">I", len(body)) + body
         with pytest.raises(ProtocolError, match="undecodable"):
+            FrameDecoder().feed(blob)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_rfc_constant_is_undecodable(self, literal):
+        body = f'{{"type": "SUBMIT", "job": {{"x": {literal}}}}}'.encode()
+        blob = struct.pack(">I", len(body)) + body
+        with pytest.raises(ProtocolError, match=f"undecodable.*{literal}"):
             FrameDecoder().feed(blob)
 
     def test_non_object_payload(self):
@@ -302,6 +313,47 @@ class TestLoopback:
         assert [i["kind"] for i in incidents] == ["cluster-event-error"]
         assert "node 99" in incidents[0]["message"]
 
+    def test_nan_submit_time_gets_error_and_master_survives(self, workload):
+        trace, _ = workload
+        master, thread = start_master(make_sim())
+        job = json.dumps(trace_job_to_dict(trace.jobs[0]), allow_nan=False)
+        body = f'{{"type": "SUBMIT", "job": {job}}}'.replace(
+            f'"submit_time": {trace.jobs[0].submit_time!r}',
+            '"submit_time": NaN',
+        )
+        assert "NaN" in body
+        raw = socket.create_connection(("127.0.0.1", master.port))
+        with raw:
+            raw.sendall(struct.pack(">I", len(body)) + body.encode())
+            decoder = FrameDecoder()
+            replies: list[dict] = []
+            while not replies:
+                data = raw.recv(65536)
+                assert data, "master closed without an ERROR reply"
+                replies = decoder.feed(data)
+        assert replies[0]["type"] == protocol.ERROR
+        assert "NaN" in replies[0]["error"]
+        with ServiceClient(port=master.port) as client:
+            assert client.status()["state"] == "streaming"
+            drained = client.drain(trace.name)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert drained["result"]["summary"]["jobs"] == 0
+
+    def test_infeasible_submit_is_rejected_before_the_ack(self, workload):
+        trace, _ = workload
+        master, thread = start_master(make_sim())
+        job = trace_job_to_dict(trace.jobs[0])
+        job["requested_gpus"] = 10**6
+        with ServiceClient(port=master.port) as client:
+            with pytest.raises(ProtocolError, match="SUBMIT rejected"):
+                client.request({"type": protocol.SUBMIT, "job": job})
+            client.submit_job(trace.jobs[0])
+            drained = client.drain(trace.name)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert drained["result"]["summary"]["jobs"] == 1
+
     def test_daemon_lost_mid_frame_does_not_kill_session(self, workload):
         trace, _ = workload
         master, thread = start_master(make_sim())
@@ -332,6 +384,9 @@ MALFORMED_REQUESTS = [
     ("status-extra-key",
      lambda job: {"type": "STATUS", "verbose": True},
      "STATUS rejected: unexpected key 'verbose'"),
+    ("status-reply-key",
+     lambda job: {"type": "STATUS", "status": {}},
+     "STATUS rejected: unexpected key 'status'"),
     ("metrics-extra-key",
      lambda job: {"type": "METRICS", "since": 0},
      "METRICS rejected: unexpected key 'since'"),
@@ -351,32 +406,41 @@ MALFORMED_REQUESTS = [
 
 
 class TestFrameSchemas:
-    """``protocol.FRAME_SCHEMAS``: the master validates every request it
-    receives, the client every reply."""
+    """``protocol.REQUEST_SCHEMAS``/``REPLY_SCHEMAS``: the master validates
+    every request it receives, the client every reply."""
 
     def test_every_schema_requires_the_type_key(self):
-        for frame_type, (required, optional) in sorted(
-            protocol.FRAME_SCHEMAS.items()
-        ):
-            assert "type" in required, frame_type
-            assert not (required & optional), frame_type
+        for schemas in (protocol.REQUEST_SCHEMAS, protocol.REPLY_SCHEMAS):
+            for frame_type, (required, optional) in sorted(schemas.items()):
+                assert "type" in required, frame_type
+                assert not (required & optional), frame_type
 
     def test_validate_frame_verdicts(self):
-        assert protocol.validate_frame({"type": protocol.STATUS}) == []
+        requests, replies = protocol.REQUEST_SCHEMAS, protocol.REPLY_SCHEMAS
+        assert protocol.validate_frame({"type": protocol.STATUS}, requests) == []
         assert protocol.validate_frame(
-            {"type": protocol.STATUS, "status": "idle"}
+            {"type": protocol.STATUS, "status": "idle"}, replies
         ) == []
-        assert protocol.validate_frame({"type": "NOPE"}) == [
+        assert protocol.validate_frame(
+            {"type": protocol.STATUS, "status": "idle"}, requests
+        ) == ["unexpected key 'status'"]
+        assert protocol.validate_frame({"type": protocol.STATUS}, replies) == [
+            "missing required key 'status'"
+        ]
+        assert protocol.validate_frame({"type": "NOPE"}, requests) == [
             "unknown frame type 'NOPE'"
         ]
-        assert protocol.validate_frame({"type": {}}) == [
+        assert protocol.validate_frame({"type": protocol.OK}, requests) == [
+            "unknown frame type 'OK'"
+        ]
+        assert protocol.validate_frame({"type": {}}, replies) == [
             "unknown frame type {}"
         ]
         assert protocol.validate_frame(
-            {"type": protocol.SUBMIT, "jbo": {}}
+            {"type": protocol.SUBMIT, "jbo": {}}, requests
         ) == ["missing required key 'job'", "unexpected key 'jbo'"]
         assert protocol.validate_frame(
-            {"type": protocol.DRAIN, "trace_name": None}
+            {"type": protocol.DRAIN, "trace_name": None}, requests
         ) == ["trace_name must be a string, got NoneType"]
 
     @pytest.mark.parametrize(
@@ -410,10 +474,11 @@ class TestFrameSchemas:
             {"type": protocol.OK, "job_id": "j0", "priority": "high"},
             {"type": protocol.ERROR},
             {"type": protocol.DRAINED, "metrics": {}},
+            {"type": protocol.STATUS},
             {"type": "NOPE"},
         ],
         ids=["stray-key", "error-without-text", "drained-without-result",
-             "unknown-type"],
+             "status-without-status", "unknown-type"],
     )
     def test_malformed_reply_raises_protocol_error(self, reply):
         server = socket.create_server(("127.0.0.1", 0))
@@ -444,12 +509,12 @@ class TestFrameSchemas:
         receiving end — including the metrics-only DRAINED reply whose
         ``note`` says why the full document could not be built."""
         trace, events = workload
-        seen: list[str] = []
+        seen: set[tuple[str, bool]] = set()
         validate = protocol.validate_frame
 
-        def spy(payload: dict) -> list[str]:
-            seen.append(payload["type"])
-            return validate(payload)
+        def spy(payload: dict, schemas: protocol.Schemas) -> list[str]:
+            seen.add((payload["type"], schemas is protocol.REPLY_SCHEMAS))
+            return validate(payload, schemas)
 
         monkeypatch.setattr(protocol, "validate_frame", spy)
         sim = Simulator(
@@ -471,7 +536,14 @@ class TestFrameSchemas:
         assert drained["result"] is None
         assert "records were dropped" in drained["note"]
         assert drained["metrics"]["completed"] == len(trace)
-        assert set(seen) == set(protocol.FRAME_SCHEMAS)
+        assert seen == {
+            (frame_type, is_reply)
+            for is_reply, schemas in (
+                (False, protocol.REQUEST_SCHEMAS),
+                (True, protocol.REPLY_SCHEMAS),
+            )
+            for frame_type in schemas
+        }
 
 
 class TestBackpressure:
@@ -504,17 +576,17 @@ class TestBackpressure:
                 super()._flush(client)
 
         master, thread = start_master(make_sim(), factory=Probe)
-        # ~1 KiB STATUS frames (padded in the schema's optional
-        # ``status`` key, which the master ignores on a request); every
-        # 50th is an unknown type whose ERROR reply names it, so the order
-        # of the replies is checkable.
-        pad = "x" * 1000
+        # ~1 KiB STATUS frames (padded with JSON whitespace after the
+        # object, which the decoder skips); every 50th is an unknown type
+        # whose ERROR reply names it, so the order of the replies is
+        # checkable.
         frames = [
-            {"type": f"SEQ{i}" if i % 50 == 0 else protocol.STATUS,
-             "status": pad}
+            {"type": f"SEQ{i}" if i % 50 == 0 else protocol.STATUS}
             for i in range(5000)
         ]
-        blob = b"".join(encode_frame(f) for f in frames)
+        bodies = [json.dumps(f).encode() + b" " * 1000 for f in frames]
+        wire = [struct.pack(">I", len(b)) + b for b in bodies]
+        blob = b"".join(wire)
         hog = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         hog.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
@@ -560,7 +632,7 @@ class TestBackpressure:
             largest = max(len(encode_frame(r)) for r in replies)
             assert seen["outbuf"] <= limit + largest
             # Nothing is read while backlogged: at most one recv queues.
-            per_recv = master_module._RECV_BYTES // len(encode_frame(frames[1]))
+            per_recv = master_module._RECV_BYTES // len(wire[1])
             assert seen["pending"] <= per_recv + 1
             hog.close()
             other.submit_job(trace.jobs[0])

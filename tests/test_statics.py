@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.statics.cli import EXPLAIN_EXAMPLE
 from repro.statics.core import (
     DEFAULT_TARGETS,
     META_CODE,
@@ -60,9 +59,10 @@ RULE_CASES = [
     (
         "rpl001_cases.py",
         "RPL001",
-        5,
+        7,
         ["clock.time()", "datetime.now()", "random.random()",
-         "np.random.exponential", "clock.perf_counter()"],
+         "np.random.exponential", "clock.perf_counter()", "os.getpid()",
+         'os.environ["REPRO_TAG"]'],
     ),
     (
         "rpl002_cases.py",
@@ -164,147 +164,10 @@ class TestRuleFixtures:
         assert codes == sorted(codes)
         assert codes == [
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
-            "RPL007", "RPL008", "RPL010",
+            "RPL007",
         ]
         with pytest.raises(ValueError):
             rules_by_code(["RPL999"])
-
-
-# ----------------------------------------------------------------------
-# Whole-program flow rules (RPL008, RPL010)
-# ----------------------------------------------------------------------
-#: Same shape as RULE_CASES, but these fixtures are linted with only the
-#: rule under test selected: they deliberately contain RPL001-visible
-#: source lines (that is the point — the flow rule must fire where the
-#: per-line rule cannot), so the single-rule-per-fixture invariant of
-#: RULE_CASES does not hold.
-FLOW_CASES = [
-    (
-        "rpl008_cases.py",
-        "RPL008",
-        3,
-        ["json.dumps(doc", 'persist({"stamp"', "hashlib.sha256"],
-    ),
-    (
-        "rpl010_cases.py",
-        "RPL010",
-        1,
-        ["middle(injector)"],
-    ),
-]
-
-
-class TestFlowRuleFixtures:
-    @pytest.mark.parametrize(
-        "fixture,code,count,anchors",
-        FLOW_CASES,
-        ids=[c[1] for c in FLOW_CASES],
-    )
-    def test_positives_found_negatives_silent(
-        self, fixture, code, count, anchors
-    ):
-        report = lint_fixture(fixture, rules=rules_by_code([code]))
-        found = [f for f in report.findings if f.code == code]
-        assert len(found) == count, [f.format() for f in report.findings]
-        for finding in found:
-            assert "negative" not in finding.content
-            assert "suppressed" not in finding.content
-        for anchor in anchors:
-            hits = [f for f in found if anchor in f.content]
-            assert len(hits) == 1, (anchor, [f.content for f in found])
-        assert set(codes_of(report)) == {code}
-        # The fixture's one suppression directive was honored *and* used.
-        assert report.suppressed == 1
-        assert META_CODE not in codes_of(report)
-
-    @pytest.mark.parametrize(
-        "fixture,code,count,anchors",
-        FLOW_CASES,
-        ids=[c[1] for c in FLOW_CASES],
-    )
-    def test_fixture_detects_rule_disablement(
-        self, fixture, code, count, anchors
-    ):
-        others = tuple(r for r in all_rules() if r.code != code)
-        report = lint_fixture(fixture, rules=others)
-        assert code not in codes_of(report)
-        assert META_CODE not in codes_of(report)
-
-    def test_rpl008_sees_the_two_hop_flow_rpl001_cannot(self):
-        """The acceptance demo: entropy born in one function, laundered
-        through a second, persisted in a third.  RPL001 flags the source
-        expression; only RPL008 connects it to the sink and anchors the
-        finding at the crossing."""
-        flow = lint_fixture(
-            "rpl008_cases.py", rules=rules_by_code(["RPL008"])
-        )
-        hit = next(f for f in flow.findings if "json.dumps(doc" in f.content)
-        assert hit.line == 35
-        assert "time.time (rpl008_cases.py:19)" in hit.message
-        # The finding carries the full hop trail for --explain.
-        assert "source time.time at rpl008_cases.py:19" in hit.explanation
-        assert (
-            "through rpl008_cases.entropy_amount()" in hit.explanation
-        )
-        assert "through rpl008_cases.launder()" in hit.explanation
-        assert "sink json.dumps at rpl008_cases.py:35" in hit.explanation
-
-        per_line = lint_fixture(
-            "rpl008_cases.py", rules=rules_by_code(["RPL001"])
-        )
-        rpl001_lines = {
-            f.line for f in per_line.findings if f.code == "RPL001"
-        }
-        assert 19 in rpl001_lines  # RPL001 sees the source line...
-        assert hit.line not in rpl001_lines  # ...but not the sink crossing
-
-    def test_rpl008_sink_behind_a_parameter(self):
-        """``persist(doc)`` anchors at the *call site* passing tainted
-        data, with the sink reported inside the callee."""
-        flow = lint_fixture(
-            "rpl008_cases.py", rules=rules_by_code(["RPL008"])
-        )
-        hit = next(f for f in flow.findings if "persist(" in f.content)
-        assert hit.line == 40
-        assert "os.getpid (rpl008_cases.py:39)" in hit.message
-        assert "sink json.dumps (rpl008_cases.py:29)" in hit.message
-        assert "into rpl008_cases.persist()" in hit.explanation
-
-    def test_rpl010_escape_chain_and_containment(self):
-        report = lint_fixture(
-            "rpl010_cases.py", rules=rules_by_code(["RPL010"])
-        )
-        (hit,) = report.findings
-        # Only the armed, unguarded entry is flagged; the guarded and the
-        # disarmed entries stay silent.
-        assert "positive_entry()" in hit.message
-        assert "fault seam 'fixture-seam' (rpl010_cases.py:17)" in hit.message
-        assert (
-            "armed seam 'fixture-seam' at rpl010_cases.py:17"
-            in hit.explanation
-        )
-        assert (
-            "escapes through call to rpl010_cases.seam_site()"
-            in hit.explanation
-        )
-        assert (
-            "reaches entry point rpl010_cases.positive_entry() uncontained"
-            in hit.explanation
-        )
-
-    def test_explanation_is_not_part_of_finding_identity(self):
-        """Equality and ordering ignore the explanation payload, so a
-        dataflow refinement never reorders or dedupes the report."""
-        a = Finding(
-            path="m.py", line=1, col=1, code="RPL008",
-            message="msg", content="c", explanation="trail A",
-        )
-        b = Finding(
-            path="m.py", line=1, col=1, code="RPL008",
-            message="msg", content="c", explanation="trail B",
-        )
-        assert a == b
-        assert not a < b and not b < a
 
 
 # ----------------------------------------------------------------------
@@ -359,9 +222,9 @@ class TestSuppressionContract:
             )
 
     @pytest.mark.parametrize("select", [
-        ["RPL008", "RPL010"],
+        ["RPL001"],
         ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007"],
-    ], ids=["flow-rules", "line-rules"])
+    ], ids=["rpl001-only", "line-rules"])
     def test_live_subset_run_reports_no_stale_suppression(self, select):
         # Each subset leaves out rules whose live suppressions are earned.
         report = run_lint(
@@ -442,89 +305,6 @@ class TestEngineDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Call graph and dataflow (the whole-program substrate)
-# ----------------------------------------------------------------------
-def project_of(root: Path, targets: tuple[str, ...]):
-    """The whole-program context of a lint run over ``targets``."""
-    return run_lint(root=root, targets=targets).project
-
-
-class TestCallGraph:
-    def test_same_tree_yields_identical_sorted_json(self):
-        docs = [
-            json.dumps(
-                project_of(FIXTURES, (".",)).call_graph_dict(),
-                allow_nan=False,
-            )
-            for _ in range(2)
-        ]
-        assert docs[0] == docs[1]
-        doc = json.loads(docs[0])
-        functions = doc["functions"]
-        assert list(functions) == sorted(functions)
-        for row in functions.values():
-            assert row["calls"] == sorted(row["calls"])
-
-    def test_resolves_project_internal_edges(self):
-        project = project_of(FIXTURES, (".",))
-        functions = project.call_graph_dict()["functions"]
-        assert (
-            "rpl010_cases.seam_site"
-            in functions["rpl010_cases.middle"]["calls"]
-        )
-
-    def test_resolves_package_reexports(self):
-        """``from repro.experiments import execute_run`` resolves through
-        the package ``__init__`` to the defining module — the edge RPL010
-        needs to follow a fault from the runner up to the CLI entry."""
-        project = project_of(
-            REPO_ROOT, ("src/repro/cli.py", "src/repro/experiments")
-        )
-        functions = project.call_graph_dict()["functions"]
-        assert (
-            "repro.experiments.runner.execute_run"
-            in functions["repro.cli._contained_execute"]["calls"]
-        )
-
-
-class TestSummaryCache:
-    """Every run re-derives the whole-program facts from the sources."""
-
-    CLEAN = "def helper():\n    return 1\n"
-    TAINTED = (
-        "import json\n"
-        "import time\n"
-        "\n"
-        "\n"
-        "def stamp():\n"
-        "    return time.time()\n"
-        "\n"
-        "\n"
-        "def emit():\n"
-        '    return json.dumps({"t": stamp()}, allow_nan=False)\n'
-    )
-
-    def test_warm_run_hits_and_edit_invalidates(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        other = tmp_path / "other.py"
-        mod.write_text(self.TAINTED)
-        other.write_text(self.CLEAN)
-
-        first = project_of(tmp_path, (".",))
-        first_hits = [h.sort_key() for h in first.flow_hits()]
-        assert len(first_hits) == 1  # stamp() -> json.dumps crosses a call
-
-        # An edit that leaves the flow alone leaves the verdict alone...
-        other.write_text("def helper():\n    return 2\n")
-        edited = project_of(tmp_path, (".",))
-        assert [h.sort_key() for h in edited.flow_hits()] == first_hits
-
-        # ...and an edit that removes the source removes the finding.
-        mod.write_text(self.TAINTED.replace("time.time()", "0.0"))
-        assert project_of(tmp_path, (".",)).flow_hits() == []
-
-
-# ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
 class TestLintCli:
@@ -539,7 +319,7 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "RPL001" in out
-        assert "5 finding(s)" in out
+        assert "7 finding(s)" in out
         assert "1 suppressed" in out
 
     def test_select_restricts_rules(self, capsys):
@@ -570,7 +350,7 @@ class TestLintCli:
         assert rc == 0
         assert re.findall(r"^(RPL\d{3})  ", out, re.M) == [
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
-            "RPL007", "RPL008", "RPL010",
+            "RPL007",
         ]
 
     def test_package_rule_table_matches_registry(self):
@@ -614,109 +394,29 @@ class TestLintCli:
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_paths_subset_reports_without_baseline(self, capsys):
-        """Positional targets lint just the named files, which are also
-        the whole-program context."""
+        """Positional targets lint just the named files."""
         rc = main(
             [
                 "lint",
                 "--root", str(FIXTURES),
-                "--select", "RPL008",
-                "rpl008_cases.py",
+                "--select", "RPL001",
+                "rpl001_cases.py",
             ]
         )
         out = capsys.readouterr().out
         assert rc == 1
-        assert "lint: 1 files, 3 finding(s), 1 suppressed" in out
+        assert "lint: 1 files, 7 finding(s), 1 suppressed" in out
 
     def test_paths_refuses_baseline_operations(self, capsys):
         """The removed run modes are usage errors, not silent no-ops."""
         for flag in (
             "--baseline", "--no-baseline", "--check-baseline",
             "--update-baseline", "--summary-cache", "--paths",
+            "--call-graph", "--explain",
         ):
             with pytest.raises(SystemExit) as exc:
-                main(["lint", "--root", str(FIXTURES), flag, "rpl008_cases.py"])
+                main(["lint", "--root", str(FIXTURES), flag, "rpl001_cases.py"])
             assert exc.value.code == 2, flag
-
-    def test_call_graph_artifact_is_deterministic(self, tmp_path, capsys):
-        argv = [
-            "lint",
-            "--root", str(FIXTURES),
-            "--select", "RPL010",
-            "rpl010_cases.py",
-        ]
-        graphs = []
-        for name in ("first.json", "second.json"):
-            out = tmp_path / name
-            assert main([*argv, "--call-graph", str(out)]) == 1
-            graphs.append(out.read_bytes())
-        assert graphs[0] == graphs[1]
-        doc = json.loads(graphs[0])
-        functions = doc["functions"]
-        assert list(functions) == sorted(functions)
-        assert (
-            "rpl010_cases.seam_site"
-            in functions["rpl010_cases.middle"]["calls"]
-        )
-
-    def test_call_graph_without_project_rules_is_usage_error(
-        self, tmp_path, capsys
-    ):
-        rc = main(
-            [
-                "lint",
-                "--root", str(FIXTURES),
-                "--select", "RPL001",
-                "--call-graph", str(tmp_path / "graph.json"),
-                "rpl001_cases.py",
-            ]
-        )
-        assert rc == 2
-
-    def test_explain_prints_the_taint_path(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--root", str(FIXTURES),
-                "--select", "RPL008",
-                "--explain", "RPL008:rpl008_cases.py:35",
-                "rpl008_cases.py",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "source time.time at rpl008_cases.py:19" in out
-        assert "through rpl008_cases.launder()" in out
-        assert "sink json.dumps at rpl008_cases.py:35" in out
-
-    def test_explain_unmatched_location_fails(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--root", str(FIXTURES),
-                "--select", "RPL008",
-                "--explain", "RPL008:rpl008_cases.py:1",
-                "rpl008_cases.py",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "no finding RPL008 at rpl008_cases.py:1" in out
-
-    def test_explain_malformed_spec_is_usage_error(self, capsys):
-        rc = main(["lint", "--explain", "RPL008-rpl008_cases.py-35"])
-        assert rc == 2
-
-    def test_readme_explain_example_resolves(self, capsys):
-        """README's ``--explain`` address names a live finding, so the
-        documented example cannot rot into "no finding"."""
-        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        (address,) = set(re.findall(r"--explain (RPL\d{3}:\S+:\d+)", readme))
-        assert address == EXPLAIN_EXAMPLE
-        rc = main(["lint", "--explain", address])
-        out = capsys.readouterr().out
-        assert rc == 0, out
-        assert "[suppressed inline]" in out
 
 
 # ----------------------------------------------------------------------
@@ -766,70 +466,7 @@ class TestFixedViolationsStayFixed:
         ],
     )
     def test_fixed_file_stays_clean(self, rel, live_report):
-        # Read from the whole-tree run: a file's RPL010 verdict depends on
-        # its callers, which a one-file project cannot see.
         assert (REPO_ROOT / rel).is_file()
         assert [
             f.format() for f in live_report.findings if f.path == rel
         ] == []
-
-    def test_cli_entry_points_contain_injected_faults(self):
-        """RPL010: ``cmd_simulate``/``cmd_compare`` must catch
-        :class:`InjectedFault` escaping ``execute_run`` and convert it to
-        an incident record + exit 3.  Linting the CLI together with the
-        modules that define the seams re-creates the original findings if
-        the containment handler is ever removed."""
-        report = run_lint(
-            root=REPO_ROOT,
-            targets=(
-                "src/repro/cli.py",
-                "src/repro/experiments",
-                "src/repro/faults",
-            ),
-        )
-        assert [f.format() for f in report.findings] == []
-
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_simulate_converts_injected_fault_to_incident_record(
-        self, command, capsys
-    ):
-        # The behavioral half of the RPL010 fix: a run killed by an
-        # injected fault prints a deterministic incident record and exits
-        # 3 instead of dying with a raw traceback.
-        rc = main(
-            [
-                command,
-                "--policy", "rubick",
-                "--jobs", "2",
-                "--seed", "0",
-                "--faults", "chaos-smoke",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 3
-        assert "run terminated by injected fault" in out
-        record = json.loads(out.partition("incident record:")[2])
-        assert record["error"] == "InjectedCrash"
-        assert "seam=worker-crash" in record["message"]
-        # The digest hashes frame coordinates: stable across invocations
-        # (asserted elsewhere), but not pinnable against unrelated edits.
-        assert len(record["traceback_digest"]) == 12
-        assert set(record["traceback_digest"]) <= set("0123456789abcdef")
-
-    def test_run_store_rejects_nan_meta(self, tmp_path):
-        # allow_nan=False is live, not decorative: a NaN that reaches a
-        # raw writer fails loudly instead of emitting non-RFC-8259 JSON.
-        from repro.experiments.store import RunStore
-
-        store = RunStore(tmp_path)
-        store.append_meta({"event": "refit", "gain": 1.5})
-        with pytest.raises(ValueError):
-            store.append_meta({"event": "refit", "gain": float("nan")})
-
-    def test_run_store_completed_keys(self, tmp_path):
-        from repro.experiments.store import RunStore
-
-        store = RunStore(tmp_path)
-        for key in ("b-run", "a-run", "c-run"):
-            store.path_for(key).write_text("{}\n")
-        assert store.completed_keys() == {"a-run", "b-run", "c-run"}
