@@ -542,11 +542,11 @@ def cmd_sweep(args) -> int:
             perf=list(outcome.perf.values()),
         )
     )
-    executed = len(outcome.wall_seconds)
+    executed = len(outcome.perf)
     # Sum in sorted-key order: dict insertion order follows worker
     # completion order, which varies run to run (RPL002).
     run_time = sum(
-        outcome.wall_seconds[k] for k in sorted(outcome.wall_seconds)
+        outcome.perf[k]["wall_seconds"] for k in sorted(outcome.perf)
     )
     print(
         f"\nexecuted {executed} runs ({len(outcome.skipped)} resumed) in "
@@ -621,43 +621,38 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _discover_port(args) -> int:
-    """The master's port, from --port or (with retries) --port-file.
+def _connect_with_retry(args) -> ServiceClient:
+    """Connect to the master at --port, or at the port in --port-file.
 
     ``repro serve --port-file X &`` then ``repro submit --port-file X`` is
-    the scripted/CI startup shape; the file appears only once the master
-    has bound, so the client polls for it briefly instead of racing.
+    the scripted/CI startup shape: the file appears only once the master
+    has bound, so the client polls for the file and then the socket,
+    within one --connect-timeout budget, instead of racing.
     """
-    if args.port:
-        return args.port
-    if not args.port_file:
+    if not (args.port or args.port_file):
         raise ProtocolError("submit needs --port or --port-file")
     deadline = time.monotonic() + args.connect_timeout  # repro-lint: disable=RPL001 -- client-side startup timeout against a live master; never on a persisted-artifact path
-    path = Path(args.port_file)
+    path = Path(args.port_file) if args.port_file else None
     while True:
-        if path.exists():
+        port = args.port
+        if not port and path.exists():
             text = path.read_text().strip()
-            if text:
-                return int(text.split()[0])
-        if time.monotonic() > deadline:  # repro-lint: disable=RPL001 -- client-side startup timeout against a live master; never on a persisted-artifact path
-            raise ProtocolError(
+            port = int(text.split()[0]) if text else None
+        cause = None
+        if port:
+            try:
+                return ServiceClient(host=args.host, port=port).connect()
+            except OSError as exc:
+                cause = exc
+                error = f"cannot reach master at {args.host}:{port}: {exc}"
+        else:
+            error = (
                 f"no master port appeared in {args.port_file} within "
                 f"{args.connect_timeout:.0f}s"
             )
+        if time.monotonic() > deadline:  # repro-lint: disable=RPL001 -- client-side startup timeout against a live master; never on a persisted-artifact path
+            raise ProtocolError(error) from cause
         time.sleep(0.05)
-
-
-def _connect_with_retry(args, port: int) -> ServiceClient:
-    deadline = time.monotonic() + args.connect_timeout  # repro-lint: disable=RPL001 -- client-side startup timeout against a live master; never on a persisted-artifact path
-    while True:
-        try:
-            return ServiceClient(host=args.host, port=port).connect()
-        except OSError as exc:
-            if time.monotonic() > deadline:  # repro-lint: disable=RPL001 -- client-side startup timeout against a live master; never on a persisted-artifact path
-                raise ProtocolError(
-                    f"cannot reach master at {args.host}:{port}: {exc}"
-                ) from exc
-            time.sleep(0.05)
 
 
 def cmd_submit(args) -> int:
@@ -671,8 +666,7 @@ def cmd_submit(args) -> int:
     trace = build_trace(run)
     events = run_cluster_events(run)
     try:
-        port = _discover_port(args)
-        client = _connect_with_retry(args, port)
+        client = _connect_with_retry(args)
     except ProtocolError as exc:
         print(str(exc))
         return 2

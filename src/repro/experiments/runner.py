@@ -358,9 +358,8 @@ class SweepOutcome:
 
     runs: tuple[RunSpec, ...]
     results: dict[str, SimulationResult] = field(default_factory=dict)
-    #: Wall seconds per run *executed in this invocation* only.
-    wall_seconds: dict[str, float] = field(default_factory=dict)
-    #: Per-run perf rows (see :func:`run_perf`), executed runs only.
+    #: Per-run perf rows (see :func:`run_perf`), runs *executed in this
+    #: invocation* only.
     perf: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Run keys skipped because ``--resume`` found them already on disk.
     skipped: tuple[str, ...] = ()
@@ -489,7 +488,6 @@ def run_sweep(
                 )
                 continue
             outcome.results[run.run_key] = execution.result
-            outcome.wall_seconds[run.run_key] = execution.wall_seconds
             outcome.perf[run.run_key] = run_perf(execution)
             say(f"done {run.run_key} ({execution.wall_seconds:.1f}s)")
     elif todo:
@@ -523,7 +521,6 @@ def run_sweep(
                         f"{failure['error']}"
                     )
                     continue
-                outcome.wall_seconds[key] = perf["wall_seconds"]
                 outcome.perf[key] = perf
                 if payload is not None:
                     outcome.results[key] = result_from_dict(payload)
@@ -554,8 +551,8 @@ def run_sweep(
             "skipped_runs": len(outcome.skipped),
             "total_wall_seconds": round(outcome.total_wall, 3),
             "run_wall_seconds": {
-                k: round(v, 3)
-                for k, v in sorted(outcome.wall_seconds.items())
+                k: round(row["wall_seconds"], 3)
+                for k, row in sorted(outcome.perf.items())
             },
             "run_perf": {
                 k: {m: round(v, 4) for m, v in row.items()}

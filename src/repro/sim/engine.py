@@ -269,9 +269,9 @@ class Simulator:
         #: its memo entries live for the whole simulation.
         self.plan_engine = PlanEvalEngine(cluster_spec, scorer=self.scorer)
         #: ``(model, batch, gpus, cpus, plan) -> (baseline, best, host_mem)``
-        #: memo for :meth:`_make_job` — all ground-truth-derived, so entries
-        #: never go stale (ground truth never refits).
-        self._intrinsics_cache: dict[tuple, tuple[float, float, float]] = {}  # repro-lint: disable=RPL005 -- ground-truth intrinsics: TestbedScorer never refits (DESIGN.md 32-34)
+        #: memo for :meth:`_intrinsics` — all ground-truth-derived, so
+        #: entries never go stale (ground truth never refits).
+        self._intrinsics_cache: dict[tuple, tuple[float, float, float]] = {}
         #: Current session (:meth:`start` / :meth:`step`); ``run`` is a
         #: start + one full step, so batch and live share one state machine.
         self._live: _LiveRun | None = None
@@ -555,6 +555,11 @@ class Simulator:
         )
         if tj.job_id in st.pending_ids or tj.job_id in st.gpu_seconds:
             raise ValueError(f"duplicate job id {tj.job_id!r}")
+        if tj.requested_gpus > self.cluster_spec.total_gpus:
+            raise ValueError(
+                f"job {tj.job_id!r} requests {tj.requested_gpus} GPUs but "
+                f"the cluster has {self.cluster_spec.total_gpus}"
+            )
         self._intrinsics(tj)
         if late:
             tj = replace(tj, submit_time=st.now)

@@ -11,9 +11,7 @@ RPL001 no ambient entropy (clocks, global RNG, pid, env) on reproducible paths
 RPL002 no order-sensitive accumulation over unordered sources
 RPL003 Node/Cluster state mutates only through the SoA listener core
 RPL004 to_dict/from_dict pairing; json.dump(s) must pass allow_nan=False
-RPL005 store-derived memo caches must show model_version discipline
 RPL006 object.__setattr__ on frozen specs only during construction
-RPL007 no silently swallowed exceptions on incident-bearing paths
 ===== ==================================================================
 
 (Plus ``RPL000``: the linter's own hygiene — malformed, reasonless, or

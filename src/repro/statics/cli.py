@@ -21,8 +21,8 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         "lint",
         help="AST-based invariant linter over the repo's own source",
         description=(
-            "Enforces the determinism/lockstep/serialization/cache "
-            "contracts at lint time: per-file rules RPL001-RPL007. "
+            "Enforces the determinism/lockstep/serialization/frozen-spec "
+            "contracts at lint time: per-file rules RPL001-RPL004, RPL006. "
             "See DESIGN.md item 40."
         ),
         epilog=(

@@ -8,7 +8,6 @@ deterministic.  Adding a rule = adding a class here + a fixture file in
 from __future__ import annotations
 
 from repro.statics.core import Rule
-from repro.statics.rules.caching import CacheSoundnessRule
 from repro.statics.rules.contracts import (
     FrozenMutationRule,
     SerializationContractRule,
@@ -18,7 +17,6 @@ from repro.statics.rules.determinism import (
     NondeterminismRule,
 )
 from repro.statics.rules.lockstep import LockstepRule
-from repro.statics.rules.robustness import SwallowedExceptionRule
 
 __all__ = ["all_rules", "rules_by_code"]
 
@@ -30,9 +28,7 @@ def all_rules() -> tuple[Rule, ...]:
         IterationOrderRule(),
         LockstepRule(),
         SerializationContractRule(),
-        CacheSoundnessRule(),
         FrozenMutationRule(),
-        SwallowedExceptionRule(),
     )
     return tuple(sorted(rules, key=lambda r: r.code))
 

@@ -332,7 +332,7 @@ class TestRunnerPersistence:
         victim = outcome.runs[0].run_key
         store.path_for(victim).unlink()
         again = run_sweep(SPEC, out_dir=str(out), workers=1, resume=True)
-        assert set(again.wall_seconds) == {victim}  # only the missing ran
+        assert set(again.perf) == {victim}  # only the missing ran
         assert len(again.skipped) == 3
         assert set(again.results) == {run.run_key for run in SPEC.expand()}
         assert store.path_for(victim).exists()
@@ -340,7 +340,7 @@ class TestRunnerPersistence:
     def test_resume_with_everything_done_is_a_noop(self, serial_sweep):
         out, _ = serial_sweep
         again = run_sweep(SPEC, out_dir=str(out), workers=1, resume=True)
-        assert again.wall_seconds == {}
+        assert again.perf == {}
         assert len(again.skipped) == 4
         assert len(again.results) == 4
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cluster import ClusterSpec, NodeSpec, PAPER_CLUSTER
+from repro.cluster import ClusterSpec, NodeSpec, PAPER_CLUSTER, ResourceVector
 from repro.models import GPT2
 from repro.oracle import (
     SyntheticTestbed,
@@ -14,7 +16,13 @@ from repro.oracle import (
 )
 from repro.perfmodel import OnlineRefitter, ResourceShape
 from repro.plans import ExecutionPlan
-from repro.scheduler import rubick
+from repro.scheduler import (
+    Job,
+    JobSpec,
+    PerfModelStore,
+    SchedulingContext,
+    rubick,
+)
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 
 PLAN = ExecutionPlan(dp=8, ga_steps=2)
@@ -112,3 +120,27 @@ class TestSimulatorIntegration:
         curve_b = engine.curve(GPT2, 16, max_gpus=4)
         assert curve_a is not curve_b
         assert curve_a.envelope == curve_b.envelope
+
+    def test_refit_invalidates_baseline_prediction_memo(self, fitted):
+        perf, _ = fitted
+        store = PerfModelStore()
+        store.add(perf)
+        ctx = SchedulingContext(cluster_spec=PAPER_CLUSTER, perf_store=store)
+        job = Job(spec=JobSpec(
+            job_id="j1", model=GPT2, global_batch=16,
+            requested=ResourceVector(8, 32, 0.0), initial_plan=PLAN,
+            total_samples=1e5, submit_time=0.0,
+        ))
+        policy = rubick()
+        assert policy._baseline_pred(job, ctx) == perf.throughput(
+            PLAN, SHAPE, 16
+        )
+        # A refit with different parameters bumps model_version; the
+        # memo on the job must not serve the old model's prediction.
+        refit = perf.with_params(
+            replace(perf.params, k_const=perf.params.k_const + 1.0)
+        )
+        store.add(refit)
+        expected = refit.throughput(PLAN, SHAPE, 16)
+        assert expected != perf.throughput(PLAN, SHAPE, 16)
+        assert policy._baseline_pred(job, ctx) == expected

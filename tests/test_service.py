@@ -41,6 +41,7 @@ from repro.cluster.dynamics import resolve_dynamics
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ProtocolError
 from repro.oracle import SyntheticTestbed
+from repro.plans import ExecutionPlan, ZeroStage
 from repro.scheduler.registry import make_policy
 from repro.service import (
     FrameDecoder,
@@ -54,7 +55,11 @@ from repro.service import (
 from repro.service import master as master_module
 from repro.service import protocol
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
-from repro.sim.serialization import result_to_dict, trace_job_to_dict
+from repro.sim.serialization import (
+    plan_to_dict,
+    result_to_dict,
+    trace_job_to_dict,
+)
 
 SMALL = ClusterSpec(num_nodes=2, node=PAPER_CLUSTER.node)
 SEED = 7
@@ -343,11 +348,19 @@ class TestLoopback:
     def test_infeasible_submit_is_rejected_before_the_ack(self, workload):
         trace, _ = workload
         master, thread = start_master(make_sim())
-        job = trace_job_to_dict(trace.jobs[0])
-        job["requested_gpus"] = 10**6
+        first = trace_job_to_dict(trace.jobs[0])
+        rejected = [
+            {**first, "requested_gpus": 10**6},
+            # Memory-feasible, but twice the 16-GPU cluster.
+            {**first, "job_id": "big", "model_name": "gpt2-1.5b",
+             "requested_gpus": 32, "global_batch": 128,
+             "initial_plan": plan_to_dict(
+                 ExecutionPlan(dp=32, zero=ZeroStage.OFFLOAD, gc=True))},
+        ]
         with ServiceClient(port=master.port) as client:
-            with pytest.raises(ProtocolError, match="SUBMIT rejected"):
-                client.request({"type": protocol.SUBMIT, "job": job})
+            for job in rejected:
+                with pytest.raises(ProtocolError, match="SUBMIT rejected"):
+                    client.request({"type": protocol.SUBMIT, "job": job})
             client.submit_job(trace.jobs[0])
             drained = client.drain(trace.name)
         thread.join(timeout=60)

@@ -87,22 +87,10 @@ RULE_CASES = [
          "json.dumps(payload, indent=1)"],
     ),
     (
-        "rpl005_cases.py",
-        "RPL005",
-        2,
-        ["self._best_cache: dict = {}", "def positive_lru_over_store"],
-    ),
-    (
         "rpl006_cases.py",
         "RPL006",
         1,
         ['object.__setattr__(self, "value", self.value + 1)'],
-    ),
-    (
-        "rpl007_cases.py",
-        "RPL007",
-        3,
-        ["except Exception:", "except:", "(ValueError, Exception)"],
     ),
 ]
 
@@ -119,8 +107,8 @@ class TestRuleFixtures:
         report = lint_fixture(fixture)
         found = [f for f in report.findings if f.code == code]
         assert len(found) == count, [f.format() for f in report.findings]
-        # Every finding sits on a positive_* line (or the decorated def /
-        # memo-init it anchors to), never on a negative_* case.
+        # Every finding sits on a positive_* line (or the def it anchors
+        # to), never on a negative_* case.
         for finding in found:
             assert "negative" not in finding.content
             assert "suppressed" not in finding.content
@@ -163,8 +151,7 @@ class TestRuleFixtures:
         codes = [r.code for r in all_rules()]
         assert codes == sorted(codes)
         assert codes == [
-            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
-            "RPL007",
+            "RPL001", "RPL002", "RPL003", "RPL004", "RPL006",
         ]
         with pytest.raises(ValueError):
             rules_by_code(["RPL999"])
@@ -223,7 +210,7 @@ class TestSuppressionContract:
 
     @pytest.mark.parametrize("select", [
         ["RPL001"],
-        ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007"],
+        ["RPL001", "RPL002", "RPL003", "RPL004", "RPL006"],
     ], ids=["rpl001-only", "line-rules"])
     def test_live_subset_run_reports_no_stale_suppression(self, select):
         # Each subset leaves out rules whose live suppressions are earned.
@@ -349,8 +336,7 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert re.findall(r"^(RPL\d{3})  ", out, re.M) == [
-            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
-            "RPL007",
+            "RPL001", "RPL002", "RPL003", "RPL004", "RPL006",
         ]
 
     def test_package_rule_table_matches_registry(self):
@@ -441,32 +427,3 @@ class TestLiveTreeSelfCheck:
             f.format() for f in live_report.findings if f.code == META_CODE
         ] == []
 
-
-# ----------------------------------------------------------------------
-# Regressions for the violations this PR fixed (rather than suppressed)
-# ----------------------------------------------------------------------
-class TestFixedViolationsStayFixed:
-    """Each site fixed for RPL001/RPL002/RPL004 is pinned by linting the
-    exact file: reintroducing the hazard re-creates the finding."""
-
-    @pytest.mark.parametrize(
-        "rel",
-        [
-            # RPL002: wall-seconds summed over sorted keys, not dict order.
-            "src/repro/cli.py",
-            # RPL002: SiA budget summed over sorted frozen-job keys.
-            "src/repro/scheduler/baselines/sia.py",
-            # RPL002: completed_keys from a sorted glob; RPL004: dumps
-            # with allow_nan=False.
-            "src/repro/experiments/store.py",
-            # RPL004: canonical digest payload rejects NaN.
-            "src/repro/experiments/spec.py",
-            # RPL004: trace/result writers reject NaN at the encoder.
-            "src/repro/sim/serialization.py",
-        ],
-    )
-    def test_fixed_file_stays_clean(self, rel, live_report):
-        assert (REPO_ROOT / rel).is_file()
-        assert [
-            f.format() for f in live_report.findings if f.path == rel
-        ] == []
