@@ -2,7 +2,6 @@
 
 Commands:
 
-* ``generate-trace`` — build a synthetic Philly-like trace and save as JSON.
 * ``simulate``       — replay a trace (file or generated) under a scheduler.
 * ``compare``        — run several schedulers on the same trace, print a
                        Table-4-style comparison.
@@ -80,7 +79,6 @@ from repro.service import (
     replay,
     serve,
 )
-from repro.sim import WorkloadConfig, generate_trace
 from repro.sim.serialization import result_from_dict, save_result, save_trace
 from repro.statics.cli import add_lint_parser
 from repro.units import HOUR
@@ -208,26 +206,6 @@ def _add_stats_arg(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print plan-evaluation cache statistics after the run",
     )
-
-
-def cmd_generate_trace(args) -> int:
-    cluster = _cluster_from_args(args)
-    testbed = SyntheticTestbed(cluster, seed=args.seed)
-    config = WorkloadConfig(
-        num_jobs=args.jobs,
-        seed=args.seed,
-        span=args.span_hours * 3600.0,
-        cluster=cluster,
-        plan_assignment=args.plans,
-        name=args.name,
-    )
-    trace = generate_trace(config, testbed)
-    save_trace(trace, args.output)
-    print(
-        f"wrote {len(trace)} jobs ({trace.total_gpu_hours:.0f} GPU-h) "
-        f"to {args.output}"
-    )
-    return 0
 
 
 def _run_spec(args, policy_name: str) -> RunSpec:
@@ -544,7 +522,7 @@ def cmd_sweep(args) -> int:
     )
     executed = len(outcome.perf)
     # Sum in sorted-key order: dict insertion order follows worker
-    # completion order, which varies run to run (RPL002).
+    # completion order, which varies run to run.
     run_time = sum(
         outcome.perf[k]["wall_seconds"] for k in sorted(outcome.perf)
     )
@@ -868,15 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     add_lint_parser(sub)
-
-    p = sub.add_parser("generate-trace", help="synthesize a workload trace")
-    _add_cluster_args(p)
-    p.add_argument("--jobs", type=int, default=160)
-    p.add_argument("--span-hours", type=float, default=12.0)
-    p.add_argument("--plans", choices=["random", "best"], default="random")
-    p.add_argument("--name", default="base")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_generate_trace)
 
     p = sub.add_parser(
         "simulate",

@@ -51,7 +51,7 @@ class Placement:
                 cpus += share.cpus
                 host_mem += share.host_mem
             total = ResourceVector(gpus, cpus, host_mem)
-            object.__setattr__(self, "_total_cache", total)  # repro-lint: disable=RPL006 -- idempotent pure-value cache; equality/repr exempt by design
+            object.__setattr__(self, "_total_cache", total)
             return total
 
     @property

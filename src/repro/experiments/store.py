@@ -11,7 +11,7 @@ Layout under the sweep output directory::
       failures/
         <run_key>.json    # quarantine record of a run that exhausted retries
       leases/
-        <run_key>.lease   # exactly-once dispatch marker ({"pid": ...})
+        <run_key>.lease   # exactly-once dispatch: flock-held while the run executes
 
 Each run file is written atomically (temp file + ``os.replace``), so a
 killed sweep never leaves a half-written result.  ``--resume`` does NOT
@@ -29,6 +29,7 @@ byte-identical too.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from pathlib import Path
@@ -65,8 +66,8 @@ def build_failure_doc(
 
 
 def _pid() -> int:
-    """This process's id, for temp-file names and lease ownership only."""
-    return os.getpid()  # repro-lint: disable=RPL001 -- temp-file names and lease owners; never written into a result document or digest
+    """This process's id, for temp-file names only."""
+    return os.getpid()  # repro-lint: disable=RPL001 -- temp-file names; never written into a result document or digest
 
 
 def _pid_alive(pid: int) -> bool:
@@ -90,6 +91,8 @@ class RunStore:
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         self.failures_dir = self.root / "failures"
         self.leases_dir = self.root / "leases"
+        #: run key -> fd of a lease this store holds (flock'd until release)
+        self._lease_fds: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Run records
@@ -254,39 +257,47 @@ class RunStore:
         return self.leases_dir / f"{run_key}.lease"
 
     def acquire_lease(self, run_key: str) -> bool:
-        """Claim a run key for this process.
+        """Claim a run key for this store until :meth:`release_lease`.
 
-        Returns ``True`` when this process now holds the lease.  A lease
-        held by a dead process (a crashed worker) is stolen; one held by a
-        live other process is respected, so a re-dispatched run executes
-        exactly once.
+        Returns ``True`` when this store now holds the lease: an exclusive
+        non-blocking ``flock`` on the lease file, kept for the whole run.
+        The kernel drops the lock when its holder dies, so a crashed
+        worker's lease file is simply re-locked; a lock held by anyone
+        else is respected, so a re-dispatched run executes exactly once.
         """
         self.leases_dir.mkdir(parents=True, exist_ok=True)
         path = self.lease_path_for(run_key)
-        payload = json.dumps({"pid": _pid()}, allow_nan=False)
-        try:
-            with open(path, "x") as fh:
-                fh.write(payload)
-            return True
-        except FileExistsError:
-            pass
-        try:
-            owner = json.loads(path.read_text()).get("pid")
-        except (OSError, json.JSONDecodeError, AttributeError):
-            owner = None
-        if owner == _pid():
-            return True
-        if owner is None or not _pid_alive(int(owner)):
-            # Steal a dead worker's lease.
-            path.write_text(payload)
-            return True
-        return False
+        while True:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                return False
+            # The previous holder may have unlinked the file between our
+            # open and our lock; a lock on an unlinked inode guards
+            # nothing, so start over on whatever the path names now.
+            try:
+                current = os.stat(path).st_ino
+            except FileNotFoundError:
+                current = None
+            if current == os.fstat(fd).st_ino:
+                self._lease_fds[run_key] = fd
+                return True
+            os.close(fd)
 
     def release_lease(self, run_key: str) -> None:
-        try:
-            self.lease_path_for(run_key).unlink()
-        except FileNotFoundError:
-            pass
+        """Unlink a lease this store holds, then drop its lock.
+
+        Unlinking first means a waiter that wins the lock afterwards sees
+        a stale inode and retries, instead of holding a lock on a file a
+        third process could recreate and lock too.
+        """
+        fd = self._lease_fds.pop(run_key, None)
+        if fd is None:
+            return
+        self.lease_path_for(run_key).unlink(missing_ok=True)
+        os.close(fd)
 
     # ------------------------------------------------------------------
     # Sweep-level metadata

@@ -62,10 +62,10 @@ def metrics_payload(result: SimulationResult) -> dict:
     """The METRICS frame body: the persisted-document subset of a result.
 
     Deliberately excludes the wall-clock perf fields
-    (``sim_wall_seconds``, ``fit_wall_seconds``, ``policy_wall_seconds``,
-    ``events_per_second``) — service metrics follow the same contract as
-    persisted result documents: a deterministic function of the submitted
-    work, never of host speed (DESIGN.md item 28).
+    (``sim_wall_seconds``, ``fit_wall_seconds``, ``policy_wall_seconds``) —
+    service metrics follow the same contract as persisted result
+    documents: a deterministic function of the submitted work, never of
+    host speed (DESIGN.md item 28).
     """
     return {
         "policy_name": result.policy_name,

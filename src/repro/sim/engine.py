@@ -173,10 +173,9 @@ def _wall_clock() -> float:
 class StepReport:
     """What one :meth:`Simulator.step` slice did.
 
-    ``wall_seconds`` / ``events_per_second`` are wall-clock perf channels
-    for live observability (the service's stdout log); like the result's
-    run-level twins they are never persisted and never enter METRICS
-    payloads (DESIGN.md item 28).
+    ``wall_seconds`` is a wall-clock perf channel for live observability
+    (the service's stdout log); like the result's run-level twins it is
+    never persisted and never enters METRICS payloads (DESIGN.md item 28).
     """
 
     now: float
@@ -187,12 +186,6 @@ class StepReport:
     done: bool
     idle: bool
     wall_seconds: float
-
-    @property
-    def events_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.rounds / self.wall_seconds
 
 
 @dataclass

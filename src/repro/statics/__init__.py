@@ -8,10 +8,7 @@ reports the lines that break its invariant.
 code  invariant
 ===== ==================================================================
 RPL001 no ambient entropy (clocks, global RNG, pid, env) on reproducible paths
-RPL002 no order-sensitive accumulation over unordered sources
-RPL003 Node/Cluster state mutates only through the SoA listener core
 RPL004 to_dict/from_dict pairing; json.dump(s) must pass allow_nan=False
-RPL006 object.__setattr__ on frozen specs only during construction
 ===== ==================================================================
 
 (Plus ``RPL000``: the linter's own hygiene — malformed, reasonless, or

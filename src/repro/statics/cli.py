@@ -21,9 +21,8 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         "lint",
         help="AST-based invariant linter over the repo's own source",
         description=(
-            "Enforces the determinism/lockstep/serialization/frozen-spec "
-            "contracts at lint time: per-file rules RPL001-RPL004, RPL006. "
-            "See DESIGN.md item 40."
+            "Enforces the determinism and serialization contracts at lint "
+            "time: per-file rules RPL001, RPL004. See DESIGN.md item 40."
         ),
         epilog=(
             "exit codes: 0 no findings; 1 findings; 2 usage error "

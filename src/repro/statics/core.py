@@ -1,12 +1,12 @@
 """Core of the invariant linter: findings, parsed sources, suppressions.
 
 ``repro lint`` is an AST-based rule engine over the repo's own source.  It
-exists because the contracts the test suite enforces *behaviorally* (byte
-determinism across executor topologies and Python versions, SoA/object-graph
-lockstep, RFC-8259 documents, versioned memo caches) are broken *textually*:
-a single ``time.time()`` on a decision path or a ``sum`` over a ``set`` of
-floats compiles, runs, and silently drifts.  Each rule names one invariant
-and points at the sanctioned alternative.
+exists because two contracts the test suite enforces *behaviorally* (byte
+determinism across executor topologies and Python versions, RFC-8259
+documents) are broken *textually*: a single ``time.time()`` on a decision
+path, or a ``json.dumps`` free to write ``NaN``, compiles, runs, and
+silently breaks them.  Each rule names one invariant and points at the
+sanctioned alternative.
 
 Suppression contract
 --------------------
@@ -213,17 +213,12 @@ class Rule:
     """Base class: one invariant, one ``RPLxxx`` code.
 
     Subclasses set ``code``/``title``/``rationale`` and implement
-    :meth:`check`.  ``applies_to`` lets a rule scope itself out of targets
-    where its invariant does not hold by design (e.g. wall-clock timing is
-    the *point* of ``benchmarks/``).
+    :meth:`check`.
     """
 
     code: str = "RPL999"
     title: str = ""
     rationale: str = ""
-
-    def applies_to(self, rel: str) -> bool:
-        return True
 
     def check(self, src: SourceFile) -> list[Finding]:  # pragma: no cover
         raise NotImplementedError

@@ -141,8 +141,7 @@ def run_lint(
             continue
         raw: list[Finding] = []
         for rule in rules:
-            if rule.applies_to(rel):
-                raw.extend(rule.check(parsed))
+            raw.extend(rule.check(parsed))
         findings, silenced = apply_suppressions(parsed, raw, left_out)
         report.findings.extend(findings)
         report.suppressed += silenced

@@ -8,28 +8,15 @@ deterministic.  Adding a rule = adding a class here + a fixture file in
 from __future__ import annotations
 
 from repro.statics.core import Rule
-from repro.statics.rules.contracts import (
-    FrozenMutationRule,
-    SerializationContractRule,
-)
-from repro.statics.rules.determinism import (
-    IterationOrderRule,
-    NondeterminismRule,
-)
-from repro.statics.rules.lockstep import LockstepRule
+from repro.statics.rules.contracts import SerializationContractRule
+from repro.statics.rules.determinism import NondeterminismRule
 
 __all__ = ["all_rules", "rules_by_code"]
 
 
 def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, sorted by code."""
-    rules = (
-        NondeterminismRule(),
-        IterationOrderRule(),
-        LockstepRule(),
-        SerializationContractRule(),
-        FrozenMutationRule(),
-    )
+    rules = (NondeterminismRule(), SerializationContractRule())
     return tuple(sorted(rules, key=lambda r: r.code))
 
 

@@ -1,4 +1,4 @@
-"""RPL004/RPL006: serialization round-trips and frozen-spec immutability.
+"""RPL004: serialization round-trips and RFC-8259 documents.
 
 RPL004 guards the document contract: every ``*_to_dict`` writer must have a
 ``*_from_dict`` reader (a write-only format drifts unnoticed until a reload
@@ -6,12 +6,6 @@ is needed), and every raw ``json.dump(s)`` must pass ``allow_nan=False`` —
 Python's encoder happily emits ``NaN``/``Infinity``, which is not RFC 8259
 and breaks every strict reader.  NaN-bearing statistics must be mapped to
 ``null`` first, the way ``sim/serialization.py`` does.
-
-RPL006 guards frozen dataclasses: ``object.__setattr__`` is the sanctioned
-escape hatch *inside* ``__init__``/``__post_init__`` (normalizing fields at
-construction); anywhere else it mutates a value object other code assumes
-immutable (specs are hashed into run keys — mutating one after digesting
-silently invalidates the key).
 """
 
 from __future__ import annotations
@@ -19,9 +13,6 @@ from __future__ import annotations
 import ast
 
 from repro.statics.core import Finding, ImportMap, Rule, SourceFile
-
-#: Functions in which ``object.__setattr__`` is construction, not mutation.
-_CONSTRUCTION_SCOPES = {"__init__", "__post_init__", "__new__", "__setstate__"}
 
 
 def _pair_name(name: str) -> str | None:
@@ -120,50 +111,3 @@ class SerializationContractRule(Rule):
             )
         ]
 
-
-class FrozenMutationRule(Rule):
-    code = "RPL006"
-    title = "frozen dataclass mutated outside construction"
-    rationale = (
-        "object.__setattr__ outside __init__/__post_init__ mutates a value "
-        "object other code hashes, digests, or shares by reference; build "
-        "a new instance instead (dataclasses.replace)."
-    )
-
-    def check(self, src: SourceFile) -> list[Finding]:
-        out: list[Finding] = []
-        self._walk(src, src.tree.body, scope=None, out=out)
-        return out
-
-    def _walk(
-        self,
-        src: SourceFile,
-        body: list[ast.stmt],
-        scope: str | None,
-        out: list[Finding],
-    ) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._walk(src, node.body, scope=node.name, out=out)
-            elif isinstance(node, ast.ClassDef):
-                self._walk(src, node.body, scope=None, out=out)
-            else:
-                for call in ast.walk(node):
-                    if (
-                        isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "__setattr__"
-                        and isinstance(call.func.value, ast.Name)
-                        and call.func.value.id == "object"
-                        and scope not in _CONSTRUCTION_SCOPES
-                    ):
-                        out.append(
-                            src.finding(
-                                self.code,
-                                call,
-                                "object.__setattr__ outside __init__/"
-                                "__post_init__ mutates a frozen value "
-                                "object; use dataclasses.replace or a "
-                                "mutable holder",
-                            )
-                        )

@@ -8,7 +8,7 @@ def reasonless_suppression(payload: dict) -> str:
 
 
 def unused_suppression(x: int) -> int:
-    return x + 1  # repro-lint: disable=RPL003 -- nothing on this line triggers RPL003
+    return x + 1  # repro-lint: disable=RPL001 -- nothing on this line triggers RPL001
 
 
 def malformed_directive(x: int) -> int:

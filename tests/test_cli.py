@@ -22,18 +22,6 @@ class TestParser:
             build_parser().parse_args(["simulate", "--policy", "nope"])
 
 
-class TestGenerateTrace:
-    def test_writes_loadable_trace(self, tmp_path, capsys):
-        out = tmp_path / "t.json"
-        rc = main(
-            ["generate-trace", *SMALL, "--jobs", "6", "--output", str(out)]
-        )
-        assert rc == 0
-        trace = load_trace(out)
-        assert len(trace) == 6
-        assert "wrote 6 jobs" in capsys.readouterr().out
-
-
 class TestSimulateAndCompare:
     def test_simulate_generated_trace(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -48,8 +36,8 @@ class TestSimulateAndCompare:
 
     def test_simulate_trace_file(self, tmp_path, capsys):
         trace_path = tmp_path / "t.json"
-        main(["generate-trace", *SMALL, "--jobs", "5", "--output",
-              str(trace_path)])
+        assert main(["workload", "generate", "paper-12h", *SMALL,
+                     "--jobs", "5", "--output", str(trace_path)]) == 0
         rc = main(
             ["simulate", *SMALL, "--policy", "synergy",
              "--trace", str(trace_path)]

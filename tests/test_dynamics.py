@@ -408,6 +408,7 @@ class TestEngineDynamics:
         result = _run("rubick", trace, store, events)
         assert result.cluster_events == 2
         assert len(result.records) == len(trace)
+        assert result.evictions > 0
 
     def test_recovery_disarms_the_deadlock_guard(self, fitted):
         """All nodes down with jobs queued must wait for the recovery, not

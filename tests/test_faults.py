@@ -8,7 +8,9 @@ plan produces output byte-identical to a sweep with no fault plumbing.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import multiprocessing
 import shutil
 import subprocess
 import time
@@ -65,6 +67,31 @@ def _dead_pid() -> int:
     proc = subprocess.Popen(["true"])
     proc.wait()
     return proc.pid
+
+
+def _hold_lease_lock(path):
+    """Lock a lease file through an open file description of its own, the
+    way another worker's store would; closing the handle drops the lock."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "a")
+    fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    return fh
+
+
+LEASE_RACE_KEYS = ("k0", "k1", "k2", "k3", "k4")
+
+
+def _race_for_leases(root, barrier, results):
+    """Spawned racer: every key is contended by all racers at once, and no
+    winner releases before every racer has tried."""
+    store = RunStore(root)
+    for key in LEASE_RACE_KEYS:
+        barrier.wait()
+        won = store.acquire_lease(key)
+        results.put((key, won))
+        barrier.wait()
+        if won:
+            store.release_lease(key)
 
 
 # ----------------------------------------------------------------------
@@ -233,17 +260,54 @@ class TestRunnerGuard:
 
     def test_live_foreign_lease_skips_run(self, tmp_path):
         store = RunStore(tmp_path)
-        store.leases_dir.mkdir(parents=True, exist_ok=True)
-        store.lease_path_for(self.RUN.run_key).write_text(
-            json.dumps({"pid": 1})  # init: alive, never us
-        )
-        status, execution, failure = _guarded_run(
-            self.RUN, store, None, 2, None
-        )
-        assert status == "leased"
-        assert execution is None and failure is None
-        # The foreign lease was respected, not deleted.
-        assert store.lease_path_for(self.RUN.run_key).exists()
+        with _hold_lease_lock(store.lease_path_for(self.RUN.run_key)):
+            status, execution, failure = _guarded_run(
+                self.RUN, store, None, 2, None
+            )
+            assert status == "leased"
+            assert execution is None and failure is None
+            # The foreign lease was respected, not deleted.
+            assert store.lease_path_for(self.RUN.run_key).exists()
+
+    def test_locked_lease_with_empty_body_is_respected(self, tmp_path):
+        """A holder that has created the lease file but written nothing
+        into it still owns the key."""
+        store = RunStore(tmp_path)
+        path = store.lease_path_for("some-run")
+        with _hold_lease_lock(path):
+            assert path.read_text() == ""
+            assert not store.acquire_lease("some-run")
+            assert path.exists()
+        # Once the holder is gone the lease is free again.
+        assert store.acquire_lease("some-run")
+        store.release_lease("some-run")
+        assert not path.exists()
+
+    def test_racing_processes_get_one_lease_per_key(self, tmp_path):
+        racers = 4
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(racers, timeout=60)
+        results = ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_race_for_leases, args=(tmp_path, barrier, results)
+            )
+            for _ in range(racers)
+        ]
+        for proc in procs:
+            proc.start()
+        outcomes = [
+            results.get(timeout=120)
+            for _ in range(racers * len(LEASE_RACE_KEYS))
+        ]
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        for key in LEASE_RACE_KEYS:
+            assert sorted(won for k, won in outcomes if k == key) == [
+                False, False, False, True,
+            ], key
+        assert list((tmp_path / "leases").iterdir()) == []
 
     def test_dead_owner_lease_is_stolen(self, tmp_path):
         store = RunStore(tmp_path)
