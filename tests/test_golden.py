@@ -23,9 +23,15 @@ for every policy in at least one seed).  On top of it:
   sweep under the ``chaos-smoke`` fault plan.  ``failures/`` stays out:
   its quarantine records carry traceback digests of source line numbers.
 
-The golden file is only ever rewritten on request::
+Next to each digest, ``tests/data/golden_facts.json`` keeps the case's
+avg JCT and makespan (hours), evictions and restarts, so a regen can be
+reviewed by what it changed.  Both files are only ever rewritten on
+request::
 
     PYTHONPATH=src python tests/test_golden.py --regen
+
+which prints one row per changed case, the default loop's cases first, then
+``scale_mode``'s: old → new digest prefix and old → new facts.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from test_dynamics import FAIL_AT_1H
 from test_faults import CHAOS_SPEC
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
+FACTS = GOLDEN.with_name("golden_facts.json")
 
 SEEDS = (0, 1)
 LOOPS = ("default", "scale")
@@ -152,8 +159,26 @@ def digest(doc: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def chaos_digest() -> str:
-    """sha256 over the ``runs/`` tree (paths and bytes) of the chaos sweep."""
+def facts(docs: list[dict]) -> dict:
+    """Avg JCT and makespan (h), evictions and restarts of a case's documents.
+
+    A multi-run case (the chaos sweep) averages the runs' avg JCT, takes
+    the longest makespan and sums the counts.
+    """
+    return {
+        "avg_jct_h": sum(d["summary"]["avg_jct_h"] for d in docs) / len(docs),
+        "makespan_h": max(d["summary"]["makespan_h"] for d in docs),
+        "evictions": sum(d.get("evictions", 0) for d in docs),
+        "restarts": sum(
+            r.get("restart_count", 0) for d in docs for r in d["records"]
+        ),
+    }
+
+
+def chaos_run() -> tuple[str, dict]:
+    """sha256 over the ``runs/`` tree (paths and bytes) of the chaos sweep,
+    and the facts of its run records (quarantined ``.corrupt`` sidecars
+    count in the digest only)."""
     with tempfile.TemporaryDirectory() as out:
         run_sweep(
             CHAOS_SPEC, out_dir=out, workers=1,
@@ -165,7 +190,51 @@ def chaos_digest() -> str:
             if path.is_file():
                 sha.update(str(path.relative_to(runs)).encode() + b"\0")
                 sha.update(path.read_bytes() + b"\0")
-        return sha.hexdigest()
+        docs = [
+            json.loads(path.read_text())["result"]
+            for path in sorted(runs.glob("*.jsonl"))
+        ]
+        return sha.hexdigest(), facts(docs)
+
+
+def loop_of(name: str) -> str:
+    """The simulator loop of a case; the chaos sweep runs the default one."""
+    return "scale_mode" if "-scale-" in name else "default"
+
+
+#: The facts of a case that has none on record yet.
+NO_FACTS = dict.fromkeys(("avg_jct_h", "makespan_h", "evictions", "restarts"))
+
+
+def _change(old, new, fmt: str) -> str:
+    if old == new:
+        return format(new, fmt)
+    before = "–" if old is None else format(old, fmt)
+    return f"{before} → {format(new, fmt)}"
+
+
+def changed_table(
+    old: dict[str, tuple[str, dict]], new: dict[str, tuple[str, dict]]
+) -> list[str]:
+    """Markdown rows for every case whose digest changed from ``old`` to
+    ``new`` (name -> (digest, facts)), the default loop's first."""
+    rows = [
+        "| loop | case | digest | avg JCT (h) | makespan (h) | evictions | restarts |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for loop in ("default", "scale_mode"):
+        for name, (sha, new_facts) in new.items():
+            old_sha, old_facts = old.get(name, ("", NO_FACTS))
+            if loop_of(name) != loop or sha == old_sha:
+                continue
+            rows.append(
+                f"| {loop} | {name} | {old_sha[:8] or '–'} → {sha[:8]} | "
+                f"{_change(old_facts['avg_jct_h'], new_facts['avg_jct_h'], '.3f')} | "
+                f"{_change(old_facts['makespan_h'], new_facts['makespan_h'], '.3f')} | "
+                f"{_change(old_facts['evictions'], new_facts['evictions'], 'd')} | "
+                f"{_change(old_facts['restarts'], new_facts['restarts'], 'd')} |"
+            )
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -173,35 +242,90 @@ def golden() -> dict[str, str]:
     return json.loads(GOLDEN.read_text())
 
 
-def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted([c.name for c in cases()] + [CHAOS])
+@pytest.fixture(scope="module")
+def golden_facts() -> dict[str, dict]:
+    return json.loads(FACTS.read_text())
+
+
+def test_golden_covers_every_case(golden, golden_facts):
+    names = sorted([c.name for c in cases()] + [CHAOS])
+    assert sorted(golden) == names
+    assert sorted(golden_facts) == names
 
 
 @pytest.mark.parametrize("case", cases(), ids=lambda c: c.name)
-def test_result_digest(case, golden):
+def test_result_digest(case, golden, golden_facts):
     doc = run_case(case)
     if case.refit:
         assert doc["policy_skips"] == 0
+    assert facts([doc]) == golden_facts[case.name]
     assert digest(doc) == golden[case.name]
 
 
-def test_chaos_smoke_digest(golden):
-    assert chaos_digest() == golden[CHAOS]
+def test_chaos_smoke_digest(golden, golden_facts):
+    sha, chaos_facts = chaos_run()
+    assert chaos_facts == golden_facts[CHAOS]
+    assert sha == golden[CHAOS]
+
+
+def test_changed_table_lists_changed_cases_by_loop():
+    def entry(sha, jct, evictions=0):
+        return sha, dict(
+            avg_jct_h=jct, makespan_h=2.0, evictions=evictions, restarts=0
+        )
+
+    old = {
+        "sia-s0-scale-static-n4": entry("aa" * 32, 1.0),
+        "sia-s0-default-static-n4": entry("bb" * 32, 1.0),
+        "sia-s1-default-static-n4": entry("cc" * 32, 1.0),
+        CHAOS: entry("dd" * 32, 1.0),
+    }
+    new = {
+        "sia-s0-scale-static-n4": entry("ab" * 32, 1.25, evictions=2),
+        "sia-s0-default-static-n4": entry("bb" * 32, 1.0),
+        "sia-s1-default-static-n4": entry("cd" * 32, 1.0),
+        CHAOS: entry("dd" * 32, 1.0),
+        "simple-s0-default-static-n4": entry("ee" * 32, 0.5),
+    }
+    assert changed_table(old, new)[2:] == [
+        "| default | sia-s1-default-static-n4 | cccccccc → cdcdcdcd | 1.000 | "
+        "2.000 | 0 | 0 |",
+        "| default | simple-s0-default-static-n4 | – → eeeeeeee | – → 0.500 | "
+        "– → 2.000 | – → 0 | – → 0 |",
+        "| scale_mode | sia-s0-scale-static-n4 | aaaaaaaa → abababab | "
+        "1.000 → 1.250 | 2.000 | 0 → 2 | 0 |",
+    ]
+    assert changed_table(old, old)[2:] == []
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--regen", action="store_true",
-        help=f"recompute every digest and rewrite {GOLDEN.name}",
+        help=f"recompute every case and rewrite {GOLDEN.name} and {FACTS.name}",
     )
     args = parser.parse_args(argv)
     if not args.regen:
         parser.error("nothing to do: pass --regen to rewrite the goldens")
-    digests = {c.name: digest(run_case(c)) for c in cases()}
-    digests[CHAOS] = chaos_digest()
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    old_digests = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    old_facts = json.loads(FACTS.read_text()) if FACTS.exists() else {}
+    old = {
+        name: (sha, old_facts.get(name, NO_FACTS))
+        for name, sha in old_digests.items()
+    }
+    new = {}
+    for case in cases():
+        doc = run_case(case)
+        new[case.name] = (digest(doc), facts([doc]))
+    new[CHAOS] = chaos_run()
+    rows = changed_table(old, new)
+    print(f"{len(rows) - 2} of {len(new)} cases changed")
+    if len(rows) > 2:
+        print("\n".join(rows))
+    for path, index in ((GOLDEN, 0), (FACTS, 1)):
+        doc = {name: entry[index] for name, entry in new.items()}
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(new)} digests to {GOLDEN} and their facts to {FACTS}")
     return 0
 
 
