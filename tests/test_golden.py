@@ -202,8 +202,12 @@ def loop_of(name: str) -> str:
     return "scale_mode" if "-scale-" in name else "default"
 
 
+#: Each fact's format in the regen table.
+FACT_FORMATS = {
+    "avg_jct_h": ".3f", "makespan_h": ".3f", "evictions": "d", "restarts": "d",
+}
 #: The facts of a case that has none on record yet.
-NO_FACTS = dict.fromkeys(("avg_jct_h", "makespan_h", "evictions", "restarts"))
+NO_FACTS = dict.fromkeys(FACT_FORMATS)
 
 
 def _change(old, new, fmt: str) -> str:
@@ -227,13 +231,11 @@ def changed_table(
             old_sha, old_facts = old.get(name, ("", NO_FACTS))
             if loop_of(name) != loop or sha == old_sha:
                 continue
-            rows.append(
-                f"| {loop} | {name} | {old_sha[:8] or '–'} → {sha[:8]} | "
-                f"{_change(old_facts['avg_jct_h'], new_facts['avg_jct_h'], '.3f')} | "
-                f"{_change(old_facts['makespan_h'], new_facts['makespan_h'], '.3f')} | "
-                f"{_change(old_facts['evictions'], new_facts['evictions'], 'd')} | "
-                f"{_change(old_facts['restarts'], new_facts['restarts'], 'd')} |"
-            )
+            cells = [f"{old_sha[:8] or '–'} → {sha[:8]}"] + [
+                _change(old_facts[key], new_facts[key], fmt)
+                for key, fmt in FACT_FORMATS.items()
+            ]
+            rows.append(f"| {loop} | {name} | " + " | ".join(cells) + " |")
     return rows
 
 
