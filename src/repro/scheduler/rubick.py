@@ -34,6 +34,7 @@ Rubick-N       fixed at request    initial plan only
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,6 +65,19 @@ _EPS_SLOPE = 1e-9
 
 #: Shared zero vector: `share_of` misses are on the acquisition hot path.
 _ZERO_SHARE = ResourceVector.zero()
+
+
+class ScheduleExit(enum.Enum):
+    """How one ``_schedule_job`` call ended; every exit but the first rolls
+    the job's acquisition back."""
+
+    SCHEDULED = "scheduled"
+    #: Fewer GPUs acquired than the job's minimum demand (or none at all).
+    TOO_FEW_GPUS = "too-few-gpus"
+    #: No plan fits the acquired shape, and trimming it found none either.
+    NO_FEASIBLE_PLAN = "no-feasible-plan"
+    #: The running job's gain is below the replan threshold.
+    NOT_WORTH_RESTART = "not-worth-restart"
 
 
 @dataclass
@@ -465,7 +479,8 @@ class RubickPolicy(SchedulerPolicy):
                 > ctx.tenant_quota(tenant)
             ):
                 continue
-            if self._schedule_job(job, state, by_id, baselines, selector, ctx):
+            outcome = self._schedule_job(job, state, by_id, baselines, selector, ctx)
+            if outcome is ScheduleExit.SCHEDULED:
                 quota_used[tenant] = quota_used.get(tenant, 0) + job.min_res.gpus
                 scheduled.add(job.job_id)
 
@@ -515,7 +530,7 @@ class RubickPolicy(SchedulerPolicy):
         baselines: dict[str, float],
         selector: PlanSelector,
         ctx: SchedulingContext,
-    ) -> bool:
+    ) -> ScheduleExit:
         mark = state.mark()
         min_res = job.min_res or ResourceVector.zero()
         target_gpus = max(self._target_gpus(job, selector, ctx), min_res.gpus)
@@ -536,20 +551,20 @@ class RubickPolicy(SchedulerPolicy):
         needed_gpus = max(min_res.gpus, 1)
         if total_gpus < needed_gpus or total_gpus == 0:
             state.rollback(mark)
-            return False
+            return ScheduleExit.TOO_FEW_GPUS
         best = selector.best(job, state.shape_of(job.job_id))
         if best is None and self.tune_resources:
             best = self._trim_to_feasible(job, state, selector, needed_gpus)
         if best is None:
             state.rollback(mark)
-            return False
+            return ScheduleExit.NO_FEASIBLE_PLAN
         if incumbent is not None and best.throughput <= incumbent.throughput * (
             1.0 + self.replan_improvement_threshold
         ):
             # Voluntary change not worth a checkpoint-restart.
             state.rollback(mark)
-            return False
-        return True
+            return ScheduleExit.NOT_WORTH_RESTART
+        return ScheduleExit.SCHEDULED
 
     def _trim_to_feasible(
         self,
