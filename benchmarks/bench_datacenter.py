@@ -46,7 +46,7 @@ def test_datacenter(benchmark, nodes, jobs, ceiling_seconds):
     store = PerfModelStore()
     for model in all_models():
         perf, _ = build_perf_model(
-            testbed, model, model.global_batch_size, seed=BENCH_SEED
+            testbed, model, model.global_batch_size
         )
         store.add(perf)
     build_start = time.perf_counter()

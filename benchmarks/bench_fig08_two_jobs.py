@@ -57,7 +57,7 @@ def test_fig08_two_job_throughput(benchmark):
     store = PerfModelStore()
     for model in (ROBERTA, T5):
         perf, _ = build_perf_model(
-            testbed, model, model.global_batch_size, max_gpus=4, seed=BENCH_SEED
+            testbed, model, model.global_batch_size, max_gpus=4
         )
         store.add(perf)
     engine = PlanEvalEngine(cluster, perf_store=store)

@@ -8,7 +8,7 @@ averages up to 7.4% and maxima up to 10.4%.
 
 from __future__ import annotations
 
-from conftest import BENCH_SEED, run_once
+from conftest import run_once
 
 from repro.analysis import format_table
 from repro.cluster import PAPER_CLUSTER
@@ -69,7 +69,7 @@ def test_table2_prediction_errors(benchmark, testbed):
         rows = {}
         for model in all_models():
             perf, _ = build_perf_model(
-                testbed, model, model.global_batch_size, seed=BENCH_SEED
+                testbed, model, model.global_batch_size
             )
             small = model.param_count < 1e9
             families = SMALL_FAMILIES if small else LARGE_FAMILIES

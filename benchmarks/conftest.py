@@ -34,7 +34,7 @@ def perf_store(testbed) -> PerfModelStore:
     store = PerfModelStore()
     for model in all_models():
         perf, _ = build_perf_model(
-            testbed, model, model.global_batch_size, seed=BENCH_SEED
+            testbed, model, model.global_batch_size
         )
         store.add(perf)
     return store

@@ -28,7 +28,7 @@ def main() -> None:
     batch = GPT2.global_batch_size
 
     print(f"Profiling {GPT2.display_name} (global batch {batch}) ...")
-    perf, report = build_perf_model(testbed, GPT2, batch, seed=42)
+    perf, report = build_perf_model(testbed, GPT2, batch)
     print(
         f"  fitted on {report.num_samples} samples "
         f"({report.num_offload_samples} ZeRO-Offload), "

@@ -33,7 +33,7 @@ STAGES = [
 def main() -> None:
     testbed = SyntheticTestbed(PAPER_CLUSTER, seed=42)
     batch = LLAMA2_7B.global_batch_size
-    perf, _ = build_perf_model(testbed, LLAMA2_7B, batch, seed=42)
+    perf, _ = build_perf_model(testbed, LLAMA2_7B, batch)
     store = PerfModelStore()
     store.add(perf)
     engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store)

@@ -825,9 +825,7 @@ def cmd_profile(args) -> int:
         print(exc.args[0])
         return 2
     testbed = SyntheticTestbed(cluster, seed=args.seed)
-    perf, report = build_perf_model(
-        testbed, model, model.global_batch_size, seed=args.seed
-    )
+    perf, report = build_perf_model(testbed, model, model.global_batch_size)
     rows = [(name, f"{value:.4g}") for name, value in zip(
         type(perf.params).names(), perf.params.as_vector()
     )]

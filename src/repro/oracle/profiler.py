@@ -11,10 +11,10 @@ recompute term), and varies CPU count across the offload runs (identifying
 ``k_opt_off`` separately from ``k_off``/``k_swap``).
 
 A fit is a pure function of the testbed's identity (cluster, seed, noise),
-the model, the batch, the GPU cap and the fit seed, so
-:func:`build_perf_model` memoizes it per process: the paper reuses one fitted
-model "across multiple jobs of the same model type", and a sweep's runs of
-the same scenario share their fits the same way (DESIGN.md item 48).
+the model, the batch and the GPU cap, so :func:`build_perf_model` memoizes
+it per process: the paper reuses one fitted model "across multiple jobs of
+the same model type", and a sweep's runs of the same scenario share their
+fits the same way (DESIGN.md item 48).
 """
 
 from __future__ import annotations
@@ -42,31 +42,6 @@ class ProfileConfig:
     shape: ResourceShape
 
 
-def _first_feasible(
-    testbed: SyntheticTestbed,
-    model: ModelSpec,
-    global_batch: int,
-    gpus: int,
-    predicate,
-    *,
-    cpus: int | None = None,
-    node_size: int = 8,
-) -> ProfileConfig | None:
-    """First enumerated plan at ``gpus`` satisfying ``predicate`` and memory."""
-    shape = ResourceShape.packed(gpus, node_size=node_size, cpus=cpus)
-    plans = enumerate_plans(
-        model,
-        global_batch,
-        gpus,
-        min_gpus_per_node=shape.min_gpus_per_node,
-        gpu_mem_budget=testbed.cluster.node.usable_gpu_mem,
-    )
-    for plan in plans:
-        if predicate(plan) and testbed.is_feasible(model, plan, shape, global_batch):
-            return ProfileConfig(plan=plan, shape=shape)
-    return None
-
-
 def default_profile_configs(
     testbed: SyntheticTestbed,
     model: ModelSpec,
@@ -85,19 +60,26 @@ def default_profile_configs(
     max_gpus = min(max_gpus, node_size)
     cluster_gpus = testbed.cluster.total_gpus
     configs: list[ProfileConfig] = []
+    plans_at: dict[int, list[ExecutionPlan]] = {}  # CPUs do not change them
 
     def add(gpus: int, predicate, cpus: int | None = None) -> None:
-        found = _first_feasible(
-            testbed,
-            model,
-            global_batch,
-            gpus,
-            predicate,
-            cpus=cpus,
-            node_size=node_size,
-        )
-        if found is not None and found not in configs:
-            configs.append(found)
+        """Add the first enumerated plan at ``gpus`` that satisfies
+        ``predicate`` and fits in memory, unless it is already there."""
+        shape = ResourceShape.packed(gpus, node_size=node_size, cpus=cpus)
+        if gpus not in plans_at:
+            plans_at[gpus] = enumerate_plans(
+                model,
+                global_batch,
+                gpus,
+                min_gpus_per_node=shape.min_gpus_per_node,
+                gpu_mem_budget=testbed.cluster.node.usable_gpu_mem,
+            )
+        for plan in plans_at[gpus]:
+            if predicate(plan) and testbed.is_feasible(model, plan, shape, global_batch):
+                found = ProfileConfig(plan=plan, shape=shape)
+                if found not in configs:
+                    configs.append(found)
+                return
 
     is_plain = lambda p: p.is_pure_dp_family and not p.uses_zero and not p.gc
     is_gc = lambda p: p.is_pure_dp_family and not p.uses_zero and p.gc
@@ -193,7 +175,6 @@ def build_perf_model(
     global_batch: int,
     *,
     max_gpus: int = 8,
-    seed: int = 0,
 ) -> tuple[PerfModel, FitReport]:
     """End-to-end profiling + fitting for one model type (paper phase ①).
 
@@ -208,7 +189,6 @@ def build_perf_model(
         model,
         global_batch,
         max_gpus,
-        seed,
     )
     hit = _FIT_MEMO.get(key)
     if hit is not None:
@@ -222,7 +202,6 @@ def build_perf_model(
         testbed.env,
         testbed.profiled_fwd_ref(model),
         samples,
-        seed=seed,
     )
     _FIT_MEMO[key] = fitted
     return fitted

@@ -7,13 +7,13 @@ which use ZeRO-Offload (otherwise ``k_opt_off``/``k_off``/``k_swap`` are not
 observable).
 
 We search in log-parameter space (the parameters span many orders of
-magnitude) with :func:`repro.perfmodel.trf.least_squares` from a few
-deterministic restarts, keeping the best solution.  That solver is a
-numpy-only port of scipy's bounded ``least_squares(method="trf")`` whose fits
-are bit-identical to scipy's, so the runtime needs numpy alone (DESIGN.md
-item 51).  It is imported on the first fit, not with the package: most
-processes (the sweep parent, the service before its first submission, every
-consumer of a pre-fitted store) never fit anything.
+magnitude) with :func:`repro.perfmodel.trf.least_squares`, once, from
+:class:`PerfParams`' defaults.  A weak log-space prior holds each overlap
+degree near that start wherever the samples do not pin it (DESIGN.md item
+54).  The solver is a numpy-only port of scipy's bounded TRF, bit-identical
+to scipy's (DESIGN.md item 51), imported on the first fit: most processes
+(the sweep parent, the service before its first submission, every consumer
+of a pre-fitted store) never fit anything.
 
 The residual re-combines per-sample :class:`BreakdownTerms` built once per
 fit: the parameter-free prelude of Eq. 1 is the same for every candidate
@@ -24,6 +24,7 @@ prediction is bit-identical to the scalar path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,15 @@ from repro.perfmodel.model import PerfModel
 from repro.perfmodel.params import PARAM_BOUNDS, PerfParams
 from repro.perfmodel.shape import Interconnect, ResourceShape
 from repro.plans.plan import ExecutionPlan
-from repro.rng import rng_for
 
 #: The paper's minimum sample budget.
 MIN_SAMPLES = 7
 MIN_OFFLOAD_SAMPLES = 3
+
+#: The overlap degrees the samples pin only weakly, and the weight of the
+#: log-space prior residual that holds each near its start value.
+PRIOR_PARAMS = ("k_sync", "k_off", "k_swap")
+PRIOR_WEIGHT = 0.01
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,6 @@ def fit_perf_model(
     t_fwd_ref: float,
     samples: list[ThroughputSample],
     *,
-    restarts: int = 4,
-    seed: int = 0,
     strict: bool = True,
 ) -> tuple[PerfModel, FitReport]:
     """Fit :class:`PerfParams` to measured samples; return model + report.
@@ -132,37 +135,31 @@ def fit_perf_model(
         if s.throughput <= 0:
             raise FittingError(f"non-positive measured throughput in sample {s}")
 
-    measured_log = np.log([s.iter_time for s in samples])
+    # exp and log are libm's, so no fitted bit depends on numpy's SIMD
+    # dispatch level (DESIGN.md item 54).
+    measured_log = [math.log(s.iter_time) for s in samples]
     names = PerfParams.names()
-    lo = np.log([PARAM_BOUNDS[n][0] for n in names])
-    hi = np.log([PARAM_BOUNDS[n][1] for n in names])
+    lo = np.array([math.log(PARAM_BOUNDS[n][0]) for n in names])
+    hi = np.array([math.log(PARAM_BOUNDS[n][1]) for n in names])
+    x0 = np.array([math.log(v) for v in PerfParams().as_vector()])
+    prior = [names.index(n) for n in PRIOR_PARAMS]
 
     from repro.perfmodel import trf
 
     terms = sample_terms(model, env, t_fwd_ref, samples)
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        pred = predict_iter_times(terms, np.exp(x).tolist())
-        return np.log(np.maximum(pred, 1e-12)) - measured_log
+        pred = predict_iter_times(terms, [math.exp(v) for v in x])
+        fit = [math.log(max(p, 1e-12)) - m for p, m in zip(pred, measured_log)]
+        fit.extend(PRIOR_WEIGHT * (x[i] - x0[i]) for i in prior)
+        return np.array(fit)
 
-    rng = rng_for(seed, "perfmodel-fit", model.name)
-    starts = [np.log(np.array(PerfParams().as_vector()))]
-    for _ in range(max(restarts - 1, 0)):
-        starts.append(lo + rng.random(len(names)) * (hi - lo))
+    try:
+        result = trf.least_squares(residuals, x0, lo, hi)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise FittingError(f"least-squares solver failed: {exc}") from exc
 
-    best_x: np.ndarray | None = None
-    best_cost = np.inf
-    for x0 in starts:
-        try:
-            result = trf.least_squares(residuals, np.clip(x0, lo, hi), lo, hi)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise FittingError(f"least-squares solver failed: {exc}") from exc
-        if result.cost < best_cost:
-            best_cost = result.cost
-            best_x = result.x
-    assert best_x is not None
-
-    params = PerfParams.from_vector(list(np.exp(best_x)))
+    params = PerfParams.from_vector([math.exp(v) for v in result.x])
     fitted = PerfModel(model=model, env=env, t_fwd_ref=t_fwd_ref, params=params)
     pred = predict_iter_times(terms, params.as_vector())
     meas = np.array([s.iter_time for s in samples])

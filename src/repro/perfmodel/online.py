@@ -49,7 +49,6 @@ class OnlineRefitter:
     error_threshold: float = 0.10
     max_observations: int = 64
     min_new_samples: int = 3
-    seed: int = 0
     _observations: dict[str, list[ThroughputSample]] = field(default_factory=dict)
     _base_samples: dict[str, list[ThroughputSample]] = field(default_factory=dict)
     _since_refit: dict[str, int] = field(default_factory=dict)
@@ -111,12 +110,7 @@ class OnlineRefitter:
         if len(samples) < 4:
             return perf  # not enough signal to move the 7-parameter fit
         refitted, report = fit_perf_model(
-            model,
-            perf.env,
-            perf.t_fwd_ref,
-            samples,
-            strict=False,
-            seed=self.seed,
+            model, perf.env, perf.t_fwd_ref, samples, strict=False
         )
         self._since_refit[model.name] = 0
         self.events.append(

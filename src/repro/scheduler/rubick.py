@@ -68,16 +68,12 @@ _ZERO_SHARE = ResourceVector.zero()
 
 
 class ScheduleExit(enum.Enum):
-    """How one ``_schedule_job`` call ended; every exit but the first rolls
-    the job's acquisition back."""
+    """How one ``_schedule_job`` call ended; all but SCHEDULED roll back."""
 
     SCHEDULED = "scheduled"
-    #: Fewer GPUs acquired than the job's minimum demand (or none at all).
-    TOO_FEW_GPUS = "too-few-gpus"
-    #: No plan fits the acquired shape, and trimming it found none either.
-    NO_FEASIBLE_PLAN = "no-feasible-plan"
-    #: The running job's gain is below the replan threshold.
-    NOT_WORTH_RESTART = "not-worth-restart"
+    TOO_FEW_GPUS = "too-few-gpus"  # below the minimum demand, or none
+    NO_FEASIBLE_PLAN = "no-feasible-plan"  # no plan fits, even after the trim
+    NOT_WORTH_RESTART = "not-worth-restart"  # gain below the replan threshold
 
 
 @dataclass

@@ -301,8 +301,7 @@ class Simulator:
         if self.injector is not None:
             self.injector.check("perfmodel-fit")
         perf, _ = build_perf_model(
-            self.testbed, tj.model, tj.model.global_batch_size,
-            seed=self.config.seed,
+            self.testbed, tj.model, tj.model.global_batch_size
         )
         return perf
 

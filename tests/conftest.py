@@ -31,7 +31,7 @@ def small_testbed(small_cluster) -> SyntheticTestbed:
 def gpt2_perf(paper_testbed):
     """Fitted performance model for GPT-2 (expensive; share across tests)."""
     perf, report = build_perf_model(
-        paper_testbed, GPT2, GPT2.global_batch_size, seed=5
+        paper_testbed, GPT2, GPT2.global_batch_size
     )
     return perf, report
 
@@ -42,7 +42,7 @@ def fitted_store(paper_testbed) -> PerfModelStore:
     store = PerfModelStore()
     for model in (GPT2, ROBERTA, LLAMA2_7B):
         perf, _ = build_perf_model(
-            paper_testbed, model, model.global_batch_size, seed=5
+            paper_testbed, model, model.global_batch_size
         )
         store.add(perf)
     return store

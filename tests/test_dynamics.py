@@ -262,7 +262,7 @@ def fitted():
         if model.name == "llama-30b":
             continue
         perf, _ = build_perf_model(
-            testbed, model, model.global_batch_size, seed=SEED
+            testbed, model, model.global_batch_size
         )
         store.add(perf)
     return trace, store

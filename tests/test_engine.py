@@ -257,7 +257,7 @@ class TestOomUnderScaleAndDynamics:
             if model.name == "llama-30b":
                 continue
             perf, _ = build_perf_model(
-                testbed, model, model.global_batch_size, seed=SEED
+                testbed, model, model.global_batch_size
             )
             store.add(perf)
         return store

@@ -1,7 +1,7 @@
 """The per-process fit memo inside ``build_perf_model``.
 
 A fit is a pure function of (testbed cluster/seed/noise, model, batch, GPU
-cap, fit seed).  These tests pin that the memo returns the first result on
+cap).  These tests pin that the memo returns the first result on
 a hit, misses when any input changes, never caches a failure, and sits
 below the engine's ``perfmodel-fit`` fault seam and its per-session
 profiling-cost accounting.
@@ -50,10 +50,10 @@ def _testbed(**overrides) -> SyntheticTestbed:
 
 class TestMemo:
     def test_hit_returns_the_same_objects_without_refitting(self, fits):
-        first = build_perf_model(_testbed(), ROBERTA, 32, seed=3)
+        first = build_perf_model(_testbed(), ROBERTA, 32)
         # A fresh testbed with the same identity: the key is content, not
         # the testbed object.
-        second = build_perf_model(_testbed(), ROBERTA, 32, seed=3)
+        second = build_perf_model(_testbed(), ROBERTA, 32)
         assert fits == ["roberta"]
         assert second[0] is first[0] and second[1] is first[1]
 
@@ -66,7 +66,6 @@ class TestMemo:
             ("model", {"model": BERT}),
             ("global batch", {"global_batch": 64}),
             ("max gpus", {"max_gpus": 4}),
-            ("fit seed", {"fit_seed": 4}),
         ],
     )
     def test_any_changed_key_field_misses(self, fits, field, change):
@@ -77,7 +76,7 @@ class TestMemo:
             )
             return build_perf_model(
                 testbed, kw.get("model", ROBERTA), kw.get("global_batch", 32),
-                max_gpus=kw.get("max_gpus", 8), seed=kw.get("fit_seed", 3),
+                max_gpus=kw.get("max_gpus", 8),
             )
 
         base = call()
@@ -100,10 +99,10 @@ class TestMemo:
 
         monkeypatch.setattr(profiler, "fit_perf_model", flaky)
         with pytest.raises(FittingError):
-            build_perf_model(_testbed(), ROBERTA, 32, seed=3)
+            build_perf_model(_testbed(), ROBERTA, 32)
         assert profiler._FIT_MEMO == {}
-        fitted = build_perf_model(_testbed(), ROBERTA, 32, seed=3)
-        assert build_perf_model(_testbed(), ROBERTA, 32, seed=3) is fitted
+        fitted = build_perf_model(_testbed(), ROBERTA, 32)
+        assert build_perf_model(_testbed(), ROBERTA, 32) is fitted
         assert fits == ["roberta"]
 
 

@@ -71,7 +71,7 @@ def test_rubick_allocations_respect_node_capacity(trace):
     store = PerfModelStore()
     models = {tj.model_name: tj.model for tj in trace}
     for model in models.values():
-        perf, _ = build_perf_model(testbed, model, model.global_batch_size, seed=SEED)
+        perf, _ = build_perf_model(testbed, model, model.global_batch_size)
         store.add(perf)
     ctx = SchedulingContext(cluster_spec=SPEC, perf_store=store)
     policy = rubick()

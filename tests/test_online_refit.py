@@ -31,7 +31,7 @@ SHAPE = ResourceShape.packed(8, cpus=32)
 
 @pytest.fixture(scope="module")
 def fitted(paper_testbed):
-    perf, _ = build_perf_model(paper_testbed, GPT2, 16, seed=3)
+    perf, _ = build_perf_model(paper_testbed, GPT2, 16)
     configs = default_profile_configs(paper_testbed, GPT2, 16)
     samples = collect_samples(paper_testbed, GPT2, 16, configs)
     return perf, samples

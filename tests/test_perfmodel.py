@@ -146,7 +146,7 @@ class TestFitting:
              ResourceShape.packed(2, cpus=8)),
         ]
         samples = self._samples(truth, configs)
-        fitted, report = fit_perf_model(GPT2, ENV, 0.02, samples, seed=3)
+        fitted, report = fit_perf_model(GPT2, ENV, 0.02, samples)
         assert report.rmsle < 0.02
         # Held-out prediction close to truth.
         plan = ExecutionPlan(dp=4, zero=ZeroStage.ZERO_DP, ga_steps=4)

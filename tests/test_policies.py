@@ -43,7 +43,7 @@ def env():
     testbed = SyntheticTestbed(SPEC, seed=SEED)
     store = PerfModelStore()
     for model in (GPT2, ROBERTA):
-        perf, _ = build_perf_model(testbed, model, model.global_batch_size, seed=SEED)
+        perf, _ = build_perf_model(testbed, model, model.global_batch_size)
         store.add(perf)
     return testbed, store
 

@@ -53,7 +53,7 @@ def store(testbed) -> PerfModelStore:
     store = PerfModelStore()
     for model in all_models():
         perf, _ = build_perf_model(
-            testbed, model, model.global_batch_size, seed=SEED
+            testbed, model, model.global_batch_size
         )
         store.add(perf)
     return store

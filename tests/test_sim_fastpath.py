@@ -51,7 +51,7 @@ def _fit(seed, num_jobs=30, name=None):
     store = PerfModelStore()
     for model in all_models():
         perf, _ = build_perf_model(
-            testbed, model, model.global_batch_size, seed=seed
+            testbed, model, model.global_batch_size
         )
         store.add(perf)
     return trace, store
