@@ -80,7 +80,6 @@ from repro.service import (
     serve,
 )
 from repro.sim.serialization import result_from_dict, save_result, save_trace
-from repro.statics.cli import add_lint_parser
 from repro.units import HOUR
 from repro.workloads import (
     DEFAULT_SCENARIO,
@@ -609,7 +608,7 @@ def _connect_with_retry(args) -> ServiceClient:
     """
     if not (args.port or args.port_file):
         raise ProtocolError("submit needs --port or --port-file")
-    deadline = time.monotonic() + args.connect_timeout  # repro-lint: disable=RPL001 -- client-side startup timeout against a live master; never on a persisted-artifact path
+    deadline = time.monotonic() + args.connect_timeout
     path = Path(args.port_file) if args.port_file else None
     while True:
         port = args.port
@@ -628,7 +627,7 @@ def _connect_with_retry(args) -> ServiceClient:
                 f"no master port appeared in {args.port_file} within "
                 f"{args.connect_timeout:.0f}s"
             )
-        if time.monotonic() > deadline:  # repro-lint: disable=RPL001 -- client-side startup timeout against a live master; never on a persisted-artifact path
+        if time.monotonic() > deadline:
             raise ProtocolError(error) from cause
         time.sleep(0.05)
 
@@ -842,8 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Rubick reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    add_lint_parser(sub)
 
     p = sub.add_parser(
         "simulate",

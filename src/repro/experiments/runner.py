@@ -203,7 +203,7 @@ def execute_run(run: RunSpec, *, injector=None) -> RunExecution:
     worker dying or stalling mid-run, ``trace-build`` a trace-adapter
     failure.  ``None`` (the default) is the zero-fault fast path.
     """
-    start = time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+    start = time.perf_counter()
     if injector is not None:
         injector.check("worker-hang")
         injector.check("trace-build")
@@ -223,7 +223,7 @@ def execute_run(run: RunSpec, *, injector=None) -> RunExecution:
         policy=policy,
         sim=sim,
         trace=trace,
-        wall_seconds=time.perf_counter() - start,  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+        wall_seconds=time.perf_counter() - start,
     )
 
 
@@ -424,7 +424,7 @@ def run_sweep(
     * ``run_timeout`` — per-run wall-clock budget in seconds (classified
       and retried like any other failure).
     """
-    started = time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+    started = time.perf_counter()
     if isinstance(spec, SweepSpec):
         runs = spec.expand()
     else:
@@ -542,7 +542,7 @@ def run_sweep(
             outcome.results[key] = store.load_result(key)
         store.gc_stale_tmp()
 
-    outcome.total_wall = time.perf_counter() - started  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+    outcome.total_wall = time.perf_counter() - started
     if store is not None:
         meta = {
             "workers": outcome.workers,

@@ -67,7 +67,7 @@ def build_failure_doc(
 
 def _pid() -> int:
     """This process's id, for temp-file names only."""
-    return os.getpid()  # repro-lint: disable=RPL001 -- temp-file names; never written into a result document or digest
+    return os.getpid()
 
 
 def _pid_alive(pid: int) -> bool:
@@ -311,7 +311,6 @@ class RunStore:
 
     def append_meta(self, entry: dict[str, Any]) -> None:
         """Append one wall-clock accounting line (kept out of ``runs/``)."""
+        line = json.dumps(entry, sort_keys=True, allow_nan=False) + "\n"
         with (self.root / "sweep-meta.jsonl").open("a") as fh:
-            fh.write(
-                json.dumps(entry, sort_keys=True, allow_nan=False) + "\n"
-            )
+            fh.write(line)

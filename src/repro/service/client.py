@@ -188,11 +188,11 @@ def replay(
     if speed is not None:
         if speed <= 0:
             raise ValueError(f"speed must be positive, got {speed}")
-        origin = _time.monotonic()  # repro-lint: disable=RPL001 -- load-generator pacing against a real-time master; never on a persisted-artifact path
+        origin = _time.monotonic()
     jobs = events_sent = 0
     for t, item in frames:
         if origin is not None:
-            lead = t / speed - (_time.monotonic() - origin)  # repro-lint: disable=RPL001 -- load-generator pacing against a real-time master; never on a persisted-artifact path
+            lead = t / speed - (_time.monotonic() - origin)
             if lead > 0:
                 _time.sleep(lead)
         if isinstance(item, TraceJob):

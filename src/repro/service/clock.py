@@ -53,12 +53,12 @@ class RealTimeClock:
 
     def start(self) -> None:
         if self._origin is None:
-            self._origin = _time.monotonic()  # repro-lint: disable=RPL001 -- real-time service clock; results of real-time sessions are never persisted as deterministic artifacts
+            self._origin = _time.monotonic()
 
     def now(self) -> float | None:
         if self._origin is None:
             return 0.0
-        elapsed = _time.monotonic() - self._origin  # repro-lint: disable=RPL001 -- real-time service clock; results of real-time sessions are never persisted as deterministic artifacts
+        elapsed = _time.monotonic() - self._origin
         return elapsed * self.speed
 
     def describe(self) -> str:

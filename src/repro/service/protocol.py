@@ -128,7 +128,11 @@ class FrameDecoder:
             del self._buf[:HEADER_BYTES + length]
             try:
                 payload = _DECODER.decode(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers bad UTF-8, bad JSON and an integer past
+                # the interpreter's digit limit; RecursionError, nesting
+                # deeper than the C stack allows.  Each is damage to this
+                # stream alone.
                 raise ProtocolError(f"undecodable frame body: {exc}") from exc
             if not isinstance(payload, dict):
                 raise ProtocolError(

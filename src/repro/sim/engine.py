@@ -166,7 +166,7 @@ def _accrue_pause(job: Job, held_gpus: int, t_from: float, t: float) -> float:
 
 def _wall_clock() -> float:
     """Host seconds for the engine's wall-clock perf fields (never persisted)."""
-    return _time.perf_counter()  # repro-lint: disable=RPL001 -- wall-clock perf channel, never persisted (DESIGN.md 28)
+    return _time.perf_counter()
 
 
 @dataclass

@@ -5,8 +5,9 @@ The contracts pinned here:
 * **Wire framing** — length-delimited JSON frames round-trip through
   :class:`FrameDecoder` at every possible tear point, and stream damage
   (oversized header, undecodable body, a ``NaN``/``Infinity`` literal,
-  non-object payload) raises :class:`ProtocolError` instead of desyncing
-  silently.
+  non-object payload, nesting or an integer past the decoder's limits)
+  raises :class:`ProtocolError` instead of desyncing silently or killing
+  the master; a fuzz test feeds it arbitrary chunks.
 * **step() ≡ run()** — driving the engine with incremental ``step()``
   slices (one round at a time, arbitrary ``until`` cuts, or one
   ``step(inf)``) produces result documents byte-identical to ``run()``.
@@ -24,6 +25,7 @@ The contracts pinned here:
   ``protocol.REPLY_SCHEMAS``.
 * **Hostile requests** — a frame carrying ``NaN`` or a job the cluster
   cannot launch earns an ERROR; the master keeps serving other clients.
+  A frame nested too deep to decode drops only its sender.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import PAPER_CLUSTER
 from repro.cluster.dynamics import resolve_dynamics
@@ -94,6 +98,35 @@ def doc_of(result) -> str:
 # ----------------------------------------------------------------------
 # Wire framing
 # ----------------------------------------------------------------------
+def framed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+#: 1,000 nested objects: deeper than the JSON decoder's C stack allows.
+NESTED_BODY = b'{"a":' * 1000 + b"1" + b"}" * 1000
+
+#: Frame-body fragments: raw bytes, or one JSON-ish token repeated a few
+#: times or a few thousand (deep nesting, long integers).
+_TOKENS = [b'{"a":', b"[", b"7", b'"s",', b"}", b"\xff"]
+_FRAGMENTS = st.one_of(
+    st.builds(
+        lambda token, n: token * n,
+        st.sampled_from(_TOKENS),
+        st.one_of(st.integers(0, 8), st.integers(1000, 5000)),
+    ),
+    st.binary(max_size=32),
+)
+#: Well-framed bodies, then raw bytes that a header is read from.
+FUZZ_STREAMS = st.builds(
+    lambda bodies, tail: b"".join(map(framed, bodies)) + tail,
+    st.lists(
+        st.lists(_FRAGMENTS, min_size=1, max_size=3).map(b"".join),
+        min_size=1, max_size=3,
+    ),
+    st.binary(max_size=8),
+)
+
+
 class TestFraming:
     def test_round_trip(self):
         payload = {"type": "STATUS", "n": 3, "x": [1.5, None, "é"]}
@@ -128,23 +161,24 @@ class TestFraming:
             FrameDecoder().feed(header)
 
     def test_undecodable_body(self):
-        body = b"{not json"
-        blob = struct.pack(">I", len(body)) + body
         with pytest.raises(ProtocolError, match="undecodable"):
-            FrameDecoder().feed(blob)
+            FrameDecoder().feed(framed(b"{not json"))
+
+    @pytest.mark.parametrize("body", [NESTED_BODY, b"7" * 5000],
+                             ids=["nested", "long-int"])
+    def test_decoder_limits_are_undecodable(self, body):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            FrameDecoder().feed(framed(body))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_rfc_constant_is_undecodable(self, literal):
         body = f'{{"type": "SUBMIT", "job": {{"x": {literal}}}}}'.encode()
-        blob = struct.pack(">I", len(body)) + body
         with pytest.raises(ProtocolError, match=f"undecodable.*{literal}"):
-            FrameDecoder().feed(blob)
+            FrameDecoder().feed(framed(body))
 
     def test_non_object_payload(self):
-        body = b"[1, 2, 3]"
-        blob = struct.pack(">I", len(body)) + body
         with pytest.raises(ProtocolError, match="JSON object"):
-            FrameDecoder().feed(blob)
+            FrameDecoder().feed(framed(b"[1, 2, 3]"))
 
     def test_encode_rejects_non_dict(self):
         with pytest.raises(ProtocolError, match="dict"):
@@ -153,6 +187,19 @@ class TestFraming:
     def test_encode_rejects_nan(self):
         with pytest.raises(ValueError):
             encode_frame({"x": float("nan")})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_chunks_yield_frames_or_protocol_error(self, data):
+        blob = data.draw(FUZZ_STREAMS)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=6)))
+        decoder = FrameDecoder()
+        for start, end in zip([0, *cuts], [*cuts, len(blob)]):
+            try:
+                frames = decoder.feed(blob[start:end])
+            except ProtocolError:
+                return  # stream damage: the master drops this client
+            assert all(isinstance(frame, dict) for frame in frames)
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +376,7 @@ class TestLoopback:
         assert "NaN" in body
         raw = socket.create_connection(("127.0.0.1", master.port))
         with raw:
-            raw.sendall(struct.pack(">I", len(body)) + body.encode())
+            raw.sendall(framed(body.encode()))
             decoder = FrameDecoder()
             replies: list[dict] = []
             while not replies:
@@ -361,6 +408,26 @@ class TestLoopback:
             for job in rejected:
                 with pytest.raises(ProtocolError, match="SUBMIT rejected"):
                     client.request({"type": protocol.SUBMIT, "job": job})
+            client.submit_job(trace.jobs[0])
+            drained = client.drain(trace.name)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert drained["result"]["summary"]["jobs"] == 1
+
+    def test_nested_frame_drops_only_its_sender(self, workload):
+        trace, _ = workload
+        master, thread = start_master(make_sim())
+        raw = socket.create_connection(("127.0.0.1", master.port))
+        with raw:
+            raw.sendall(framed(NESTED_BODY))
+            decoder = FrameDecoder()
+            replies: list[dict] = []
+            while chunk := raw.recv(65536):
+                replies += decoder.feed(chunk)
+        # The sender got an ERROR and then EOF: it was dropped.
+        assert [r["type"] for r in replies] == [protocol.ERROR]
+        assert "undecodable" in replies[0]["error"]
+        with ServiceClient(port=master.port) as client:
             client.submit_job(trace.jobs[0])
             drained = client.drain(trace.name)
         thread.join(timeout=60)
