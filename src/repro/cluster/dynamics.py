@@ -36,6 +36,7 @@ against, exactly like workload scenarios.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, ClassVar
@@ -77,9 +78,9 @@ class ClusterEvent:
                 f"unknown cluster event kind {self.kind!r}; "
                 f"known: {EVENT_KINDS}"
             )
-        if self.time < 0:
+        if not (math.isfinite(self.time) and self.time >= 0):
             raise ClusterDynamicsError(
-                f"cluster event time must be >= 0, got {self.time}"
+                f"cluster event time must be finite and >= 0, got {self.time}"
             )
         if self.kind in (NODE_FAIL, NODE_RECOVER) and self.node_id is None:
             raise ClusterDynamicsError(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -89,6 +90,10 @@ class RunSpec:
             raise ValueError(
                 f"unknown trace variant {self.variant!r}; known: {VARIANTS}"
             )
+        for name in ("span", "load_factor", "large_model_factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.load_factor <= 0:
             raise ValueError("load_factor must be positive")
         self.cluster  # ClusterSpec rejects a bad shape here, not mid-run

@@ -71,12 +71,11 @@ class Job:
     status: JobStatus = JobStatus.QUEUED
     #: Arrival sequence number assigned by the simulator (0, 1, 2, … in
     #: admission order).  Completion records are emitted in arrival order
-    #: within a round; the scale-mode loop detects completions from a heap
+    #: within a round; the simulator detects completions from a heap
     #: (arbitrary tie order) and re-sorts by this.
     seq: int = 0
-    #: Scale-mode lazy-advancement anchor: the last simulation time this
-    #: job's progress/accounting was materialized to.  Unused (always 0.0)
-    #: on the default per-round advancement path.
+    #: Lazy-advancement anchor: the last simulation time this job's
+    #: progress/accounting was materialized to (set when it starts).
     anchor_time: float = 0.0
     samples_done: float = 0.0
     #: Current allocation (empty when queued/preempted).

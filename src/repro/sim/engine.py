@@ -7,15 +7,17 @@ performance models — the same information asymmetry the real system has.
 Mechanics:
 
 * **Event-driven core** — the clock jumps to the next of {job arrival,
-  earliest predicted completion, periodic tick}; between events every running
-  job advances by ``throughput × dt``.  The next event comes from an
-  incremental :class:`~repro.sim.events.EventCalendar`; steady-state
-  tick-only rounds skip the policy invocation entirely when the previous
-  decision is provably still the fixed point, and ``_apply`` touches only
-  the jobs whose placement or plan changed (see
+  predicted completion, cluster event, periodic tick}, read from an
+  incremental :class:`~repro.sim.events.EventCalendar`.  Job progress is
+  accrued lazily from per-job anchors (:meth:`Simulator._materialize`),
+  completions pop from the calendar's hint heap, and ``_apply`` touches
+  only the jobs whose placement or plan changed.  The policy runs at
+  every event or, under ``EngineConfig.scale_mode``, at most once per
+  ``tick_interval``; either way a round whose previous decision is still
+  provably the fixed point skips it (see
   :meth:`~repro.scheduler.interfaces.SchedulerPolicy.steady_state` —
-  DESIGN.md items 26–28).  Results are pinned absolutely by the digests in
-  ``tests/data/golden.json``.
+  DESIGN.md items 26–28, 37).  Results are pinned absolutely by the
+  digests in ``tests/data/golden.json``.
 * **Reconfiguration cost** — whenever a running job's GPU placement or plan
   changes (including preemption + later restart), the job pauses for the
   checkpoint-resume delta (default 78 s, the paper's measured mean).
@@ -76,7 +78,7 @@ from repro.sim.trace import Trace
 
 _EPS = 1e-6
 
-#: Internal `_step_*` outcomes.  ``_CONTINUE`` — the step budget (`until` /
+#: Internal `_step` outcomes.  ``_CONTINUE`` — the step budget (`until` /
 #: one round) ran out with events still pending; ``_IDLE`` — a live session
 #: drained every queued event and is waiting for submissions; ``_DONE`` —
 #: the run terminated (stream closed, nothing active, nothing pending).
@@ -98,6 +100,9 @@ CHECKPOINT_INTERVAL = 1800.0
 #: :class:`SimulationError` (carrying the incident stream) — a policy
 #: that never recovers must not spin forever.
 MAX_POLICY_INCIDENTS = 3
+#: Consecutive stuck policy rounds (nothing running, nothing arriving, no
+#: cluster event pending) the deadlock guard tolerates before failing.
+DEADLOCK_PATIENCE = 3
 
 
 @dataclass(frozen=True)
@@ -119,17 +124,14 @@ class EngineConfig:
     #: failure costs more than a planned checkpoint-resume).  Only
     #: cluster-dynamics evictions charge it; preemptions do not.
     restart_penalty: float = 300.0
-    #: Datacenter-scale loop (opt-in).  Trades the default loop's exact
-    #: semantics for per-round costs independent of the active-job count:
-    #: job progress is *lazily materialized* from per-job anchors (no
-    #: per-round advancement sweep), completions are driven directly off
-    #: the calendar's hint heap (anchored predictions are exact under lazy
-    #: advancement), and the policy runs in Gavel/Shockwave-style *rounds*
-    #: — at most once per ``tick_interval``, batching all
-    #: arrivals/completions/evictions since the last round — instead of at
-    #: every event.  Results are therefore NOT byte-identical to the
-    #: default loop (jobs can queue up to a round longer); correctness is
-    #: asserted via invariants and uncontended-trace equivalence
+    #: Policy cadence, and nothing else: both cadences share one loop (lazy
+    #: accrual, heap-driven completions, the steady-state short-circuit).
+    #: ``False`` lets the policy run at every event.  ``True`` runs it in
+    #: Gavel/Shockwave-style *rounds* — at most once per ``tick_interval``,
+    #: batching every arrival, completion and eviction since the last
+    #: round — so a job can queue up to a round longer and results are NOT
+    #: byte-identical to the default cadence.  Correctness is asserted via
+    #: invariants and uncontended-trace equivalence
     #: (``tests/test_scale_mode.py``), per the large-scale testing policy
     #: in DESIGN.md.
     scale_mode: bool = False
@@ -217,11 +219,11 @@ class _LiveRun:
     policy_failures: int = 0
     #: Consecutive stuck rounds (deadlock guard).
     idle_rounds: int = 0
-    # Default-loop state.
-    steady: bool = False
-    # Scale-loop state.
+    #: Earliest time the cadence lets the policy run again.
     next_policy_at: float = 0.0
-    dirty: bool = False
+    #: A policy round is pending: something changed since the last round,
+    #: or the last round was not steady (the short-circuit is disarmed).
+    pending: bool = True
 
 
 class Simulator:
@@ -646,12 +648,8 @@ class Simulator:
                     wall_seconds=_wall_clock() - wall_start,
                 )
             st.now = st.calendar.first_arrival_time(default=st.now)
-            st.next_policy_at = st.now
             st.started = True
-        if self.config.scale_mode:
-            outcome = self._step_scale(st, until)
-        else:
-            outcome = self._step_default(st, until)
+        outcome = self._step(st, until)
         if outcome is _DONE:
             self._finalize(st)
         wall = _wall_clock() - wall_start
@@ -672,7 +670,6 @@ class Simulator:
         bounds = result.span_bounds()
         result.makespan = bounds[1] - bounds[0] if bounds else 0.0
         result.calendar_fast_rounds = st.calendar.fast_rounds
-        result.calendar_exact_scans = st.calendar.exact_scans
         st.finished = True
 
     def run(
@@ -692,7 +689,7 @@ class Simulator:
         return self._live.result
 
     # ------------------------------------------------------------------
-    # Round phases shared by both loops
+    # Round phases
     # ------------------------------------------------------------------
     def _complete(self, st: _LiveRun, job: Job, now: float) -> None:
         """FINISHED transition: release, invalidate, record."""
@@ -711,21 +708,18 @@ class Simulator:
         Runs after completions (a job finishing exactly at a failure
         instant keeps its completion) and before the policy: victims are
         already re-queued with cleared placements when the scheduler next
-        runs — which it must, so both loops treat a dynamics round like an
-        arrival.  An event that cannot apply at its time (a node id beyond
+        runs — which it must, so a dynamics round counts as a change, like
+        an arrival.  An event that cannot apply at its time (a node id beyond
         the cluster, failing a down node, recovering an up node) is skipped
         with a ``cluster-event-error`` incident and not counted.
         """
         result = st.result
-        # Scale-mode victims are lazily advanced: `_evict` materializes
-        # them to `now` before rolling them back.
-        gpu_seconds = st.gpu_seconds if self.config.scale_mode else None
         applied = False
         for event in st.calendar.pop_cluster_events(now + _EPS):
             try:
                 self._apply_cluster_event(
                     event, st.cluster, st.active, now, st.calendar, result,
-                    gpu_seconds=gpu_seconds,
+                    st.gpu_seconds,
                 )
             except ClusterDynamicsError as exc:
                 self._record_incident(
@@ -750,53 +744,15 @@ class Simulator:
             )
         return None
 
-    def _schedule(
-        self, st: _LiveRun, active_list: list[Job], now: float
-    ) -> dict[str, Allocation] | None:
-        """One policy invocation; ``None`` when the round was contained.
-
-        Containment: a policy exception leaves current placements holding
-        for the round, lands a ``policy-error`` incident on the result,
-        and only ``MAX_POLICY_INCIDENTS`` consecutive failures escalate to
-        a hard :class:`SimulationError`.
-        """
-        result = st.result
-        ctx = st.ctx
-        ctx.now = now
-        wall = _wall_clock()
-        try:
-            if self.injector is not None:
-                self.injector.check("policy-round")
-            allocations = self.policy.schedule(active_list, st.cluster, ctx)
-        except Exception as exc:
-            st.policy_failures += 1
-            self._record_incident(
-                result, "policy-error", now,
-                job_ids=tuple(j.job_id for j in active_list[:5]),
-                exc=exc,
-            )
-            if st.policy_failures >= MAX_POLICY_INCIDENTS:
-                raise SimulationError(
-                    f"policy {self.policy.name!r} failed "
-                    f"{st.policy_failures} consecutive rounds",
-                    incidents=tuple(result.incidents),
-                ) from exc
-            return None
-        finally:
-            result.policy_wall_seconds += _wall_clock() - wall
-            result.policy_invocations += 1
-        st.policy_failures = 0
-        return allocations
-
     def _check_deadlock(
-        self, st: _LiveRun, active_list: list[Job], now: float, patience: int
+        self, st: _LiveRun, active_list: list[Job], now: float
     ) -> None:
         """Deadlock guard: nothing running, nothing arriving, queue stuck.
 
         Pending cluster events disarm it: a recovery or scale-up may be
         exactly what unblocks the queue.  The run fails after more than
-        ``patience`` consecutive stuck rounds, reporting through the same
-        incident stream as contained faults before escalating.
+        ``DEADLOCK_PATIENCE`` consecutive stuck rounds, reporting through
+        the same incident stream as contained faults before escalating.
         """
         calendar = st.calendar
         if (
@@ -807,7 +763,7 @@ class Simulator:
             st.idle_rounds = 0
             return
         st.idle_rounds += 1
-        if st.idle_rounds <= patience:
+        if st.idle_rounds <= DEADLOCK_PATIENCE:
             return
         stuck = tuple(j.job_id for j in active_list[:5])
         message = (
@@ -820,136 +776,18 @@ class Simulator:
         raise SimulationError(message, incidents=tuple(st.result.incidents))
 
     # ------------------------------------------------------------------
-    # Default loop (one until-bounded slice per call)
+    # The event loop (one until-bounded slice per call)
     # ------------------------------------------------------------------
-    def _step_default(self, st: _LiveRun, until: float | None) -> str:
-        """Default event loop, sliced.
+    def _step(self, st: _LiveRun, until: float | None) -> str:
+        """The event loop, sliced (mechanics in the module docstring).
 
-        Session state is loaded into locals on entry and stored back in
-        the ``finally`` so the hot loop keeps its local-variable speed
-        (``run()`` makes exactly one call here, paying the load/store once
-        per run).
-        """
-        result = st.result
-        cluster = st.cluster
-        calendar = st.calendar
-        active = st.active
-        gpu_seconds = st.gpu_seconds
-        steady = st.steady
-        seq = st.seq
-        now = st.now
-        outcome = _CONTINUE
-        try:
-            while until is None or now < until:
-                # --- admit arrivals at `now` -------------------------------
-                arrived = False
-                for tj in calendar.pop_arrivals(now + _EPS):
-                    job = self._make_job(tj)
-                    job.seq = seq
-                    seq += 1
-                    active[job.job_id] = job
-                    gpu_seconds[job.job_id] = 0.0
-                    arrived = True
-
-                # --- detect completions ------------------------------------
-                finished_now = [
-                    j
-                    for j in active.values()
-                    if j.is_running and j.remaining_samples <= _EPS
-                ]
-                for job in finished_now:
-                    self._complete(st, job, now)
-
-                cluster_changed = self._apply_cluster_events(st, now)
-
-                stop = self._stop(st, now)
-                if stop is not None:
-                    # A live session pauses before the round is counted.
-                    # The slice that resumes after the next submission
-                    # re-runs this round — with the short-circuit disarmed,
-                    # so the policy observes the arrivals exactly as a
-                    # batch round would have.
-                    steady = False
-                    outcome = stop
-                    break
-
-                # --- run the policy -----------------------------------------
-                result.sim_rounds += 1
-                active_list = list(active.values())
-                if steady and not arrived and not finished_now and not cluster_changed:
-                    # Steady-state short-circuit: nothing the policy's decision
-                    # depends on has changed since it last ran, so invoking it
-                    # would reproduce the current allocation verbatim.
-                    result.policy_skips += 1
-                    st.idle_rounds = 0  # steady state implies running jobs
-                else:
-                    allocations = self._schedule(st, active_list, now)
-                    if allocations is None:
-                        steady = False
-                    else:
-                        changed = self._apply(
-                            allocations, active_list, cluster, now, calendar,
-                            result,
-                        )
-                        # The next rounds may skip the policy only if: models
-                        # cannot refit (refit observations happen in `_apply`,
-                        # so skipping would starve the refitter); this round was
-                        # a no-op fixed point; no job is mid-pause (the resume
-                        # is a time-driven status flip the policy observes); and
-                        # the policy declares itself time-insensitive in this
-                        # state (`steady_state` — e.g. Rubick keeps running while
-                        # a queued best-effort job could cross the starvation
-                        # threshold or a reconfiguration gate is still closed).
-                        steady = (
-                            self.online_refitter is None
-                            and not changed
-                            and any(j.is_running for j in active_list)
-                            and all(
-                                j.status != JobStatus.PAUSED for j in active_list
-                            )
-                            and self.policy.steady_state(active_list, st.ctx)
-                        )
-                        self._check_deadlock(st, active_list, now, patience=3)
-
-                # --- choose the next event time ------------------------------
-                next_time = calendar.next_event_time(now, active_list)
-                self._advance(now, next_time, active_list, gpu_seconds)
-                now = next_time
-                if until is None:
-                    break
-        finally:
-            # Stored back even when a SimulationError propagates: the
-            # session then reflects the state at escalation (the service
-            # layer reports it from here).
-            st.steady = steady
-            st.seq = seq
-            st.now = now
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Scale mode: round-based scheduling + lazy advancement, sliced
-    # ------------------------------------------------------------------
-    def _step_scale(self, st: _LiveRun, until: float | None) -> str:
-        """Datacenter-scale loop (see the ``scale_mode`` constructor doc).
-
-        Per-round work is O(events due this round), never O(active jobs):
-
-        * **Lazy advancement** — nothing sweeps the active set between
-          events.  A placed job's progress is the closed-form function of
-          its anchor (:meth:`_materialize`); it is materialized only when
-          something needs its true state (its own completion, an eviction,
-          or a policy round).
-        * **Heap-driven completions** — with no per-round accumulation, the
-          calendar's anchored completion hints are exact event times, so
-          the clock jumps straight to them and the due jobs are popped from
-          the heap instead of rescanning every job.
-        * **Round-based scheduling** — the policy runs at most once per
-          ``tick_interval`` (plus once per dirty batch), seeing all
-          arrivals, completions, and dynamics since the last round at once;
-          in between, events only mutate the queue/cluster.  This is the
-          Gavel/Shockwave round model: decision latency is bounded by the
-          round length instead of zero, which is what keeps fleet-scale
-          scheduling tractable.
+        Work per event is O(events due), plus one pass over the placed jobs
+        in each round the cadence allows the policy to run in: they are
+        materialized before it, whether the policy runs or the round is a
+        steady-state skip, so a skip accrues exactly like a run.  Session
+        state is loaded into locals on entry and stored back in the
+        ``finally`` so the hot loop keeps its local-variable speed
+        (``run()`` makes exactly one call here).
         """
         result = st.result
         cluster = st.cluster
@@ -958,8 +796,11 @@ class Simulator:
         gpu_seconds = st.gpu_seconds
         now = st.now
         next_policy_at = st.next_policy_at
-        dirty = st.dirty
+        pending = st.pending
         seq = st.seq
+        round_interval = (
+            self.config.tick_interval if self.config.scale_mode else 0.0
+        )
         # Bound-method/attribute hoists: the loop below runs once per event
         # (~100k rounds on the datacenter leg), so repeated lookups are
         # measurable wall time.
@@ -979,10 +820,9 @@ class Simulator:
                     job = _make_job(tj)
                     job.seq = seq
                     seq += 1
-                    job.anchor_time = now
                     active[tj.job_id] = job
                     gpu_seconds[tj.job_id] = 0.0
-                    dirty = True
+                    pending = True
 
                 # --- detect completions (heap-driven) -----------------------
                 finished_now: list[Job] = []
@@ -1002,69 +842,126 @@ class Simulator:
                 if finished_now:
                     for job in sorted(finished_now, key=lambda j: j.seq):
                         self._complete(st, job, now)
-                    dirty = True
+                    pending = True
 
                 if self._apply_cluster_events(st, now):
-                    dirty = True
+                    pending = True
 
                 stop = self._stop(st, now)
                 if stop is not None:
+                    # A live session pauses before the round is counted.
+                    # The slice that resumes after the next submission
+                    # re-runs this round, still pending from the
+                    # completions that emptied the queue, so the policy
+                    # observes the arrivals exactly as a batch round would.
                     outcome = stop
                     break
 
                 result.sim_rounds += 1
-                # --- policy round (at most one per tick interval) -----------
-                if dirty and now + _EPS >= next_policy_at:
-                    # Materialize every placed job before the policy observes or
-                    # changes it: accrual up to `now` must use the pre-round
-                    # configuration.
+                # --- policy round (when the cadence allows one) -------------
+                if now + _EPS >= next_policy_at:
+                    # Materialize every placed job before the policy observes
+                    # or changes it: accrual up to `now` must use the
+                    # pre-round configuration.
                     for job_id in cluster.all_job_ids():
                         _materialize(active[job_id], now, gpu_seconds)
-                    active_list = list(active.values())
-                    allocations = self._schedule(st, active_list, now)
-                    # The round clock advances even when the round was
-                    # contained (so a repeatedly-failing policy cannot pin
-                    # the event loop to one timestamp); a contained batch
-                    # stays dirty for the next round's retry.
-                    next_policy_at = now + self.config.tick_interval
-                    if allocations is not None:
-                        self._apply(
-                            allocations, active_list, cluster, now, calendar,
-                            result,
-                        )
-                        for job in active_list:
-                            job_status = job.status
-                            if job_status is _RUNNING or job_status is _PAUSED:
-                                job.anchor_time = now
-                        dirty = False
-                        # The policy is deterministic, so if it left nothing
-                        # running and nothing external is pending, no later
-                        # round can be any different: fail fast.
-                        self._check_deadlock(st, active_list, now, patience=0)
+                    if pending:
+                        pending = self._policy_round(st, now)
+                        # The round clock advances even when the round was
+                        # contained, so a repeatedly failing policy cannot
+                        # pin the event loop to one timestamp.
+                        next_policy_at = now + round_interval
+                    else:
+                        # Steady-state short-circuit: nothing the policy's
+                        # decision depends on has changed since it last
+                        # ran, so invoking it would reproduce the current
+                        # allocation verbatim.
+                        result.policy_skips += 1
+                        st.idle_rounds = 0  # steady state implies running jobs
 
                 # --- choose the next event time ------------------------------
-                now = calendar.next_event_time_lazy(
-                    now, policy_at=next_policy_at if dirty else None
+                now = calendar.next_event_time(
+                    now, policy_at=next_policy_at if pending else None
                 )
                 if until is None:
                     break
         finally:
+            # Stored back even when a SimulationError propagates: the
+            # session then reflects the state at escalation (the service
+            # layer reports it from here).
             st.now = now
             st.next_policy_at = next_policy_at
-            st.dirty = dirty
+            st.pending = pending
             st.seq = seq
         return outcome
+
+    def _policy_round(self, st: _LiveRun, now: float) -> bool:
+        """Run and apply the policy; True if a round is still pending.
+
+        Containment: a policy exception leaves current placements holding
+        for the round, lands a ``policy-error`` incident on the result and
+        keeps the round pending for a retry; only ``MAX_POLICY_INCIDENTS``
+        consecutive failures escalate to a hard :class:`SimulationError`.
+
+        The next rounds may skip the policy only if: models cannot refit
+        (refit observations happen in `_apply`, so skipping would starve
+        the refitter); this round was a no-op fixed point; no job is
+        mid-pause (the resume is a time-driven status flip the policy
+        observes); and the policy declares itself time-insensitive in this
+        state (`steady_state` — e.g. Rubick keeps running while a queued
+        best-effort job could cross the starvation threshold or a
+        reconfiguration gate is still closed).
+        """
+        result = st.result
+        ctx = st.ctx
+        ctx.now = now
+        active_list = list(st.active.values())
+        wall = _wall_clock()
+        try:
+            if self.injector is not None:
+                self.injector.check("policy-round")
+            allocations = self.policy.schedule(active_list, st.cluster, ctx)
+        except Exception as exc:
+            st.policy_failures += 1
+            self._record_incident(
+                result, "policy-error", now,
+                job_ids=tuple(j.job_id for j in active_list[:5]),
+                exc=exc,
+            )
+            if st.policy_failures >= MAX_POLICY_INCIDENTS:
+                raise SimulationError(
+                    f"policy {self.policy.name!r} failed "
+                    f"{st.policy_failures} consecutive rounds",
+                    incidents=tuple(result.incidents),
+                ) from exc
+            return True
+        finally:
+            result.policy_wall_seconds += _wall_clock() - wall
+            result.policy_invocations += 1
+        st.policy_failures = 0
+        changed = self._apply(
+            allocations, active_list, st.cluster, now, st.calendar, result
+        )
+        self._check_deadlock(st, active_list, now)
+        return not (
+            self.online_refitter is None
+            and not changed
+            and any(j.is_running for j in active_list)
+            and all(j.status != JobStatus.PAUSED for j in active_list)
+            and self.policy.steady_state(active_list, ctx)
+        )
 
     def _materialize(
         self, job: Job, t: float, gpu_seconds: dict[str, float]
     ) -> None:
         """Bring a lazily-advanced job's state forward to time ``t``.
 
-        The per-job body of :meth:`_advance` with ``t_from`` = the job's
-        anchor, plus multi-interval periodic-checkpoint catch-up (several
-        checkpoint boundaries may have passed since anything touched the
-        job; each snaps to its exact boundary, which is well-defined because
-        throughput is constant since the last configuration change).
+        Accrues held GPU-seconds, the pause split (:func:`_accrue_pause`)
+        and progress over ``[anchor, t]``, then re-anchors at ``t``.
+        Periodic checkpoints land on their exact run-time boundaries
+        (several may have passed since anything touched the job), which is
+        well-defined because throughput is constant since the last
+        configuration change.
         """
         t_from = job.anchor_time
         dt = t - t_from
@@ -1212,6 +1109,7 @@ class Simulator:
             job.throughput = thr
             if was_queued:
                 job.queue_seconds += now - job.last_queue_enter
+                job.anchor_time = now  # a queued job accrues nothing
                 if job.start_time is None:
                     job.start_time = now
                     job.status = JobStatus.RUNNING
@@ -1259,15 +1157,12 @@ class Simulator:
         now: float,
         calendar: EventCalendar,
         result: SimulationResult,
-        gpu_seconds: dict[str, float] | None = None,
+        gpu_seconds: dict[str, float],
     ) -> None:
         """Apply one failure/recovery/scaling event and evict its victims.
 
-        ``gpu_seconds`` is passed only by the scale-mode loop: its victims
-        are lazily advanced and must be materialized to ``now`` before the
-        eviction rolls them back.  The default loop advances every job each
-        round, so it passes nothing.  A cluster transition that cannot apply
-        raises :class:`ClusterDynamicsError` before changing any state.
+        A cluster transition that cannot apply raises
+        :class:`ClusterDynamicsError` before changing any state.
         """
         victims: list[str] = []
         if event.kind == NODE_FAIL:
@@ -1288,7 +1183,7 @@ class Simulator:
         for job_id in victims:
             job = active.get(job_id)
             if job is not None:
-                self._evict(job, now, calendar, result, gpu_seconds=gpu_seconds)
+                self._evict(job, now, calendar, result, gpu_seconds)
 
     def _evict(
         self,
@@ -1296,9 +1191,10 @@ class Simulator:
         now: float,
         calendar: EventCalendar,
         result: SimulationResult,
-        gpu_seconds: dict[str, float] | None = None,
+        gpu_seconds: dict[str, float],
     ) -> None:
-        """Eviction: roll back to the last checkpoint and re-queue.
+        """Eviction: materialize to ``now``, roll back to the last
+        checkpoint and re-queue.
 
         The cluster side has already been released by ``remove_node``.
         Progress since the last checkpoint is destroyed — there was no
@@ -1309,8 +1205,7 @@ class Simulator:
         later through the normal ``_apply`` path, paying the
         reconfiguration delta plus the one-shot restart penalty.
         """
-        if gpu_seconds is not None:
-            self._materialize(job, now, gpu_seconds)
+        self._materialize(job, now, gpu_seconds)
         held = job.placement.total.gpus
         if job.throughput > 0:
             destroyed = job.samples_done - job.samples_at_checkpoint
@@ -1353,35 +1248,3 @@ class Simulator:
             for node_id, share in placement.shares.items()
             if share.gpus > 0
         }
-
-    # ------------------------------------------------------------------
-    # Time stepping
-    # ------------------------------------------------------------------
-    def _advance(
-        self,
-        t_from: float,
-        t_to: float,
-        active: list[Job],
-        gpu_seconds: dict[str, float],
-    ) -> None:
-        dt = t_to - t_from
-        if dt <= 0:
-            return
-        for job in active:
-            if job.status == JobStatus.QUEUED:
-                continue
-            held_gpus = job.placement.total.gpus
-            gpu_seconds[job.job_id] += held_gpus * dt
-            if job.status == JobStatus.PAUSED:
-                active_dt = _accrue_pause(job, held_gpus, t_from, t_to)
-            else:
-                active_dt = dt
-            if active_dt > 0 and job.throughput > 0:
-                job.samples_done += job.throughput * active_dt
-                job.run_seconds += active_dt
-                if (
-                    job.run_seconds - job.run_seconds_at_checkpoint
-                    >= CHECKPOINT_INTERVAL
-                ):
-                    job.samples_at_checkpoint = job.samples_done
-                    job.run_seconds_at_checkpoint = job.run_seconds

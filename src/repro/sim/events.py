@@ -33,22 +33,10 @@ replaces both with incremental state:
   anchored at that moment: ``anchor + remaining/throughput``.  Allocation
   changes, preemptions, and finishes bump the job's epoch, which lazily
   voids any events still in the heap (classic calendar-queue invalidation —
-  stale entries are discarded when they surface at the heap top).
-
-The subtlety is floating point.  The pre-PR loop recomputes every running
-job's completion at the *current* clock (``now + remaining/throughput``)
-each round; in exact arithmetic that equals the anchored prediction, but
-each round's ``samples_done`` accumulation rounds, so the two drift apart by
-ulps.  Byte-identical replay therefore cannot use heap entries as event
-times directly.  Instead the heap is used as a sound *early-out*: the
-anchored prediction is within :data:`COMPLETION_SLACK` of the exact value
-(drift is bounded by rounds × ulp(sim time) ≲ 1e-6 s, four orders below the
-slack), so when the earliest live heap entry lies beyond the next tick or
-arrival by more than the slack, no completion can win this round and the
-O(active) recomputation is skipped.  Only rounds where a completion is
-within 10 ms of the tick — i.e. rounds that actually end in or near a
-completion — fall back to the exact pre-PR scan, keeping event times
-bit-for-bit identical to that scan.
+  stale entries are discarded when they surface at the heap top).  Job
+  progress is accrued lazily from the same anchors, so a hint *is* the
+  job's completion time: the simulator pops due hints
+  (:meth:`pop_due_completions`) instead of scanning the active set.
 """
 
 from __future__ import annotations
@@ -59,12 +47,6 @@ from typing import Iterable, Sequence
 from repro.scheduler.job import Job, JobStatus
 
 _EPS = 1e-6
-
-#: Safety margin (seconds) between an anchored completion hint and the exact
-#: recomputed value.  Must exceed the worst-case accumulated float drift
-#: (≈ rounds × ulp(sim time) ≈ 1e-6 s for 120 h sims) by a wide margin while
-#: staying far below the tick interval so the early-out still fires.
-COMPLETION_SLACK = 1e-2
 
 
 class EventCalendar:
@@ -101,9 +83,8 @@ class EventCalendar:
         self._push_seq = 0
         self._heap: list[tuple[float, int, str]] = []  # (time, epoch, job_id)
         self._epochs: dict[str, int] = {}
-        #: Diagnostic counters, copied onto ``SimulationResult.calendar_*``
-        #: at the end of a run and reported by perfbench.
-        self.exact_scans = 0
+        #: Next-event queries answered, copied onto
+        #: ``SimulationResult.calendar_fast_rounds`` at the end of a run.
         self.fast_rounds = 0
 
     # ------------------------------------------------------------------
@@ -230,9 +211,9 @@ class EventCalendar:
         if job.throughput <= 0:
             # Degenerate but detectable: a job granted with its work already
             # (numerically) complete finishes regardless of throughput — the
-            # completion scan checks `remaining <= eps`, not progress rate.
-            # Without a hint the scale-mode loop (which is driven purely by
-            # this heap) would hold its resources forever.
+            # completion check is `remaining <= eps`, not progress rate.
+            # Without a hint the simulator (whose completions are driven
+            # purely by this heap) would hold its resources forever.
             if job.remaining_samples <= _EPS:
                 heapq.heappush(self._heap, (start, epoch, job.job_id))
             return
@@ -249,13 +230,11 @@ class EventCalendar:
     def pop_due_completions(self, cutoff: float) -> list[str]:
         """Consume and return the job ids of every live hint ``<= cutoff``.
 
-        Scale-mode completion drain: under lazy advancement the anchored
-        prediction *is* the completion event (no per-round accumulation
-        drifts away from it), so due hints are popped and acted on directly
-        instead of gating an exact rescan.  Each popped job's epoch advances
-        (the hint is consumed); a caller that finds a popped job not quite
-        finished — ulp-level residue after many re-anchorings — re-``track``s
-        it, which pushes a fresh, later hint.
+        Under lazy advancement the anchored prediction *is* the completion
+        event, so due hints are popped and acted on directly.  Each popped
+        job's epoch advances (the hint is consumed); a caller that finds a
+        popped job not quite finished — ulp-level residue after many
+        re-anchorings — re-``track``s it, which pushes a fresh, later hint.
         """
         due: list[str] = []
         heap = self._heap
@@ -283,49 +262,14 @@ class EventCalendar:
     # ------------------------------------------------------------------
     # Next event
     # ------------------------------------------------------------------
-    def next_event_time(self, now: float, active: Sequence[Job]) -> float:
-        """Earliest of tick / next arrival / predicted completions.
-
-        Bit-for-bit identical to the pre-PR full scan: the heap only decides
-        *whether* completions can matter this round; whenever they can, the
-        candidates are recomputed exactly as that scan did.
-        """
-        next_time = now + self.tick_interval
-        arrival = self._next_arrival_time()
-        if arrival is not None and arrival < next_time:
-            next_time = arrival
-        event_time = self._next_cluster_event_time()
-        if event_time is not None and event_time < next_time:
-            next_time = event_time
-        hint = self._earliest_hint()
-        if hint is None or hint > next_time + COMPLETION_SLACK:
-            # No live completion event can precede the tick/arrival: anchored
-            # hints sit within COMPLETION_SLACK of the exact values.
-            self.fast_rounds += 1
-            return max(next_time, now + _EPS)
-        self.exact_scans += 1
-        for job in active:
-            if not job.is_running or job.throughput <= 0:
-                continue
-            start = max(
-                now, job.pause_until if job.status == JobStatus.PAUSED else now
-            )
-            candidate = start + job.remaining_samples / job.throughput
-            if candidate < next_time:
-                next_time = candidate
-        return max(next_time, now + _EPS)
-
-    def next_event_time_lazy(
+    def next_event_time(
         self, now: float, policy_at: float | None = None
     ) -> float:
-        """Scale-mode next event: hints are authoritative, no exact rescan.
+        """Earliest of tick / next arrival / cluster event / policy round /
+        live completion hint, and never before ``now + eps``.
 
-        Under lazy advancement a running job's progress is a closed-form
-        function of its anchor, so the anchored completion prediction *is*
-        the event time — there is no per-round float accumulation to stay
-        byte-identical with, and no O(active) scan.  ``policy_at`` is the
-        engine's next scheduled policy round (a clock stop only while
-        decisions are pending).
+        ``policy_at`` is the simulator's next pending policy round; one
+        already due (``<= now``) adds no stop.
         """
         next_time = now + self.tick_interval
         arrival = self._next_arrival_time()
@@ -334,7 +278,7 @@ class EventCalendar:
         event_time = self._next_cluster_event_time()
         if event_time is not None and event_time < next_time:
             next_time = event_time
-        if policy_at is not None and policy_at < next_time:
+        if policy_at is not None and now < policy_at < next_time:
             next_time = policy_at
         hint = self._earliest_hint()
         if hint is not None and hint < next_time:

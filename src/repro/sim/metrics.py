@@ -133,8 +133,8 @@ class SimulationResult:
     profiling_seconds: float = 0.0
     policy_invocations: int = 0
     policy_wall_seconds: float = 0.0
-    #: Scheduling rounds the steady-state short-circuit resolved without
-    #: invoking the policy (always 0 on the reference path).
+    #: Rounds the cadence allowed the policy to run in that the
+    #: steady-state short-circuit resolved without invoking it.
     policy_skips: int = 0
     #: Event-loop rounds processed (arrivals/completions/ticks) and the
     #: wall-clock cost of the session's `start`/`step` calls less model
@@ -144,9 +144,10 @@ class SimulationResult:
     #: Wall-clock cost of performance-model fitting in `start`/`submit`
     #: (a per-process memo hit costs next to nothing).  Never persisted.
     fit_wall_seconds: float = 0.0
-    #: Event-calendar diagnostics: rounds resolved from the completion-hint
-    #: heap alone vs. rounds that fell back to the exact completion scan
-    #: (how well `COMPLETION_SLACK` is tuned).  In-memory only.
+    #: Event-calendar diagnostics read by the repo benchmark's tracer:
+    #: next-event queries answered from the calendar's cursors and hint
+    #: heap, and exact completion scans — always 0, since the calendar has
+    #: none.  In-memory only.
     calendar_fast_rounds: int = 0
     calendar_exact_scans: int = 0
     #: Cluster-dynamics counters: events applied (failures, recoveries,

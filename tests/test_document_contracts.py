@@ -196,7 +196,18 @@ def test_host_reads_are_allowlisted(host_reads, tmp_path):
 # ----------------------------------------------------------------------
 #: `makespan` is a raw float: only `summary` and `sla_ratio` map NaN to null.
 NAN_RESULT = dataclasses.replace(RESULT, makespan=NAN)
-NAN_EVENT = dyn.ClusterEvent(time=NAN, kind="fail", node_id=0)
+
+
+def _forced(obj, **fields):
+    """A copy of a frozen dataclass with ``fields`` set past its validation
+    (which refuses NaN), so the writer's own guard is what is tested."""
+    obj = dataclasses.replace(obj)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+NAN_EVENT = _forced(dyn.ClusterEvent(time=0.0, kind="fail", node_id=0), time=NAN)
 NAN_ATTEMPT = {
     "attempt": 1, **incident_payload(RuntimeError("boom")),
     "incidents": [ser.incident_to_dict(dataclasses.replace(INCIDENT, time=NAN))],
@@ -219,7 +230,7 @@ NAN_WRITERS = {
         {"event": "sweep", "wall_seconds": NAN}
     ),
     "experiments/spec.py:RunSpec._digest":
-        lambda root: dataclasses.replace(RUN, span=NAN).run_key,
+        lambda root: _forced(RUN, span=NAN).run_key,
 }
 
 #: Writers whose input cannot hold a NaN: the type refuses it at

@@ -143,6 +143,19 @@ class TestDynamicsProfiles:
         with pytest.raises(ClusterDynamicsError):
             resolve_dynamics(f"file:{tmp_path}/missing.json")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_event_file_with_non_finite_time_is_refused(self, tmp_path, literal):
+        # json.loads accepts these literals; the event itself must refuse.
+        path = tmp_path / "events.json"
+        path.write_text(
+            '{"format_version": 1, "events": '
+            f'[{{"time": {literal}, "kind": "fail", "node_id": 0}}]}}'
+        )
+        with pytest.raises(ClusterDynamicsError, match="finite"):
+            load_cluster_events(path)
+        with pytest.raises(ClusterDynamicsError, match="finite"):
+            resolve_dynamics(f"file:{path}")
+
 
 # ----------------------------------------------------------------------
 # Cluster state transitions
@@ -232,15 +245,15 @@ class TestCalendarClusterEvents:
         cal = EventCalendar([], tick_interval=300.0, cluster_events=events)
         assert cal.has_cluster_events
         assert [e.time for e in cal.pop_cluster_events(20.5)] == [5.0, 20.0, 20.0]
-        assert cal.next_event_time(20.5, []) == 90.0  # event beats the tick
+        assert cal.next_event_time(20.5) == 90.0  # event beats the tick
         assert [e.time for e in cal.pop_cluster_events(1e9)] == [90.0]
         assert not cal.has_cluster_events
-        assert cal.next_event_time(90.0, []) == 390.0  # back to ticks
+        assert cal.next_event_time(90.0) == 390.0  # back to ticks
 
     def test_clock_stops_exactly_at_event_time(self):
         events = [ClusterEvent(time=123.0, kind=NODE_FAIL, node_id=0)]
         cal = EventCalendar([], tick_interval=300.0, cluster_events=events)
-        assert cal.next_event_time(0.0, []) == 123.0
+        assert cal.next_event_time(0.0) == 123.0
 
 
 # ----------------------------------------------------------------------
@@ -361,11 +374,12 @@ class TestEngineDynamics:
         job.plan = spec.initial_plan
         job.throughput = 10.0
         job.samples_done = 500.0  # progress since the (implicit) checkpoint
+        job.anchor_time = 100.0  # progress materialized up to the failure
         cluster.apply("v", job.placement)
         result = SimulationResult(policy_name="p", trace_name="t")
         sim._apply_cluster_event(
             ClusterEvent(time=100.0, kind=NODE_FAIL, node_id=0),
-            cluster, {"v": job}, 100.0, calendar, result,
+            cluster, {"v": job}, 100.0, calendar, result, {"v": 0.0},
         )
         assert job.status == JobStatus.QUEUED
         assert job.placement.is_empty and job.plan is None

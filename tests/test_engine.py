@@ -226,7 +226,7 @@ class TestRequeueStateConsistency:
         sim._apply_cluster_event(
             ClusterEvent(time=400.0, kind=NODE_FAIL, node_id=0),
             cluster, {job.job_id: job}, 400.0,
-            EventCalendar([], 300.0), result,
+            EventCalendar([], 300.0), result, {job.job_id: 0.0},
         )
         self._assert_clean_requeue(job, cluster, 400.0)
         assert job.restart_count == 1

@@ -75,6 +75,12 @@ class TestSpec:
         with pytest.raises(ValueError, match="at least one"):
             SweepSpec(policies=("rubick",), seeds=())
 
+    @pytest.mark.parametrize("field", ["span", "load_factor", "large_model_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RunSpec(policy="rubick", **{field: value})
+
     def test_default_tenants_only_for_mt(self):
         mt = default_tenants(RunSpec(policy="rubick-n", variant="mt", **SMALL))
         assert mt is not None

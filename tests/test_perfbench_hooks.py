@@ -5,12 +5,15 @@ a name its class no longer defines, so a rename in ``src/`` would drop a
 layer from the per-layer metrics without any error.  This test reads the
 method names the tracer passes to ``_wrap_methods`` (plus the directly
 assigned ``RunStore.save``), installs the tracer in a fresh interpreter and
-asserts every named method now carries ``__perfbench_layer__``.
+asserts every named method now carries ``__perfbench_layer__``.  The
+``SimulationResult`` counters its ``stepped`` hook reads are pinned the
+same way: read from the hook's source, checked against the dataclass.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -95,3 +98,24 @@ def test_every_hooked_method_is_wrapped():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert json.loads(proc.stdout) == []
+
+
+def test_stepped_hook_reads_existing_result_fields():
+    from repro.sim.metrics import SimulationResult
+
+    (stepped,) = [
+        node for node in ast.walk(ast.parse(TRACER.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "stepped"
+    ]
+    reads = {
+        node.attr for node in ast.walk(stepped)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "result"
+    }
+    # The parse itself must keep seeing the counters it is meant to pin.
+    assert {
+        "sim_rounds", "policy_skips",
+        "calendar_fast_rounds", "calendar_exact_scans",
+    } <= reads
+    fields = {f.name for f in dataclasses.fields(SimulationResult)}
+    assert reads <= fields, sorted(reads - fields)

@@ -1,13 +1,12 @@
-"""Scale-mode simulator loop: equivalence, invariants, streaming metrics.
+"""Scale-mode cadence: equivalence, invariants, streaming metrics.
 
-``Simulator(scale_mode=True)`` trades the default loop's exact semantics
-for per-round costs independent of the active-job count (lazy progress
-materialization, heap-driven completions, Gavel-style scheduling rounds).
-Per the large-scale testing policy in DESIGN.md it is NOT byte-identical
-to the default loop — jobs can queue up to one round longer — so this
-suite asserts:
+``EngineConfig(scale_mode=True)`` runs the policy in Gavel-style
+scheduling rounds, at most once per ``tick_interval``, instead of at every
+event.  Per the large-scale testing policy in DESIGN.md it is NOT
+byte-identical to the default cadence — jobs can queue up to one round
+longer — so this suite asserts:
 
-* **uncontended equivalence** — on the light 30-job smoke both loops
+* **uncontended equivalence** — on the light 30-job smoke both cadences
   produce the same completions and (empirically ulp-level) makespan, with
   JCTs bounded by the round length;
 * **conservation invariants under contention + dynamics** — every job
@@ -237,9 +236,11 @@ class _LockstepProbe:
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
-        self.reactive = getattr(inner, "reactive", False)
         self.engine = getattr(inner, "engine", None)
         self.checked = 0
+
+    def steady_state(self, jobs, ctx):
+        return self.inner.steady_state(jobs, ctx)
 
     def schedule(self, jobs, cluster, ctx):
         for job in jobs:

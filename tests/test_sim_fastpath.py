@@ -28,12 +28,11 @@ from repro.scheduler.job import Job, JobSpec, JobStatus
 from repro.scheduler.registry import POLICIES, make_policy
 from repro.scheduler.variants import rubick
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
-from repro.sim.events import COMPLETION_SLACK, EventCalendar
+from repro.sim.events import EventCalendar
 from repro.sim.serialization import result_from_dict, result_to_dict
 
 SEED = 7
 GOLDEN_SEEDS = (7, 3)
-_EPS = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -167,21 +166,6 @@ class _Arrival:
         self.submit_time = submit_time
 
 
-def _reference_next_event(now, tick_interval, arrivals, active):
-    """The pre-PR full scan, verbatim."""
-    candidates = [now + tick_interval]
-    if arrivals:
-        candidates.append(arrivals[0].submit_time)
-    for job in active:
-        if not job.is_running or job.throughput <= 0:
-            continue
-        start = max(
-            now, job.pause_until if job.status == JobStatus.PAUSED else now
-        )
-        candidates.append(start + job.remaining_samples / job.throughput)
-    return max(min(candidates), now + _EPS)
-
-
 class TestEventCalendar:
     def test_arrival_cursor_drains_in_order(self):
         arrivals = [_Arrival(t) for t in (1.0, 2.0, 2.0, 5.0)]
@@ -189,63 +173,41 @@ class TestEventCalendar:
         assert cal.first_arrival_time() == 1.0
         assert [a.submit_time for a in cal.pop_arrivals(2.5)] == [1.0, 2.0, 2.0]
         assert cal.has_arrivals
-        assert cal.next_event_time(2.5, []) == 5.0  # arrival before tick
+        assert cal.next_event_time(2.5) == 5.0  # arrival before tick
         assert [a.submit_time for a in cal.pop_arrivals(10.0)] == [5.0]
         assert not cal.has_arrivals
 
-    def test_matches_reference_scan(self):
-        """Early-out and exact fallback agree with the pre-PR formula."""
-        jobs = [
-            _job("a", throughput=10.0, samples_left=1e5),
-            _job("b", throughput=2.0, samples_left=100.0),  # completes soon
-            _job("c", throughput=5.0, samples_left=1e6,
-                 status=JobStatus.PAUSED, pause_until=50.0),
-            _job("d", throughput=0.0, samples_left=1e5),  # no progress
-            _job("q", throughput=0.0, samples_left=1e5,
-                 status=JobStatus.QUEUED),
-        ]
+    def test_pending_policy_round_stops_the_clock(self):
+        job = _job("a", throughput=1.0, samples_left=200.0)  # completes at 200
         cal = EventCalendar([], tick_interval=300.0)
-        for job in jobs:
-            cal.track(job, 0.0)
-        got = cal.next_event_time(0.0, jobs)
-        assert got == _reference_next_event(0.0, 300.0, [], jobs)
-        assert got == pytest.approx(50.0)  # job b: 100 / 2.0
-
-    def test_tick_early_out_skips_exact_scan(self):
-        jobs = [_job("a", throughput=1.0, samples_left=1e9)]
-        cal = EventCalendar([], tick_interval=300.0)
-        cal.track(jobs[0], 0.0)
-        assert cal.next_event_time(0.0, jobs) == 300.0
-        assert cal.fast_rounds == 1 and cal.exact_scans == 0
-        # A completion within the slack of the tick forces the exact scan.
-        near = _job("b", throughput=1.0, samples_left=300.0 + COMPLETION_SLACK / 2)
-        cal.track(near, 0.0)
-        got = cal.next_event_time(0.0, jobs + [near])
-        assert cal.exact_scans == 1
-        assert got == _reference_next_event(0.0, 300.0, [], jobs + [near])
+        cal.track(job, 0.0)
+        assert cal.next_event_time(0.0, policy_at=150.0) == 150.0
+        assert cal.next_event_time(0.0, policy_at=250.0) == 200.0
+        assert cal.next_event_time(0.0, policy_at=0.0) == 200.0  # already due
+        assert cal.next_event_time(0.0) == 200.0
 
     def test_invalidation_voids_stale_events(self):
         job = _job("a", throughput=100.0, samples_left=100.0)  # completes at 1s
         cal = EventCalendar([], tick_interval=300.0)
         cal.track(job, 0.0)
-        assert cal.next_event_time(0.0, [job]) == pytest.approx(1.0)
+        assert cal.next_event_time(0.0) == pytest.approx(1.0)
         # Preemption: the old completion event must not survive.
         job.status = JobStatus.QUEUED
         job.throughput = 0.0
         cal.invalidate(job.job_id)
-        assert cal.next_event_time(0.0, [job]) == 300.0  # tick only
+        assert cal.next_event_time(0.0) == 300.0  # tick only
         # Re-track after a new allocation (lower throughput, later finish).
         job.status = JobStatus.RUNNING
         job.throughput = 1.0
         cal.track(job, 10.0)
-        assert cal.next_event_time(10.0, [job]) == pytest.approx(110.0)
+        assert cal.next_event_time(10.0) == pytest.approx(110.0)
 
     def test_paused_job_anchor_uses_pause_until(self):
         job = _job("a", throughput=10.0, samples_left=100.0,
                    status=JobStatus.PAUSED, pause_until=40.0)
         cal = EventCalendar([], tick_interval=300.0)
         cal.track(job, 0.0)
-        assert cal.next_event_time(0.0, [job]) == pytest.approx(50.0)
+        assert cal.next_event_time(0.0) == pytest.approx(50.0)
 
     def test_stale_heap_entries_are_discarded_lazily(self):
         cal = EventCalendar([], tick_interval=300.0)
@@ -253,7 +215,7 @@ class TestEventCalendar:
         for anchor in (0.0, 1.0, 2.0):  # three re-tracks -> two stale entries
             cal.track(job, anchor)
         assert len(cal._heap) == 3
-        cal.next_event_time(2.0, [job])
+        cal.next_event_time(2.0)
         assert len(cal._heap) == 1  # the two stale epochs were popped
 
 
