@@ -93,7 +93,7 @@ def test_fig08_two_job_throughput(benchmark):
     # split, and the winning split never starves T5 (the more GPU-hungry
     # model).  The paper's testbed showed a strictly uneven 3/1 optimum; on
     # our synthetic testbed the two jobs scale near-linearly at this size so
-    # the even split can tie (recorded in EXPERIMENTS.md).
+    # the even split can tie (the bench prints both totals).
     assert total >= simple_total - 1e-9, (
         f"Rubick {total:.2f} vs simple {simple_total:.2f}"
     )

@@ -59,6 +59,6 @@ def test_fig10_load_sweep(benchmark):
     )
     # Rubick wins at every load in this range.  Divergence from the paper:
     # our synthetic base trace is already near saturation at 1x, so the gain
-    # peaks at moderate load instead of rising monotonically (see
-    # EXPERIMENTS.md).
+    # peaks at moderate load instead of rising monotonically (the bench
+    # prints the gain at each load).
     assert all(g > 1.0 for g in gains)

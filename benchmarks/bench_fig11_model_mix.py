@@ -81,6 +81,6 @@ def test_fig11_model_mix_sweep(benchmark):
         )
     )
     # Rubick wins at the base mix and at most mixes; extreme mixes can favor
-    # gang FIFO on our testbed (recorded in EXPERIMENTS.md).
+    # gang FIFO on our testbed (the bench prints each mix's gain).
     assert gains[1] > 1.0
     assert sum(1 for g in gains if g > 1.0) >= len(gains) // 2 + 1

@@ -11,7 +11,7 @@ Three trace variants on the paper cluster:
   (paper: 1.6× all-jobs JCT, 1.28× makespan).
 
 The trace is down-scaled (160 jobs vs the paper's 406) to keep the benchmark
-runnable in seconds; EXPERIMENTS.md records the shape comparison.
+runnable in seconds; the bench prints each table for the shape comparison.
 
 All runs execute through the experiments sweep subsystem
 (`repro.experiments`): each cell is a declarative :class:`RunSpec`, the MT
@@ -94,7 +94,7 @@ def test_table4_best_plan_trace(benchmark):
     # substantially when handed best initial plans (their Base-trace deficit
     # came from inheriting bad plans), while Rubick is insensitive to the
     # initial plan.  On our testbed Sia's elastic DP scaling can even edge
-    # ahead on avg JCT in this regime (EXPERIMENTS.md).
+    # ahead on avg JCT in this regime (the bench prints both).
     assert synergy_bp.avg_jct() < synergy_base.avg_jct()
     assert sia_bp.avg_jct() < sia_base.avg_jct()
     assert ref.avg_jct() <= synergy_bp.avg_jct() * 1.1

@@ -1,4 +1,4 @@
-"""Reporting utilities for benches, examples and EXPERIMENTS.md."""
+"""Reporting utilities for benches and examples."""
 
 from repro.analysis.report import (
     NO_DATA,

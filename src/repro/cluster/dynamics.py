@@ -290,7 +290,7 @@ def event_from_dict(data: dict[str, Any]) -> ClusterEvent:
             ),
             count=int(data.get("count", 1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ClusterDynamicsError(f"malformed cluster event {data!r}: {exc}")
 
 

@@ -12,15 +12,12 @@ into ``nodes`` throughout the scheduler layer (``FreePool``, Rubick's
 capacity — every free/used/placement query and first-fit packing loop then
 naturally excludes it without any scheduler-side special-casing.
 
-Cluster-level aggregates (``free``, ``total``, ``gpu_utilization``,
-``placement_of``, ``all_job_ids``, ``release``) are served from an
-array-backed :class:`~repro.cluster.soa.ClusterIndex` mirror kept in exact
-lockstep with the object graph: every :class:`Node` mutation fires a
-listener hook the owning cluster wires at construction.  Nodes remain the
-source of truth — the mirror only changes the *cost* of the queries
-(O(num_nodes) scans become O(1)–O(job footprint)), never their results
-(integer aggregates are bit-identical; see ``soa.py`` for the float
-host-memory tolerance).
+The cluster also keeps one job → placement map, written only by
+:meth:`Cluster.apply` (including its rollback) and :meth:`Cluster.release`,
+the only mutators of node allocations on the simulator's path (a direct
+:class:`Node` mutation bypasses it).  It serves ``placement_of``,
+``all_job_ids`` and ``release`` without a node scan; ``free``, ``total``
+and ``num_up_nodes`` scan the nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from dataclasses import dataclass, field
 
 from repro.cluster.placement import Placement
 from repro.cluster.resources import ResourceVector
-from repro.cluster.soa import ClusterIndex
 from repro.cluster.topology import ClusterSpec, NodeSpec
 from repro.errors import ClusterDynamicsError, PlacementError
 
@@ -44,13 +40,6 @@ class Node:
     #: False while the node is failed/decommissioned.  Down nodes advertise
     #: zero capacity, so free-resource queries and packing skip them.
     up: bool = True
-
-    #: Mutation listener (the owning cluster's SoA mirror).  Excluded from
-    #: __init__/__repr__/__eq__: standalone nodes work without one, and
-    #: wiring identity must not affect node equality.
-    _listener: ClusterIndex | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def capacity(self) -> ResourceVector:
@@ -76,21 +65,10 @@ class Node:
     def free(self) -> ResourceVector:
         return (self.capacity - self.used).clamp_floor()
 
-    def _notify(
-        self,
-        job_id: str,
-        old: ResourceVector | None,
-        new: ResourceVector | None,
-    ) -> None:
-        listener = self._listener
-        if listener is not None:
-            listener.share_changed(self.node_id, job_id, old, new)
-
     def allocate(self, job_id: str, share: ResourceVector) -> None:
         """Add (or extend) a job's share on this node; raises if over capacity."""
         share.require_non_negative()
-        old = self.allocations.get(job_id)
-        current = old if old is not None else ResourceVector.zero()
+        current = self.allocations.get(job_id, ResourceVector.zero())
         proposed = current + share
         if not (self.used - current + proposed).fits_within(self.capacity):
             raise PlacementError(
@@ -98,36 +76,10 @@ class Node:
                 f"exceeds capacity (used={self.used}, cap={self.capacity})"
             )
         self.allocations[job_id] = proposed
-        self._notify(job_id, old, proposed)
-
-    def set_allocation(self, job_id: str, share: ResourceVector) -> None:
-        """Replace a job's share on this node (removing it if zero)."""
-        old = self.allocations.pop(job_id, None)
-        current = old if old is not None else ResourceVector.zero()
-        if share.is_zero:
-            if old is not None:
-                self._notify(job_id, old, None)
-            return
-        if not (self.used + share).fits_within(self.capacity):
-            self.allocations[job_id] = current  # roll back
-            if old is None:
-                # Faithful to the pre-mirror behaviour: the rollback path
-                # materialises a zero share for a previously-absent job.
-                self._notify(job_id, None, current)
-            raise PlacementError(
-                f"node {self.node_id}: setting {share} for {job_id} "
-                f"exceeds capacity"
-            )
-        self.allocations[job_id] = share
-        self._notify(job_id, old, share)
 
     def release(self, job_id: str) -> ResourceVector:
         """Remove a job from this node, returning what it held."""
-        old = self.allocations.pop(job_id, None)
-        if old is None:
-            return ResourceVector.zero()
-        self._notify(job_id, old, None)
-        return old
+        return self.allocations.pop(job_id, ResourceVector.zero())
 
 
 class Cluster:
@@ -138,21 +90,16 @@ class Cluster:
         self.nodes: list[Node] = [
             Node(node_id=i, spec=spec.node) for i in range(spec.num_nodes)
         ]
-        self._index = ClusterIndex(spec.node, spec.num_nodes)
-        for node in self.nodes:
-            node._listener = self._index
+        #: job_id -> the placement it holds, shares in ascending node id.
+        #: Insertion order follows the latest ``apply`` of each job.
+        self._placements: dict[str, Placement] = {}
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
-    def index(self) -> ClusterIndex:
-        """The array-backed mirror (read-only for callers)."""
-        return self._index
-
-    @property
     def num_up_nodes(self) -> int:
-        return self._index.up_count
+        return sum(node.up for node in self.nodes)
 
     @property
     def total(self) -> ResourceVector:
@@ -170,32 +117,18 @@ class Cluster:
 
     @property
     def free(self) -> ResourceVector:
-        gpus, cpus, host_mem = self._index.free_totals()
-        return ResourceVector(gpus, cpus, max(host_mem, 0.0))
+        return sum((node.free for node in self.nodes), ResourceVector.zero())
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
     def placement_of(self, job_id: str) -> Placement:
         """The placement a job currently holds (possibly empty)."""
-        on_nodes = self._index.nodes_of(job_id)
-        if not on_nodes:
-            return Placement({})
-        return Placement(
-            {node_id: on_nodes[node_id] for node_id in sorted(on_nodes)}
-        )
-
-    def jobs_on(self, node_id: int) -> list[str]:
-        return sorted(self.nodes[node_id].allocations)
+        placement = self._placements.get(job_id)
+        return placement if placement is not None else Placement({})
 
     def all_job_ids(self) -> set[str]:
-        return set(self._index.jobs)
-
-    def gpu_utilization(self) -> float:
-        """Fraction of *live* cluster GPUs currently allocated."""
-        total = self.num_up_nodes * self.spec.node.num_gpus
-        used = self._index.used_gpus_total
-        return used / total if total else 0.0
+        return set(self._placements)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -228,7 +161,6 @@ class Cluster:
         for job_id in victims:
             self.release(job_id)
         node.up = False
-        self._index.node_down(node_id)
         return victims
 
     def add_node(self, node_id: int | None = None) -> int:
@@ -240,9 +172,7 @@ class Cluster:
         """
         if node_id is None:
             node = Node(node_id=len(self.nodes), spec=self.spec.node)
-            node._listener = self._index
             self.nodes.append(node)
-            self._index.append_node()
             return node.node_id
         node = self._node_for(node_id, "recover")
         if node.up:
@@ -250,11 +180,16 @@ class Cluster:
                 f"cannot recover node {node_id}: already up"
             )
         node.up = True
-        self._index.node_up(node_id)
         return node_id
 
     def apply(self, job_id: str, placement: Placement) -> None:
         """Set a job's allocation to exactly ``placement`` (atomic)."""
+        for node_id in placement.shares:
+            if not 0 <= node_id < len(self.nodes):
+                raise PlacementError(
+                    f"cannot place {job_id} on node {node_id}: cluster "
+                    f"has {len(self.nodes)} nodes"
+                )
         previous = self.placement_of(job_id)
         self.release(job_id)
         try:
@@ -263,14 +198,25 @@ class Cluster:
         except PlacementError:
             # Roll back to the previous placement before re-raising so the
             # cluster never ends up in a partially-applied state.
-            self.release(job_id)
+            for node_id in placement.shares:
+                self.nodes[node_id].release(job_id)
             for node_id, share in previous.shares.items():
                 self.nodes[node_id].allocate(job_id, share)
+            self._record(job_id, previous)
             raise
+        self._record(job_id, placement)
+
+    def _record(self, job_id: str, placement: Placement) -> None:
+        """Map ``job_id`` to the shares its nodes now hold for it."""
+        if placement.shares:
+            self._placements[job_id] = Placement({
+                node_id: self.nodes[node_id].allocations[job_id]
+                for node_id in sorted(placement.shares)
+            })
 
     def release(self, job_id: str) -> None:
-        on_nodes = self._index.nodes_of(job_id)
-        if not on_nodes:
+        placement = self._placements.pop(job_id, None)
+        if placement is None:
             return  # common case at scale: releasing a job that holds nothing
-        for node_id in sorted(on_nodes):
+        for node_id in placement.shares:
             self.nodes[node_id].release(job_id)

@@ -4,21 +4,17 @@ Baselines allocate whole requested GPU counts with simple packing; this
 module provides the free-resource pool and first-fit-decreasing packing they
 share.
 
-The pool is array-backed: per-node free gpus/cpus/host-mem columns seeded
-from the cluster's SoA mirror, plus a :class:`FreeGpuIndex` so the packing
-loop visits nodes most-free-first without re-sorting per request.  The
-visit order (free GPUs descending, node id ascending on ties) and every
-take/CPU/host decision are identical to the previous object-based
-implementation — the baseline goldens are byte-identical.
+The pool seeds per-node free gpus/cpus/host-mem lists from the nodes'
+allocations, plus a :class:`FreeGpuIndex` so the packing loop visits nodes
+most-free-first (free GPUs descending, node id ascending on ties) without
+re-sorting per request.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.cluster.free_index import FreeGpuIndex
 from repro.cluster.placement import Placement
 from repro.cluster.resources import ResourceVector
-from repro.cluster.soa import FreeGpuIndex
 from repro.cluster.state import Cluster
 from repro.planeval import DEFAULT_CPUS_PER_GPU
 from repro.plans.memory import host_mem_demand_per_node
@@ -62,54 +58,27 @@ class FreePool:
     """Mutable view of free per-node resources during one scheduling round."""
 
     def __init__(self, cluster: Cluster, keep_job_ids: set[str]):
-        spec = cluster.spec.node
-        index = cluster.index
-        n = len(cluster.nodes)
-        up = index.up[:n]
-        # Nodes holding a *non-kept* allocation need the reference per-node
-        # rebuild below; in the common steady-state round every allocated
-        # job is kept, so the integer columns come straight off the SoA
-        # mirror (exact — integer sums are order-insensitive) and only the
-        # float host-memory sum replays the reference's per-node loop.
-        slow_nodes: set[int] = set()
-        for job_id, on_nodes in index.jobs.items():
-            if job_id not in keep_job_ids:
-                slow_nodes.update(on_nodes)
-        # Base: every up node's capacity minus kept usage, down nodes zero
-        # (cap is zero).  Down nodes are always drained, so their used
-        # columns are zero and the where() masks them to zero free.
-        self._fg = np.where(up, np.int64(spec.num_gpus) - index.used_gpus[:n], np.int64(0))
-        self._fc = np.where(up, np.int64(spec.num_cpus) - index.used_cpus[:n], np.int64(0))
-        #: The mutable per-node host-memory budget.
-        self._fm = np.where(up, float(spec.host_mem), 0.0)
-        cap_mem = float(spec.host_mem)
-        nodes = cluster.nodes
-        for nid in np.flatnonzero(index.num_allocs[:n] > 0):
-            node = nodes[nid]
-            if nid in slow_nodes:
-                # Reference rebuild: sum the kept shares in the node's
-                # allocation-dict order (float addition is order-sensitive
-                # and the goldens pin this byte-for-byte).
-                used = ResourceVector.zero()
-                for job_id, share in node.allocations.items():
-                    if job_id in keep_job_ids:
-                        used = used + share
-                cap = node.capacity
-                free = (cap - used).clamp_floor()
-                self._fg[nid] = free.gpus
-                self._fc[nid] = free.cpus
-                self._fm[nid] = cap.host_mem - used.host_mem
-            else:
-                # All residents kept: the int columns are already right;
-                # accumulate host_mem alone, in the same allocation-dict
-                # order (identical float-add sequence to the reference).
-                used_mem = 0.0
-                for share in node.allocations.values():
-                    used_mem += share.host_mem
-                cm = cap_mem if up[nid] else 0.0
-                self._fm[nid] = cm - used_mem
-        self._free_gpus = int(self._fg.sum())
-        self._order = FreeGpuIndex.from_array(self._fg, spec.num_gpus)
+        #: Per-node free gpus, cpus and host memory.
+        self._fg: list[int] = []
+        self._fc: list[int] = []
+        self._fm: list[float] = []
+        for node in cluster.nodes:
+            # Sum the kept shares in the node's allocation-dict order: float
+            # addition is order-sensitive, so another order could move a
+            # host-memory fit test by an ulp.
+            gpus = cpus = 0
+            host_mem = 0.0
+            for job_id, share in node.allocations.items():
+                if job_id in keep_job_ids:
+                    gpus += share.gpus
+                    cpus += share.cpus
+                    host_mem += share.host_mem
+            cap = node.capacity
+            self._fg.append(max(cap.gpus - gpus, 0))
+            self._fc.append(max(cap.cpus - cpus, 0))
+            self._fm.append(cap.host_mem - host_mem)
+        self._free_gpus = sum(self._fg)
+        self._order = FreeGpuIndex(self._fg, cluster.spec.node.num_gpus)
 
     @property
     def free_gpus(self) -> int:
@@ -117,7 +86,7 @@ class FreePool:
 
     def free_of(self, node_id: int) -> tuple[int, int]:
         """(free gpus, free cpus) of one node — O(1)."""
-        return int(self._fg[node_id]), int(self._fc[node_id])
+        return self._fg[node_id], self._fc[node_id]
 
     def take_cpus(self, node_id: int, cpus: int) -> None:
         """Consume CPUs on one node without touching its GPU column."""
@@ -126,7 +95,7 @@ class FreePool:
     def _move(self, node_id: int, gpus: int, cpus: int, host_mem: float) -> None:
         """Add (positive) or subtract (negative) free resources on a node."""
         if gpus:
-            new = int(self._fg[node_id]) + gpus
+            new = self._fg[node_id] + gpus
             self._fg[node_id] = new
             self._free_gpus += gpus
             self._order.update(node_id, new)
@@ -178,8 +147,8 @@ class FreePool:
         for node_id in self._order.iter_nonempty_desc():
             if remaining <= 0:
                 break
-            free_g = int(self._fg[node_id])
-            free_c = int(self._fc[node_id])
+            free_g = self._fg[node_id]
+            free_c = self._fc[node_id]
             take = min(remaining, free_g)
             if take <= 0:
                 continue

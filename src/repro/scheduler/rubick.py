@@ -38,10 +38,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
+from repro.cluster.free_index import FreeGpuIndex
 from repro.cluster.placement import Placement
-from repro.cluster.soa import FreeGpuIndex
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import Cluster
 from repro.perfmodel.shape import ResourceShape
@@ -144,9 +142,7 @@ class _RoundState:
         #: Nodes bucketed by speculative free-GPU count: iterating it
         #: most-free-first reproduces the stable sort `_node_order` used to
         #: pay per call.
-        self._free_index = FreeGpuIndex.from_array(
-            np.asarray(frees, dtype=np.int64), cluster.spec.node.num_gpus
-        )
+        self._free_index = FreeGpuIndex(frees, cluster.spec.node.num_gpus)
         self._undo: list[tuple] = []
         #: job_id -> fewest GPUs the job may be shrunk to (its guaranteed
         #: minimum, else 0); jobs absent here are never victims.

@@ -341,7 +341,7 @@ class ServiceMaster:
             tj = sim.submit(tj, clamp=not self.clock.virtual)
         except SimulationError:
             raise
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
+        except (ReproError, KeyError, TypeError, ValueError, OverflowError) as exc:
             self._send(
                 client, protocol.error_frame(f"SUBMIT rejected: {exc}")
             )

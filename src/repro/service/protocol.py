@@ -40,6 +40,7 @@ the client against :data:`REPLY_SCHEMAS` on every reply.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 from repro.errors import ProtocolError
@@ -90,7 +91,18 @@ def _reject_constant(name: str) -> float:
     raise ProtocolError(f"undecodable frame body: {name} is not RFC 8259 JSON")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ProtocolError(
+            f"undecodable frame body: {literal} overflows a double"
+        )
+    return value
+
+
+_DECODER = json.JSONDecoder(
+    parse_constant=_reject_constant, parse_float=_finite_float
+)
 
 
 class FrameDecoder:
@@ -99,7 +111,8 @@ class FrameDecoder:
     Feed it whatever ``recv()`` returned; it yields every frame that is now
     complete and keeps the tail buffered for the next feed.  One decoder
     per connection — frames from different sockets must never share a
-    buffer.  Like :func:`encode_frame`, it refuses ``NaN``/``Infinity``.
+    buffer.  Like :func:`encode_frame`, it refuses ``NaN``/``Infinity``,
+    including a number literal such as ``1e400`` that overflows to one.
     """
 
     def __init__(self) -> None:

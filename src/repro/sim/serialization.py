@@ -1,8 +1,8 @@
 """JSON (de)serialization of traces and simulation results.
 
 Traces are the unit of experiment exchange (the paper ships trace variants,
-not raw cluster logs); results are what EXPERIMENTS.md-style records are
-built from.  The format is a stable, versioned, plain-JSON document.
+not raw cluster logs); results are what reports and comparisons are built
+from.  The format is a stable, versioned, plain-JSON document.
 """
 
 from __future__ import annotations

@@ -42,19 +42,6 @@ class TestNode:
         with pytest.raises(PlacementError):
             node.allocate("a", ResourceVector(gpus=5))
 
-    def test_set_allocation_replaces(self, cluster):
-        node = cluster.node(0)
-        node.allocate("a", ResourceVector(gpus=3))
-        node.set_allocation("a", ResourceVector(gpus=1))
-        assert node.allocations["a"].gpus == 1
-
-    def test_set_allocation_rolls_back_on_overflow(self, cluster):
-        node = cluster.node(0)
-        node.allocate("a", ResourceVector(gpus=3))
-        with pytest.raises(PlacementError):
-            node.set_allocation("a", ResourceVector(gpus=9))
-        assert node.allocations["a"].gpus == 3
-
     def test_release_returns_share(self, cluster):
         node = cluster.node(0)
         node.allocate("a", ResourceVector(gpus=2))
@@ -96,17 +83,6 @@ class TestCluster:
         # "a" untouched, "b" absent.
         assert cluster.placement_of("a").shares == before.shares
         assert cluster.placement_of("b").is_empty
-
-    def test_gpu_utilization(self, cluster):
-        assert cluster.gpu_utilization() == 0.0
-        cluster.apply("a", Placement({0: ResourceVector(gpus=4)}))
-        assert cluster.gpu_utilization() == pytest.approx(0.5)
-
-    def test_jobs_on(self, cluster):
-        cluster.apply("a", Placement({0: ResourceVector(gpus=1)}))
-        cluster.apply("b", Placement({0: ResourceVector(gpus=1)}))
-        assert cluster.jobs_on(0) == ["a", "b"]
-        assert cluster.jobs_on(1) == []
 
     def test_release_idempotent(self, cluster):
         cluster.apply("a", Placement({0: ResourceVector(gpus=1)}))

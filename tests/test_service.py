@@ -4,8 +4,8 @@ The contracts pinned here:
 
 * **Wire framing** — length-delimited JSON frames round-trip through
   :class:`FrameDecoder` at every possible tear point, and stream damage
-  (oversized header, undecodable body, a ``NaN``/``Infinity`` literal,
-  non-object payload, nesting or an integer past the decoder's limits)
+  (oversized header, undecodable body, a ``NaN``/``Infinity`` literal or
+  a number that overflows to one, non-object payload, nesting or an integer past the decoder's limits)
   raises :class:`ProtocolError` instead of desyncing silently or killing
   the master; a fuzz test feeds it arbitrary chunks.
 * **step() ≡ run()** — driving the engine with incremental ``step()``
@@ -23,8 +23,9 @@ The contracts pinned here:
   ``protocol.REQUEST_SCHEMAS`` with an ERROR and keeps the connection; the
   client raises :class:`ProtocolError` on a reply that breaks
   ``protocol.REPLY_SCHEMAS``.
-* **Hostile requests** — a frame carrying ``NaN`` or a job the cluster
-  cannot launch earns an ERROR; the master keeps serving other clients.
+* **Hostile requests** — a frame carrying ``NaN`` or ``1e400``, or a job
+  the cluster cannot launch, earns an ERROR; the master keeps serving
+  other clients.
   A frame nested too deep to decode drops only its sender.
 """
 
@@ -170,7 +171,9 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="undecodable"):
             FrameDecoder().feed(framed(body))
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]
+    )
     def test_non_rfc_constant_is_undecodable(self, literal):
         body = f'{{"type": "SUBMIT", "job": {{"x": {literal}}}}}'.encode()
         with pytest.raises(ProtocolError, match=f"undecodable.*{literal}"):
@@ -365,16 +368,20 @@ class TestLoopback:
         assert [i["kind"] for i in incidents] == ["cluster-event-error"]
         assert "node 99" in incidents[0]["message"]
 
-    def test_nan_submit_time_gets_error_and_master_survives(self, workload):
-        trace, _ = workload
+    def _raw_submit_error(self, trace, field, literal) -> str:
+        """Send one SUBMIT with ``field`` set to ``literal`` over a raw
+        socket; return the ERROR reply's message once the master has
+        shown it still serves (a STATUS, then a clean DRAIN)."""
         master, thread = start_master(make_sim())
         job = json.dumps(trace_job_to_dict(trace.jobs[0]), allow_nan=False)
+        before = f'"{field}": {getattr(trace.jobs[0], field)!r}'
+        assert before in job
         body = f'{{"type": "SUBMIT", "job": {job}}}'.replace(
-            f'"submit_time": {trace.jobs[0].submit_time!r}',
-            '"submit_time": NaN',
+            before, f'"{field}": {literal}'
         )
-        assert "NaN" in body
-        raw = socket.create_connection(("127.0.0.1", master.port))
+        # The timeout turns a master that died without replying into a
+        # failure rather than a hang.
+        raw = socket.create_connection(("127.0.0.1", master.port), timeout=30)
         with raw:
             raw.sendall(framed(body.encode()))
             decoder = FrameDecoder()
@@ -384,13 +391,28 @@ class TestLoopback:
                 assert data, "master closed without an ERROR reply"
                 replies = decoder.feed(data)
         assert replies[0]["type"] == protocol.ERROR
-        assert "NaN" in replies[0]["error"]
         with ServiceClient(port=master.port) as client:
             assert client.status()["state"] == "streaming"
             drained = client.drain(trace.name)
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert drained["result"]["summary"]["jobs"] == 0
+        return replies[0]["error"]
+
+    def test_nan_submit_time_gets_error_and_master_survives(self, workload):
+        trace, _ = workload
+        assert "NaN" in self._raw_submit_error(trace, "submit_time", "NaN")
+
+    def test_overflowing_number_gets_error_and_master_survives(
+        self, workload
+    ):
+        trace, _ = workload
+        # 1e400 is valid JSON but decodes to inf, which int() cannot take.
+        error = self._raw_submit_error(trace, "requested_gpus", "1e400")
+        assert "1e400" in error
+        # A 401-digit integer decodes, but float() cannot take it.
+        error = self._raw_submit_error(trace, "submit_time", "1" + "0" * 400)
+        assert "SUBMIT rejected" in error
 
     def test_infeasible_submit_is_rejected_before_the_ack(self, workload):
         trace, _ = workload
