@@ -58,6 +58,11 @@ NO_DYNAMICS_NAME = "none"
 #: Prefix of dynamically-resolved event-file profiles.
 FILE_PREFIX = "file:"
 
+#: Most nodes one scaling event may commission or decommission.  Events
+#: arrive from files and service clients, and a scale-up builds one node
+#: per count; four times the largest fleet any bench runs is ample.
+MAX_SCALE_COUNT = 4096
+
 
 @dataclass(frozen=True)
 class ClusterEvent:
@@ -90,9 +95,12 @@ class ClusterEvent:
             raise ClusterDynamicsError(
                 f"cluster event node_id must be >= 0, got {self.node_id}"
             )
-        if self.kind in (SCALE_UP, SCALE_DOWN) and self.count <= 0:
+        if self.kind in (SCALE_UP, SCALE_DOWN) and not (
+            0 < self.count <= MAX_SCALE_COUNT
+        ):
             raise ClusterDynamicsError(
-                f"{self.kind} event needs a positive count, got {self.count}"
+                f"{self.kind} event needs a count in [1, {MAX_SCALE_COUNT}], "
+                f"got {self.count}"
             )
 
     def describe(self) -> str:
@@ -247,8 +255,11 @@ class ScaleSchedule(ClusterDynamics):
                 raise ClusterDynamicsError(
                     f"scale step fraction must be in [0, 1], got {fraction}"
                 )
-            if delta == 0:
-                raise ClusterDynamicsError("scale step delta must be nonzero")
+            if not 0 < abs(delta) <= MAX_SCALE_COUNT:
+                raise ClusterDynamicsError(
+                    f"scale step delta must be nonzero and at most "
+                    f"{MAX_SCALE_COUNT} nodes, got {delta}"
+                )
 
     def events(self, *, seed: int, span: float, cluster) -> tuple[ClusterEvent, ...]:
         out = []

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.resources import ResourceVector
-from repro.cluster.topology import ClusterSpec
-from repro.errors import PlacementError
 
 
 @dataclass(frozen=True)
@@ -44,8 +42,7 @@ class Placement:
         try:
             return self._total_cache  # type: ignore[attr-defined]
         except AttributeError:
-            gpus = cpus = 0
-            host_mem = 0.0
+            gpus = cpus = host_mem = 0
             for share in self.shares.values():
                 gpus += share.gpus
                 cpus += share.cpus
@@ -94,41 +91,6 @@ class Placement:
     @staticmethod
     def single(node_id: int, share: ResourceVector) -> "Placement":
         return Placement({node_id: share})
-
-    @staticmethod
-    def packed(
-        cluster: ClusterSpec,
-        gpus: int,
-        cpus_per_gpu: float = 1.0,
-        host_mem_per_gpu: float = 0.0,
-        start_node: int = 0,
-    ) -> "Placement":
-        """Canonical densely-packed placement of ``gpus`` GPUs.
-
-        Fills whole nodes first, in node-id order starting at ``start_node``.
-        Used to build resource-sensitivity curves, which evaluate hypothetical
-        allocations before any concrete node search has run.
-        """
-        if gpus < 0:
-            raise PlacementError("cannot place a negative GPU count")
-        if gpus > cluster.total_gpus:
-            raise PlacementError(
-                f"requested {gpus} GPUs exceeds cluster capacity "
-                f"{cluster.total_gpus}"
-            )
-        shares: dict[int, ResourceVector] = {}
-        remaining = gpus
-        node_id = start_node
-        while remaining > 0:
-            take = min(remaining, cluster.node.num_gpus)
-            shares[node_id] = ResourceVector(
-                gpus=take,
-                cpus=int(round(take * cpus_per_gpu)),
-                host_mem=take * host_mem_per_gpu,
-            )
-            remaining -= take
-            node_id += 1
-        return Placement(shares)
 
     def with_share(self, node_id: int, share: ResourceVector) -> "Placement":
         """A copy of this placement with the share on ``node_id`` replaced."""

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 class ResourceVector:
     """An amount of (GPU, CPU, host-memory) resources.
 
-    GPUs and CPUs are integer counts; host memory is in bytes.  The vector is
-    immutable — arithmetic returns new vectors — so allocations can be shared
-    safely across scheduler snapshots.
+    Every dimension is an integer count: GPUs, CPUs and bytes of host
+    memory (rounded up where a memory estimate is born), so sums are exact
+    in any order.  The vector is immutable — arithmetic returns new
+    vectors — so allocations can be shared safely across scheduler
+    snapshots.
 
     Vectors may be *negative*: scheduling math uses them as deltas and
     deficits.  Non-negativity is an allocation-boundary invariant, enforced
@@ -27,7 +29,7 @@ class ResourceVector:
 
     gpus: int = 0
     cpus: int = 0
-    host_mem: float = 0.0
+    host_mem: int = 0
 
     def require_non_negative(self) -> "ResourceVector":
         """Assert every dimension is >= 0 (allocation-boundary invariant)."""
@@ -52,12 +54,6 @@ class ResourceVector:
             self.host_mem - other.host_mem,
         )
 
-    def clamp_floor(self) -> "ResourceVector":
-        """Clamp each dimension at zero (useful after speculative subtraction)."""
-        return ResourceVector(
-            max(self.gpus, 0), max(self.cpus, 0), max(self.host_mem, 0.0)
-        )
-
     # ------------------------------------------------------------------
     # Comparisons (componentwise partial order)
     # ------------------------------------------------------------------
@@ -66,7 +62,7 @@ class ResourceVector:
         return (
             self.gpus <= other.gpus
             and self.cpus <= other.cpus
-            and self.host_mem <= other.host_mem + 1e-6
+            and self.host_mem <= other.host_mem
         )
 
     def dominates(self, other: "ResourceVector") -> bool:
@@ -75,7 +71,7 @@ class ResourceVector:
 
     @property
     def is_zero(self) -> bool:
-        return self.gpus == 0 and self.cpus == 0 and self.host_mem <= 0.0
+        return self.gpus == 0 and self.cpus == 0 and self.host_mem == 0
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -94,4 +90,4 @@ class ResourceVector:
         )
 
 
-_ZERO = ResourceVector(0, 0, 0.0)
+_ZERO = ResourceVector(0, 0, 0)

@@ -53,8 +53,7 @@ class Node:
 
     @property
     def used(self) -> ResourceVector:
-        gpus = cpus = 0
-        host_mem = 0.0
+        gpus = cpus = host_mem = 0
         for share in self.allocations.values():
             gpus += share.gpus
             cpus += share.cpus
@@ -63,7 +62,7 @@ class Node:
 
     @property
     def free(self) -> ResourceVector:
-        return (self.capacity - self.used).clamp_floor()
+        return self.capacity - self.used
 
     def allocate(self, job_id: str, share: ResourceVector) -> None:
         """Add (or extend) a job's share on this node; raises if over capacity."""
@@ -103,11 +102,7 @@ class Cluster:
 
     @property
     def total(self) -> ResourceVector:
-        """Live capacity: up nodes only (the cluster is homogeneous).
-
-        Computed as ``num_up × node shape`` rather than a per-node float
-        sum so an all-up cluster matches the spec-derived totals exactly.
-        """
+        """Live capacity: up nodes only (the cluster is homogeneous)."""
         up = self.num_up_nodes
         return ResourceVector(
             gpus=up * self.spec.node.num_gpus,

@@ -19,7 +19,8 @@ class NodeSpec:
 
     num_gpus: int = 8
     num_cpus: int = 96
-    host_mem: float = 1600 * GB
+    #: Host memory in whole bytes, like every resource the scheduler sums.
+    host_mem: int = 1600 * 10**9
     gpu_mem: float = 80 * GiB
     #: Memory the runtime (CUDA context, framework, fragmentation slack)
     #: reserves on each GPU before model state is placed.
@@ -58,7 +59,7 @@ class ClusterSpec:
         return self.num_nodes * self.node.num_cpus
 
     @property
-    def total_host_mem(self) -> float:
+    def total_host_mem(self) -> int:
         return self.num_nodes * self.node.host_mem
 
 

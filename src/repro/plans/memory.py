@@ -29,6 +29,7 @@ Accounting (mixed-precision Adam, the paper's training setup):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,16 +177,17 @@ def host_mem_demand_per_node(
     plan: ExecutionPlan,
     global_batch: int,
     gpus_on_node: int,
-) -> float:
+) -> int:
     """Host memory the job needs on a node holding ``gpus_on_node`` of its GPUs.
 
     ZeRO-Offload's host state is partitioned across DP ranks, so a node's
     share is proportional to the fraction of the job's GPUs it hosts.  This
-    is the per-node quantity ``AllocMem`` (paper Alg. 1) reserves.
+    is the per-node quantity ``AllocMem`` (paper Alg. 1) reserves, in whole
+    bytes rounded up.
     """
     est = estimate_memory(model, plan, global_batch)
     frac = gpus_on_node / max(plan.num_gpus, 1)
-    return est.host_total * frac
+    return math.ceil(est.host_total * frac)
 
 
 def min_cpus_demand(plan: ExecutionPlan, gpus: int) -> int:

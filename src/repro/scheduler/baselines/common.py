@@ -34,7 +34,7 @@ class HostDemandMemo:
 
     def __init__(self):
         #: ``(model name, batch, plan) -> {gpus_on_node: demand}``
-        self._cache: dict[tuple, dict[int, float]] = {}
+        self._cache: dict[tuple, dict[int, int]] = {}
 
     def fn(self, model, plan, batch: int):
         """A ``gpus_on_node -> host-mem demand`` callable for one job."""
@@ -61,13 +61,9 @@ class FreePool:
         #: Per-node free gpus, cpus and host memory.
         self._fg: list[int] = []
         self._fc: list[int] = []
-        self._fm: list[float] = []
+        self._fm: list[int] = []
         for node in cluster.nodes:
-            # Sum the kept shares in the node's allocation-dict order: float
-            # addition is order-sensitive, so another order could move a
-            # host-memory fit test by an ulp.
-            gpus = cpus = 0
-            host_mem = 0.0
+            gpus = cpus = host_mem = 0
             for job_id, share in node.allocations.items():
                 if job_id in keep_job_ids:
                     gpus += share.gpus
@@ -92,7 +88,7 @@ class FreePool:
         """Consume CPUs on one node without touching its GPU column."""
         self._fc[node_id] -= cpus
 
-    def _move(self, node_id: int, gpus: int, cpus: int, host_mem: float) -> None:
+    def _move(self, node_id: int, gpus: int, cpus: int, host_mem: int) -> None:
         """Add (positive) or subtract (negative) free resources on a node."""
         if gpus:
             new = self._fg[node_id] + gpus
@@ -158,7 +154,7 @@ class FreePool:
                 cpus = take
             if take <= 0:
                 continue
-            host = host_mem_per_node(take) if host_mem_per_node else 0.0
+            host = host_mem_per_node(take) if host_mem_per_node else 0
             if host > self._fm[node_id]:
                 continue
             share = ResourceVector(gpus=take, cpus=cpus, host_mem=host)

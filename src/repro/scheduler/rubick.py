@@ -80,7 +80,7 @@ class _NodeState:
 
     node_id: int
     free: ResourceVector
-    host_free: float
+    host_free: int
     shares: dict[str, ResourceVector] = field(default_factory=dict)
 
     def share_of(self, job_id: str) -> ResourceVector:
@@ -94,9 +94,8 @@ class _RoundState:
     Per-job GPU/CPU totals are carried incrementally across the journal —
     every ``move``/``take``/``rollback`` adjusts integer counters — so the
     O(jobs × nodes) re-aggregation the acquisition loop used to pay on every
-    slope probe is now a dict lookup.  Host memory is deliberately *not*
-    totalled: no Alg.-1 decision reads it (it is reserved per node at commit
-    time), and float counters would drift under undo where integers cannot.
+    slope probe is now a dict lookup.  Host memory is not totalled: no
+    Alg.-1 decision reads it (it is reserved per node at commit time).
     """
 
     def __init__(self, cluster: Cluster, jobs: list[Job]):
@@ -117,7 +116,7 @@ class _RoundState:
             for job_id, share in node.allocations.items():
                 if job_id not in running_ids:
                     continue
-                shares[job_id] = ResourceVector(share.gpus, share.cpus, 0.0)
+                shares[job_id] = ResourceVector(share.gpus, share.cpus)
                 used_gpus += share.gpus
                 used_cpus += share.cpus
                 self._job_nodes.setdefault(job_id, set()).add(node.node_id)
@@ -127,9 +126,7 @@ class _RoundState:
                 else:
                     total[0] += share.gpus
                     total[1] += share.cpus
-            free = (node.capacity - ResourceVector(
-                used_gpus, used_cpus, 0.0
-            )).clamp_floor()
+            free = node.capacity - ResourceVector(used_gpus, used_cpus)
             frees.append(free.gpus)
             self.nodes.append(
                 _NodeState(
@@ -199,7 +196,7 @@ class _RoundState:
         total = self._totals.get(job_id)
         if total is None:
             return ResourceVector.zero()
-        return ResourceVector(total[0], total[1], 0.0)
+        return ResourceVector(total[0], total[1])
 
     def _adjust_total(self, job_id: str, dgpus: int, dcpus: int) -> None:
         total = self._totals.get(job_id)
@@ -259,24 +256,19 @@ class _RoundState:
         """Give ``delta`` from the node's free pool to ``job_id`` (journaled)."""
         self._journal(node, job_id)
         self._set_share(node, job_id, node.share_of(job_id) + delta)
-        self._set_free(node, (node.free - delta).clamp_floor())
+        self._set_free(node, node.free - delta)
         self._adjust_total(job_id, delta.gpus, delta.cpus)
 
     def take(self, node: _NodeState, job_id: str, delta: ResourceVector) -> None:
         """Return ``delta`` from ``job_id`` to the node's free pool (journaled)."""
         self._journal(node, job_id)
-        share = node.share_of(job_id)
-        new_share = (share - delta).clamp_floor()
+        new_share = node.share_of(job_id) - delta
         self._set_share(node, job_id, None if new_share.is_zero else new_share)
         self._set_free(node, node.free + delta)
-        # The clamp may remove less than ``delta``; totals track what the
-        # share actually lost.
-        self._adjust_total(
-            job_id, new_share.gpus - share.gpus, new_share.cpus - share.cpus
-        )
+        self._adjust_total(job_id, -delta.gpus, -delta.cpus)
 
-    def reserve_host(self, node: _NodeState, job_id: str, amount: float) -> bool:
-        if amount > node.host_free + 1e-6:
+    def reserve_host(self, node: _NodeState, job_id: str, amount: int) -> bool:
+        if amount > node.host_free:
             return False
         self._journal(node, job_id)
         share = node.share_of(job_id)

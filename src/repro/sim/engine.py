@@ -36,6 +36,7 @@ Mechanics:
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -416,9 +417,9 @@ class Simulator:
             best_thr = self._best_throughput(
                 model, tj.requested_gpus, tj.global_batch
             )
-            host_mem = estimate_memory(
+            host_mem = math.ceil(estimate_memory(
                 model, tj.initial_plan, tj.global_batch
-            ).host_total
+            ).host_total)
             self._intrinsics_cache[key] = (baseline, best_thr, host_mem)
         return cpus, baseline, best_thr, host_mem
 

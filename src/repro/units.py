@@ -7,6 +7,9 @@ All quantities in the library are plain floats in SI base units:
 * bandwidth — bytes / second
 * work      — training samples (a job's progress unit)
 
+The exception is what the scheduler allocates (``ResourceVector``): GPUs,
+CPUs and host-memory bytes are integers.
+
 The helpers here exist so call sites read as ``4 * GiB`` or
 ``seconds(minutes=5)`` instead of raw magic numbers.
 """

@@ -22,6 +22,7 @@ from repro.cluster import (
     ResourceVector,
 )
 from repro.cluster.dynamics import (
+    MAX_SCALE_COUNT,
     NODE_FAIL,
     NODE_RECOVER,
     SCALE_DOWN,
@@ -168,6 +169,28 @@ class TestDynamicsProfiles:
         )
         with pytest.raises(ClusterDynamicsError, match="malformed"):
             resolve_dynamics(f"file:{path}")
+
+    @pytest.mark.parametrize("kind", [SCALE_UP, SCALE_DOWN])
+    def test_event_file_with_oversized_scale_count_is_refused(
+        self, tmp_path, kind
+    ):
+        # Refused at parse time: no node is ever commissioned for it.
+        path = tmp_path / "events.json"
+        path.write_text(
+            '{"format_version": 1, "events": '
+            f'[{{"time": 1.0, "kind": "{kind}", "count": 1000000000}}]}}'
+        )
+        with pytest.raises(ClusterDynamicsError, match="count in"):
+            resolve_dynamics(f"file:{path}")
+        ClusterEvent(time=1.0, kind=kind, count=MAX_SCALE_COUNT)
+
+    def test_oversized_scale_step_is_refused(self):
+        with pytest.raises(ClusterDynamicsError, match="at most"):
+            dynamics_from_dict({
+                "kind": ScaleSchedule.kind,
+                "steps": [[0.5, MAX_SCALE_COUNT + 1]],
+            })
+        ScaleSchedule(steps=((0.5, -MAX_SCALE_COUNT),))
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.cluster import PAPER_CLUSTER, Placement, ResourceVector
-from repro.errors import PlacementError
+from repro.cluster import Placement, ResourceVector
 
 
 class TestConstruction:
@@ -28,18 +25,18 @@ class TestConstruction:
     def test_single(self):
         p = Placement.single(3, ResourceVector(gpus=4, cpus=8))
         assert p.node_ids() == [3]
-        assert p.total == ResourceVector(4, 8, 0.0)
+        assert p.total == ResourceVector(4, 8, 0)
 
 
 class TestAggregates:
     def test_total_sums_shares(self):
         p = Placement(
             {
-                0: ResourceVector(2, 4, 1.0),
-                1: ResourceVector(3, 6, 2.0),
+                0: ResourceVector(2, 4, 1),
+                1: ResourceVector(3, 6, 2),
             }
         )
-        assert p.total == ResourceVector(5, 10, 3.0)
+        assert p.total == ResourceVector(5, 10, 3)
 
     def test_gpus_per_node_descending(self):
         p = Placement({0: ResourceVector(gpus=2), 1: ResourceVector(gpus=8)})
@@ -51,38 +48,6 @@ class TestAggregates:
         p = Placement({0: ResourceVector(gpus=4), 1: ResourceVector(cpus=8)})
         assert p.num_nodes == 1
         assert p.min_gpus_per_node == 4
-
-
-class TestPacked:
-    def test_fills_whole_nodes_first(self):
-        p = Placement.packed(PAPER_CLUSTER, 12, cpus_per_gpu=2)
-        assert p.gpus_per_node == [8, 4]
-        assert p.total.gpus == 12
-        assert p.total.cpus == 24
-
-    def test_single_node(self):
-        p = Placement.packed(PAPER_CLUSTER, 8)
-        assert p.is_single_node
-
-    def test_zero_gpus_is_empty(self):
-        assert Placement.packed(PAPER_CLUSTER, 0).is_empty
-
-    def test_exceeding_cluster_raises(self):
-        with pytest.raises(PlacementError):
-            Placement.packed(PAPER_CLUSTER, PAPER_CLUSTER.total_gpus + 1)
-
-    def test_negative_raises(self):
-        with pytest.raises(PlacementError):
-            Placement.packed(PAPER_CLUSTER, -1)
-
-    @given(gpus=st.integers(min_value=1, max_value=64))
-    def test_packed_totals_match(self, gpus):
-        p = Placement.packed(PAPER_CLUSTER, gpus)
-        assert p.total.gpus == gpus
-        assert all(g <= PAPER_CLUSTER.node.num_gpus for g in p.gpus_per_node)
-        # At most one partially filled node under dense packing.
-        partial = [g for g in p.gpus_per_node if g < PAPER_CLUSTER.node.num_gpus]
-        assert len(partial) <= 1
 
 
 class TestWithShare:

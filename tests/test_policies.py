@@ -147,6 +147,53 @@ class TestRubickSpecifics:
         assert job.min_res.gpus <= job.spec.requested.gpus
 
 
+class TestQuotaAdmission:
+    """Phase 1 admits a queued guaranteed job only while the running
+    guaranteed jobs' floors plus its own fit the tenant quota.  An
+    unregistered tenant's quota is the *spec's* GPU count, so after a
+    scale-up the tally alone holds a job back beside free GPUs."""
+
+    def _round(self, store, ctx_spec, monkeypatch):
+        cluster = Cluster(SPEC)
+        cluster.add_node()  # 24 live GPUs; SPEC still counts 16
+        holder = _queued_job("holder", gpus=8)
+        holder.min_res = ResourceVector(8, 8)
+        holder.placement = Placement({0: ResourceVector(gpus=8, cpus=32)})
+        cluster.apply("holder", holder.placement)
+        holder.status = JobStatus.RUNNING
+        holder.plan = holder.spec.initial_plan
+        holder.start_time = 0.0
+        waiting = _queued_job(
+            "waiting", gpus=16, plan=ExecutionPlan(dp=16), submit=1.0
+        )
+        waiting.min_res = ResourceVector(16, 16)
+        calls = []
+        real = RubickPolicy._schedule_job
+
+        def counting(policy, job, *args):
+            calls.append(job.job_id)
+            return real(policy, job, *args)
+
+        monkeypatch.setattr(RubickPolicy, "_schedule_job", counting)
+        ctx = SchedulingContext(cluster_spec=ctx_spec, perf_store=store)
+        allocations = rubick().schedule([holder, waiting], cluster, ctx)
+        return allocations, calls, cluster
+
+    def test_quota_tally_skips_a_job_beside_free_gpus(self, env, monkeypatch):
+        _, store = env
+        allocations, calls, cluster = self._round(store, SPEC, monkeypatch)
+        assert cluster.free.gpus == 16  # two whole nodes idle
+        assert "waiting" not in calls  # 8 + 16 > 16: never tried
+        assert "waiting" not in allocations
+
+    def test_live_quota_admits_the_same_job(self, env, monkeypatch):
+        _, store = env
+        live = ClusterSpec(num_nodes=3, node=SPEC.node)
+        allocations, calls, _ = self._round(store, live, monkeypatch)
+        assert calls.count("waiting") == 1
+        assert allocations["waiting"].placement.total.gpus == 16
+
+
 class TestAntManSpecifics:
     def test_best_effort_preempted_for_guaranteed(self, env):
         _, store = env

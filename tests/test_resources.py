@@ -1,4 +1,7 @@
-"""ResourceVector arithmetic and ordering, with property-based checks."""
+"""ResourceVector arithmetic and ordering, with property-based checks.
+
+Every dimension is an integer, so the properties hold exactly.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ res_vectors = st.builds(
     ResourceVector,
     gpus=st.integers(min_value=0, max_value=64),
     cpus=st.integers(min_value=0, max_value=256),
-    host_mem=st.floats(min_value=0, max_value=1e12, allow_nan=False),
+    host_mem=st.integers(min_value=0, max_value=10**13),
 )
 
 
@@ -29,18 +32,18 @@ class TestBasics:
     def test_require_non_negative(self):
         with pytest.raises(ValueError):
             ResourceVector(gpus=-1).require_non_negative()
-        vec = ResourceVector(1, 1, 1.0)
+        vec = ResourceVector(1, 1, 1)
         assert vec.require_non_negative() is vec
 
     def test_add(self):
-        a = ResourceVector(1, 2, 3.0)
-        b = ResourceVector(4, 5, 6.0)
-        assert a + b == ResourceVector(5, 7, 9.0)
+        a = ResourceVector(1, 2, 3)
+        b = ResourceVector(4, 5, 6)
+        assert a + b == ResourceVector(5, 7, 9)
 
-    def test_subtract_below_zero_then_clamp(self):
-        diff = ResourceVector(1, 1, 1.0) - ResourceVector(2, 0, 0.0)
-        assert diff.gpus == -1
-        assert diff.clamp_floor() == ResourceVector(0, 1, 1.0)
+    def test_subtract_below_zero(self):
+        diff = ResourceVector(1, 1, 1) - ResourceVector(2, 0, 0)
+        assert diff == ResourceVector(-1, 1, 1)
+        assert not diff.is_zero
 
     def test_repr_is_compact(self):
         text = repr(ResourceVector(2, 8, 4 * 2**30))
@@ -49,15 +52,15 @@ class TestBasics:
 
 class TestOrdering:
     def test_fits_within_partial_order(self):
-        small = ResourceVector(1, 1, 1.0)
-        big = ResourceVector(2, 2, 2.0)
+        small = ResourceVector(1, 1, 1)
+        big = ResourceVector(2, 2, 2)
         assert small.fits_within(big)
         assert not big.fits_within(small)
         assert big.dominates(small)
 
     def test_incomparable_vectors(self):
-        a = ResourceVector(2, 1, 0.0)
-        b = ResourceVector(1, 2, 0.0)
+        a = ResourceVector(2, 1, 0)
+        b = ResourceVector(1, 2, 0)
         assert not a.fits_within(b)
         assert not b.fits_within(a)
 
@@ -69,10 +72,7 @@ class TestProperties:
 
     @given(a=res_vectors, b=res_vectors, c=res_vectors)
     def test_addition_associates(self, a, b, c):
-        lhs = (a + b) + c
-        rhs = a + (b + c)
-        assert lhs.gpus == rhs.gpus and lhs.cpus == rhs.cpus
-        assert lhs.host_mem == pytest.approx(rhs.host_mem)
+        assert (a + b) + c == a + (b + c)
 
     @given(a=res_vectors, b=res_vectors)
     def test_sum_dominates_parts(self, a, b):
@@ -83,14 +83,12 @@ class TestProperties:
     def test_fits_within_reflexive(self, a):
         assert a.fits_within(a)
 
-    @given(a=res_vectors, b=res_vectors)
-    def test_subtract_then_clamp_never_negative(self, a, b):
-        clamped = (a - b).clamp_floor()
-        assert clamped.gpus >= 0 and clamped.cpus >= 0 and clamped.host_mem >= 0
+    @given(parts=st.lists(res_vectors, max_size=8), data=st.data())
+    def test_sum_is_order_independent(self, parts, data):
+        shuffled = data.draw(st.permutations(parts))
+        zero = ResourceVector.zero()
+        assert sum(shuffled, zero) == sum(parts, zero)
 
     @given(a=res_vectors, b=res_vectors)
     def test_add_then_subtract_roundtrips(self, a, b):
-        back = (a + b) - b
-        assert back.gpus == a.gpus and back.cpus == a.cpus
-        # float64 absorption: tolerance scaled to the largest magnitude.
-        assert back.host_mem == pytest.approx(a.host_mem, abs=1e-3)
+        assert (a + b) - b == a

@@ -42,7 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import PAPER_CLUSTER
-from repro.cluster.dynamics import resolve_dynamics
+from repro.cluster.dynamics import MAX_SCALE_COUNT, resolve_dynamics
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ProtocolError
 from repro.oracle import SyntheticTestbed
@@ -351,6 +351,15 @@ class TestLoopback:
                 client.request(
                     {"type": "CLUSTER_EVENT",
                      "event": {"time": 0.0, "kind": "fail", "node_id": -1}}
+                )
+            # So is a scale-up past the bound.  The count is one past it, so
+            # were it accepted the step would build a few thousand nodes,
+            # not one per count of a hostile frame.
+            with pytest.raises(ProtocolError, match="count in"):
+                client.request(
+                    {"type": "CLUSTER_EVENT",
+                     "event": {"time": 0.0, "kind": "scale-up",
+                               "count": MAX_SCALE_COUNT + 1}}
                 )
             client.request(
                 {"type": "CLUSTER_EVENT",
