@@ -39,7 +39,7 @@ from repro.faults import FaultPlan, incident_payload
 from repro.oracle.testbed import SyntheticTestbed
 from repro.scheduler.interfaces import SchedulerPolicy, Tenant
 from repro.scheduler.registry import make_policy
-from repro.sim.engine import EngineConfig, Simulator
+from repro.sim.engine import EngineConfig, SharedMemo, Simulator
 from repro.sim.metrics import SimulationResult
 from repro.sim.serialization import (
     incident_to_dict,
@@ -178,20 +178,39 @@ class RunExecution:
     wall_seconds: float
 
 
+#: The shared plan-evaluation memo of the last testbed a run used, keyed
+#: by ``testbed.key``.  One entry suffices: a sweep's policy loop is
+#: innermost and the pool path sorts by trace fingerprint, so a worker's
+#: runs of one testbed are contiguous (DESIGN.md 56).
+_SHARED_MEMO: dict[tuple, SharedMemo] = {}
+
+
+def _shared_memo(testbed: SyntheticTestbed) -> SharedMemo:
+    memo = _SHARED_MEMO.get(testbed.key)
+    if memo is None:
+        _SHARED_MEMO.clear()
+        memo = _SHARED_MEMO[testbed.key] = SharedMemo(testbed)
+    return memo
+
+
 def simulator_for_run(run: RunSpec, *, injector=None) -> Simulator:
     """The exact engine a batch execution of this spec builds.
 
     The scheduling service (``repro serve``) constructs its session
     through this same function, which is what makes a streamed replay of
-    a run spec byte-identical to ``execute_run`` of the same spec.
+    a run spec byte-identical to ``execute_run`` of the same spec.  Runs
+    of one testbed share its plan-evaluation memo; every entry is a pure
+    function of its key, so sharing moves no decision.
     """
     cluster = run.cluster
+    testbed = SyntheticTestbed(cluster, seed=run.seed)
     return Simulator(
         cluster,
         make_policy(run.policy),
-        testbed=SyntheticTestbed(cluster, seed=run.seed),
+        testbed=testbed,
         config=EngineConfig(seed=run.seed),
         injector=injector,
+        memo=_shared_memo(testbed),
     )
 
 

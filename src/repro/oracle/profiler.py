@@ -181,15 +181,7 @@ def build_perf_model(
     Memoized per process on everything the fit reads; a hit returns the
     same frozen ``(PerfModel, FitReport)`` pair as the first call.
     """
-    key = (
-        type(testbed),
-        testbed.cluster,
-        testbed.seed,
-        testbed.measurement_noise,
-        model,
-        global_batch,
-        max_gpus,
-    )
+    key = (testbed.key, model, global_batch, max_gpus)
     hit = _FIT_MEMO.get(key)
     if hit is not None:
         return hit

@@ -87,6 +87,12 @@ class SyntheticTestbed:
         self._truths: dict[str, HiddenTruth] = {}
         self._effects: dict[str, TestbedEffects] = {}
 
+    @property
+    def key(self) -> tuple:
+        """Everything ground truth and measurements read: two testbeds
+        with equal keys answer every query alike."""
+        return (type(self), self.cluster, self.seed, self.measurement_noise)
+
     # ------------------------------------------------------------------
     # Hidden state accessors (internal)
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.planeval.engine import (
     DEFAULT_CPUS_PER_GPU,
     EngineStats,
     PlanEvalEngine,
+    PlanMemo,
     PlanRequest,
     default_plan_space,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "GpuCurve",
     "PerfStoreScorer",
     "PlanEvalEngine",
+    "PlanMemo",
     "PlanRequest",
     "TestbedScorer",
     "build_envelope",

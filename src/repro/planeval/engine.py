@@ -5,17 +5,19 @@ batch, shape)" — the plan selectors, the Rubick policy and the baselines,
 and the simulator's intrinsic-work accounting — routes through one
 :class:`PlanEvalEngine`.  The engine owns:
 
-* **plan enumeration**, memoized per (model, batch, shape-class) — the
-  enumeration does not depend on CPU counts, so CPU-slope probes reuse it;
+* **plan enumeration and filtering**, memoized per shape class — (model,
+  batch, restriction, GPUs, nodes, densest-node share): neither reads the
+  CPU count, so CPU-slope probes reuse them;
 * **batched scoring** via a pluggable backend (`repro.planeval.scoring`) —
-  one fused pass over the perf-model components per candidate set instead of
-  per-plan predict calls;
+  one fused pass over the perf-model components per shape class, after
+  which a new CPU count re-scores only the ZeRO-Offload plans;
 * **memoization with versioned per-model invalidation**: every cached best
-  config, score table, and sensitivity curve is tied to the scoring
+  config, shape class, and sensitivity curve is tied to the scoring
   backend's per-model version (the :class:`~repro.scheduler.interfaces.
   PerfModelStore` refit generation).  An online refit of one model type
   drops exactly that model's entries; every other model keeps its warm
-  caches;
+  caches.  A :class:`PlanMemo` shares these entries between the engines
+  of several simulations of one testbed (DESIGN.md 56);
 * **cache statistics** — hit/miss/eval/invalidation counters via
   :meth:`PlanEvalEngine.stats`, surfaced by ``repro simulate
   --planeval-stats`` and ``benchmarks/bench_planeval_cache.py``.
@@ -57,8 +59,9 @@ class EngineStats:
     """Snapshot of the engine's cache counters (monotone since construction).
 
     ``hits``/``misses`` count memo-table lookups across all entry points
-    (``best``, ``best_of``, ``score_all``, ``curve``, ``curve_of``);
-    ``evals`` counts individual plans scored through the backend; and
+    (``best``, ``best_of``, each CPU count of ``best_row``, ``curve``,
+    ``curve_of``); ``evals`` counts individual plans scored through the
+    backend (a CPU-split scorer re-scores only the offload plans); and
     ``invalidations`` counts per-model cache drops triggered by a backend
     version change (i.e. online refits observed).
     """
@@ -107,16 +110,83 @@ class PlanRequest:
     check_host_mem: bool = True
 
 
+#: Distinct-from-None miss marker (None itself memoizes "no feasible plan").
+_UNSET = object()
+
+
+class _ShapeClass:
+    """One shape class's candidates and best configs, per CPU count.
+
+    A shape class is a shape with its CPU count left out: the candidate
+    plans and the host-memory filter read only the GPUs, the nodes and the
+    densest-node share.  Most classes are only ever asked at one CPU
+    count, so the first answer is stored inline, and the scorer's
+    CPU-split table is built only when a second count is asked
+    (DESIGN.md 56).
+    """
+
+    __slots__ = ("plans", "fixed", "table", "cpus", "best", "more")
+
+    def __init__(self, plans: tuple[ExecutionPlan, ...], fixed: bool) -> None:
+        self.plans = plans
+        #: The best config cannot move with the CPU count.
+        self.fixed = fixed
+        #: The scorer's CPU-split table, once a second count is asked.
+        self.table = None
+        #: The first CPU count answered (None until then) and its answer.
+        self.cpus: int | None = None
+        self.best: BestConfig | None = None
+        #: CPU count -> best config, for every later count.
+        self.more: dict[int, BestConfig | None] | None = None
+
+
 class _ModelSlab:
     """All memoized results for one model type, pinned to a backend version."""
 
-    __slots__ = ("version", "best", "scores", "curves")
+    __slots__ = ("version", "token", "classes", "curves")
 
-    def __init__(self, version: int) -> None:
+    def __init__(self, version: int, token: object = None) -> None:
         self.version = version
-        self.best: dict[tuple, BestConfig | None] = {}
-        self.scores: dict[tuple, tuple[tuple[ExecutionPlan, float], ...]] = {}
+        #: The scored object (a fitted model) a shared slab is keyed on;
+        #: holding it keeps its ``id`` from being reused (DESIGN.md 56).
+        self.token = token
+        self.classes: dict[tuple, _ShapeClass] = {}
         self.curves: dict[tuple, GpuCurve] = {}
+
+
+class PlanMemo:
+    """Plan-evaluation memos shared by the engines of several simulations.
+
+    An engine built with a memo takes its per-model slabs and its plan
+    enumerations from here instead of keeping private ones, so the runs
+    of one process that score with the same fitted models reuse each
+    other's best configs, shape classes and curves (DESIGN.md 56).  A slab
+    is keyed on the model, the identity of the fitted model its scorer
+    reads (``scorer.token``) and that model's refit generation: a refit
+    moves an engine to a fresh slab and leaves the other runs' slabs be.
+    Every memo entry is a pure function of its key and of the cluster
+    spec, so one memo must only serve engines of one cluster spec.
+    """
+
+    def __init__(self) -> None:
+        self.enums: dict[tuple, tuple[ExecutionPlan, ...]] = {}
+        self._slabs: dict[tuple, _ModelSlab] = {}
+
+    def slab(self, model_name: str, token: object, version: int) -> _ModelSlab:
+        key = (model_name, id(token), version)
+        slab = self._slabs.get(key)
+        if slab is None:
+            slab = self._slabs[key] = _ModelSlab(version, token)
+        return slab
+
+    def drop(self, model_name: str | None = None) -> None:
+        """Forget every slab (of one model, or of all)."""
+        if model_name is None:
+            self._slabs.clear()
+            self.enums.clear()
+        else:
+            for key in [k for k in self._slabs if k[0] == model_name]:
+                del self._slabs[key]
 
 
 class PlanEvalEngine:
@@ -129,6 +199,9 @@ class PlanEvalEngine:
             ``scorer=PerfStoreScorer(perf_store)``.
         scorer: Explicit scoring backend (see `repro.planeval.scoring`);
             overrides ``perf_store``.
+        memo: A :class:`PlanMemo` to share memoized results with other
+            engines of the same cluster spec; ``None`` keeps them private.
+            A shared memo needs a scorer with a ``token`` method.
 
     Plans are enumerated from :func:`default_plan_space` of the model, and
     curves pack :data:`DEFAULT_CPUS_PER_GPU` CPUs per GPU.
@@ -140,18 +213,25 @@ class PlanEvalEngine:
         *,
         perf_store=None,
         scorer=None,
+        memo: PlanMemo | None = None,
     ) -> None:
         if scorer is None:
             if perf_store is None:
                 raise ValueError("PlanEvalEngine needs a perf_store or a scorer")
             scorer = PerfStoreScorer(perf_store)
         self.scorer = scorer
+        self._split = getattr(scorer, "split", None)
         self.perf_store = perf_store
         self.cluster_spec = cluster_spec
+        self._memo = memo
+        #: model name -> the slab of its current version (a front for the
+        #: shared memo's slabs when there is one).
         self._slabs: dict[str, _ModelSlab] = {}
         # Enumeration is structural (model/batch/space/memory), independent
         # of the scoring backend's version — it survives refits.
-        self._enums: dict[tuple, tuple[ExecutionPlan, ...]] = {}
+        self._enums: dict[tuple, tuple[ExecutionPlan, ...]] = (
+            {} if memo is None else memo.enums
+        )
         self._hits = 0
         self._misses = 0
         self._evals = 0
@@ -163,13 +243,16 @@ class PlanEvalEngine:
     def _slab(self, model: ModelSpec) -> _ModelSlab:
         version = self.scorer.version(model)
         slab = self._slabs.get(model.name)
-        if slab is None:
-            slab = _ModelSlab(version)
+        if slab is None or slab.version != version:
+            if slab is not None:
+                self._invalidations += 1
+            if self._memo is None:
+                slab = _ModelSlab(version)
+            else:
+                slab = self._memo.slab(
+                    model.name, self.scorer.token(model), version
+                )
             self._slabs[model.name] = slab
-        elif slab.version != version:
-            slab = _ModelSlab(version)
-            self._slabs[model.name] = slab
-            self._invalidations += 1
         return slab
 
     def invalidate(self, model_name: str | None = None) -> None:
@@ -179,6 +262,8 @@ class PlanEvalEngine:
             self._enums.clear()
         else:
             self._slabs.pop(model_name, None)
+        if self._memo is not None:
+            self._memo.drop(model_name)
         self._invalidations += 1
 
     def stats(self) -> EngineStats:
@@ -253,28 +338,110 @@ class PlanEvalEngine:
     ) -> tuple[ExecutionPlan, ...]:
         """Drop plans whose densest-node host share exceeds node memory."""
         densest = self._densest_node_share(shape)
-        return tuple(
+        kept = tuple(
             p
             for p in plans
             if self._host_mem_ok(model, p, global_batch, densest)
         )
+        # Share the input tuple when nothing was dropped.
+        return plans if len(kept) == len(plans) else kept
 
-    def _scored_plans(
+    def _shape_class(
         self,
+        slab: _ModelSlab,
         model: ModelSpec,
         global_batch: int,
         shape: ResourceShape,
+        restriction: object,
+        candidates,
+        check_gpu_mem: bool,
         check_host_mem: bool,
-    ) -> tuple[tuple[ExecutionPlan, ...], list[float | None]]:
-        """Enumerate, memory-filter, and batch-score one shape's plans."""
-        plans = self.plans_for(
-            model, global_batch, shape.gpus, shape.min_gpus_per_node
+    ) -> _ShapeClass:
+        """The memoized shape class of ``shape`` under one restriction.
+
+        ``restriction`` is None for the full enumeration; otherwise it
+        names the candidates (a ``best_of`` key or the candidate tuple
+        itself), and ``candidates`` yields them — it must not read the CPU
+        count.
+        """
+        key = (
+            global_batch, shape.gpus, shape.num_nodes,
+            shape.min_gpus_per_node, restriction,
+            check_gpu_mem, check_host_mem,
         )
+        cls = slab.classes.get(key)
+        if cls is not None:
+            return cls
+        if restriction is None:
+            plans = self.plans_for(
+                model, global_batch, shape.gpus, shape.min_gpus_per_node
+            )
+        else:
+            plans = tuple(candidates() if callable(candidates) else candidates)
+        if check_gpu_mem:
+            budget = self.cluster_spec.node.usable_gpu_mem
+            plans = tuple(
+                p
+                for p in plans
+                if estimate_memory(model, p, global_batch).gpu_total <= budget
+            )
         if check_host_mem:
             plans = self._host_filtered(model, plans, global_batch, shape)
-        scores = self.scorer.score(model, plans, shape, global_batch)
-        self._evals += len(plans)
-        return plans, scores
+        # A split scorer reads the CPU count for offload plans only.
+        fixed = self._split is not None and not any(
+            p.uses_offload for p in plans
+        )
+        cls = slab.classes[key] = _ShapeClass(plans, fixed)
+        return cls
+
+    def _best_at(
+        self,
+        cls: _ShapeClass,
+        model: ModelSpec,
+        global_batch: int,
+        shape: ResourceShape,
+        cpus: int,
+    ) -> BestConfig | None:
+        """Best config of ``shape``'s class at ``cpus`` CPUs (memoized)."""
+        if cls.cpus == cpus or (cls.fixed and cls.cpus is not None):
+            self._hits += 1
+            return cls.best
+        more = cls.more
+        if more is not None:
+            best = more.get(cpus, _UNSET)
+            if best is not _UNSET:
+                self._hits += 1
+                return best
+        self._misses += 1
+        plans = cls.plans
+        if cls.cpus is None or self._split is None or not plans:
+            # One plain pass: cheaper than a split table while the class
+            # has been asked at one CPU count only.
+            if cpus != shape.cpus:
+                shape = shape.with_cpus(cpus)
+            scores = self.scorer.score(model, plans, shape, global_batch)
+            self._evals += len(plans)
+            best = self._argmax(plans, scores)
+        else:
+            table = cls.table
+            if table is None:
+                table = cls.table = self._split(
+                    model, plans, shape, global_batch
+                )
+                self._evals += len(plans) - len(table.offload)
+            hit = table.best_at(cpus)
+            self._evals += len(table.offload)
+            best = (
+                None if hit is None
+                else BestConfig(plan=plans[hit[0]], throughput=hit[1])
+            )
+        if cls.cpus is None:
+            cls.cpus, cls.best = cpus, best
+        elif more is None:
+            cls.more = {cpus: best}
+        else:
+            more[cpus] = best
+        return best
 
     # ------------------------------------------------------------------
     # Scoring entry points
@@ -301,20 +468,13 @@ class PlanEvalEngine:
         check_host_mem: bool = True,
     ) -> BestConfig | None:
         """Highest-scoring feasible plan for an exact shape (``GetBestPlan``)."""
-        slab = self._slab(model)
-        key = ("best", global_batch, shape, check_host_mem)
-        if key in slab.best:
-            self._hits += 1
-            return slab.best[key]
-        self._misses += 1
-        best: BestConfig | None = None
-        if shape.gpus > 0:
-            plans, scores = self._scored_plans(
-                model, global_batch, shape, check_host_mem
-            )
-            best = self._argmax(plans, scores)
-        slab.best[key] = best
-        return best
+        if shape.gpus <= 0:
+            return None
+        cls = self._shape_class(
+            self._slab(model), model, global_batch, shape, None, None,
+            False, check_host_mem,
+        )
+        return self._best_at(cls, model, global_batch, shape, shape.cpus)
 
     def best_of(
         self,
@@ -333,39 +493,48 @@ class PlanEvalEngine:
         (e.g. ``("scaled_dp", initial_plan)``); with it, ``candidates`` may
         be a zero-argument callable that is only invoked on a cache miss.
         Without ``key``, the candidate tuple itself keys the memo entry.
+        Either way the candidates may depend on the shape's GPUs, nodes
+        and densest-node share, but not on its CPU count: one candidate
+        list serves the whole shape class.
         """
-        slab = self._slab(model)
         if key is None:
             if callable(candidates):
                 raise ValueError("lazy candidates require an explicit key")
-            candidates = tuple(candidates)
-            memo_key = (
-                "of", global_batch, shape, candidates,
-                check_gpu_mem, check_host_mem,
-            )
+            candidates = restriction = tuple(candidates)
         else:
-            memo_key = (
-                "of", global_batch, shape, key, check_gpu_mem, check_host_mem
-            )
-        if memo_key in slab.best:
-            self._hits += 1
-            return slab.best[memo_key]
-        self._misses += 1
-        plans = tuple(candidates() if callable(candidates) else candidates)
-        if check_gpu_mem:
-            budget = self.cluster_spec.node.usable_gpu_mem
-            plans = tuple(
-                p
-                for p in plans
-                if estimate_memory(model, p, global_batch).gpu_total <= budget
-            )
-        if check_host_mem:
-            plans = self._host_filtered(model, plans, global_batch, shape)
-        scores = self.scorer.score(model, plans, shape, global_batch)
-        self._evals += len(plans)
-        best = self._argmax(plans, scores)
-        slab.best[memo_key] = best
-        return best
+            restriction = key
+        cls = self._shape_class(
+            self._slab(model), model, global_batch, shape, restriction,
+            candidates, check_gpu_mem, check_host_mem,
+        )
+        return self._best_at(cls, model, global_batch, shape, shape.cpus)
+
+    def best_row(self, req: PlanRequest, count: int) -> list[BestConfig | None]:
+        """``req``'s best config at ``count`` successive CPU counts.
+
+        Entry ``i`` equals the :meth:`best` (or :meth:`best_of`) answer at
+        ``req.shape.with_cpus(req.shape.cpus + i)``, read straight from
+        the shape class: a CPU-slope scan costs one class lookup and the
+        offload plans' re-scores, not two memo probes per CPU.
+        """
+        shape = req.shape
+        if req.candidates is None:
+            if shape.gpus <= 0:
+                return [None] * count
+            restriction = None
+        elif req.key is None:
+            restriction = tuple(req.candidates)
+        else:
+            restriction = req.key
+        cls = self._shape_class(
+            self._slab(req.model), req.model, req.global_batch, shape,
+            restriction, req.candidates, req.check_gpu_mem,
+            req.check_host_mem,
+        )
+        return [
+            self._best_at(cls, req.model, req.global_batch, shape, cpus)
+            for cpus in range(shape.cpus, shape.cpus + count)
+        ]
 
     def best_of_many(
         self, requests: Sequence[PlanRequest]
@@ -424,25 +593,22 @@ class PlanEvalEngine:
         *,
         check_host_mem: bool = True,
     ) -> tuple[tuple[ExecutionPlan, float], ...]:
-        """Every feasible plan with its score, in enumeration order."""
-        slab = self._slab(model)
-        key = (global_batch, shape, check_host_mem)
-        if key in slab.scores:
-            self._hits += 1
-            return slab.scores[key]
-        self._misses += 1
-        scored: tuple[tuple[ExecutionPlan, float], ...] = ()
-        if shape.gpus > 0:
-            plans, scores = self._scored_plans(
-                model, global_batch, shape, check_host_mem
-            )
-            scored = tuple(
-                (plan, thr)
-                for plan, thr in zip(plans, scores)
-                if thr is not None
-            )
-        slab.scores[key] = scored
-        return scored
+        """Every feasible plan with its score, in enumeration order
+        (not memoized)."""
+        if shape.gpus <= 0:
+            return ()
+        plans = self.plans_for(
+            model, global_batch, shape.gpus, shape.min_gpus_per_node
+        )
+        if check_host_mem:
+            plans = self._host_filtered(model, plans, global_batch, shape)
+        scores = self.scorer.score(model, plans, shape, global_batch)
+        self._evals += len(plans)
+        return tuple(
+            (plan, thr)
+            for plan, thr in zip(plans, scores)
+            if thr is not None
+        )
 
     # ------------------------------------------------------------------
     # Sensitivity curves

@@ -19,7 +19,7 @@ from repro.cluster.state import Cluster
 from repro.cluster.topology import ClusterSpec
 from repro.models.specs import ModelSpec
 from repro.perfmodel.model import PerfModel
-from repro.planeval import PlanEvalEngine
+from repro.planeval import PlanEvalEngine, PlanMemo
 from repro.plans.plan import ExecutionPlan
 from repro.scheduler.job import Job
 
@@ -100,6 +100,9 @@ class SchedulingContext:
     #: Queueing-delay threshold after which a best-effort job is scheduled
     #: regardless of its slope rank, to prevent starvation (§5.2).
     starvation_threshold: float = 1800.0
+    #: Plan-evaluation memo the policy's engine shares with the other
+    #: simulations of this testbed (DESIGN.md 56); None keeps it private.
+    plan_memo: PlanMemo | None = None
 
     def tenant_quota(self, name: str) -> int:
         tenant = self.tenants.get(name)
@@ -140,7 +143,8 @@ class SchedulerPolicy(abc.ABC):
         """
         if self.engine is None:
             self.engine = PlanEvalEngine(
-                ctx.cluster_spec, perf_store=ctx.perf_store
+                ctx.cluster_spec, perf_store=ctx.perf_store,
+                memo=ctx.plan_memo,
             )
         return self.engine
 

@@ -279,6 +279,17 @@ class _RoundState:
         return True
 
 
+def _cpu_slopes_up(
+    selector: PlanSelector, job: Job, shape: ResourceShape, n: int
+) -> list[float]:
+    """``selector.cpu_slopes_up``, also for a duck-typed selector that
+    defines only ``cpu_slope_up``."""
+    batched = getattr(selector, "cpu_slopes_up", None)
+    if batched is None:
+        return PlanSelector.cpu_slopes_up(selector, job, shape, n)
+    return batched(job, shape, n)
+
+
 class RubickPolicy(SchedulerPolicy):
     """Rubick and its ablation variants (see module docstring)."""
 
@@ -947,22 +958,27 @@ class RubickPolicy(SchedulerPolicy):
             if node is not None:
                 # A run of one-CPU grabs, moved at once (DESIGN.md item 50):
                 # while the node keeps a spare CPU it stays the first
-                # candidate, and only the shape's CPU count changes.
-                grabbed = 1
-                spare = node.free.cpus - node.free.gpus - 1
-                grow = True
-                while spare > 0 and guard < 256:
-                    guard += 1
-                    cpus = shape.cpus + grabbed
-                    slope = (
-                        selector.cpu_slope_up(job, shape.with_cpus(cpus))
-                        / baseline
+                # candidate, and only the shape's CPU count changes.  The
+                # run's slopes come from one row (DESIGN.md item 56).
+                run = min(node.free.cpus - node.free.gpus - 1, 256 - guard)
+                slopes = (
+                    _cpu_slopes_up(
+                        selector, job, shape.with_cpus(shape.cpus + 1), run
                     )
-                    if cpus >= min_res.cpus and slope <= _EPS_SLOPE:
+                    if run > 0
+                    else []
+                )
+                grabbed = 1
+                grow = True
+                for slope in slopes:
+                    guard += 1
+                    if (
+                        shape.cpus + grabbed >= min_res.cpus
+                        and slope / baseline <= _EPS_SLOPE
+                    ):
                         grow = False
                         break
                     grabbed += 1
-                    spare -= 1
                 state.move(node, job_id, ResourceVector(cpus=grabbed))
                 if not grow:
                     break

@@ -99,6 +99,20 @@ class PlanSelector(abc.ABC):
             return 0.0
         return more.throughput - base.throughput
 
+    def cpu_slopes_up(
+        self, job: Job, shape: ResourceShape, n: int
+    ) -> list[float]:
+        """:meth:`cpu_slope_up` at ``shape.cpus``, ``+1``, …, ``+n-1`` CPUs.
+
+        The base implementation loops; selectors whose ``best`` is one
+        engine request override it to read the whole run from one
+        :meth:`~repro.planeval.PlanEvalEngine.best_row`.
+        """
+        return [
+            self.cpu_slope_up(job, shape.with_cpus(shape.cpus + i))
+            for i in range(n)
+        ]
+
     def cpu_slope_down(self, job: Job, shape: ResourceShape) -> float:
         if shape.cpus - 1 < max(shape.gpus, 1):
             return float("inf")
@@ -109,11 +123,27 @@ class PlanSelector(abc.ABC):
         return base.throughput - less.throughput
 
 
+def _slopes(row: list[BestConfig | None]) -> list[float]:
+    """Throughput gain of each step along a row of best configs."""
+    return [
+        more.throughput - base.throughput
+        if base is not None and more is not None
+        else 0.0
+        for base, more in zip(row, row[1:])
+    ]
+
+
 class BestPlanSelector(PlanSelector):
     """Full plan reconfigurability: the engine's full-space search."""
 
     def best(self, job: Job, shape: ResourceShape) -> BestConfig | None:
         return self.engine.best(job.model, job.spec.global_batch, shape)
+
+    def cpu_slopes_up(
+        self, job: Job, shape: ResourceShape, n: int
+    ) -> list[float]:
+        request = PlanRequest(job.model, job.spec.global_batch, shape)
+        return _slopes(self.engine.best_row(request, n + 1))
 
     def _build_curve(self, job: Job) -> GpuCurve:
         return self.engine.curve(job.model, job.spec.global_batch)
@@ -193,6 +223,23 @@ class ScaledDpSelector(PlanSelector):
             check_gpu_mem=True,
             check_host_mem=True,
         )
+
+    def cpu_slopes_up(
+        self, job: Job, shape: ResourceShape, n: int
+    ) -> list[float]:
+        if shape.gpus <= 0:
+            return [0.0] * n
+        request = PlanRequest(
+            job.model,
+            job.spec.global_batch,
+            shape,
+            candidates=lambda: self._candidates(
+                job, shape.gpus, shape.min_gpus_per_node
+            ),
+            key=("scaled_dp", job.spec.initial_plan),
+            check_gpu_mem=True,
+        )
+        return _slopes(self.engine.best_row(request, n + 1))
 
     def _build_curve(self, job: Job) -> GpuCurve:
         return self.engine.curve_of(

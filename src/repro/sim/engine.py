@@ -63,7 +63,12 @@ from repro.faults.injector import incident_payload
 from repro.oracle.profiler import build_perf_model, profiling_cost_seconds
 from repro.oracle.testbed import SyntheticTestbed
 from repro.perfmodel.shape import ResourceShape
-from repro.planeval import DEFAULT_CPUS_PER_GPU, PlanEvalEngine, TestbedScorer
+from repro.planeval import (
+    DEFAULT_CPUS_PER_GPU,
+    PlanEvalEngine,
+    PlanMemo,
+    TestbedScorer,
+)
 from repro.plans.memory import estimate_memory
 from repro.scheduler.interfaces import (
     Allocation,
@@ -227,6 +232,29 @@ class _LiveRun:
     pending: bool = True
 
 
+class SharedMemo:
+    """Plan-evaluation memos the simulations of one testbed may share.
+
+    Everything here is a pure function of ``key`` (the testbed's identity,
+    which fixes the cluster spec too): the memoized ground-truth scorer,
+    the per-request intrinsics, and one :class:`~repro.planeval.PlanMemo`
+    behind both the ground-truth engine and the policies' fitted-model
+    engines.  A :class:`Simulator` built without one makes a private memo;
+    :func:`repro.experiments.runner.simulator_for_run` hands every run of
+    one testbed the same memo (DESIGN.md 56).
+    """
+
+    def __init__(self, testbed: SyntheticTestbed) -> None:
+        self.key = testbed.key
+        #: Memoized ground-truth scorer (its ``true_throughput`` memo also
+        #: serves the per-round re-scoring in :meth:`Simulator._apply`).
+        self.scorer = TestbedScorer(testbed)
+        self.plans = PlanMemo()
+        #: ``(model, batch, gpus, cpus, plan) -> (baseline, best, host_mem)``
+        #: for :meth:`Simulator._intrinsics`.
+        self.intrinsics: dict[tuple, tuple[float, float, int]] = {}
+
+
 class Simulator:
     """Replays a trace under one scheduling policy."""
 
@@ -240,6 +268,7 @@ class Simulator:
         perf_store: PerfModelStore | None = None,
         online_refitter=None,
         injector=None,
+        memo: SharedMemo | None = None,
     ):
         config = config or EngineConfig()
         #: The frozen knob set this simulator was built with.
@@ -256,18 +285,21 @@ class Simulator:
         #: simulator-level seams (``policy-round``, ``perfmodel-fit``).
         #: ``None`` — the default — is the zero-fault path.
         self.injector = injector
-        #: Memoized ground-truth scorer shared between the plan engine and
-        #: the per-round configuration re-scoring in :meth:`_apply`.
-        self.scorer = TestbedScorer(self.testbed)
+        if memo is None:
+            memo = SharedMemo(self.testbed)
+        elif memo.key != self.testbed.key:
+            raise ValueError("a shared memo serves only its own testbed")
+        #: Ground-truth memos (private unless ``memo`` was passed); ground
+        #: truth never refits, so their entries never go stale.
+        self.memo = memo
+        self.scorer = memo.scorer
         #: Ground-truth plan evaluation (intrinsic-work accounting): the
         #: same memoized engine the policies use, but scored against the
-        #: testbed instead of fitted models.  Ground truth never refits, so
-        #: its memo entries live for the whole simulation.
-        self.plan_engine = PlanEvalEngine(cluster_spec, scorer=self.scorer)
-        #: ``(model, batch, gpus, cpus, plan) -> (baseline, best, host_mem)``
-        #: memo for :meth:`_intrinsics` — all ground-truth-derived, so
-        #: entries never go stale (ground truth never refits).
-        self._intrinsics_cache: dict[tuple, tuple[float, float, float]] = {}
+        #: testbed instead of fitted models.
+        self.plan_engine = PlanEvalEngine(
+            cluster_spec, scorer=self.scorer, memo=memo.plans
+        )
+        self._intrinsics_cache = memo.intrinsics
         #: Current session (:meth:`start` / :meth:`step`); ``run`` is a
         #: start + one full step, so batch and live share one state machine.
         self._live: _LiveRun | None = None
@@ -491,6 +523,7 @@ class Simulator:
                 perf_store=self.perf_store,
                 tenants=tenants or {},
                 reconfig_delta=self.config.reconfig_delta,
+                plan_memo=self.memo.plans,
             ),
             stream_open=stream,
         )
@@ -550,6 +583,12 @@ class Simulator:
         )
         if tj.job_id in st.pending_ids or tj.job_id in st.gpu_seconds:
             raise ValueError(f"duplicate job id {tj.job_id!r}")
+        if tj.submit_time > MAX_SIM_TIME:
+            # Its arrival would end the session (see ``_stop``).
+            raise ValueError(
+                f"job {tj.job_id!r} submit_time {tj.submit_time:g} is past "
+                f"max_sim_time={MAX_SIM_TIME:g}"
+            )
         if tj.requested_gpus > self.cluster_spec.total_gpus:
             raise ValueError(
                 f"job {tj.job_id!r} requests {tj.requested_gpus} GPUs but "

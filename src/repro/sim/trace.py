@@ -42,6 +42,8 @@ class TraceJob:
             raise ValueError(
                 f"{self.job_id}: duration must be finite and positive"
             )
+        if self.global_batch <= 0:
+            raise ValueError(f"{self.job_id}: global_batch must be positive")
         if self.requested_gpus < self.initial_plan.num_gpus:
             raise ValueError(
                 f"{self.job_id}: plan needs {self.initial_plan.num_gpus} GPUs, "

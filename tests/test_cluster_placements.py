@@ -90,7 +90,7 @@ def _random_placement(rng: random.Random, cluster: Cluster) -> Placement:
         shares[node.node_id] = ResourceVector(
             gpus=gpus,
             cpus=rng.randint(0, node.spec.num_cpus // 2),
-            host_mem=rng.random() * node.spec.host_mem / 4,
+            host_mem=rng.randint(0, node.spec.host_mem // 4),
         )
     return Placement(shares)
 

@@ -388,6 +388,47 @@ class TestParallelEquivalence:
             ), key
 
 
+class TestSharedMemoOrder:
+    """Runs of one testbed share plan-evaluation memos (DESIGN.md 56); no
+    entry may depend on which policy warmed it."""
+
+    def test_reversed_policy_order_writes_identical_records(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import runner
+        from repro.scheduler.registry import POLICIES
+
+        forward = tuple(sorted(POLICIES))
+        trees = []
+        for order in (forward, forward[::-1]):
+            # Each sweep starts cold, as a fresh process would.
+            monkeypatch.setattr(runner, "_SHARED_MEMO", {})
+            spec = SweepSpec(policies=order, seeds=(0,), **SMALL)
+            out = tmp_path / f"out-{len(trees)}"
+            run_sweep(spec, out_dir=str(out), workers=1)
+            store = RunStore(out)
+            trees.append({
+                key: store.path_for(key).read_bytes()
+                for key in outcome_keys(spec)
+            })
+        assert len(trees[0]) == len(forward)
+        assert trees[0] == trees[1]
+
+    def test_memo_serves_only_its_testbed(self):
+        from repro.oracle import SyntheticTestbed
+        from repro.scheduler.registry import make_policy
+        from repro.sim import Simulator
+        from repro.sim.engine import SharedMemo
+
+        cluster = RunSpec(policy="rubick", **SMALL).cluster
+        memo = SharedMemo(SyntheticTestbed(cluster, seed=1))
+        with pytest.raises(ValueError, match="its own testbed"):
+            Simulator(
+                cluster, make_policy("rubick"),
+                testbed=SyntheticTestbed(cluster, seed=2), memo=memo,
+            )
+
+
 class TestAggregation:
     def test_cells_aggregate_across_seeds(self, serial_sweep):
         _, outcome = serial_sweep

@@ -6,18 +6,24 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import PAPER_CLUSTER, ResourceVector
 from repro.models import GPT2, LLAMA2_7B, ROBERTA
 from repro.perfmodel import ResourceShape
 from repro.planeval import (
     PlanEvalEngine,
+    PlanMemo,
     TestbedScorer,
     fused_throughputs,
 )
+from repro.planeval.scoring import CpuSplitScores
 from repro.plans import ExecutionPlan, enumerate_plans
-from repro.plans.memory import host_mem_demand_per_node
+from repro.plans.memory import estimate_memory, host_mem_demand_per_node
 from repro.scheduler import (
+    BestPlanSelector,
+    FixedPlanSelector,
     Job,
     JobSpec,
     PerfModelStore,
@@ -216,6 +222,35 @@ class TestVersionedInvalidation:
         assert a is not b
         assert engine.stats().invalidations == 1
 
+    def test_manual_invalidate_drops_the_shared_slab(self, fitted_store):
+        store = _local_store(fitted_store, GPT2)
+        memo = PlanMemo()
+        engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store, memo=memo)
+        shape = ResourceShape.packed(2, cpus=8)
+        a = engine.best(GPT2, 16, shape)
+        engine.invalidate(GPT2.name)
+        b = engine.best(GPT2, 16, shape)
+        assert a is not b
+        # Another engine on the memo sees the recomputed entry.
+        other = PlanEvalEngine(PAPER_CLUSTER, perf_store=store, memo=memo)
+        assert other.best(GPT2, 16, shape) is b
+
+    def test_shared_memo_keys_on_model_identity_and_generation(
+        self, fitted_store
+    ):
+        memo = PlanMemo()
+        shape = ResourceShape.packed(4, cpus=16)
+        first = _local_store(fitted_store, GPT2)
+        second = _local_store(fitted_store, GPT2)
+        a = PlanEvalEngine(PAPER_CLUSTER, perf_store=first, memo=memo)
+        b = PlanEvalEngine(PAPER_CLUSTER, perf_store=second, memo=memo)
+        # Same fitted object, same generation: one shared entry.
+        assert b.best(GPT2, 16, shape) is a.best(GPT2, 16, shape)
+        # A refit of the first store moves only its engine.
+        first.add(first.get(GPT2))
+        assert a.best(GPT2, 16, shape) is not b.best(GPT2, 16, shape)
+        assert a.best(GPT2, 16, shape) == b.best(GPT2, 16, shape)
+
 
 class TestScaledDpCurveRegression:
     """Regression: the ScaledDpSelector's sensitivity curves must track
@@ -302,3 +337,151 @@ class TestTestbedScorerPath:
         b = engine.best(GPT2, 16, shape, check_host_mem=False)
         assert a is b
         assert engine.stats().invalidations == 0
+
+
+# ----------------------------------------------------------------------
+# Shape classes: one scoring per class, offload plans re-scored per CPU
+# ----------------------------------------------------------------------
+SELECTORS = (BestPlanSelector, ScaledDpSelector, FixedPlanSelector)
+
+
+@st.composite
+def _class_cases(draw):
+    """(model, selector class, job, shape, CPU counts) over one class."""
+    model = draw(st.sampled_from([GPT2, ROBERTA, LLAMA2_7B]))
+    batch = BATCHES[model.name]
+    node = PAPER_CLUSTER.node
+    base_gpus = draw(st.sampled_from([1, 2, 4, 8]))
+    plans = enumerate_plans(
+        model, batch, base_gpus,
+        min_gpus_per_node=base_gpus,
+        gpu_mem_budget=node.usable_gpu_mem,
+        space=default_plan_space(model),
+    )
+    # Offload plans are the ones whose score moves with the CPU count.
+    offload = [p for p in plans if p.uses_offload]
+    plan = draw(st.sampled_from(offload or plans))
+    spec = JobSpec(
+        job_id="c", model=model, global_batch=batch,
+        requested=ResourceVector(base_gpus, base_gpus * 4, 0),
+        initial_plan=plan, total_samples=1e5, submit_time=0.0,
+    )
+    gpus = draw(st.sampled_from([base_gpus, 2 * base_gpus, 16]))
+    if draw(st.booleans()):
+        shape = ResourceShape.packed(gpus, node_size=node.num_gpus)
+    else:
+        nodes = draw(st.integers(1, min(gpus, 4)))
+        shape = ResourceShape(
+            gpus=gpus, num_nodes=nodes,
+            min_gpus_per_node=max(1, gpus // nodes - 1), cpus=gpus,
+        )
+    cpus = draw(st.lists(st.integers(1, 96), min_size=1, max_size=8))
+    return draw(st.sampled_from(SELECTORS)), Job(spec=spec), shape, cpus
+
+
+def _expected(engine, selector, job, shape):
+    """``_argmax`` over the selector's candidates, scored plan by plan
+    (``fused_throughputs`` equals these bit for bit) without the engine's
+    memos."""
+    model, batch = job.model, job.spec.global_batch
+    plan = job.spec.initial_plan
+    if isinstance(selector, BestPlanSelector):
+        plans = enumerate_plans(
+            model, batch, shape.gpus,
+            min_gpus_per_node=shape.min_gpus_per_node,
+            gpu_mem_budget=PAPER_CLUSTER.node.usable_gpu_mem,
+            space=default_plan_space(model),
+        )
+        plans = engine._host_filtered(model, tuple(plans), batch, shape)
+    elif isinstance(selector, ScaledDpSelector):
+        budget = PAPER_CLUSTER.node.usable_gpu_mem
+        plans = tuple(
+            p
+            for p in selector._candidates(
+                job, shape.gpus, shape.min_gpus_per_node
+            )
+            if estimate_memory(model, p, batch).gpu_total <= budget
+        )
+        plans = engine._host_filtered(model, plans, batch, shape)
+    else:
+        if shape.gpus != plan.num_gpus or plan.tp > shape.min_gpus_per_node:
+            return None
+        plans = (plan,)
+    perf = engine.perf_store.get(model)
+    return engine._argmax(
+        plans, [perf.throughput(p, shape, batch) for p in plans]
+    )
+
+
+class TestShapeClassMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_class_cases())
+    def test_best_equals_argmax_of_fused_scores(self, fitted_store, case):
+        selector_cls, job, shape, cpu_counts = case
+        engine = _engine(fitted_store)
+        selector = selector_cls(engine)
+        # One engine across the counts: later ones hit the warm class.
+        for cpus in cpu_counts + cpu_counts[:1]:
+            at = shape.with_cpus(cpus)
+            assert selector.best(job, at) == _expected(
+                engine, selector, job, at
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_class_cases(), n=st.integers(1, 24))
+    def test_cpu_slopes_up_equals_successive_slopes(
+        self, fitted_store, case, n
+    ):
+        selector_cls, job, shape, cpu_counts = case
+        at = shape.with_cpus(cpu_counts[0])
+        batched = selector_cls(_engine(fitted_store))
+        single = selector_cls(_engine(fitted_store))
+        assert batched.cpu_slopes_up(job, at, n) == [
+            single.cpu_slope_up(job, at.with_cpus(at.cpus + i))
+            for i in range(n)
+        ]
+        # A warm row reads the same values.
+        assert batched.cpu_slopes_up(job, at, n) == [
+            single.cpu_slope_up(job, at.with_cpus(at.cpus + i))
+            for i in range(n)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from([GPT2, ROBERTA]),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+        cpus=st.integers(1, 64),
+    )
+    def test_first_of_equal_maxima_wins(self, fitted_store, model, picks, cpus):
+        # Repeated plans tie exactly; the split table's merge of fixed and
+        # offload scores must still pick the first of them.
+        batch = BATCHES[model.name]
+        plans = enumerate_plans(
+            model, batch, 4, min_gpus_per_node=4,
+            gpu_mem_budget=PAPER_CLUSTER.node.usable_gpu_mem,
+            space=default_plan_space(model),
+        )
+        chosen = [plans[i % len(plans)] for i in picks]
+        shape = ResourceShape.packed(4, cpus=cpus)
+        perf = fitted_store.get(model)
+        table = CpuSplitScores(perf, chosen, shape, batch)
+        scores = fused_throughputs(perf, chosen, shape, batch)
+        top = max(scores)
+        assert table.best_at(cpus) == (scores.index(top), top)
+
+    def test_cpu_probe_rescores_only_offload_plans(self, fitted_store):
+        engine = _engine(fitted_store)
+        shape = ResourceShape.packed(4, cpus=16)
+        engine.best(GPT2, 16, shape)
+        engine.best(GPT2, 16, shape.with_cpus(17))  # builds the split table
+        evals = engine.stats().evals
+        engine.best(GPT2, 16, shape.with_cpus(18))
+        plans = engine._host_filtered(
+            GPT2,
+            engine.plans_for(GPT2, 16, 4, shape.min_gpus_per_node),
+            16,
+            shape,
+        )
+        offload = [p for p in plans if p.uses_offload]
+        assert offload
+        assert engine.stats().evals - evals == len(offload)

@@ -23,9 +23,9 @@ The contracts pinned here:
   ``protocol.REQUEST_SCHEMAS`` with an ERROR and keeps the connection; the
   client raises :class:`ProtocolError` on a reply that breaks
   ``protocol.REPLY_SCHEMAS``.
-* **Hostile requests** — a frame carrying ``NaN`` or ``1e400``, or a job
-  the cluster cannot launch, earns an ERROR; the master keeps serving
-  other clients.
+* **Hostile requests** — a frame carrying ``NaN`` or ``1e400``, a job
+  with a non-positive batch, or a job the cluster cannot launch, earns an
+  ERROR; the master keeps serving other clients.
   A frame nested too deep to decode drops only its sender.
 """
 
@@ -422,6 +422,14 @@ class TestLoopback:
         # A 401-digit integer decodes, but float() cannot take it.
         error = self._raw_submit_error(trace, "submit_time", "1" + "0" * 400)
         assert "SUBMIT rejected" in error
+
+    @pytest.mark.parametrize("batch", ["0", "-64"])
+    def test_non_positive_batch_gets_error_and_master_survives(
+        self, workload, batch
+    ):
+        trace, _ = workload
+        error = self._raw_submit_error(trace, "global_batch", batch)
+        assert "global_batch must be positive" in error
 
     def test_infeasible_submit_is_rejected_before_the_ack(self, workload):
         trace, _ = workload
