@@ -19,6 +19,8 @@ for every policy in at least one seed).  On top of it:
   ``flaky``;
 * one Rubick run with an aggressive online refitter, which must never take
   the steady-state short-circuit (refit observations happen in ``_apply``);
+* one Sia run with the same refitter, whose digest moves if a refit fails
+  to reach the curves Sia ranks jobs by;
 * ``chaos-smoke``: the ``runs/`` tree of the ``test_faults.CHAOS_SPEC``
   sweep under the ``chaos-smoke`` fault plan.  ``failures/`` stays out:
   its quarantine records carry traceback digests of source line numbers.
@@ -115,6 +117,8 @@ def cases() -> list[Case]:
     grid.append(Case("rubick", 7, False, "static", **overheads))
     grid.append(Case("rubick", 7, False, "flaky", **overheads))
     grid.append(Case("rubick", 0, False, "static", refit=True))
+    # Sia re-reads its jobs' curves every round: a refit must reach them.
+    grid.append(Case("sia", 0, False, "static", refit=True))
     return grid
 
 

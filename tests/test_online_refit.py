@@ -144,3 +144,36 @@ class TestSimulatorIntegration:
         expected = refit.throughput(PLAN, SHAPE, 16)
         assert expected != perf.throughput(PLAN, SHAPE, 16)
         assert policy._baseline_pred(job, ctx) == expected
+
+    def test_refit_reaches_synergy_cpu_weights(self, fitted):
+        from repro.cluster.state import Cluster
+        from repro.plans.plan import ZeroStage
+        from repro.scheduler.baselines import SynergyPolicy
+
+        perf, _ = fitted
+        store = PerfModelStore()
+        store.add(perf)
+        one_node = ClusterSpec(num_nodes=1, node=NodeSpec(num_gpus=8, num_cpus=48))
+        ctx = SchedulingContext(cluster_spec=one_node, perf_store=store)
+        offload = ExecutionPlan(dp=2, zero=ZeroStage.OFFLOAD)
+        # Two ZeRO-Offload residents of one node whose CPU weights move
+        # apart under a different k_opt_off: the larger batch's compute
+        # hides more of its optimizer step.
+        jobs = [
+            Job(spec=JobSpec(
+                job_id=f"j{i}", model=GPT2, global_batch=batch,
+                requested=ResourceVector(2, 2, 0), initial_plan=offload,
+                total_samples=1e5, submit_time=float(i),
+            ))
+            for i, batch in enumerate((16, 64))
+        ]
+        cluster = Cluster(one_node)
+        policy = SynergyPolicy()
+        before = policy.schedule(jobs, cluster, ctx)
+        store.add(perf.with_params(
+            replace(perf.params, k_opt_off=perf.params.k_opt_off * 20)
+        ))
+        after = policy.schedule(jobs, cluster, ctx)
+        fresh = SynergyPolicy().schedule(jobs, cluster, ctx)
+        assert fresh != before  # the refit moves the CPU split
+        assert after == fresh
