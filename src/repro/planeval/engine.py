@@ -16,8 +16,11 @@ and the simulator's intrinsic-work accounting — routes through one
   backend's per-model version (the :class:`~repro.scheduler.interfaces.
   PerfModelStore` refit generation).  An online refit of one model type
   drops exactly that model's entries; every other model keeps its warm
-  caches.  A :class:`PlanMemo` shares these entries between the engines
-  of several simulations of one testbed (DESIGN.md 56);
+  caches.  This is the only cache in the scheduler that knows about refit
+  generations: everything a policy derives from a fitted model is read
+  through it.  A :class:`PlanMemo` holds these entries, private to one
+  engine or shared between the engines of several simulations of one
+  testbed (DESIGN.md 56);
 * **cache statistics** — hit/miss/eval/invalidation counters via
   :meth:`PlanEvalEngine.stats`, surfaced by ``repro simulate
   --planeval-stats`` and ``benchmarks/bench_planeval_cache.py``.
@@ -145,27 +148,28 @@ class _ModelSlab:
 
     __slots__ = ("version", "token", "classes", "curves")
 
-    def __init__(self, version: int, token: object = None) -> None:
+    def __init__(self, version: int, token: object) -> None:
         self.version = version
-        #: The scored object (a fitted model) a shared slab is keyed on;
-        #: holding it keeps its ``id`` from being reused (DESIGN.md 56).
+        #: The scored object (a fitted model) the slab is keyed on; holding
+        #: it keeps its ``id`` from being reused (DESIGN.md 56).
         self.token = token
         self.classes: dict[tuple, _ShapeClass] = {}
         self.curves: dict[tuple, GpuCurve] = {}
 
 
 class PlanMemo:
-    """Plan-evaluation memos shared by the engines of several simulations.
+    """An engine's plan-evaluation memos, which several engines may share.
 
-    An engine built with a memo takes its per-model slabs and its plan
-    enumerations from here instead of keeping private ones, so the runs
-    of one process that score with the same fitted models reuse each
-    other's best configs, shape classes and curves (DESIGN.md 56).  A slab
-    is keyed on the model, the identity of the fitted model its scorer
-    reads (``scorer.token``) and that model's refit generation: a refit
-    moves an engine to a fresh slab and leaves the other runs' slabs be.
-    Every memo entry is a pure function of its key and of the cluster
-    spec, so one memo must only serve engines of one cluster spec.
+    Every engine takes its per-model slabs and its plan enumerations from
+    a memo: a private one unless it is given one.  The engines of one
+    process's runs that score with the same fitted models share a memo,
+    and reuse each other's best configs, shape classes and curves
+    (DESIGN.md 56).  A slab is keyed on the model, the identity of the
+    fitted model its scorer reads (``scorer.token``) and that model's
+    refit generation: a refit moves an engine to a fresh slab and leaves
+    the other runs' slabs be.  Every memo entry is a pure function of its
+    key and of the cluster spec, so one memo must only serve engines of
+    one cluster spec.
     """
 
     def __init__(self) -> None:
@@ -178,15 +182,6 @@ class PlanMemo:
         if slab is None:
             slab = self._slabs[key] = _ModelSlab(version, token)
         return slab
-
-    def drop(self, model_name: str | None = None) -> None:
-        """Forget every slab (of one model, or of all)."""
-        if model_name is None:
-            self._slabs.clear()
-            self.enums.clear()
-        else:
-            for key in [k for k in self._slabs if k[0] == model_name]:
-                del self._slabs[key]
 
 
 class PlanEvalEngine:
@@ -201,7 +196,6 @@ class PlanEvalEngine:
             overrides ``perf_store``.
         memo: A :class:`PlanMemo` to share memoized results with other
             engines of the same cluster spec; ``None`` keeps them private.
-            A shared memo needs a scorer with a ``token`` method.
 
     Plans are enumerated from :func:`default_plan_space` of the model, and
     curves pack :data:`DEFAULT_CPUS_PER_GPU` CPUs per GPU.
@@ -223,15 +217,9 @@ class PlanEvalEngine:
         self._split = getattr(scorer, "split", None)
         self.perf_store = perf_store
         self.cluster_spec = cluster_spec
-        self._memo = memo
-        #: model name -> the slab of its current version (a front for the
-        #: shared memo's slabs when there is one).
+        self._memo = PlanMemo() if memo is None else memo
+        #: model name -> the memo's slab of its current version.
         self._slabs: dict[str, _ModelSlab] = {}
-        # Enumeration is structural (model/batch/space/memory), independent
-        # of the scoring backend's version — it survives refits.
-        self._enums: dict[tuple, tuple[ExecutionPlan, ...]] = (
-            {} if memo is None else memo.enums
-        )
         self._hits = 0
         self._misses = 0
         self._evals = 0
@@ -246,25 +234,10 @@ class PlanEvalEngine:
         if slab is None or slab.version != version:
             if slab is not None:
                 self._invalidations += 1
-            if self._memo is None:
-                slab = _ModelSlab(version)
-            else:
-                slab = self._memo.slab(
-                    model.name, self.scorer.token(model), version
-                )
-            self._slabs[model.name] = slab
+            slab = self._slabs[model.name] = self._memo.slab(
+                model.name, self.scorer.token(model), version
+            )
         return slab
-
-    def invalidate(self, model_name: str | None = None) -> None:
-        """Manually drop memoized results (one model, or everything)."""
-        if model_name is None:
-            self._slabs.clear()
-            self._enums.clear()
-        else:
-            self._slabs.pop(model_name, None)
-        if self._memo is not None:
-            self._memo.drop(model_name)
-        self._invalidations += 1
 
     def stats(self) -> EngineStats:
         return EngineStats(
@@ -292,9 +265,11 @@ class PlanEvalEngine:
     ) -> tuple[ExecutionPlan, ...]:
         """Memory-filtered candidate plans for one (batch, shape-class)."""
         # The plan space is a function of the model name alone, so neither
-        # this key nor the per-model slab keys carry it.
+        # this key nor the per-model slab keys carry it.  Enumeration is
+        # structural (model/batch/space/memory), so it survives refits.
         key = (model.name, global_batch, gpus, min_gpus_per_node)
-        plans = self._enums.get(key)
+        enums = self._memo.enums
+        plans = enums.get(key)
         if plans is None:
             plans = tuple(
                 enumerate_plans(
@@ -306,7 +281,7 @@ class PlanEvalEngine:
                     space=default_plan_space(model),
                 )
             )
-            self._enums[key] = plans
+            enums[key] = plans
         return plans
 
     @staticmethod
@@ -348,28 +323,36 @@ class PlanEvalEngine:
 
     def _shape_class(
         self,
-        slab: _ModelSlab,
         model: ModelSpec,
         global_batch: int,
         shape: ResourceShape,
-        restriction: object,
         candidates,
+        key: tuple | None,
         check_gpu_mem: bool,
         check_host_mem: bool,
     ) -> _ShapeClass:
         """The memoized shape class of ``shape`` under one restriction.
 
-        ``restriction`` is None for the full enumeration; otherwise it
-        names the candidates (a ``best_of`` key or the candidate tuple
-        itself), and ``candidates`` yields them — it must not read the CPU
-        count.
+        ``candidates`` is None for the full enumeration; otherwise it
+        yields the restricted candidates, and must not read the CPU count.
+        ``key`` names the restriction; without one, the candidate tuple
+        itself does, and the candidates cannot be lazy.
         """
-        key = (
+        if candidates is None:
+            restriction: object = None
+        elif key is not None:
+            restriction = key
+        elif callable(candidates):
+            raise ValueError("lazy candidates require an explicit key")
+        else:
+            candidates = restriction = tuple(candidates)
+        classes = self._slab(model).classes
+        class_key = (
             global_batch, shape.gpus, shape.num_nodes,
             shape.min_gpus_per_node, restriction,
             check_gpu_mem, check_host_mem,
         )
-        cls = slab.classes.get(key)
+        cls = classes.get(class_key)
         if cls is not None:
             return cls
         if restriction is None:
@@ -391,7 +374,7 @@ class PlanEvalEngine:
         fixed = self._split is not None and not any(
             p.uses_offload for p in plans
         )
-        cls = slab.classes[key] = _ShapeClass(plans, fixed)
+        cls = classes[class_key] = _ShapeClass(plans, fixed)
         return cls
 
     def _best_at(
@@ -471,8 +454,7 @@ class PlanEvalEngine:
         if shape.gpus <= 0:
             return None
         cls = self._shape_class(
-            self._slab(model), model, global_batch, shape, None, None,
-            False, check_host_mem,
+            model, global_batch, shape, None, None, False, check_host_mem
         )
         return self._best_at(cls, model, global_batch, shape, shape.cpus)
 
@@ -497,15 +479,9 @@ class PlanEvalEngine:
         and densest-node share, but not on its CPU count: one candidate
         list serves the whole shape class.
         """
-        if key is None:
-            if callable(candidates):
-                raise ValueError("lazy candidates require an explicit key")
-            candidates = restriction = tuple(candidates)
-        else:
-            restriction = key
         cls = self._shape_class(
-            self._slab(model), model, global_batch, shape, restriction,
-            candidates, check_gpu_mem, check_host_mem,
+            model, global_batch, shape, candidates, key, check_gpu_mem,
+            check_host_mem,
         )
         return self._best_at(cls, model, global_batch, shape, shape.cpus)
 
@@ -518,18 +494,11 @@ class PlanEvalEngine:
         offload plans' re-scores, not two memo probes per CPU.
         """
         shape = req.shape
-        if req.candidates is None:
-            if shape.gpus <= 0:
-                return [None] * count
-            restriction = None
-        elif req.key is None:
-            restriction = tuple(req.candidates)
-        else:
-            restriction = req.key
+        if req.candidates is None and shape.gpus <= 0:
+            return [None] * count
         cls = self._shape_class(
-            self._slab(req.model), req.model, req.global_batch, shape,
-            restriction, req.candidates, req.check_gpu_mem,
-            req.check_host_mem,
+            req.model, req.global_batch, shape, req.candidates, req.key,
+            req.check_gpu_mem, req.check_host_mem,
         )
         return [
             self._best_at(cls, req.model, req.global_batch, shape, cpus)
@@ -541,49 +510,16 @@ class PlanEvalEngine:
     ) -> list[BestConfig | None]:
         """Resolve a whole queue's best-plan requests in one batched pass.
 
-        Policies that previously looped ``best()``/``best_of()`` per job
-        hand the full request list over instead: duplicate requests (jobs
-        sharing a model/batch/shape — the common case in a large pending
-        queue) collapse to a single memo probe, and each *distinct* cold
-        request runs exactly one fused scoring pass over its candidate set.
-        Results are positionally aligned with ``requests`` and bit-identical
-        to the equivalent sequence of single calls (same memo, same scoring
-        path, same tie-breaking argmax).
+        Policies that would loop ``best()``/``best_of()`` per job hand the
+        full request list over instead.  Each *distinct* cold request runs
+        exactly one fused scoring pass over its candidate set, and a
+        duplicate (jobs sharing a model/batch/shape, the common case in a
+        large pending queue) is a shape-class memo hit.  Results are
+        positionally aligned with ``requests`` and bit-identical to the
+        equivalent sequence of single calls (same memo, same scoring path,
+        same tie-breaking argmax).
         """
-        out: list[BestConfig | None] = []
-        resolved: dict[tuple, BestConfig | None] = {}
-        for req in requests:
-            if req.candidates is None:
-                dedup = (
-                    "best", req.model.name, req.global_batch, req.shape,
-                    req.check_host_mem,
-                )
-            elif req.key is not None:
-                dedup = (
-                    "of", req.model.name, req.global_batch, req.shape,
-                    req.key, req.check_gpu_mem, req.check_host_mem,
-                )
-            else:
-                dedup = None  # anonymous candidate tuples: no cheap identity
-            if dedup is not None and dedup in resolved:
-                out.append(resolved[dedup])
-                continue
-            if req.candidates is None:
-                best = self.best(
-                    req.model, req.global_batch, req.shape,
-                    check_host_mem=req.check_host_mem,
-                )
-            else:
-                best = self.best_of(
-                    req.model, req.global_batch, req.shape, req.candidates,
-                    key=req.key,
-                    check_gpu_mem=req.check_gpu_mem,
-                    check_host_mem=req.check_host_mem,
-                )
-            if dedup is not None:
-                resolved[dedup] = best
-            out.append(best)
-        return out
+        return [self.best_row(req, 1)[0] for req in requests]
 
     def score_all(
         self,
@@ -638,10 +574,7 @@ class PlanEvalEngine:
         raw: list[BestConfig | None] = [None]
         for g in range(1, limit + 1):
             raw.append(self.best(model, global_batch, self._packed_shape(g)))
-        curve = build_envelope(limit, raw)
-        # Re-fetch the slab: the per-point best() calls above validated the
-        # version; storing into a stale slab would resurrect dropped entries.
-        self._slab(model).curves[key] = curve
+        curve = slab.curves[key] = build_envelope(limit, raw)
         return curve
 
     def curve_of(
@@ -669,6 +602,5 @@ class PlanEvalEngine:
         raw: list[BestConfig | None] = [None]
         for g in range(1, limit + 1):
             raw.append(point_fn(self._packed_shape(g)))
-        curve = build_envelope(limit, raw)
-        self._slab(model).curves[memo_key] = curve
+        curve = slab.curves[memo_key] = build_envelope(limit, raw)
         return curve

@@ -3,18 +3,19 @@
 The engine is generic over *how* a plan is scored: scheduling policies score
 with the fitted performance model (:class:`PerfStoreScorer`), while the
 simulator's intrinsic-work accounting scores with the synthetic testbed's
-ground truth (:class:`TestbedScorer`).  Both expose the same two-method
-protocol:
+ground truth (:class:`TestbedScorer`).  Both expose the same protocol:
 
 * ``version(model)`` — a monotonically increasing integer per model type;
-  the engine drops a model's memoized results whenever it changes (online
-  refits bump it, ground truth never does);
+  the engine moves a model to a fresh memo slab whenever it changes
+  (online refits bump it, ground truth never does);
+* ``token(model)`` — the object the scores come from (a fitted model, or
+  the ground-truth scorer itself), which the engine's memo keys its slabs
+  on (DESIGN.md 56);
 * ``score(model, plans, shape, global_batch)`` — throughput per plan, with
   ``None`` marking plans the backend deems infeasible.
 
-:class:`PerfStoreScorer` adds two optional methods: ``split``, which returns
-a :class:`CpuSplitScores` table for one shape class, and ``token``, the
-fitted model object that a shared memo keys its entries on (DESIGN.md 56).
+:class:`PerfStoreScorer` adds an optional ``split``, which returns a
+:class:`CpuSplitScores` table for one shape class.
 
 :class:`CpuSplitScores` is the batched fast path behind
 :class:`PerfStoreScorer`: one loop-fused pass over the perf-model component

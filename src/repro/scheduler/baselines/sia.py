@@ -62,11 +62,13 @@ class SiaPolicy(SchedulerPolicy):
             return {}
         total_gpus = ctx.cluster_spec.total_gpus
 
+        # Curves are fixed within a round, so each job's is read once.
+        curves = {job.job_id: selector.curve(job) for job in active}
+
         # Normalizer: goodput relative to the job's requested configuration.
         baselines: dict[str, float] = {}
         for job in active:
-            curve = selector.curve(job)
-            base = curve.throughput_at(job.spec.requested.gpus)
+            base = curves[job.job_id].throughput_at(job.spec.requested.gpus)
             baselines[job.job_id] = base if base > 0 else 1.0
 
         # Greedy marginal ascent: hand out GPUs one at a time to the job
@@ -91,7 +93,7 @@ class SiaPolicy(SchedulerPolicy):
             best_gain = 0.0
             best_block = 0
             for job in flexible:
-                curve = selector.curve(job)
+                curve = curves[job.job_id]
                 cur = counts[job.job_id]
                 nxt = self._next_feasible(curve, cur, cur + budget)
                 if nxt is None:
@@ -118,7 +120,7 @@ class SiaPolicy(SchedulerPolicy):
             new = counts[job.job_id]
             if new == current or current <= 0:
                 continue
-            curve = selector.curve(job)
+            curve = curves[job.job_id]
             thr_cur = curve.throughput_at(current)
             thr_new = curve.throughput_at(new)
             if thr_cur <= 0:
@@ -135,7 +137,7 @@ class SiaPolicy(SchedulerPolicy):
             gpus = counts[job.job_id]
             if gpus <= 0:
                 continue
-            curve = selector.curve(job)
+            curve = curves[job.job_id]
             cfg = curve.raw[gpus] or curve.config_at(gpus)
             if cfg is None:
                 continue

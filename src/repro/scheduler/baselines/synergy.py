@@ -32,13 +32,6 @@ class SynergyPolicy(SchedulerPolicy):
 
     def __init__(self):
         self._selector: FixedPlanSelector | None = None
-        #: ``(model, batch, plan, shape) -> (model refit version, weight)``
-        #: cross-round memo of the CPU-sensitivity weight.  The weight is a
-        #: pure function of the key plus the fitted model, so it survives
-        #: until the model refits (version-checked on every read); at
-        #: datacenter scale most residents keep their shape between rounds
-        #: and the per-round probe batch collapses to the few changed jobs.
-        self._weight_cache: dict[tuple, tuple[int, float]] = {}
         self._host_demand = HostDemandMemo()
 
     def _ensure(self, ctx: SchedulingContext) -> FixedPlanSelector:
@@ -96,23 +89,11 @@ class SynergyPolicy(SchedulerPolicy):
         The residents of each node come from a single inverted pass over the
         allocations (a job's placement names its nodes) instead of scanning
         every node × every allocation.  A resident's weight is its normalized
-        CPU slope at its current whole-placement shape — a pure function of
-        (model, batch, plan, shape, fitted-model version) — memoized across
-        rounds and nodes in ``_weight_cache``; only misses go through a
-        batched ``selector.best_many`` probe.  The shape is still evaluated
-        per node visit (a multi-node job retuned on an earlier node brings
-        its updated shape to later ones, as the unmemoized loop did), so
-        weights and visit order match the former per-node/per-job loops
-        exactly.
+        CPU slope at its current whole-placement shape, read in one batched
+        ``selector.best_many`` probe per node visit.  The shape is evaluated
+        per node visit, so a multi-node job retuned on an earlier node
+        brings its updated shape to later ones.
         """
-        engine = selector.engine
-        versions: dict[str, int] = {}
-        #: id(placement) -> (placement, shape) for this round.  The stored
-        #: placement is both the identity witness and a strong reference —
-        #: without it, a placement replaced by ``with_share`` below could be
-        #: collected and its id recycled by a new one, silently serving a
-        #: stale shape.
-        shape_of: dict[int, tuple] = {}
         # node_id -> job ids placed there, in allocation-dict order (node
         # membership never changes below: with_share only retunes CPUs).
         residents_of: dict[int, list[str]] = {}
@@ -125,59 +106,31 @@ class SynergyPolicy(SchedulerPolicy):
                 for job_id in residents_of[node_id]
             ]
             budget = pool.free_of(node_id)[1]
-            weights: dict[str, float] = {}
-            misses: list[tuple[str, ResourceShape, tuple, int]] = []
+            # cpu_slope_up's two endpoints per resident: its current shape
+            # and the +1-CPU probe, resolved in one batched engine pass.
+            pairs = []
             for job_id, alloc in residents:
                 job = jobs[job_id]
-                model_name = job.model.name
-                version = versions.get(model_name)
-                if version is None:
-                    version = engine.scorer.version(job.model)
-                    versions[model_name] = version
-                cached = shape_of.get(id(alloc.placement))
-                if cached is not None and cached[0] is alloc.placement:
-                    shape = cached[1]
-                else:
-                    shape = ResourceShape.from_placement(alloc.placement)
-                    shape_of[id(alloc.placement)] = (alloc.placement, shape)
-                key = (model_name, job.spec.global_batch, alloc.plan, shape)
-                hit = self._weight_cache.get(key)
-                if hit is not None and hit[0] == version:
-                    weights[job_id] = hit[1]
-                else:
-                    misses.append((job_id, shape, key, version))
-            if misses:
-                # cpu_slope_up's two endpoints per miss: current shape and
-                # the +1-CPU probe, resolved in one batched engine pass.
-                pairs = []
-                for job_id, shape, _, _ in misses:
-                    job = jobs[job_id]
-                    pairs.append((job, shape))
-                    pairs.append((job, shape.with_cpus(shape.cpus + 1)))
-                configs = selector.best_many(pairs)
-                for i, (job_id, _, key, version) in enumerate(misses):
-                    base, more = configs[2 * i], configs[2 * i + 1]
-                    slope = (
-                        more.throughput - base.throughput
-                        if base is not None and more is not None
-                        else 0.0
-                    )
-                    norm = (
-                        base.throughput
-                        if base and base.throughput > 0
-                        else 1.0
-                    )
-                    weight = max(slope / norm, 0.0)
-                    self._weight_cache[key] = (version, weight)
-                    weights[job_id] = weight
-            # Summed in residents order (the insertion order of the weights
-            # dict before memoization existed): float addition is order-
-            # sensitive and the distribution below must stay byte-identical.
-            total_weight = sum(weights[job_id] for job_id, _ in residents)
-            for job_id, alloc in residents:
+                shape = ResourceShape.from_placement(alloc.placement)
+                pairs.append((job, shape))
+                pairs.append((job, shape.with_cpus(shape.cpus + 1)))
+            configs = selector.best_many(pairs)
+            weights = []
+            for base, more in zip(configs[::2], configs[1::2]):
+                slope = (
+                    more.throughput - base.throughput
+                    if base is not None and more is not None
+                    else 0.0
+                )
+                norm = base.throughput if base and base.throughput > 0 else 1.0
+                weights.append(max(slope / norm, 0.0))
+            # Summed in residents order: float addition is order-sensitive
+            # and the distribution below must stay byte-identical.
+            total_weight = sum(weights)
+            for (job_id, alloc), weight in zip(residents, weights):
                 share = alloc.placement.shares[node_id]
                 if total_weight > 1e-12:
-                    extra = int(budget * weights[job_id] / total_weight)
+                    extra = int(budget * weight / total_weight)
                 else:
                     extra = int(budget / len(residents))
                 extra = min(extra, pool.free_of(node_id)[1])

@@ -39,25 +39,20 @@ class Allocation:
 class PerfModelStore:
     """Fitted performance models keyed by model type (paper §3 reuse).
 
-    Two version counters let downstream caches detect online refits:
-
-    * ``version`` increments on *every* update (coarse, store-wide);
-    * ``model_version(name)`` increments only when that model type is
-      (re)fitted — the refit generation `repro.planeval.PlanEvalEngine`
-      keys its per-model invalidation to, so refitting one model leaves
-      every other model's memoized curves warm.
+    ``model_version(name)`` increments each time that model type is
+    (re)fitted: the refit generation `repro.planeval.PlanEvalEngine` keys
+    its per-model memo slabs on, so refitting one model leaves every other
+    model's memoized curves warm.
     """
 
     def __init__(self) -> None:
         self._models: dict[str, PerfModel] = {}
         self._versions: dict[str, int] = {}
-        self.version = 0
 
     def add(self, perf: PerfModel) -> None:
         name = perf.model.name
         self._models[name] = perf
         self._versions[name] = self._versions.get(name, 0) + 1
-        self.version += 1
 
     def model_version(self, name: str) -> int:
         """Refit generation of one model type (0 if never fitted)."""

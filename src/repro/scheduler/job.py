@@ -9,6 +9,7 @@ preempted).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.placement import Placement
@@ -50,8 +51,10 @@ class JobSpec:
     tenant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.total_samples <= 0:
-            raise ValueError(f"{self.job_id}: total_samples must be positive")
+        if not (math.isfinite(self.total_samples) and self.total_samples > 0):
+            raise ValueError(
+                f"{self.job_id}: total_samples must be finite and positive"
+            )
         if self.requested.gpus < self.initial_plan.num_gpus:
             raise ValueError(
                 f"{self.job_id}: initial plan needs {self.initial_plan.num_gpus} "
@@ -125,11 +128,6 @@ class Job:
     #: Minimum resource demand found by the scheduler (Alg. 1); cached here.
     min_res: ResourceVector | None = None
     min_res_plan: ExecutionPlan | None = None
-    #: ``(model_version, value)`` memo of the scheduler's baseline
-    #: throughput prediction (requested resources + initial plan).  The
-    #: prediction is a pure function of the immutable spec and the fitted
-    #: model, so it is recomputed only when the model refits.
-    baseline_pred_cache: tuple[int, float] | None = None
 
     # ------------------------------------------------------------------
     @property

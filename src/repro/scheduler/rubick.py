@@ -279,17 +279,6 @@ class _RoundState:
         return True
 
 
-def _cpu_slopes_up(
-    selector: PlanSelector, job: Job, shape: ResourceShape, n: int
-) -> list[float]:
-    """``selector.cpu_slopes_up``, also for a duck-typed selector that
-    defines only ``cpu_slope_up``."""
-    batched = getattr(selector, "cpu_slopes_up", None)
-    if batched is None:
-        return PlanSelector.cpu_slopes_up(selector, job, shape, n)
-    return batched(job, shape, n)
-
-
 class RubickPolicy(SchedulerPolicy):
     """Rubick and its ablation variants (see module docstring)."""
 
@@ -357,31 +346,27 @@ class RubickPolicy(SchedulerPolicy):
     def _baseline_pred(self, job: Job, ctx: SchedulingContext) -> float:
         """Predicted throughput of (requested resources, initial plan).
 
-        Memoized on the job against the model's refit generation — the
-        inputs are the immutable spec and the fitted model, so the per-round
-        rebuild of the baseline table costs one dict lookup per job until a
-        refit lands.
+        Read through the engine's memo under the ``("fixed", plan)``
+        restriction :class:`FixedPlanSelector` uses, so the per-round
+        rebuild of the baseline table costs one memo probe per job, and a
+        refit reaches it like every other prediction.
         """
-        version = ctx.perf_store.model_version(job.model.name)
-        cached = job.baseline_pred_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        perf = ctx.perf_store.get(job.model)
+        plan = job.spec.initial_plan
         shape = ResourceShape.packed(
             job.spec.requested.gpus,
             node_size=ctx.cluster_spec.node.num_gpus,
             cpus=job.spec.requested.cpus,
         )
         try:
-            value = perf.throughput(
-                job.spec.initial_plan, shape, job.spec.global_batch
+            best = self.engine_for(ctx).best_of(
+                job.model, job.spec.global_batch, shape, (plan,),
+                key=("fixed", plan),
             )
         except (ValueError, ZeroDivisionError):
             # Degenerate shape or zero predicted iter time: score the job
             # with a neutral baseline rather than blocking the round.
-            value = 1.0
-        job.baseline_pred_cache = (version, value)
-        return value
+            return 1.0
+        return 1.0 if best is None else best.throughput
 
     def _ensure_min_res(self, job: Job, ctx: SchedulingContext) -> None:
         """Compute and cache the job's minimum resource demand (Alg. 1 text).
@@ -962,8 +947,8 @@ class RubickPolicy(SchedulerPolicy):
                 # run's slopes come from one row (DESIGN.md item 56).
                 run = min(node.free.cpus - node.free.gpus - 1, 256 - guard)
                 slopes = (
-                    _cpu_slopes_up(
-                        selector, job, shape.with_cpus(shape.cpus + 1), run
+                    selector.cpu_slopes_up(
+                        job, shape.with_cpus(shape.cpus + 1), run
                     )
                     if run > 0
                     else []

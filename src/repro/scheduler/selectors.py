@@ -35,52 +35,15 @@ class PlanSelector(abc.ABC):
 
     def __init__(self, engine: PlanEvalEngine):
         self.engine = engine
-        #: job_id -> (model refit version, job spec, curve).  A thin front
-        #: for the engine's curve memo: slope ranking hits `curve()` many
-        #: times per scheduling round, and the engine's generic lookup
-        #: (restriction key build + plan-space hash) costs more than this
-        #: one dict probe.  Entries are version-checked on every read, so a
-        #: refit falls through to the engine exactly like a direct call —
-        #: this is a cache of the *lookup*, never of stale results.  The
-        #: stored spec guards identity: a recycled job_id from a different
-        #: trace carries a different (kept-alive) spec object and misses.
-        self._curve_front: dict[str, tuple[int, object, GpuCurve]] = {}
 
     @abc.abstractmethod
     def best(self, job: Job, shape: ResourceShape) -> BestConfig | None:
         """Best permitted plan for the job on an exact shape (or None)."""
 
-    def best_many(
-        self, pairs: list[tuple[Job, ResourceShape]]
-    ) -> list[BestConfig | None]:
-        """Batch form of :meth:`best` over many (job, shape) pairs.
-
-        Results align positionally with ``pairs`` and are bit-identical to
-        per-pair :meth:`best` calls.  The base implementation simply loops;
-        selectors whose ``best`` is a pure engine request override it to
-        route the whole batch through
-        :meth:`~repro.planeval.PlanEvalEngine.best_of_many` so duplicate
-        (model, batch, shape) entries collapse to one evaluation.
-        """
-        return [self.best(job, shape) for job, shape in pairs]
-
     @abc.abstractmethod
-    def _build_curve(self, job: Job) -> GpuCurve:
-        """Engine-backed curve under this selector's plan restriction."""
-
     def curve(self, job: Job) -> GpuCurve:
-        """GPU sensitivity curve under this selector's plan restriction."""
-        version = self.engine.scorer.version(job.model)
-        cached = self._curve_front.get(job.job_id)
-        if (
-            cached is not None
-            and cached[0] == version
-            and cached[1] is job.spec
-        ):
-            return cached[2]
-        curve = self._build_curve(job)
-        self._curve_front[job.job_id] = (version, job.spec, curve)
-        return curve
+        """GPU sensitivity curve under this selector's plan restriction,
+        read from the engine's curve memo."""
 
     # ------------------------------------------------------------------
     # Slopes shared by all selectors
@@ -145,7 +108,7 @@ class BestPlanSelector(PlanSelector):
         request = PlanRequest(job.model, job.spec.global_batch, shape)
         return _slopes(self.engine.best_row(request, n + 1))
 
-    def _build_curve(self, job: Job) -> GpuCurve:
+    def curve(self, job: Job) -> GpuCurve:
         return self.engine.curve(job.model, job.spec.global_batch)
 
 
@@ -241,7 +204,7 @@ class ScaledDpSelector(PlanSelector):
         )
         return _slopes(self.engine.best_row(request, n + 1))
 
-    def _build_curve(self, job: Job) -> GpuCurve:
+    def curve(self, job: Job) -> GpuCurve:
         return self.engine.curve_of(
             job.model,
             job.spec.global_batch,
@@ -301,7 +264,7 @@ class FixedPlanSelector(PlanSelector):
             out[i] = best
         return out
 
-    def _build_curve(self, job: Job) -> GpuCurve:
+    def curve(self, job: Job) -> GpuCurve:
         return self.engine.curve_of(
             job.model,
             job.spec.global_batch,

@@ -575,8 +575,9 @@ class Simulator:
         Real-time mode passes ``clamp=True`` instead, re-stamping the job
         to "now" (wall-clock arrival order *is* the semantics there).
         Returns the (possibly re-stamped) trace job.  A request the cluster
-        cannot launch raises here, before anything is queued, through the
-        same memoized scoring admission uses.
+        cannot launch, or whose work is not finite, raises here, before
+        anything is queued: the job is derived exactly as admission will
+        derive it, through the same memoized scoring.
         """
         st, late = self._stream_stamp(
             f"job {tj.job_id!r} submit_time", tj.submit_time, clamp
@@ -594,7 +595,7 @@ class Simulator:
                 f"job {tj.job_id!r} requests {tj.requested_gpus} GPUs but "
                 f"the cluster has {self.cluster_spec.total_gpus}"
             )
-        self._intrinsics(tj)
+        self._make_job(tj)
         if late:
             tj = replace(tj, submit_time=st.now)
         st.result.profiling_seconds += (

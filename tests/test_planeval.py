@@ -170,9 +170,9 @@ class TestStatsAccounting:
         engine = _engine(fitted_store)
         shape = ResourceShape.packed(4, cpus=16)
         engine.best(GPT2, 16, shape)
-        enums = len(engine._enums)
+        enums = len(engine._memo.enums)
         engine.best(GPT2, 16, shape.with_cpus(17))  # CPU-slope probe
-        assert len(engine._enums) == enums  # same shape-class, no re-enum
+        assert len(engine._memo.enums) == enums  # same shape-class, no re-enum
 
     def test_snapshot_is_immutable(self, fitted_store):
         engine = _engine(fitted_store)
@@ -212,28 +212,6 @@ class TestVersionedInvalidation:
         store.add(slower)
         after = engine.best(GPT2, 16, shape)
         assert after.throughput < before.throughput
-
-    def test_manual_invalidate(self, fitted_store):
-        engine = _engine(fitted_store)
-        shape = ResourceShape.packed(2, cpus=8)
-        a = engine.best(GPT2, 16, shape)
-        engine.invalidate(GPT2.name)
-        b = engine.best(GPT2, 16, shape)
-        assert a is not b
-        assert engine.stats().invalidations == 1
-
-    def test_manual_invalidate_drops_the_shared_slab(self, fitted_store):
-        store = _local_store(fitted_store, GPT2)
-        memo = PlanMemo()
-        engine = PlanEvalEngine(PAPER_CLUSTER, perf_store=store, memo=memo)
-        shape = ResourceShape.packed(2, cpus=8)
-        a = engine.best(GPT2, 16, shape)
-        engine.invalidate(GPT2.name)
-        b = engine.best(GPT2, 16, shape)
-        assert a is not b
-        # Another engine on the memo sees the recomputed entry.
-        other = PlanEvalEngine(PAPER_CLUSTER, perf_store=store, memo=memo)
-        assert other.best(GPT2, 16, shape) is b
 
     def test_shared_memo_keys_on_model_identity_and_generation(
         self, fitted_store

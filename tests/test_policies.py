@@ -465,6 +465,12 @@ class _TableSelector:
             return 0.0
         return self.cpu_up[shape.cpus % len(self.cpu_up)]
 
+    def cpu_slopes_up(self, job, shape, n):
+        return [
+            self.cpu_slope_up(job, shape.with_cpus(shape.cpus + i))
+            for i in range(n)
+        ]
+
 
 @st.composite
 def _round_scenarios(draw):

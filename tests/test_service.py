@@ -431,6 +431,13 @@ class TestLoopback:
         error = self._raw_submit_error(trace, "global_batch", batch)
         assert "global_batch must be positive" in error
 
+    def test_infinite_work_gets_error_and_master_survives(self, workload):
+        trace, _ = workload
+        # A finite duration whose work (duration x throughput) overflows:
+        # admitted, it could never finish and would end the session.
+        error = self._raw_submit_error(trace, "duration", "1e308")
+        assert "total_samples must be finite" in error
+
     def test_infeasible_submit_is_rejected_before_the_ack(self, workload):
         trace, _ = workload
         master, thread = start_master(make_sim())
