@@ -285,6 +285,23 @@ class TestCalendarClusterEvents:
         assert not cal.has_cluster_events
         assert cal.next_event_time(90.0) == 390.0  # back to ticks
 
+    def test_pushed_events_merge_with_the_stream(self):
+        batch = [
+            ClusterEvent(time=5.0, kind=NODE_FAIL, node_id=i) for i in (7, 6)
+        ]
+        cal = EventCalendar([], tick_interval=300.0, cluster_events=batch)
+        pushed = [
+            ClusterEvent(time=t, kind=NODE_FAIL, node_id=i)
+            for i, t in enumerate((5.0, 1.0, 5.0))
+        ]
+        for event in pushed:
+            cal.push_cluster_event(event)
+        assert cal.next_event_time(0.0) == 1.0
+        assert list(cal.pop_cluster_events(5.0)) == [
+            pushed[1], batch[0], batch[1], pushed[0], pushed[2],
+        ]
+        assert not cal.has_cluster_events
+
     def test_clock_stops_exactly_at_event_time(self):
         events = [ClusterEvent(time=123.0, kind=NODE_FAIL, node_id=0)]
         cal = EventCalendar([], tick_interval=300.0, cluster_events=events)

@@ -177,6 +177,24 @@ class TestEventCalendar:
         assert [a.submit_time for a in cal.pop_arrivals(10.0)] == [5.0]
         assert not cal.has_arrivals
 
+    def test_pushed_arrivals_merge_with_the_trace(self):
+        # Trace order among batch ties, push order among pushed ties, and
+        # the batch entry before a pushed one at the same time.
+        batch = [_Arrival(t) for t in (1.0, 2.0, 2.0)]
+        cal = EventCalendar(batch, tick_interval=300.0)
+        late, early, tied_a, tied_b = (
+            _Arrival(t) for t in (3.0, 0.5, 2.0, 2.0)
+        )
+        for arrival in (late, early, tied_a, tied_b):
+            cal.push_arrival(arrival)
+        assert cal.first_arrival_time() == 0.5
+        assert list(cal.pop_arrivals(2.0)) == [
+            early, batch[0], batch[1], batch[2], tied_a, tied_b,
+        ]
+        assert cal.next_event_time(2.0) == 3.0
+        assert list(cal.pop_arrivals(10.0)) == [late]
+        assert not cal.has_arrivals
+
     def test_pending_policy_round_stops_the_clock(self):
         job = _job("a", throughput=1.0, samples_left=200.0)  # completes at 200
         cal = EventCalendar([], tick_interval=300.0)
