@@ -356,19 +356,51 @@ def _guarded_run(
             store.release_lease(run.run_key)
 
 
-def _pool_run(args):
-    """Top-level worker body (must be importable under spawn)."""
-    run, out_dir, plan, max_attempts, run_timeout = args
-    store = RunStore(out_dir) if out_dir is not None else None
+def _run_row(run, store, plan, max_attempts, run_timeout):
+    """One run's ``(key, status, perf, result, failure)``, as
+    :func:`run_sweep` tallies it."""
     status, execution, failure = _guarded_run(
         run, store, plan, max_attempts, run_timeout
     )
     if status != "ok":
         return run.run_key, status, None, None, failure
-    payload = (
-        None if out_dir is not None else result_to_dict(execution.result)
+    return run.run_key, status, run_perf(execution), execution.result, None
+
+
+def _pool_run(args):
+    """Top-level worker body (must be importable under spawn): the run's
+    row, its result shipped as a document unless the store keeps it."""
+    run, out_dir, plan, max_attempts, run_timeout = args
+    store = RunStore(out_dir) if out_dir is not None else None
+    key, status, perf, result, failure = _run_row(
+        run, store, plan, max_attempts, run_timeout
     )
-    return run.run_key, status, run_perf(execution), payload, None
+    payload = (
+        None if result is None or store is not None
+        else result_to_dict(result)
+    )
+    return key, status, perf, payload, failure
+
+
+def _pool_rows(todo, out_dir, plan, max_attempts, run_timeout, workers):
+    """:func:`_run_row` of every run, from a spawn pool, as they finish."""
+    ctx = mp.get_context("spawn")
+    # Group same-trace runs into contiguous chunks so each worker's
+    # per-process trace memo gets hits (results are independent of
+    # execution order, so this only affects wall clock).  Chunks never
+    # exceed a fingerprint group: larger chunks would trade load balance
+    # for no extra memo hits.
+    ordered = sorted(todo, key=_trace_memo_key)
+    processes = min(workers, len(todo))
+    group = min(Counter(map(_trace_memo_key, ordered)).values())
+    chunk = max(1, min(-(-len(ordered) // processes), group))
+    jobs = [(run, out_dir, plan, max_attempts, run_timeout) for run in ordered]
+    with ctx.Pool(processes=processes) as pool:
+        for key, status, perf, payload, failure in pool.imap_unordered(
+            _pool_run, jobs, chunksize=chunk
+        ):
+            result = None if payload is None else result_from_dict(payload)
+            yield key, status, perf, result, failure
 
 
 @dataclass
@@ -488,72 +520,42 @@ def run_sweep(
     if outcome.skipped:
         say(f"resume: {len(outcome.skipped)}/{len(runs)} runs already on disk")
 
-    leased: set[str] = set()
     if workers <= 1 or len(todo) <= 1:
-        for run in todo:
-            status, execution, failure = _guarded_run(
-                run, store, fault_plan, max_attempts, run_timeout
+        rows = (
+            _run_row(run, store, fault_plan, max_attempts, run_timeout)
+            for run in todo
+        )
+    else:
+        rows = _pool_rows(
+            todo, out_dir, fault_plan, max_attempts, run_timeout, workers
+        )
+    leased: set[str] = set()
+    for key, status, perf, result, failure in rows:
+        if status == "leased":
+            leased.add(key)
+            say(f"leased elsewhere, skipping {key}")
+            continue
+        if status == "failed":
+            outcome.failures[key] = failure
+            say(
+                f"quarantined {key} after "
+                f"{len(failure['attempts'])} attempt(s): {failure['error']}"
             )
-            if status == "leased":
-                leased.add(run.run_key)
-                say(f"leased elsewhere, skipping {run.run_key}")
-                continue
-            if status == "failed":
-                outcome.failures[run.run_key] = failure
-                say(
-                    f"quarantined {run.run_key} after "
-                    f"{len(failure['attempts'])} attempt(s): "
-                    f"{failure['error']}"
-                )
-                continue
-            outcome.results[run.run_key] = execution.result
-            outcome.perf[run.run_key] = run_perf(execution)
-            say(f"done {run.run_key} ({execution.wall_seconds:.1f}s)")
-    elif todo:
-        ctx = mp.get_context("spawn")
-        # Group same-trace runs into contiguous chunks so each worker's
-        # per-process trace memo gets hits (results are independent of
-        # execution order, so this only affects wall clock).  Chunks never
-        # exceed a fingerprint group: larger chunks would trade load
-        # balance for no extra memo hits.
-        ordered = sorted(todo, key=_trace_memo_key)
-        processes = min(workers, len(todo))
-        group = min(Counter(map(_trace_memo_key, ordered)).values())
-        chunk = max(1, min(-(-len(ordered) // processes), group))
-        jobs = [
-            (run, out_dir, fault_plan, max_attempts, run_timeout)
-            for run in ordered
-        ]
-        with ctx.Pool(processes=processes) as pool:
-            for key, status, perf, payload, failure in pool.imap_unordered(
-                _pool_run, jobs, chunksize=chunk
+            continue
+        outcome.perf[key] = perf
+        if result is not None:
+            outcome.results[key] = result
+        say(f"done {key} ({perf['wall_seconds']:.1f}s)")
+    if store is not None:
+        # Pool workers leave their results in the store.
+        for run in todo:
+            key = run.run_key
+            if (
+                key not in outcome.results
+                and key not in outcome.failures
+                and key not in leased
             ):
-                if status == "leased":
-                    leased.add(key)
-                    say(f"leased elsewhere, skipping {key}")
-                    continue
-                if status == "failed":
-                    outcome.failures[key] = failure
-                    say(
-                        f"quarantined {key} after "
-                        f"{len(failure['attempts'])} attempt(s): "
-                        f"{failure['error']}"
-                    )
-                    continue
-                outcome.perf[key] = perf
-                if payload is not None:
-                    outcome.results[key] = result_from_dict(payload)
-                say(f"done {key} ({perf['wall_seconds']:.1f}s)")
-        if store is not None:
-            for run in todo:
-                if (
-                    run.run_key not in outcome.results
-                    and run.run_key not in outcome.failures
-                    and run.run_key not in leased
-                ):
-                    outcome.results[run.run_key] = store.load_result(
-                        run.run_key
-                    )
+                outcome.results[key] = store.load_result(key)
 
     # Resumed runs still participate in aggregation: load them back.
     if store is not None:

@@ -29,7 +29,7 @@ and the simulator's intrinsic-work accounting — routes through one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.cluster.topology import ClusterSpec
 from repro.models.catalog import is_small_model
@@ -62,9 +62,10 @@ class EngineStats:
     """Snapshot of the engine's cache counters (monotone since construction).
 
     ``hits``/``misses`` count memo-table lookups across all entry points
-    (``best``, ``best_of``, each CPU count of ``best_row``, ``curve``,
-    ``curve_of``); ``evals`` counts individual plans scored through the
-    backend (a CPU-split scorer re-scores only the offload plans); and
+    (``best``, ``best_of``, each request of ``best_of_many``, each CPU
+    count of ``best_row``, ``curve``, ``curve_of``); ``evals`` counts
+    individual plans scored through the backend (a CPU-split scorer
+    re-scores only the offload plans); and
     ``invalidations`` counts per-model cache drops triggered by a backend
     version change (i.e. online refits observed).
     """
@@ -93,15 +94,20 @@ class EngineStats:
         }
 
 
-@dataclass(frozen=True)
-class PlanRequest:
-    """One entry of a batched :meth:`PlanEvalEngine.best_of_many` call.
+class PlanRequest(NamedTuple):
+    """One best-plan question: a model, batch and shape under a plan
+    restriction (:meth:`PlanEvalEngine.best_of`, ``best_of_many`` and
+    ``best_row``).
 
-    ``candidates=None`` asks for the model's full (memoized) enumeration —
-    the :meth:`PlanEvalEngine.best` path; an explicit tuple (or a lazy
-    callable plus ``key``) follows the restricted :meth:`~PlanEvalEngine.
-    best_of` path.  Flags mirror the corresponding single-request entry
-    points exactly, so a batched call returns bit-identical configs.
+    ``key`` names the restriction in the memo and ``candidates`` yields its
+    plans: a sequence, or a zero-argument callable run only on a memo
+    miss.  The candidates may read the shape's GPUs, nodes and
+    densest-node share but not its CPU count, so one list serves a whole
+    shape class.  Leaving both ``None`` asks for the model's full
+    enumeration, as :meth:`PlanEvalEngine.best` does.  The filters drop
+    plans over the GPU memory budget or the densest node's host memory.
+    A named tuple, in :meth:`PlanEvalEngine._shape_class`'s parameter
+    order: selectors build one per lookup.
     """
 
     model: ModelSpec
@@ -331,31 +337,18 @@ class PlanEvalEngine:
         check_gpu_mem: bool,
         check_host_mem: bool,
     ) -> _ShapeClass:
-        """The memoized shape class of ``shape`` under one restriction.
-
-        ``candidates`` is None for the full enumeration; otherwise it
-        yields the restricted candidates, and must not read the CPU count.
-        ``key`` names the restriction; without one, the candidate tuple
-        itself does, and the candidates cannot be lazy.
-        """
-        if candidates is None:
-            restriction: object = None
-        elif key is not None:
-            restriction = key
-        elif callable(candidates):
-            raise ValueError("lazy candidates require an explicit key")
-        else:
-            candidates = restriction = tuple(candidates)
+        """The memoized shape class of ``shape`` under one restriction
+        (the fields of a :class:`PlanRequest`; ``key=None`` is the full
+        enumeration)."""
         classes = self._slab(model).classes
         class_key = (
             global_batch, shape.gpus, shape.num_nodes,
-            shape.min_gpus_per_node, restriction,
-            check_gpu_mem, check_host_mem,
+            shape.min_gpus_per_node, key, check_gpu_mem, check_host_mem,
         )
         cls = classes.get(class_key)
         if cls is not None:
             return cls
-        if restriction is None:
+        if key is None:
             plans = self.plans_for(
                 model, global_batch, shape.gpus, shape.min_gpus_per_node
             )
@@ -458,68 +451,37 @@ class PlanEvalEngine:
         )
         return self._best_at(cls, model, global_batch, shape, shape.cpus)
 
-    def best_of(
-        self,
-        model: ModelSpec,
-        global_batch: int,
-        shape: ResourceShape,
-        candidates: Sequence[ExecutionPlan] | Callable[[], Sequence[ExecutionPlan]],
-        *,
-        key: tuple | None = None,
-        check_gpu_mem: bool = False,
-        check_host_mem: bool = False,
-    ) -> BestConfig | None:
-        """Best plan among an explicit candidate list (restricted selectors).
-
-        ``key`` identifies the restriction that produced the candidates
-        (e.g. ``("scaled_dp", initial_plan)``); with it, ``candidates`` may
-        be a zero-argument callable that is only invoked on a cache miss.
-        Without ``key``, the candidate tuple itself keys the memo entry.
-        Either way the candidates may depend on the shape's GPUs, nodes
-        and densest-node share, but not on its CPU count: one candidate
-        list serves the whole shape class.
-        """
-        cls = self._shape_class(
-            model, global_batch, shape, candidates, key, check_gpu_mem,
-            check_host_mem,
-        )
-        return self._best_at(cls, model, global_batch, shape, shape.cpus)
+    def best_of(self, req: PlanRequest) -> BestConfig | None:
+        """Best plan for one request (the restricted selectors' lookup)."""
+        shape = req.shape
+        cls = self._shape_class(*req)
+        return self._best_at(cls, req.model, req.global_batch, shape, shape.cpus)
 
     def best_row(self, req: PlanRequest, count: int) -> list[BestConfig | None]:
         """``req``'s best config at ``count`` successive CPU counts.
 
-        Entry ``i`` equals the :meth:`best` (or :meth:`best_of`) answer at
+        Entry ``i`` equals the :meth:`best_of` answer at
         ``req.shape.with_cpus(req.shape.cpus + i)``, read straight from
         the shape class: a CPU-slope scan costs one class lookup and the
         offload plans' re-scores, not two memo probes per CPU.
         """
         shape = req.shape
-        if req.candidates is None and shape.gpus <= 0:
-            return [None] * count
-        cls = self._shape_class(
-            req.model, req.global_batch, shape, req.candidates, req.key,
-            req.check_gpu_mem, req.check_host_mem,
-        )
+        cls = self._shape_class(*req)
         return [
             self._best_at(cls, req.model, req.global_batch, shape, cpus)
             for cpus in range(shape.cpus, shape.cpus + count)
         ]
 
     def best_of_many(
-        self, requests: Sequence[PlanRequest]
+        self, requests: Sequence[PlanRequest | None]
     ) -> list[BestConfig | None]:
-        """Resolve a whole queue's best-plan requests in one batched pass.
+        """:meth:`best_of` of each request, in one call (``None`` where
+        the request is ``None``: a shape its restriction cannot host).
 
-        Policies that would loop ``best()``/``best_of()`` per job hand the
-        full request list over instead.  Each *distinct* cold request runs
-        exactly one fused scoring pass over its candidate set, and a
-        duplicate (jobs sharing a model/batch/shape, the common case in a
-        large pending queue) is a shape-class memo hit.  Results are
-        positionally aligned with ``requests`` and bit-identical to the
-        equivalent sequence of single calls (same memo, same scoring path,
-        same tie-breaking argmax).
+        A duplicate request (jobs sharing a model, batch and shape class,
+        common in a large pending queue) is a shape-class memo hit.
         """
-        return [self.best_row(req, 1)[0] for req in requests]
+        return [None if req is None else self.best_of(req) for req in requests]
 
     def score_all(
         self,
@@ -556,6 +518,25 @@ class PlanEvalEngine:
             cpus=min(gpus * DEFAULT_CPUS_PER_GPU, self.cpu_cap(gpus)),
         )
 
+    def _curve(
+        self,
+        model: ModelSpec,
+        key: tuple,
+        limit: int,
+        point_fn: Callable[[ResourceShape], BestConfig | None],
+    ) -> GpuCurve:
+        """The memoized envelope of ``point_fn`` at 1..``limit`` packed GPUs."""
+        curves = self._slab(model).curves
+        curve = curves.get(key)
+        if curve is not None:
+            self._hits += 1
+            return curve
+        self._misses += 1
+        raw: list[BestConfig | None] = [None]
+        raw += [point_fn(self._packed_shape(g)) for g in range(1, limit + 1)]
+        curve = curves[key] = build_envelope(limit, raw)
+        return curve
+
     def curve(
         self,
         model: ModelSpec,
@@ -565,17 +546,10 @@ class PlanEvalEngine:
     ) -> GpuCurve:
         """Full-space GPU sensitivity curve (upper envelope, Fig. 6)."""
         limit = max_gpus if max_gpus is not None else self.cluster_spec.total_gpus
-        slab = self._slab(model)
-        key = ("full", global_batch, limit)
-        if key in slab.curves:
-            self._hits += 1
-            return slab.curves[key]
-        self._misses += 1
-        raw: list[BestConfig | None] = [None]
-        for g in range(1, limit + 1):
-            raw.append(self.best(model, global_batch, self._packed_shape(g)))
-        curve = slab.curves[key] = build_envelope(limit, raw)
-        return curve
+        return self._curve(
+            model, ("full", global_batch, limit), limit,
+            lambda shape: self.best(model, global_batch, shape),
+        )
 
     def curve_of(
         self,
@@ -586,21 +560,12 @@ class PlanEvalEngine:
     ) -> GpuCurve:
         """Sensitivity curve under a plan restriction (variant selectors).
 
-        ``key`` identifies the restriction (it scopes the memo entry);
-        ``point_fn`` maps a packed shape to the restricted best config and is
-        only called on a cache miss.  Versioned invalidation applies exactly
-        as for :meth:`curve` — this is what fixes the stale-curve hazard of
-        the selectors' former private caches.
+        ``key`` names the restriction (it scopes the memo entry);
+        ``point_fn`` maps a packed shape to the restricted best config and
+        is only called on a memo miss.  The curve lives in the model's
+        slab, so a refit drops it as it drops :meth:`curve`'s.
         """
-        limit = self.cluster_spec.total_gpus
-        slab = self._slab(model)
-        memo_key = ("restricted", key, global_batch)
-        if memo_key in slab.curves:
-            self._hits += 1
-            return slab.curves[memo_key]
-        self._misses += 1
-        raw: list[BestConfig | None] = [None]
-        for g in range(1, limit + 1):
-            raw.append(point_fn(self._packed_shape(g)))
-        curve = slab.curves[memo_key] = build_envelope(limit, raw)
-        return curve
+        return self._curve(
+            model, ("restricted", key, global_batch),
+            self.cluster_spec.total_gpus, point_fn,
+        )

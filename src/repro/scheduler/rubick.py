@@ -346,12 +346,11 @@ class RubickPolicy(SchedulerPolicy):
     def _baseline_pred(self, job: Job, ctx: SchedulingContext) -> float:
         """Predicted throughput of (requested resources, initial plan).
 
-        Read through the engine's memo under the ``("fixed", plan)``
-        restriction :class:`FixedPlanSelector` uses, so the per-round
-        rebuild of the baseline table costs one memo probe per job, and a
-        refit reaches it like every other prediction.
+        Read through the engine's memo as :class:`FixedPlanSelector`'s
+        unguarded request, so the per-round rebuild of the baseline table
+        costs one memo probe per job, and a refit reaches it like every
+        other prediction.
         """
-        plan = job.spec.initial_plan
         shape = ResourceShape.packed(
             job.spec.requested.gpus,
             node_size=ctx.cluster_spec.node.num_gpus,
@@ -359,8 +358,7 @@ class RubickPolicy(SchedulerPolicy):
         )
         try:
             best = self.engine_for(ctx).best_of(
-                job.model, job.spec.global_batch, shape, (plan,),
-                key=("fixed", plan),
+                FixedPlanSelector.submitted(job, shape)
             )
         except (ValueError, ZeroDivisionError):
             # Degenerate shape or zero predicted iter time: score the job

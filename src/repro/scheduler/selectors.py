@@ -1,7 +1,7 @@
 """Plan selectors: how a policy maps a resource shape to an execution plan.
 
-The full Rubick treats the entire plan space as reconfigurable; the ablation
-variants and baselines restrict it (paper §7.3):
+Rubick and its ablations differ in one thing, the execution plans a job may
+take (paper §7.3):
 
 * :class:`BestPlanSelector` — full reconfigurability (Rubick, Rubick-E).
 * :class:`ScaledDpSelector` — the plan *type* is frozen at submission; only
@@ -10,14 +10,14 @@ variants and baselines restrict it (paper §7.3):
 * :class:`FixedPlanSelector` — the submitted plan, verbatim, at exactly its
   GPU count (Rubick-N, Synergy, AntMan).
 
-Selectors also expose sensitivity curves consistent with their restriction,
-so slope-based ranking reflects what each policy can actually do.  All
-scoring and memoization routes through the policy's shared
-:class:`~repro.planeval.PlanEvalEngine`: restricted selectors hand the
-engine their candidate lists (``best_of``) and curve builders
-(``curve_of``) under a restriction key, and the engine's per-model refit
-versioning keeps every cached result consistent with online model updates —
-the selectors hold no caches of their own.
+Each selector states its restriction once, as :meth:`PlanSelector.request`:
+the engine request (candidates, memo key, memory filters) for a job at a
+shape, or ``None`` where the shape can host no permitted plan.  The base
+class derives everything a policy asks from it — the best plan at a shape,
+a batch of them, CPU slopes and the restricted sensitivity curve — and the
+policy's shared :class:`~repro.planeval.PlanEvalEngine` answers, so every
+answer follows online refits through the engine's per-model versioning.
+The selectors hold no caches of their own.
 """
 
 from __future__ import annotations
@@ -33,20 +33,53 @@ from repro.scheduler.job import Job
 class PlanSelector(abc.ABC):
     """Maps (job, shape) -> best permitted plan, with matching curves."""
 
+    #: Names the restriction in memo keys, next to the submitted plan.
+    restriction: str
+
     def __init__(self, engine: PlanEvalEngine):
         self.engine = engine
 
     @abc.abstractmethod
+    def request(self, job: Job, shape: ResourceShape) -> PlanRequest | None:
+        """The engine request for the job's permitted plans at ``shape``,
+        or None if the shape can host none.  Neither the answer nor the
+        candidates may read ``shape.cpus``: one request's restriction
+        serves every CPU count of the shape class."""
+
     def best(self, job: Job, shape: ResourceShape) -> BestConfig | None:
         """Best permitted plan for the job on an exact shape (or None)."""
+        req = self.request(job, shape)
+        return None if req is None else self.engine.best_of(req)
 
-    @abc.abstractmethod
+    def best_many(
+        self, pairs: list[tuple[Job, ResourceShape]]
+    ) -> list[BestConfig | None]:
+        """:meth:`best` of each ``(job, shape)`` pair, in one engine call."""
+        return self.engine.best_of_many(
+            [self.request(job, shape) for job, shape in pairs]
+        )
+
+    def _row(
+        self, job: Job, shape: ResourceShape, count: int
+    ) -> list[BestConfig | None]:
+        """:meth:`best` at ``shape.cpus``, ``+1``, …, ``+count-1`` CPUs."""
+        req = self.request(job, shape)
+        if req is None:
+            return [None] * count
+        return self.engine.best_row(req, count)
+
     def curve(self, job: Job) -> GpuCurve:
         """GPU sensitivity curve under this selector's plan restriction,
         read from the engine's curve memo."""
+        return self.engine.curve_of(
+            job.model,
+            job.spec.global_batch,
+            (self.restriction, job.spec.initial_plan),
+            lambda shape: self.best(job, shape),
+        )
 
     # ------------------------------------------------------------------
-    # Slopes shared by all selectors
+    # Slopes
     # ------------------------------------------------------------------
     def gpu_slope_up(self, job: Job, gpus: int) -> float:
         """Marginal gain of more GPUs, looking past gang-size plateaus."""
@@ -55,58 +88,38 @@ class PlanSelector(abc.ABC):
     def gpu_slope_down(self, job: Job, gpus: int) -> float:
         return self.curve(job).slope_down(gpus)
 
-    def cpu_slope_up(self, job: Job, shape: ResourceShape) -> float:
-        base = self.best(job, shape)
-        more = self.best(job, shape.with_cpus(shape.cpus + 1))
-        if base is None or more is None:
-            return 0.0
-        return more.throughput - base.throughput
-
     def cpu_slopes_up(
         self, job: Job, shape: ResourceShape, n: int
     ) -> list[float]:
-        """:meth:`cpu_slope_up` at ``shape.cpus``, ``+1``, …, ``+n-1`` CPUs.
-
-        The base implementation loops; selectors whose ``best`` is one
-        engine request override it to read the whole run from one
-        :meth:`~repro.planeval.PlanEvalEngine.best_row`.
-        """
+        """:meth:`cpu_slope_up` at ``shape.cpus``, ``+1``, …, ``+n-1``
+        CPUs, read from one engine row."""
+        row = self._row(job, shape, n + 1)
         return [
-            self.cpu_slope_up(job, shape.with_cpus(shape.cpus + i))
-            for i in range(n)
+            more.throughput - base.throughput
+            if base is not None and more is not None
+            else 0.0
+            for base, more in zip(row, row[1:])
         ]
+
+    def cpu_slope_up(self, job: Job, shape: ResourceShape) -> float:
+        return self.cpu_slopes_up(job, shape, 1)[0]
 
     def cpu_slope_down(self, job: Job, shape: ResourceShape) -> float:
         if shape.cpus - 1 < max(shape.gpus, 1):
             return float("inf")
-        base = self.best(job, shape)
-        less = self.best(job, shape.with_cpus(shape.cpus - 1))
+        less, base = self._row(job, shape.with_cpus(shape.cpus - 1), 2)
         if base is None or less is None:
             return float("inf")
         return base.throughput - less.throughput
 
 
-def _slopes(row: list[BestConfig | None]) -> list[float]:
-    """Throughput gain of each step along a row of best configs."""
-    return [
-        more.throughput - base.throughput
-        if base is not None and more is not None
-        else 0.0
-        for base, more in zip(row, row[1:])
-    ]
-
-
 class BestPlanSelector(PlanSelector):
     """Full plan reconfigurability: the engine's full-space search."""
 
-    def best(self, job: Job, shape: ResourceShape) -> BestConfig | None:
-        return self.engine.best(job.model, job.spec.global_batch, shape)
-
-    def cpu_slopes_up(
-        self, job: Job, shape: ResourceShape, n: int
-    ) -> list[float]:
-        request = PlanRequest(job.model, job.spec.global_batch, shape)
-        return _slopes(self.engine.best_row(request, n + 1))
+    def request(self, job: Job, shape: ResourceShape) -> PlanRequest | None:
+        if shape.gpus <= 0:
+            return None
+        return PlanRequest(job.model, job.spec.global_batch, shape)
 
     def curve(self, job: Job) -> GpuCurve:
         return self.engine.curve(job.model, job.spec.global_batch)
@@ -119,6 +132,8 @@ class ScaledDpSelector(PlanSelector):
     keep the batch divisible).  For a 3D plan the TP/PP sizes are frozen and
     DP = gpus / (tp·pp) — the paper's description of Sia's claimed scaling.
     """
+
+    restriction = "scaled_dp"
 
     def _candidates(
         self, job: Job, gpus: int, min_gpus_per_node: int
@@ -174,100 +189,43 @@ class ScaledDpSelector(PlanSelector):
                 ga *= 2
         return list(dict.fromkeys(candidates))
 
-    def best(self, job: Job, shape: ResourceShape) -> BestConfig | None:
+    def request(self, job: Job, shape: ResourceShape) -> PlanRequest | None:
         if shape.gpus <= 0:
             return None
-        return self.engine.best_of(
+        return PlanRequest(
             job.model,
             job.spec.global_batch,
             shape,
             lambda: self._candidates(job, shape.gpus, shape.min_gpus_per_node),
-            key=("scaled_dp", job.spec.initial_plan),
+            (self.restriction, job.spec.initial_plan),
             check_gpu_mem=True,
-            check_host_mem=True,
-        )
-
-    def cpu_slopes_up(
-        self, job: Job, shape: ResourceShape, n: int
-    ) -> list[float]:
-        if shape.gpus <= 0:
-            return [0.0] * n
-        request = PlanRequest(
-            job.model,
-            job.spec.global_batch,
-            shape,
-            candidates=lambda: self._candidates(
-                job, shape.gpus, shape.min_gpus_per_node
-            ),
-            key=("scaled_dp", job.spec.initial_plan),
-            check_gpu_mem=True,
-        )
-        return _slopes(self.engine.best_row(request, n + 1))
-
-    def curve(self, job: Job) -> GpuCurve:
-        return self.engine.curve_of(
-            job.model,
-            job.spec.global_batch,
-            ("scaled_dp", job.spec.initial_plan),
-            lambda shape: self.best(job, shape),
         )
 
 
 class FixedPlanSelector(PlanSelector):
     """The submitted plan only, at exactly its GPU count."""
 
-    def best(self, job: Job, shape: ResourceShape) -> BestConfig | None:
+    restriction = "fixed"
+
+    @classmethod
+    def submitted(cls, job: Job, shape: ResourceShape) -> PlanRequest:
+        """The submitted plan at ``shape``, without :meth:`request`'s shape
+        guards: Rubick's SLA baseline scores it at the requested shape,
+        which may hold more GPUs than the plan uses."""
+        plan = job.spec.initial_plan
+        return PlanRequest(
+            job.model,
+            job.spec.global_batch,
+            shape,
+            (plan,),
+            (cls.restriction, plan),
+            check_host_mem=False,
+        )
+
+    def request(self, job: Job, shape: ResourceShape) -> PlanRequest | None:
         plan = job.spec.initial_plan
         if shape.gpus != plan.num_gpus:
             return None
         if plan.tp > max(shape.min_gpus_per_node, 1):
             return None
-        return self.engine.best_of(
-            job.model,
-            job.spec.global_batch,
-            shape,
-            (plan,),
-            key=("fixed", plan),
-        )
-
-    def best_many(
-        self, pairs: list[tuple[Job, ResourceShape]]
-    ) -> list[BestConfig | None]:
-        """One batched engine call for the whole pending queue.
-
-        Pairs whose shape cannot host the submitted plan short-circuit to
-        ``None`` exactly as :meth:`best` does; the rest become
-        :class:`~repro.planeval.PlanRequest` entries resolved in one
-        :meth:`~repro.planeval.PlanEvalEngine.best_of_many` pass.
-        """
-        out: list[BestConfig | None] = [None] * len(pairs)
-        requests: list[PlanRequest] = []
-        slots: list[int] = []
-        for i, (job, shape) in enumerate(pairs):
-            plan = job.spec.initial_plan
-            if shape.gpus != plan.num_gpus:
-                continue
-            if plan.tp > max(shape.min_gpus_per_node, 1):
-                continue
-            requests.append(
-                PlanRequest(
-                    model=job.model,
-                    global_batch=job.spec.global_batch,
-                    shape=shape,
-                    candidates=(plan,),
-                    key=("fixed", plan),
-                    check_host_mem=False,
-                )
-            )
-            slots.append(i)
-        for i, best in zip(slots, self.engine.best_of_many(requests)):
-            out[i] = best
-        return out
-
-    def curve(self, job: Job) -> GpuCurve:
-        return self.engine.curve_of(
-            job.model,
-            job.spec.global_batch,
-            ("fixed", job.spec.initial_plan),
-            lambda shape: self.best(job, shape),
-        )
+        return self.submitted(job, shape)

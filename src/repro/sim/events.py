@@ -42,11 +42,73 @@ replaces both with incremental state:
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from repro.scheduler.job import Job, JobStatus
 
 _EPS = 1e-6
+
+
+class _Stream:
+    """A time-sorted batch merged with entries pushed later.
+
+    The batch drains through a cursor and pushed entries through a
+    ``(time, push_seq, item)`` min-heap: the seq keeps pushed ties in push
+    order and the payloads out of tuple comparison.  A batch entry goes
+    before a pushed one at the same time, and batch ties keep their batch
+    order.
+    """
+
+    __slots__ = ("_batch", "_cursor", "_pushed", "_seq", "_time_of")
+
+    def __init__(self, batch: Sequence, time_of: Callable) -> None:
+        self._batch = batch
+        self._cursor = 0
+        self._pushed: list[tuple[float, int, object]] = []
+        self._seq = 0
+        self._time_of = time_of
+
+    def __bool__(self) -> bool:
+        return bool(self._pushed) or self._cursor < len(self._batch)
+
+    def push(self, item) -> None:
+        self._seq += 1
+        heapq.heappush(self._pushed, (self._time_of(item), self._seq, item))
+
+    def next_time(self) -> float | None:
+        time: float | None = None
+        if self._cursor < len(self._batch):
+            time = self._time_of(self._batch[self._cursor])
+        if self._pushed:
+            pushed = self._pushed[0][0]
+            if time is None or pushed < time:
+                time = pushed
+        return time
+
+    def pop(self, cutoff: float) -> Iterable:
+        """Consume and yield every entry due at or before ``cutoff``, in
+        time order."""
+        batch, pushed, time_of = self._batch, self._pushed, self._time_of
+        while True:
+            batch_t = (
+                time_of(batch[self._cursor])
+                if self._cursor < len(batch)
+                else None
+            )
+            push_t = pushed[0][0] if pushed else None
+            if (
+                batch_t is not None
+                and batch_t <= cutoff
+                and (push_t is None or batch_t <= push_t)
+            ):
+                item = batch[self._cursor]
+                self._cursor += 1
+                yield item
+            elif push_t is not None and push_t <= cutoff:
+                yield heapq.heappop(pushed)[2]
+            else:
+                return
 
 
 class EventCalendar:
@@ -65,22 +127,15 @@ class EventCalendar:
         tick_interval: float,
         cluster_events: Sequence = (),
     ):
-        self._arrivals = arrivals
-        self._cursor = 0
+        self._arrivals = _Stream(arrivals, attrgetter("submit_time"))
         self.tick_interval = tick_interval
-        #: Cluster-dynamics events (failures/recoveries/scaling), drained by
-        #: a second sorted cursor.  They are hard events like arrivals: the
-        #: clock must stop exactly at each one so the simulator applies it
-        #: (and re-invokes the policy) at the right instant.
-        self._cluster_events = sorted(cluster_events, key=lambda e: e.time)
-        self._cluster_cursor = 0
-        #: Live-session side channels: arrivals/cluster events pushed after
-        #: construction (streaming submissions).  ``(time, push_seq, item)``
-        #: heaps — the seq breaks time ties in push order and keeps the
-        #: payloads out of tuple comparison.  Empty for batch runs.
-        self._pushed_arrivals: list[tuple[float, int, object]] = []
-        self._pushed_events: list[tuple[float, int, object]] = []
-        self._push_seq = 0
+        #: Cluster-dynamics events (failures/recoveries/scaling).  They are
+        #: hard events like arrivals: the clock must stop exactly at each
+        #: one so the simulator applies it (and re-invokes the policy) at
+        #: the right instant.
+        self._cluster_events = _Stream(
+            sorted(cluster_events, key=lambda e: e.time), attrgetter("time")
+        )
         self._heap: list[tuple[float, int, str]] = []  # (time, epoch, job_id)
         self._epochs: dict[str, int] = {}
         #: Next-event queries answered, copied onto
@@ -88,109 +143,35 @@ class EventCalendar:
         self.fast_rounds = 0
 
     # ------------------------------------------------------------------
-    # Arrivals (sorted-cursor drain)
+    # Arrivals and cluster events (sorted cursors merged with pushes)
     # ------------------------------------------------------------------
     @property
     def has_arrivals(self) -> bool:
-        return bool(self._pushed_arrivals) or self._cursor < len(self._arrivals)
+        return bool(self._arrivals)
 
     def push_arrival(self, tj) -> None:
         """Enqueue a streamed job submission (live sessions only)."""
-        self._push_seq += 1
-        heapq.heappush(
-            self._pushed_arrivals, (tj.submit_time, self._push_seq, tj)
-        )
-
-    def _next_arrival_time(self) -> float | None:
-        time: float | None = None
-        if self._cursor < len(self._arrivals):
-            time = self._arrivals[self._cursor].submit_time
-        if self._pushed_arrivals:
-            pushed = self._pushed_arrivals[0][0]
-            if time is None or pushed < time:
-                time = pushed
-        return time
+        self._arrivals.push(tj)
 
     def first_arrival_time(self, default: float = 0.0) -> float:
-        time = self._next_arrival_time()
+        time = self._arrivals.next_time()
         return default if time is None else time
 
     def pop_arrivals(self, cutoff: float) -> Iterable:
-        """Consume and yield every arrival with ``submit_time <= cutoff``.
+        """Consume and yield every arrival with ``submit_time <= cutoff``."""
+        return self._arrivals.pop(cutoff)
 
-        Merges the sorted batch cursor with pushed (streamed) arrivals in
-        time order; the batch entry wins ties so a partially-streamed trace
-        admits in batch order.
-        """
-        arrivals = self._arrivals
-        pushed = self._pushed_arrivals
-        while True:
-            batch_t = (
-                arrivals[self._cursor].submit_time
-                if self._cursor < len(arrivals)
-                else None
-            )
-            push_t = pushed[0][0] if pushed else None
-            if (
-                batch_t is not None
-                and batch_t <= cutoff
-                and (push_t is None or batch_t <= push_t)
-            ):
-                tj = arrivals[self._cursor]
-                self._cursor += 1
-                yield tj
-            elif push_t is not None and push_t <= cutoff:
-                yield heapq.heappop(pushed)[2]
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    # Cluster-dynamics events (sorted-cursor drain, like arrivals)
-    # ------------------------------------------------------------------
     @property
     def has_cluster_events(self) -> bool:
-        return bool(self._pushed_events) or (
-            self._cluster_cursor < len(self._cluster_events)
-        )
+        return bool(self._cluster_events)
 
     def push_cluster_event(self, event) -> None:
         """Enqueue a streamed cluster-dynamics event (live sessions only)."""
-        self._push_seq += 1
-        heapq.heappush(self._pushed_events, (event.time, self._push_seq, event))
-
-    def _next_cluster_event_time(self) -> float | None:
-        time: float | None = None
-        if self._cluster_cursor < len(self._cluster_events):
-            time = self._cluster_events[self._cluster_cursor].time
-        if self._pushed_events:
-            pushed = self._pushed_events[0][0]
-            if time is None or pushed < time:
-                time = pushed
-        return time
+        self._cluster_events.push(event)
 
     def pop_cluster_events(self, cutoff: float) -> Iterable:
         """Consume and yield every cluster event with ``time <= cutoff``."""
-        events = self._cluster_events
-        pushed = self._pushed_events
-        while True:
-            batch_t = (
-                events[self._cluster_cursor].time
-                if self._cluster_cursor < len(events)
-                else None
-            )
-            push_t = pushed[0][0] if pushed else None
-            if (
-                batch_t is not None
-                and batch_t <= cutoff
-                and (push_t is None or batch_t <= push_t)
-            ):
-                event = events[self._cluster_cursor]
-                self._cluster_cursor += 1
-                yield event
-            elif push_t is not None and push_t <= cutoff:
-                yield heapq.heappop(pushed)[2]
-            else:
-                return
+        return self._cluster_events.pop(cutoff)
 
     # ------------------------------------------------------------------
     # Completion events (anchored hints, epoch-invalidated)
@@ -272,10 +253,10 @@ class EventCalendar:
         already due (``<= now``) adds no stop.
         """
         next_time = now + self.tick_interval
-        arrival = self._next_arrival_time()
+        arrival = self._arrivals.next_time()
         if arrival is not None and arrival < next_time:
             next_time = arrival
-        event_time = self._next_cluster_event_time()
+        event_time = self._cluster_events.next_time()
         if event_time is not None and event_time < next_time:
             next_time = event_time
         if policy_at is not None and now < policy_at < next_time:

@@ -15,6 +15,7 @@ from repro.cluster import (
 )
 from repro.models import GPT2, ROBERTA
 from repro.oracle import SyntheticTestbed, build_perf_model
+from repro.perfmodel import ResourceShape
 from repro.planeval import DEFAULT_CPUS_PER_GPU
 from repro.plans import ExecutionPlan, ZeroStage
 from repro.scheduler import (
@@ -137,6 +138,17 @@ class TestRubickSpecifics:
     def test_unknown_growth_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown growth mode"):
             RubickPolicy(growth_mode="slack")
+
+    def test_baseline_scores_the_plan_at_the_requested_shape(self, env):
+        # A request may hold more GPUs than the submitted plan uses; the
+        # SLA baseline still scores that plan at the requested shape.
+        _, store = env
+        job = _queued_job(gpus=8, plan=ExecutionPlan(dp=4, ga_steps=4))
+        shape = ResourceShape.packed(8, node_size=8, cpus=32)
+        expected = store.get(GPT2).throughput(
+            job.spec.initial_plan, shape, GPT2.global_batch_size
+        )
+        assert rubick()._baseline_pred(job, _ctx(store)) == expected
 
     def test_min_res_cached_on_job(self, env):
         _, store = env
