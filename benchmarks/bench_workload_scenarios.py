@@ -20,13 +20,13 @@ from repro.models import LARGE_MODEL_NAMES
 from repro.oracle import SyntheticTestbed
 from repro.sim.serialization import trace_to_dict
 from repro.units import HOUR
-from repro.workloads import list_scenarios, scenario_trace
+from repro.workloads import SCENARIOS, scenario_trace
 
 NUM_JOBS = 40
 
 
 def test_scenario_matrix_generation(benchmark, testbed):
-    scenarios = [s for s in list_scenarios() if not s.is_replay]
+    scenarios = [s for _, s in SCENARIOS.items() if not s.is_replay]
 
     def experiment():
         out = []

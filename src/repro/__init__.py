@@ -78,7 +78,7 @@ from repro.sim import (
     to_best_plan_trace,
     to_multi_tenant_trace,
 )
-from repro.workloads import list_scenarios, resolve_scenario
+from repro.workloads import SCENARIOS, resolve_scenario
 
 __version__ = "1.0.0"
 
@@ -108,6 +108,7 @@ __all__ = [
     "ResourceShape",
     "ResourceVector",
     "RubickPolicy",
+    "SCENARIOS",
     "SchedulingContext",
     "ServiceClient",
     "ServiceMaster",
@@ -129,7 +130,6 @@ __all__ = [
     "fit_perf_model",
     "generate_trace",
     "get_model",
-    "list_scenarios",
     "make_policy",
     "resolve_scenario",
     "rubick",

@@ -22,7 +22,9 @@ a served session are the same code path.  The shared flag vocabulary
 (``--policy``, ``--scenario``, ``--dynamics``, ``--faults``) is defined
 once in the ``_*_parent`` argparse parents below: every command spells,
 defaults and documents these flags identically; the grid commands
-(``compare``, ``sweep``) read them as comma-separated lists.
+(``compare``, ``sweep``) read them as comma-separated lists.  Every name
+they carry is checked in one place, ``_bad_names``, against the registries
+of ``repro.names``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from pathlib import Path
 
 from repro.analysis import format_table
 from repro.cluster import (
+    DYNAMICS,
     PAPER_CLUSTER,
     ClusterSpec,
     NodeSpec,
-    known_dynamics_names,
     resolve_dynamics,
 )
 from repro.experiments import (
@@ -55,7 +57,6 @@ from repro.experiments import (
     simulator_for_run,
 )
 from repro.errors import (
-    ClusterDynamicsError,
     FaultPlanError,
     InjectedFault,
     ProtocolError,
@@ -64,12 +65,13 @@ from repro.errors import (
 )
 from repro.experiments.spec import VARIANTS
 from repro.faults import (
+    FAULT_PLANS,
     NO_FAULTS_NAME,
     incident_payload,
-    list_fault_plans,
     resolve_fault_plan,
 )
 from repro.models import get_model
+from repro.names import NameRegistry
 from repro.oracle import SyntheticTestbed, build_perf_model
 from repro.scheduler.registry import POLICIES
 from repro.service import (
@@ -83,8 +85,8 @@ from repro.sim.serialization import result_from_dict, save_result, save_trace
 from repro.units import HOUR
 from repro.workloads import (
     DEFAULT_SCENARIO,
+    SCENARIOS,
     arrival_to_dict,
-    list_scenarios,
     resolve_scenario,
     scenario_trace,
 )
@@ -189,16 +191,6 @@ def _clock_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _resolve_faults(args):
-    """(fault plan or None, exit code) for a command's --faults value."""
-    try:
-        plan = resolve_fault_plan(args.faults)
-    except FaultPlanError as exc:
-        print(str(exc))
-        return None, 2
-    return (plan if plan.rules else None), 0
-
-
 def _add_stats_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--planeval-stats",
@@ -207,69 +199,88 @@ def _add_stats_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_spec(args, policy_name: str) -> RunSpec:
-    """The RunSpec equivalent of one simulate/compare invocation."""
-    return RunSpec(
-        policy=policy_name,
-        seed=args.seed,
-        num_jobs=args.jobs,
-        nodes=args.nodes,
-        gpus_per_node=args.gpus_per_node,
-        trace_path=args.trace,
-        scenario=getattr(args, "scenario", DEFAULT_SCENARIO),
-        dynamics=getattr(args, "dynamics", ""),
-    )
+def _unusable(registry: NameRegistry, names) -> list[str]:
+    """The names ``registry`` cannot resolve, a prefixed one with why.
+
+    A replay scenario must also name an existing file: a path typo should
+    fail the invocation up front, not crash mid-sweep after other runs
+    already burned wall clock.
+    """
+    bad = []
+    for name in names:
+        try:
+            entry = registry.resolve(name)
+        except registry.error as exc:
+            prefixed = name.startswith(registry.prefix)
+            bad.append(f"{name} ({exc})" if prefixed else name)
+            continue
+        if registry is SCENARIOS and entry.is_replay and \
+                not Path(entry.source).exists():
+            bad.append(f"{name} (no such file)")
+    return bad
 
 
-def _run_specs(args, names) -> list[RunSpec] | None:
-    """The RunSpecs of one simulate/compare/serve invocation.
+def _bad_names(*, policies=(), variants=(), scenarios=(), dynamics=(),
+               faults=NO_FAULTS_NAME) -> bool:
+    """Print the first kind of name the invocation cannot use, if any.
+
+    True means the caller exits 2.  An empty dynamics name means the
+    scenario's own profile.
+    """
+    def listing(registry: NameRegistry) -> str:
+        return ", ".join(registry.names()) + f", or {registry.prefix}<path>"
+
+    for kind, bad, known in (
+        ("policies", [n for n in policies if n not in POLICIES],
+         ", ".join(sorted(POLICIES))),
+        ("variants", [v for v in variants if v not in VARIANTS],
+         ", ".join(VARIANTS)),
+        ("scenarios", _unusable(SCENARIOS, scenarios), listing(SCENARIOS)),
+        ("dynamics", _unusable(DYNAMICS, [d for d in dynamics if d]),
+         listing(DYNAMICS)),
+        ("fault plans", _unusable(FAULT_PLANS, [faults]),
+         listing(FAULT_PLANS)),
+    ):
+        if bad:
+            print(f"unknown {kind}: {bad}; known: {known}")
+            return True
+    return False
+
+
+def _runs(args, policies) -> list | None:
+    """One (RunSpec, fault injector) per policy: the shared prologue of
+    simulate, compare, serve and submit.
 
     ``None`` after printing why the arguments make no valid run (the
     caller exits 2).  Only spec construction is guarded: a failure once a
     run has started is a real error and propagates.
     """
+    faults = getattr(args, "faults", NO_FAULTS_NAME)
+    if _bad_names(policies=policies, scenarios=[args.scenario],
+                  dynamics=[args.dynamics], faults=faults):
+        return None
     if args.trace is not None and not Path(args.trace).is_file():
         print(f"no such trace file: {args.trace}")
         return None
     try:
-        return [_run_spec(args, name) for name in names]
+        runs = [
+            RunSpec(
+                policy=name,
+                seed=args.seed,
+                num_jobs=args.jobs,
+                nodes=args.nodes,
+                gpus_per_node=args.gpus_per_node,
+                trace_path=args.trace,
+                scenario=args.scenario,
+                dynamics=args.dynamics,
+            )
+            for name in policies
+        ]
     except ValueError as exc:
         print(f"invalid run: {exc}")
         return None
-
-
-def _check_scenarios(names) -> list[str]:
-    """The unusable names in a scenario list (empty when all resolvable).
-
-    Replay scenarios are also checked for source existence up front: a
-    path typo should fail the invocation immediately, not crash mid-sweep
-    after other runs already burned wall clock.
-    """
-    from pathlib import Path
-
-    bad = []
-    for name in names:
-        try:
-            scenario = resolve_scenario(name)
-        except WorkloadError:
-            bad.append(name)
-            continue
-        if scenario.is_replay and not Path(scenario.source).exists():
-            bad.append(f"{name} (no such file)")
-    return bad
-
-
-def _check_dynamics(names) -> list[str]:
-    """The unusable names in a dynamics list (empty when all resolvable)."""
-    bad = []
-    for name in names:
-        if not name:
-            continue  # empty = inherit the scenario's dynamics
-        try:
-            resolve_dynamics(name)
-        except ClusterDynamicsError as exc:
-            bad.append(f"{name} ({exc})" if name.startswith("file:") else name)
-    return bad
+    plan = resolve_fault_plan(faults)
+    return [(run, plan.injector(run.run_key)) for run in runs]
 
 
 def _print_planeval_stats(policy_name: str, policy, sim) -> None:
@@ -304,22 +315,6 @@ def _print_planeval_stats(policy_name: str, policy, sim) -> None:
     )
 
 
-def _bad_dynamics(names) -> bool:
-    bad = _check_dynamics(names)
-    if bad:
-        known = ", ".join(known_dynamics_names())
-        print(f"unknown dynamics: {bad}; known: {known}, or file:<path>")
-    return bool(bad)
-
-
-def _bad_scenarios(names) -> bool:
-    bad = _check_scenarios(names)
-    if bad:
-        known = ", ".join(s.name for s in list_scenarios())
-        print(f"unknown scenarios: {bad}; known: {known}, or replay:<path>")
-    return bool(bad)
-
-
 def _contained_execute(run, injector):
     """Execute one run, containing armed injected faults.
 
@@ -347,17 +342,10 @@ def _contained_execute(run, injector):
 
 
 def cmd_simulate(args) -> int:
-    if _bad_scenarios([args.scenario]) or _bad_dynamics([args.dynamics]):
-        return 2
-    plan, rc = _resolve_faults(args)
-    if rc:
-        return rc
-    runs = _run_specs(args, [args.policy])
+    runs = _runs(args, [args.policy])
     if runs is None:
         return 2
-    run = runs[0]
-    injector = plan.injector(run.run_key) if plan is not None else None
-    execution = _contained_execute(run, injector)
+    execution = _contained_execute(*runs[0])
     if execution is None:
         return 3
     result, trace = execution.result, execution.trace
@@ -379,21 +367,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     names = args.policy.split(",")
-    unknown = [n for n in names if n not in POLICIES]
-    if unknown:
-        print(f"unknown policies: {unknown}; known: {sorted(POLICIES)}")
-        return 2
-    if _bad_scenarios([args.scenario]) or _bad_dynamics([args.dynamics]):
-        return 2
-    plan, rc = _resolve_faults(args)
-    if rc:
-        return rc
-    runs = _run_specs(args, names)
+    runs = _runs(args, names)
     if runs is None:
         return 2
     executions = []
-    for run in runs:
-        injector = plan.injector(run.run_key) if plan is not None else None
+    for run, injector in runs:
         execution = _contained_execute(run, injector)
         if execution is None:
             return 3
@@ -429,7 +407,7 @@ def cmd_compare(args) -> int:
             headers,
             rows,
             title=f"{trace.name}: {len(trace)} jobs on "
-            f"{runs[0].cluster.total_gpus} GPUs",
+            f"{runs[0][0].cluster.total_gpus} GPUs",
         )
     )
     if args.planeval_stats:
@@ -444,26 +422,13 @@ def _csv(text: str, convert=str) -> tuple:
 
 def cmd_sweep(args) -> int:
     policies = _csv(args.policy)
-    unknown = [n for n in policies if n not in POLICIES]
-    if unknown:
-        print(f"unknown policies: {unknown}; known: {sorted(POLICIES)}")
-        return 2
     variants = _csv(args.variants)
-    bad = [v for v in variants if v not in VARIANTS]
-    if bad:
-        print(f"unknown variants: {bad}; known: {list(VARIANTS)}")
-        return 2
     scenarios = _csv(args.scenario)
-    if _bad_scenarios(scenarios):
-        return 2
     dynamics = _csv(args.dynamics) or ("",)
-    if _bad_dynamics(dynamics):
+    if _bad_names(policies=policies, variants=variants, scenarios=scenarios,
+                  dynamics=dynamics, faults=args.faults):
         return 2
-    try:
-        fault_plan = resolve_fault_plan(args.faults)
-    except FaultPlanError as exc:
-        print(str(exc))
-        return 2
+    fault_plan = resolve_fault_plan(args.faults)
     try:
         spec = SweepSpec(
             policies=policies,
@@ -556,16 +521,10 @@ def _print_result_summary(result, title: str) -> None:
 
 
 def cmd_serve(args) -> int:
-    if _bad_scenarios([args.scenario]) or _bad_dynamics([args.dynamics]):
-        return 2
-    plan, rc = _resolve_faults(args)
-    if rc:
-        return rc
-    runs = _run_specs(args, [args.policy])
+    runs = _runs(args, [args.policy])
     if runs is None:
         return 2
-    run = runs[0]
-    injector = plan.injector(run.run_key) if plan is not None else None
+    run, injector = runs[0]
     sim = simulator_for_run(run, injector=injector)
     clock = (
         VirtualClock() if args.virtual_clock
@@ -633,13 +592,14 @@ def _connect_with_retry(args) -> ServiceClient:
 
 
 def cmd_submit(args) -> int:
-    if _bad_scenarios([args.scenario]) or _bad_dynamics([args.dynamics]):
-        return 2
     # The load generator replays a *run spec*: same trace builder and
     # dynamics expansion as `repro simulate`, so a virtual-clock session
     # reproduces the batch result byte for byte.  The policy axis lives on
     # the serve side; the spec's policy field does not influence the trace.
-    run = _run_spec(args, "rubick")
+    runs = _runs(args, ["rubick"])
+    if runs is None:
+        return 2
+    run, _ = runs[0]
     trace = build_trace(run)
     events = run_cluster_events(run)
     try:
@@ -688,7 +648,7 @@ def cmd_submit(args) -> int:
 def cmd_faults_list(args) -> int:
     rows = [
         (name, len(plan.rules), plan.digest, plan.description)
-        for name, plan in list_fault_plans()
+        for name, plan in FAULT_PLANS.items()
     ]
     print(
         format_table(
@@ -720,7 +680,7 @@ def cmd_faults_show(args) -> int:
 
 def cmd_workload_list(args) -> int:
     rows = []
-    for scenario in list_scenarios():
+    for _, scenario in SCENARIOS.items():
         arrival = scenario.arrival.kind if scenario.arrival else "replay"
         span = "run's" if scenario.span is None else f"{scenario.span / HOUR:g}h"
         tenants = (
@@ -739,7 +699,7 @@ def cmd_workload_list(args) -> int:
     )
     print(
         "cluster-dynamics profiles (--dynamics): "
-        + ", ".join(known_dynamics_names())
+        + ", ".join(DYNAMICS.names())
         + ", or file:<events.json>"
     )
     return 0

@@ -1,6 +1,7 @@
 """Cluster substrate: resources, topology, placements, live state, dynamics."""
 
 from repro.cluster.dynamics import (
+    DYNAMICS,
     NO_DYNAMICS,
     NO_DYNAMICS_NAME,
     ClusterDynamics,
@@ -11,10 +12,7 @@ from repro.cluster.dynamics import (
     ScaleSchedule,
     dynamics_from_dict,
     dynamics_to_dict,
-    known_dynamics_names,
-    list_dynamics,
     load_cluster_events,
-    register_dynamics,
     resolve_dynamics,
     save_cluster_events,
 )
@@ -29,6 +27,7 @@ from repro.cluster.topology import (
 )
 
 __all__ = [
+    "DYNAMICS",
     "NO_DYNAMICS",
     "NO_DYNAMICS_NAME",
     "PAPER_CLUSTER",
@@ -46,10 +45,7 @@ __all__ = [
     "ScaleSchedule",
     "dynamics_from_dict",
     "dynamics_to_dict",
-    "known_dynamics_names",
-    "list_dynamics",
     "load_cluster_events",
-    "register_dynamics",
     "resolve_dynamics",
     "save_cluster_events",
     "single_node_cluster",

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, ClassVar
 
 from repro.errors import ClusterDynamicsError
+from repro.names import NameRegistry
 from repro.rng import rng_for
 from repro.units import HOUR, MINUTE
 
@@ -368,60 +369,18 @@ def save_cluster_events(
 # ----------------------------------------------------------------------
 # Named-profile registry
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, ClusterDynamics] = {}
-
-
-def register_dynamics(
-    name: str, dynamics: ClusterDynamics, *, replace: bool = False
-) -> ClusterDynamics:
-    """Add a named dynamics profile (``replace=True`` to overwrite)."""
-    if name.startswith(FILE_PREFIX):
-        raise ClusterDynamicsError(
-            f"{FILE_PREFIX}<path> names are resolved dynamically and "
-            "cannot be registered"
-        )
-    if name in _REGISTRY and not replace:
-        raise ClusterDynamicsError(
-            f"dynamics profile {name!r} already registered"
-        )
-    _REGISTRY[name] = dynamics
-    return dynamics
-
-
-def known_dynamics_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-def list_dynamics() -> tuple[tuple[str, ClusterDynamics], ...]:
-    return tuple(_REGISTRY.items())
-
-
-def resolve_dynamics(name: str) -> ClusterDynamics:
-    """Look a profile up by name (``file:<path>`` resolves dynamically)."""
-    if name.startswith(FILE_PREFIX):
-        path = name[len(FILE_PREFIX):]
-        if not path:
-            raise ClusterDynamicsError(
-                f"event-file profile needs a path: {FILE_PREFIX}<path>"
-            )
-        return load_cluster_events(path)
-    dynamics = _REGISTRY.get(name)
-    if dynamics is None:
-        known = ", ".join(known_dynamics_names())
-        raise ClusterDynamicsError(
-            f"unknown dynamics profile {name!r}; known: {known}, "
-            f"or {FILE_PREFIX}<path>"
-        )
-    return dynamics
-
+DYNAMICS: NameRegistry[ClusterDynamics] = NameRegistry(
+    "dynamics profile", ClusterDynamicsError, FILE_PREFIX, load_cluster_events
+)
+resolve_dynamics = DYNAMICS.resolve
 
 #: Built-in profiles.
-NO_DYNAMICS = register_dynamics(NO_DYNAMICS_NAME, NoDynamics())
-register_dynamics("flaky", RandomFailures())
-register_dynamics(
+NO_DYNAMICS = DYNAMICS.register(NO_DYNAMICS_NAME, NoDynamics())
+DYNAMICS.register("flaky", RandomFailures())
+DYNAMICS.register(
     "flaky-heavy", RandomFailures(mtbf=2 * HOUR, mttr=45 * MINUTE)
 )
-register_dynamics("scaleout-midday", ScaleSchedule(steps=((0.5, 2),)))
-register_dynamics(
+DYNAMICS.register("scaleout-midday", ScaleSchedule(steps=((0.5, 2),)))
+DYNAMICS.register(
     "scale-cycle", ScaleSchedule(steps=((0.25, 2), (0.75, -2)))
 )

@@ -71,15 +71,8 @@ class Placement:
         return counts[-1] if counts else 0
 
     @property
-    def is_single_node(self) -> bool:
-        return self.num_nodes <= 1
-
-    @property
     def is_empty(self) -> bool:
         return self.total.is_zero
-
-    def node_ids(self) -> list[int]:
-        return sorted(self.shares)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -54,14 +54,6 @@ class ClusterSpec:
     def total_gpus(self) -> int:
         return self.num_nodes * self.node.num_gpus
 
-    @property
-    def total_cpus(self) -> int:
-        return self.num_nodes * self.node.num_cpus
-
-    @property
-    def total_host_mem(self) -> int:
-        return self.num_nodes * self.node.host_mem
-
 
 #: The paper's 64-GPU A800 evaluation cluster.
 PAPER_CLUSTER = ClusterSpec()

@@ -240,9 +240,6 @@ class RunStore:
         os.replace(tmp, path)
         return doc
 
-    def load_failure(self, run_key: str) -> dict[str, Any]:
-        return json.loads(self.failure_path_for(run_key).read_text())
-
     def clear_failure(self, run_key: str) -> None:
         """Drop a stale quarantine record (the run later succeeded)."""
         try:

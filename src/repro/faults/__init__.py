@@ -11,6 +11,7 @@ from repro.faults.injector import (
     traceback_digest,
 )
 from repro.faults.plan import (
+    FAULT_PLANS,
     FILE_PREFIX,
     NO_FAULTS,
     NO_FAULTS_NAME,
@@ -22,15 +23,13 @@ from repro.faults.plan import (
     fault_plan_to_dict,
     fault_rule_from_dict,
     fault_rule_to_dict,
-    known_fault_plan_names,
-    list_fault_plans,
     load_fault_plan,
-    register_fault_plan,
     resolve_fault_plan,
     save_fault_plan,
 )
 
 __all__ = [
+    "FAULT_PLANS",
     "FILE_PREFIX",
     "NO_FAULTS",
     "NO_FAULTS_NAME",
@@ -44,10 +43,7 @@ __all__ = [
     "fault_rule_from_dict",
     "fault_rule_to_dict",
     "incident_payload",
-    "known_fault_plan_names",
-    "list_fault_plans",
     "load_fault_plan",
-    "register_fault_plan",
     "resolve_fault_plan",
     "save_fault_plan",
     "traceback_digest",

@@ -33,11 +33,12 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.errors import FaultPlanError
+from repro.names import NameRegistry
 
 #: Instrumented failure points.  The strings are the serialization format
 #: and the vocabulary of ``FaultInjector.check``/``mangle`` call sites.
@@ -222,56 +223,18 @@ def save_fault_plan(plan: FaultPlan, path: str | Path) -> None:
 # ----------------------------------------------------------------------
 # Named-plan registry
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, FaultPlan] = {}
-
-
-def register_fault_plan(plan: FaultPlan, *, replace: bool = False) -> FaultPlan:
-    """Add a named fault plan (``replace=True`` to overwrite)."""
-    if plan.name.startswith(FILE_PREFIX):
-        raise FaultPlanError(
-            f"{FILE_PREFIX}<path> names are resolved dynamically and "
-            "cannot be registered"
-        )
-    if plan.name in _REGISTRY and not replace:
-        raise FaultPlanError(
-            f"fault plan {plan.name!r} already registered"
-        )
-    _REGISTRY[plan.name] = plan
-    return plan
-
-
-def known_fault_plan_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-def list_fault_plans() -> tuple[tuple[str, FaultPlan], ...]:
-    return tuple(_REGISTRY.items())
-
-
-def resolve_fault_plan(name: str) -> FaultPlan:
-    """Look a plan up by name (``file:<path>`` resolves dynamically)."""
-    if name.startswith(FILE_PREFIX):
-        path = name[len(FILE_PREFIX):]
-        if not path:
-            raise FaultPlanError(
-                f"fault-plan file needs a path: {FILE_PREFIX}<path>"
-            )
-        return load_fault_plan(path)
-    plan = _REGISTRY.get(name)
-    if plan is None:
-        known = ", ".join(known_fault_plan_names())
-        raise FaultPlanError(
-            f"unknown fault plan {name!r}; known: {known}, "
-            f"or {FILE_PREFIX}<path>"
-        )
-    return plan
-
+FAULT_PLANS: NameRegistry[FaultPlan] = NameRegistry(
+    "fault plan", FaultPlanError, FILE_PREFIX, load_fault_plan
+)
+resolve_fault_plan = FAULT_PLANS.resolve
 
 #: Built-in plans.
-NO_FAULTS = register_fault_plan(
-    FaultPlan(name=NO_FAULTS_NAME, description="no faults (the default)")
+NO_FAULTS = FAULT_PLANS.register(
+    NO_FAULTS_NAME,
+    FaultPlan(name=NO_FAULTS_NAME, description="no faults (the default)"),
 )
-register_fault_plan(
+FAULT_PLANS.register(
+    "chaos-smoke",
     FaultPlan(
         name="chaos-smoke",
         description=(
@@ -298,5 +261,5 @@ register_fault_plan(
                 detail="poison: escalates past retry budget",
             ),
         ),
-    )
+    ),
 )

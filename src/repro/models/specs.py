@@ -83,21 +83,6 @@ class ModelSpec:
         attn_flops = 2.0 * 2.0 * self.num_layers * self.seq_len**2 * self.hidden_size
         return param_flops + attn_flops
 
-    def max_tensor_parallel(self, limit: int = 8) -> int:
-        """Largest valid TP degree not exceeding ``limit``.
-
-        TP must divide the attention-head count and the hidden size; Megatron
-        additionally keeps TP groups inside a node, which callers enforce via
-        ``limit`` (GPUs per node).
-        """
-        best = 1
-        degree = 1
-        while degree <= min(limit, self.num_heads):
-            if self.num_heads % degree == 0 and self.hidden_size % degree == 0:
-                best = degree
-            degree *= 2
-        return best
-
     def valid_tp(self, tp: int, node_limit: int = 8) -> bool:
         """Whether ``tp`` is a structurally valid tensor-parallel degree."""
         return (

@@ -23,9 +23,11 @@ from repro.scheduler.job import Job, JobStatus
 
 class AntManPolicy(SchedulerPolicy):
     name = "antman"
-    # Pure function of job/cluster state (FIFO within quota, fixed plans);
-    # never reads the clock, so steady-state rounds can skip it.
-    reactive = True
+
+    def steady_state(self, jobs, ctx) -> bool:
+        # Pure function of job/cluster state (FIFO within quota, fixed plans);
+        # never reads the clock, so steady-state rounds can skip it.
+        return True
 
     def __init__(self):
         self._host_demand = HostDemandMemo()

@@ -32,7 +32,6 @@ from repro.scheduler.selectors import ScaledDpSelector
 
 class SiaPolicy(SchedulerPolicy):
     name = "sia"
-    reactive = True
 
     def steady_state(self, jobs, ctx) -> bool:
         # Sia's only clock-driven input is the reconfiguration gate, which

@@ -25,9 +25,11 @@ from repro.scheduler.selectors import BestPlanSelector
 
 class SimpleEqualPolicy(SchedulerPolicy):
     name = "simple"
-    # Pure function of the active-job set (equal shares by arrival order);
-    # never reads the clock, so steady-state rounds can skip it.
-    reactive = True
+
+    def steady_state(self, jobs, ctx) -> bool:
+        # Pure function of the active-job set (equal shares by arrival order);
+        # never reads the clock, so steady-state rounds can skip it.
+        return True
 
     def __init__(self):
         self._selector: BestPlanSelector | None = None

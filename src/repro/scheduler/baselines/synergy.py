@@ -26,9 +26,11 @@ from repro.scheduler.selectors import FixedPlanSelector
 
 class SynergyPolicy(SchedulerPolicy):
     name = "synergy"
-    # Pure function of job/cluster state (FIFO by submit time + CPU slopes);
-    # never reads the clock, so steady-state rounds can skip it.
-    reactive = True
+
+    def steady_state(self, jobs, ctx) -> bool:
+        # Pure function of job/cluster state (FIFO by submit time + CPU slopes);
+        # never reads the clock, so steady-state rounds can skip it.
+        return True
 
     def __init__(self):
         self._selector: FixedPlanSelector | None = None

@@ -113,17 +113,6 @@ class SchedulerPolicy(abc.ABC):
     #: Human-readable policy name used in result tables.
     name: str = "base"
 
-    #: Declares the policy *reactive*: its decision is a pure function of
-    #: the observable job/cluster/model state — independent of the clock
-    #: (``ctx.now``) and of quantities that accrue with simulated time.  The
-    #: simulator's steady-state short-circuit may then skip invoking it on
-    #: tick-only rounds where that state is provably unchanged (no arrival,
-    #: completion, pause resumption, model refit, or allocation delta since
-    #: the last decision), because re-invoking would reproduce the same
-    #: allocation map verbatim.  Policies with time-driven behavior beyond
-    #: what :meth:`steady_state` accounts for must leave this False.
-    reactive: bool = False
-
     #: The policy's plan-evaluation engine, built from the first scheduling
     #: context by :meth:`engine_for` (``None`` until then, and for policies
     #: that never score plans).  ``repro simulate --planeval-stats`` reads
@@ -149,15 +138,21 @@ class SchedulerPolicy(abc.ABC):
         Called by the simulator right after a decision that turned out to be
         a no-op fixed point, with no job mid-pause (queued and running jobs
         may both be present).  Return True only if the *next* invocation
-        under unchanged state is guaranteed to repeat that decision.
-        Policies whose time dependence is monotone — e.g. a reconfiguration
-        gate that can only open as training time accrues, or a starvation
-        guard armed only while a best-effort job queues — override this to
+        under unchanged state is guaranteed to repeat that decision.  A
+        *reactive* policy — its decision a pure function of the observable
+        job/cluster/model state, independent of the clock (``ctx.now``) and
+        of quantities that accrue with simulated time — returns True
+        always: tick-only rounds where that state is provably unchanged (no
+        arrival, completion, pause resumption, model refit, or allocation
+        delta since the last decision) would reproduce the same allocation
+        map verbatim.  Policies whose time dependence is monotone — e.g. a
+        reconfiguration gate that can only open as training time accrues,
+        or a starvation guard armed only while a best-effort job queues —
         return True exactly when no such latent trigger is still pending
-        (see :class:`~repro.scheduler.rubick.RubickPolicy`).  The default is
-        the static ``reactive`` flag.
+        (see :class:`~repro.scheduler.rubick.RubickPolicy`).  The default,
+        False, invokes the policy on every round.
         """
-        return self.reactive
+        return False
 
     @abc.abstractmethod
     def schedule(

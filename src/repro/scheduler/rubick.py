@@ -191,13 +191,6 @@ class _RoundState:
         total = self._totals.get(job_id)
         return total[1] if total is not None else 0
 
-    def totals(self, job_id: str) -> ResourceVector:
-        """GPU/CPU totals as a vector (host memory is not tracked, see above)."""
-        total = self._totals.get(job_id)
-        if total is None:
-            return ResourceVector.zero()
-        return ResourceVector(total[0], total[1])
-
     def _adjust_total(self, job_id: str, dgpus: int, dcpus: int) -> None:
         total = self._totals.get(job_id)
         if total is None:
@@ -283,7 +276,6 @@ class RubickPolicy(SchedulerPolicy):
     """Rubick and its ablation variants (see module docstring)."""
 
     name = "rubick"
-    reactive = True
 
     def steady_state(self, jobs: list[Job], ctx: SchedulingContext) -> bool:
         """Tick-only rounds may be skipped once no clock trigger is pending.

@@ -249,9 +249,6 @@ class SimulationResult:
     def by_tenant(self, tenant: str) -> list[JobRecord]:
         return [r for r in self._full_records() if r.tenant == tenant]
 
-    def by_model(self, model_name: str) -> list[JobRecord]:
-        return [r for r in self._full_records() if r.model_name == model_name]
-
     # ------------------------------------------------------------------
     # Overheads (paper §7.3 "System overheads")
     # ------------------------------------------------------------------

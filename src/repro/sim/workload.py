@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.cluster.dynamics import NO_DYNAMICS_NAME, resolve_dynamics
 from repro.cluster.topology import ClusterSpec, PAPER_CLUSTER
 from repro.models.catalog import (
     LARGE_MODEL_NAMES,
@@ -84,11 +83,6 @@ class WorkloadConfig:
     #: When jobs arrive (pluggable; the default reproduces the paper's
     #: uniform-background + two-peaks shape draw for draw).
     arrival: ArrivalProcess = UNIFORM_PEAKS
-    #: Named cluster-dynamics profile the workload is meant to run under
-    #: (``repro.cluster.dynamics``).  Carried metadata: trace generation
-    #: never reads it — the simulator/runner expands it into events — so a
-    #: config differing only here produces byte-identical traces.
-    dynamics: str = NO_DYNAMICS_NAME
 
     def __post_init__(self) -> None:
         validate_gpu_mix(self.gpu_mix, self.cluster)
@@ -96,7 +90,6 @@ class WorkloadConfig:
             raise ValueError(f"num_jobs must be >= 0, got {self.num_jobs}")
         if self.span <= 0:
             raise ValueError(f"span must be positive, got {self.span}")
-        resolve_dynamics(self.dynamics)  # raises on unknown profiles
 
 
 def _model_names(config: WorkloadConfig) -> tuple[list[str], list[float]]:

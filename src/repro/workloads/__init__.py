@@ -42,10 +42,8 @@ from repro.workloads.adapters import (
 from repro.workloads.registry import (
     DEFAULT_SCENARIO,
     REPLAY_PREFIX,
+    SCENARIOS,
     Scenario,
-    known_scenario_names,
-    list_scenarios,
-    register_scenario,
     resolve_scenario,
     scenario_trace,
     scenario_workload_config,
@@ -58,6 +56,7 @@ __all__ = [
     "HELIOS_COLUMNS",
     "PHILLY_COLUMNS",
     "REPLAY_PREFIX",
+    "SCENARIOS",
     "UNIFORM_PEAKS",
     "ArrivalProcess",
     "ColumnMap",
@@ -70,12 +69,9 @@ __all__ = [
     "UniformPeaksArrivals",
     "arrival_from_dict",
     "arrival_to_dict",
-    "known_scenario_names",
-    "list_scenarios",
     "load_external_trace",
     "load_helios_jsonl",
     "load_philly_csv",
-    "register_scenario",
     "resolve_scenario",
     "scenario_trace",
     "scenario_workload_config",

@@ -10,7 +10,7 @@ byte-identical to the pre-registry output (golden-tested).
 
 ``replay:<path>`` resolves dynamically to an adapter-backed scenario; every
 other name must be registered.  Registration is open: downstream code can
-:func:`register_scenario` its own compositions.
+add its own compositions with ``SCENARIOS.register(name, scenario)``.
 
 .. note:: Register custom scenarios at *module import time* (top level of a
    module the run imports), not inside an ``if __name__ == "__main__":``
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.dynamics import resolve_dynamics
 from repro.errors import ClusterDynamicsError, WorkloadError
+from repro.names import NameRegistry
 from repro.units import DAY
 from repro.workloads.arrivals import (
     ArrivalProcess,
@@ -94,50 +95,18 @@ class Scenario:
         return self.source is not None
 
 
-_REGISTRY: dict[str, Scenario] = {}
+def _replay_scenario(path: str) -> Scenario:
+    return Scenario(
+        name=REPLAY_PREFIX + path,
+        description=f"deterministic replay of {path}",
+        source=path,
+    )
 
 
-def register_scenario(scenario: Scenario, *, replace: bool = False) -> Scenario:
-    """Add a scenario to the registry (``replace=True`` to overwrite)."""
-    if scenario.name.startswith(REPLAY_PREFIX):
-        raise WorkloadError(
-            f"{REPLAY_PREFIX}<path> names are resolved dynamically and "
-            "cannot be registered"
-        )
-    if scenario.name in _REGISTRY and not replace:
-        raise WorkloadError(f"scenario {scenario.name!r} already registered")
-    _REGISTRY[scenario.name] = scenario
-    return scenario
-
-
-def list_scenarios() -> tuple[Scenario, ...]:
-    """All registered scenarios, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def known_scenario_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-def resolve_scenario(name: str) -> Scenario:
-    """Look a scenario up by name (``replay:<path>`` resolves dynamically)."""
-    if name.startswith(REPLAY_PREFIX):
-        path = name[len(REPLAY_PREFIX):]
-        if not path:
-            raise WorkloadError("replay scenario needs a path: replay:<path>")
-        return Scenario(
-            name=name,
-            description=f"deterministic replay of {path}",
-            source=path,
-        )
-    scenario = _REGISTRY.get(name)
-    if scenario is None:
-        known = ", ".join(known_scenario_names())
-        raise WorkloadError(
-            f"unknown scenario {name!r}; known: {known}, "
-            f"or {REPLAY_PREFIX}<path>"
-        )
-    return scenario
+SCENARIOS: NameRegistry[Scenario] = NameRegistry(
+    "scenario", WorkloadError, REPLAY_PREFIX, _replay_scenario
+)
+resolve_scenario = SCENARIOS.resolve
 
 
 def scenario_workload_config(
@@ -182,7 +151,6 @@ def scenario_workload_config(
         plan_assignment=plan_assignment,
         name=name,
         arrival=scenario.arrival,
-        dynamics=scenario.dynamics or "none",
     )
 
 
@@ -235,63 +203,66 @@ def scenario_trace(
 # ----------------------------------------------------------------------
 # Built-in scenarios
 # ----------------------------------------------------------------------
-register_scenario(Scenario(
-    name=DEFAULT_SCENARIO,
-    description="the paper's §7.3 shape: 12 h, uniform background + two "
-                "submission peaks, Philly GPU-size mix",
-    arrival=UniformPeaksArrivals(),
-))
-register_scenario(Scenario(
-    name="poisson-12h",
-    description="memoryless Poisson arrivals at the same average rate "
-                "over the 12 h window",
-    arrival=PoissonArrivals(),
-))
-register_scenario(Scenario(
-    name="bursty-mmpp",
-    description="Markov-modulated bursts: calm/storm flip-flop with an "
-                "8x submission-rate ratio",
-    arrival=MarkovModulatedArrivals(),
-))
-register_scenario(Scenario(
-    name="diurnal-3d",
-    description="three days of day/night submission rhythm "
-                "(peak 14:00, nights at 15%)",
-    arrival=DiurnalArrivals(),
-    span=3 * DAY,
-))
-register_scenario(Scenario(
-    name="weekly-diurnal",
-    description="a full week of diurnal rhythm with quiet weekends (35%)",
-    arrival=DiurnalArrivals(weekend_factor=0.35),
-    span=7 * DAY,
-))
-register_scenario(Scenario(
-    name="largemodel-heavy",
-    description="paper arrivals with the large models' sampling weight "
-                "scaled 4x (Fig. 11 extreme)",
-    arrival=UniformPeaksArrivals(),
-    mix=JobMix(large_model_factor=4.0),
-))
-register_scenario(Scenario(
-    name="multitenant-burst",
-    description="bursty MMPP arrivals under the paper's two-tenant split "
-                "(50% guaranteed / 50% best-effort)",
-    arrival=MarkovModulatedArrivals(),
-    guaranteed_fraction=0.5,
-))
-register_scenario(Scenario(
-    name="paper-12h-flaky",
-    description="the paper's 12 h shape on a flaky cluster: per-node "
-                "Poisson failures (MTBF 6 h, MTTR ~30 min) evicting and "
-                "restarting the jobs they hit",
-    arrival=UniformPeaksArrivals(),
-    dynamics="flaky",
-))
-register_scenario(Scenario(
-    name="scaleout-midday",
-    description="paper arrivals with two extra nodes commissioned at "
-                "mid-span (operator capacity scale-up)",
-    arrival=UniformPeaksArrivals(),
-    dynamics="scaleout-midday",
-))
+for _scenario in (
+    Scenario(
+        name=DEFAULT_SCENARIO,
+        description="the paper's §7.3 shape: 12 h, uniform background + two "
+                    "submission peaks, Philly GPU-size mix",
+        arrival=UniformPeaksArrivals(),
+    ),
+    Scenario(
+        name="poisson-12h",
+        description="memoryless Poisson arrivals at the same average rate "
+                    "over the 12 h window",
+        arrival=PoissonArrivals(),
+    ),
+    Scenario(
+        name="bursty-mmpp",
+        description="Markov-modulated bursts: calm/storm flip-flop with an "
+                    "8x submission-rate ratio",
+        arrival=MarkovModulatedArrivals(),
+    ),
+    Scenario(
+        name="diurnal-3d",
+        description="three days of day/night submission rhythm "
+                    "(peak 14:00, nights at 15%)",
+        arrival=DiurnalArrivals(),
+        span=3 * DAY,
+    ),
+    Scenario(
+        name="weekly-diurnal",
+        description="a full week of diurnal rhythm with quiet weekends (35%)",
+        arrival=DiurnalArrivals(weekend_factor=0.35),
+        span=7 * DAY,
+    ),
+    Scenario(
+        name="largemodel-heavy",
+        description="paper arrivals with the large models' sampling weight "
+                    "scaled 4x (Fig. 11 extreme)",
+        arrival=UniformPeaksArrivals(),
+        mix=JobMix(large_model_factor=4.0),
+    ),
+    Scenario(
+        name="multitenant-burst",
+        description="bursty MMPP arrivals under the paper's two-tenant split "
+                    "(50% guaranteed / 50% best-effort)",
+        arrival=MarkovModulatedArrivals(),
+        guaranteed_fraction=0.5,
+    ),
+    Scenario(
+        name="paper-12h-flaky",
+        description="the paper's 12 h shape on a flaky cluster: per-node "
+                    "Poisson failures (MTBF 6 h, MTTR ~30 min) evicting and "
+                    "restarting the jobs they hit",
+        arrival=UniformPeaksArrivals(),
+        dynamics="flaky",
+    ),
+    Scenario(
+        name="scaleout-midday",
+        description="paper arrivals with two extra nodes commissioned at "
+                    "mid-span (operator capacity scale-up)",
+        arrival=UniformPeaksArrivals(),
+        dynamics="scaleout-midday",
+    ),
+):
+    SCENARIOS.register(_scenario.name, _scenario)

@@ -264,8 +264,9 @@ class TestClusterTransitions:
         """Live totals are exactly the spec-derived ones when nothing is
         down — the identity every static code path relies on."""
         cluster = Cluster(CLUSTER)
+        nodes, node = CLUSTER.num_nodes, CLUSTER.node
         assert cluster.total == ResourceVector(
-            CLUSTER.total_gpus, CLUSTER.total_cpus, CLUSTER.total_host_mem
+            nodes * node.num_gpus, nodes * node.num_cpus, nodes * node.host_mem
         )
 
 

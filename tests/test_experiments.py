@@ -171,18 +171,16 @@ class TestScenarioAxis:
     def test_mt_variant_honors_scenario_fraction_without_double_split(self):
         """scenario split + mt variant = ONE split at the scenario's
         fraction (not a silent re-split at the variant default)."""
-        from repro.workloads import Scenario, register_scenario
+        from repro.workloads import SCENARIOS, Scenario
         from repro.workloads.arrivals import PoissonArrivals
 
-        register_scenario(
-            Scenario(
+        if "all-guaranteed-test" not in SCENARIOS.names():
+            SCENARIOS.register("all-guaranteed-test", Scenario(
                 name="all-guaranteed-test",
                 description="degenerate split: everything guaranteed",
                 arrival=PoissonArrivals(),
                 guaranteed_fraction=1.0,
-            ),
-            replace=True,
-        )
+            ))
         run = RunSpec(
             policy="rubick-n", scenario="all-guaranteed-test", variant="mt",
             **SMALL,

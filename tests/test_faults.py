@@ -29,14 +29,11 @@ from repro.experiments.aggregate import format_failure_table
 from repro.experiments.runner import _alarm, _guarded_run, execute_run
 from repro.faults import (
     NO_FAULTS,
-    NO_FAULTS_NAME,
     FaultPlan,
     FaultRule,
     fault_plan_from_dict,
     fault_plan_to_dict,
-    known_fault_plan_names,
     load_fault_plan,
-    register_fault_plan,
     resolve_fault_plan,
     save_fault_plan,
 )
@@ -144,13 +141,6 @@ class TestFaultPlans:
         with pytest.raises(FaultPlanError, match="format version"):
             load_fault_plan(path)
 
-    def test_registry_rejects_duplicates_and_unknowns(self):
-        assert NO_FAULTS_NAME in known_fault_plan_names()
-        with pytest.raises(FaultPlanError, match="already registered"):
-            register_fault_plan(FaultPlan(name=NO_FAULTS_NAME))
-        with pytest.raises(FaultPlanError, match="unknown fault plan"):
-            resolve_fault_plan("definitely-not-a-plan")
-
     def test_empty_plan_has_no_injector(self):
         assert NO_FAULTS.injector("any-key") is None
 
@@ -256,7 +246,8 @@ class TestRunnerGuard:
         assert store.failed_keys() == {self.RUN.run_key}
         assert store.completed_keys() == set()
         # The persisted quarantine record is the returned doc, verbatim.
-        assert store.load_failure(self.RUN.run_key) == failure
+        record = store.failure_path_for(self.RUN.run_key).read_text()
+        assert json.loads(record) == failure
 
     def test_live_foreign_lease_skips_run(self, tmp_path):
         store = RunStore(tmp_path)

@@ -29,7 +29,7 @@ class TestAllocatePacked:
         placement = pool.allocate_packed(3, cpus_per_gpu=2)
         assert placement is not None
         assert placement.total.gpus == 3
-        assert placement.is_single_node
+        assert placement.num_nodes == 1
         assert pool.free_gpus == 5
 
     def test_spans_nodes_when_needed(self, pool):

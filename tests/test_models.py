@@ -85,17 +85,15 @@ class TestDerivedQuantities:
         assert VIT.fwd_flops_per_sample > 0
         assert LLAMA2_7B.fwd_flops_per_sample > GPT2.fwd_flops_per_sample
 
-    def test_max_tensor_parallel_powers_of_two(self):
-        # GPT-2 has 25 heads: no power-of-two TP beyond 1.
-        assert GPT2.max_tensor_parallel(8) == 1
-        # LLaMA-2 has 32 heads: TP up to the node limit.
-        assert LLAMA2_7B.max_tensor_parallel(8) == 8
-        assert LLAMA2_7B.max_tensor_parallel(4) == 4
-
     def test_valid_tp_non_power_of_two(self):
-        # 25 heads admit tp=5 (divides heads and hidden 1600).
+        # 25 heads admit tp=5 (divides heads and hidden 1600), but no
+        # power of two beyond 1.
         assert GPT2.valid_tp(5, node_limit=8)
-        assert not GPT2.valid_tp(2, node_limit=8)
+        assert not any(GPT2.valid_tp(tp, node_limit=8) for tp in (2, 4, 8))
+        # LLaMA-2 has 32 heads: TP up to the node limit.
+        assert LLAMA2_7B.valid_tp(8, node_limit=8)
+        assert LLAMA2_7B.valid_tp(4, node_limit=4)
+        assert not LLAMA2_7B.valid_tp(8, node_limit=4)
 
     def test_valid_pp_divides_layers(self):
         assert GPT2.valid_pp(8)  # 48 layers

@@ -16,7 +16,7 @@ class TestConstruction:
 
     def test_zero_shares_dropped(self):
         p = Placement({0: ResourceVector.zero(), 1: ResourceVector(gpus=2, cpus=2)})
-        assert p.node_ids() == [1]
+        assert sorted(p.shares) == [1]
 
     def test_negative_share_rejected(self):
         with pytest.raises(ValueError):
@@ -24,7 +24,7 @@ class TestConstruction:
 
     def test_single(self):
         p = Placement.single(3, ResourceVector(gpus=4, cpus=8))
-        assert p.node_ids() == [3]
+        assert sorted(p.shares) == [3]
         assert p.total == ResourceVector(4, 8, 0)
 
 
@@ -42,7 +42,7 @@ class TestAggregates:
         p = Placement({0: ResourceVector(gpus=2), 1: ResourceVector(gpus=8)})
         assert p.gpus_per_node == [8, 2]
         assert p.min_gpus_per_node == 2
-        assert not p.is_single_node
+        assert p.num_nodes == 2
 
     def test_cpu_only_share_not_a_gpu_node(self):
         p = Placement({0: ResourceVector(gpus=4), 1: ResourceVector(cpus=8)})
@@ -56,7 +56,7 @@ class TestWithShare:
         p2 = p.with_share(1, ResourceVector(gpus=3))
         assert p2.total.gpus == 5
         p3 = p2.with_share(0, ResourceVector.zero())
-        assert p3.node_ids() == [1]
+        assert sorted(p3.shares) == [1]
 
     def test_original_unchanged(self):
         p = Placement({0: ResourceVector(gpus=2)})

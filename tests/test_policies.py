@@ -261,7 +261,8 @@ class TestShrinkGpu:
         rubick()._shrink_gpu(victim, state.nodes[0], state)
         # The share is gone entirely: no 0-GPU share holding CPUs survives.
         assert victim.job_id not in state.nodes[0].shares
-        assert state.totals(victim.job_id).is_zero
+        assert state.gpus_of(victim.job_id) == 0
+        assert state.cpus_of(victim.job_id) == 0
         node = state.nodes[0]
         assert node.free.gpus == SPEC.node.num_gpus
         assert node.free.cpus == SPEC.node.num_cpus

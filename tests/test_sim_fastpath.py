@@ -297,7 +297,7 @@ class TestSteadyState:
     def test_non_reactive_policy_never_skips(self, seeded):
         trace, store = seeded
         policy = make_policy("simple")
-        policy.reactive = False  # instance override
+        policy.steady_state = lambda jobs, ctx: False  # instance override
         sim = Simulator(
             PAPER_CLUSTER, policy,
             testbed=SyntheticTestbed(PAPER_CLUSTER, seed=SEED),

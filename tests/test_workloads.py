@@ -26,6 +26,7 @@ from repro.sim.serialization import load_trace, save_trace, trace_to_dict
 from repro.units import DAY, HOUR
 from repro.workloads import (
     DEFAULT_SCENARIO,
+    SCENARIOS,
     DiurnalArrivals,
     FixedArrivals,
     JobMix,
@@ -35,7 +36,6 @@ from repro.workloads import (
     UniformPeaksArrivals,
     arrival_from_dict,
     arrival_to_dict,
-    list_scenarios,
     resolve_scenario,
     scenario_trace,
     scenario_workload_config,
@@ -236,7 +236,7 @@ class TestMixValidation:
 
 class TestScenarioRegistry:
     def test_issue_scenarios_registered(self):
-        names = {s.name for s in list_scenarios()}
+        names = set(SCENARIOS.names())
         assert {
             "paper-12h", "poisson-12h", "bursty-mmpp", "diurnal-3d",
             "largemodel-heavy", "multitenant-burst",
@@ -279,7 +279,7 @@ class TestScenarioRegistry:
 
 
 GENERATED_SCENARIOS = [
-    s.name for s in list_scenarios() if not s.is_replay
+    name for name, s in SCENARIOS.items() if not s.is_replay
 ]
 
 
