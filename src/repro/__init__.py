@@ -47,7 +47,6 @@ from repro.plans import (
     ZeroStage,
     enumerate_plans,
     estimate_memory,
-    feasible_gpu_counts,
 )
 from repro.planeval import EngineStats, PlanEvalEngine
 from repro.scheduler import (
@@ -126,7 +125,6 @@ __all__ = [
     "build_perf_model",
     "enumerate_plans",
     "estimate_memory",
-    "feasible_gpu_counts",
     "fit_perf_model",
     "generate_trace",
     "get_model",

@@ -4,8 +4,6 @@ from repro.analysis.report import (
     NO_DATA,
     format_series,
     format_table,
-    normalize_to_first,
-    ratio,
     span_cell,
 )
 
@@ -13,7 +11,5 @@ __all__ = [
     "NO_DATA",
     "format_series",
     "format_table",
-    "normalize_to_first",
-    "ratio",
     "span_cell",
 ]

@@ -1,8 +1,8 @@
 """ASCII reporting helpers used by the benchmarks and examples.
 
 Every benchmark regenerates a paper table/figure as text; these helpers keep
-the formatting consistent (fixed-width tables, normalized "1×/2.6×" ratio
-columns, simple sparkline-style series for figures).
+the formatting consistent (fixed-width tables, simple sparkline-style series
+for figures).
 """
 
 from __future__ import annotations
@@ -105,13 +105,6 @@ def perf_footer(perf_rows: Iterable[dict]) -> str:
     )
 
 
-def ratio(value: float, reference: float) -> str:
-    """Paper-style normalized ratio, e.g. ``(2.6x)`` (reference prints 1x)."""
-    if reference <= 0:
-        return "(n/a)"
-    return f"({value / reference:.2f}x)"
-
-
 def format_series(
     xs: Sequence[object],
     ys: Sequence[float],
@@ -128,13 +121,3 @@ def format_series(
         bar = "#" * max(int(round(width * abs(y) / top)), 0)
         lines.append(f"  {str(x):>12s} | {y:10.3f} | {bar}")
     return "\n".join(lines)
-
-
-def normalize_to_first(values: Sequence[float]) -> list[float]:
-    """Normalize a list so the first element becomes 1 (paper's 1× anchor)."""
-    if not values:
-        return []
-    anchor = values[0]
-    if anchor == 0:
-        return [0.0 for _ in values]
-    return [v / anchor for v in values]

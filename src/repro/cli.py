@@ -33,6 +33,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.analysis import format_table
@@ -86,7 +87,6 @@ from repro.units import HOUR
 from repro.workloads import (
     DEFAULT_SCENARIO,
     SCENARIOS,
-    arrival_to_dict,
     resolve_scenario,
     scenario_trace,
 )
@@ -200,23 +200,14 @@ def _add_stats_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _unusable(registry: NameRegistry, names) -> list[str]:
-    """The names ``registry`` cannot resolve, a prefixed one with why.
-
-    A replay scenario must also name an existing file: a path typo should
-    fail the invocation up front, not crash mid-sweep after other runs
-    already burned wall clock.
-    """
+    """The names ``registry`` cannot resolve, a prefixed one with why."""
     bad = []
     for name in names:
         try:
-            entry = registry.resolve(name)
+            registry.resolve(name)
         except registry.error as exc:
             prefixed = name.startswith(registry.prefix)
             bad.append(f"{name} ({exc})" if prefixed else name)
-            continue
-        if registry is SCENARIOS and entry.is_replay and \
-                not Path(entry.source).exists():
-            bad.append(f"{name} (no such file)")
     return bad
 
 
@@ -715,7 +706,8 @@ def cmd_workload_show(args) -> int:
     if scenario.is_replay:
         rows.append(("source", scenario.source))
     else:
-        for key, value in arrival_to_dict(scenario.arrival).items():
+        arrival = {"kind": scenario.arrival.kind, **asdict(scenario.arrival)}
+        for key, value in arrival.items():
             rows.append((f"arrival.{key}", value))
         mix = scenario.mix
         rows.extend(

@@ -104,14 +104,6 @@ class ClusterEvent:
                 f"got {self.count}"
             )
 
-    def describe(self) -> str:
-        target = (
-            f"node {self.node_id}"
-            if self.node_id is not None
-            else f"{self.count} node(s)"
-        )
-        return f"t={self.time:.0f}s {self.kind} {target}"
-
 
 def _sort_events(events) -> tuple[ClusterEvent, ...]:
     """Stable deterministic order: time, then kind, then target."""
@@ -168,7 +160,7 @@ class FixedDynamics(ClusterDynamics):
 
     Times are absolute simulation seconds; the stream ignores the run's
     seed and span, so the same profile replays identically under every
-    workload (the replay analogue of ``FixedArrivals``).
+    workload.
     """
 
     kind: ClassVar[str] = "fixed"

@@ -60,7 +60,3 @@ class FreeGpuIndex:
         if lo >= len(bucket) or bucket[lo] != node_id:
             raise KeyError(f"node {node_id} not in bucket")
         return lo
-
-    # Testing hook: full-state equality against a brute-force rebuild.
-    def snapshot(self) -> dict[int, list[int]]:
-        return {k: list(b) for k, b in enumerate(self._buckets) if b}

@@ -81,9 +81,6 @@ class Placement:
     def empty() -> "Placement":
         return Placement({})
 
-    @staticmethod
-    def single(node_id: int, share: ResourceVector) -> "Placement":
-        return Placement({node_id: share})
 
     def with_share(self, node_id: int, share: ResourceVector) -> "Placement":
         """A copy of this placement with the share on ``node_id`` replaced."""
@@ -93,10 +90,3 @@ class Placement:
         else:
             shares[node_id] = share
         return Placement(shares)
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"n{node_id}:{share.gpus}g/{share.cpus}c"
-            for node_id, share in sorted(self.shares.items())
-        )
-        return f"Placement({parts})"

@@ -65,9 +65,6 @@ class ResourceVector:
             and self.host_mem <= other.host_mem
         )
 
-    def dominates(self, other: "ResourceVector") -> bool:
-        """True iff every dimension of ``self`` is >= that of ``other``."""
-        return other.fits_within(self)
 
     @property
     def is_zero(self) -> bool:

@@ -16,8 +16,7 @@ The cluster also keeps one job → placement map, written only by
 :meth:`Cluster.apply` (including its rollback) and :meth:`Cluster.release`,
 the only mutators of node allocations on the simulator's path (a direct
 :class:`Node` mutation bypasses it).  It serves ``placement_of``,
-``all_job_ids`` and ``release`` without a node scan; ``free``, ``total``
-and ``num_up_nodes`` scan the nodes.
+``all_job_ids`` and ``release`` without a node scan.
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ class Node:
             host_mem += share.host_mem
         return ResourceVector(gpus, cpus, host_mem)
 
-    @property
-    def free(self) -> ResourceVector:
-        return self.capacity - self.used
 
     def allocate(self, job_id: str, share: ResourceVector) -> None:
         """Add (or extend) a job's share on this node; raises if over capacity."""
@@ -96,27 +92,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def num_up_nodes(self) -> int:
-        return sum(node.up for node in self.nodes)
-
-    @property
-    def total(self) -> ResourceVector:
-        """Live capacity: up nodes only (the cluster is homogeneous)."""
-        up = self.num_up_nodes
-        return ResourceVector(
-            gpus=up * self.spec.node.num_gpus,
-            cpus=up * self.spec.node.num_cpus,
-            host_mem=up * self.spec.node.host_mem,
-        )
-
-    @property
-    def free(self) -> ResourceVector:
-        return sum((node.free for node in self.nodes), ResourceVector.zero())
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
     def placement_of(self, job_id: str) -> Placement:
         """The placement a job currently holds (possibly empty)."""
         placement = self._placements.get(job_id)

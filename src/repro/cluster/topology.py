@@ -33,9 +33,6 @@ class NodeSpec:
         """GPU memory available to model state after the runtime reserve."""
         return self.gpu_mem - self.gpu_mem_reserved
 
-    @property
-    def cpus_per_gpu(self) -> float:
-        return self.num_cpus / self.num_gpus
 
 
 @dataclass(frozen=True)

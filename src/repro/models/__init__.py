@@ -13,11 +13,10 @@ from repro.models.catalog import (
     VIT,
     all_models,
     get_model,
-    is_large_model,
     is_small_model,
     scaled_large_model_weights,
 )
-from repro.models.specs import ModelSpec, ModelWorkload
+from repro.models.specs import ModelSpec
 
 __all__ = [
     "BERT",
@@ -31,10 +30,8 @@ __all__ = [
     "T5",
     "VIT",
     "ModelSpec",
-    "ModelWorkload",
     "all_models",
     "get_model",
-    "is_large_model",
     "is_small_model",
     "scaled_large_model_weights",
 ]

@@ -139,11 +139,6 @@ def is_small_model(spec: ModelSpec) -> bool:
     return spec.name in SMALL_MODEL_NAMES
 
 
-def is_large_model(spec: ModelSpec) -> bool:
-    """Whether this model counts as "large" for the Fig. 11 mix sweep."""
-    return spec.name in LARGE_MODEL_NAMES
-
-
 def scaled_large_model_weights(factor: float) -> dict[str, float]:
     """Uniform sampling weights with the large models scaled by ``factor``.
 

@@ -13,9 +13,7 @@ never instantiates real networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import InfeasiblePlanError
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -94,33 +92,3 @@ class ModelSpec:
     def valid_pp(self, pp: int) -> bool:
         """Whether ``pp`` pipeline stages evenly partition the layer stack."""
         return 1 <= pp <= self.num_layers and self.num_layers % pp == 0
-
-    def layers_per_stage(self, pp: int) -> int:
-        """Layers placed on each pipeline stage (paper's ``l / g_p``)."""
-        if not self.valid_pp(pp):
-            raise InfeasiblePlanError(
-                f"{self.name}: {pp} pipeline stages do not divide "
-                f"{self.num_layers} layers"
-            )
-        return self.num_layers // pp
-
-
-@dataclass(frozen=True)
-class ModelWorkload:
-    """A model spec bound to a per-job batch-size override.
-
-    Jobs of the same *model type* share a fitted performance model in Rubick
-    (paper §3); a workload pins down the remaining free knob, the global
-    batch size.
-    """
-
-    spec: ModelSpec
-    global_batch_size: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if self.global_batch_size <= 0:
-            object.__setattr__(self, "global_batch_size", self.spec.global_batch_size)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name

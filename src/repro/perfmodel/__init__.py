@@ -17,7 +17,6 @@ from repro.perfmodel.fitting import (
     MIN_SAMPLES,
     ThroughputSample,
     fit_perf_model,
-    prediction_errors,
 )
 from repro.perfmodel.model import PerfModel
 from repro.perfmodel.online import OnlineRefitter, RefitEvent
@@ -48,5 +47,4 @@ __all__ = [
     "forward_pass_time",
     "offload_volume",
     "overlap",
-    "prediction_errors",
 ]

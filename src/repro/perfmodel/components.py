@@ -78,20 +78,6 @@ class IterBreakdown:
     t_oo: float
     t_iter: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "t_fwd": self.t_fwd,
-            "t_bwd": self.t_bwd,
-            "t_comm_dp": self.t_comm_dp,
-            "t_comm_tp": self.t_comm_tp,
-            "t_comm_pp": self.t_comm_pp,
-            "t_opt": self.t_opt,
-            "t_off": self.t_off,
-            "t_cc": self.t_cc,
-            "t_oo": self.t_oo,
-            "t_iter": self.t_iter,
-        }
-
 
 # ----------------------------------------------------------------------
 # Communication volumes (paper §4.1, bytes per iteration)

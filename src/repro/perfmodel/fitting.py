@@ -172,14 +172,3 @@ def fit_perf_model(
         per_sample_error=tuple(float(e) for e in rel_err),
     )
     return fitted, report
-
-
-def prediction_errors(
-    perf: PerfModel, samples: list[ThroughputSample]
-) -> list[float]:
-    """Relative throughput prediction errors on held-out samples (Table 2)."""
-    errors = []
-    for s in samples:
-        pred = perf.throughput(s.plan, s.shape, s.global_batch)
-        errors.append(abs(pred - s.throughput) / s.throughput)
-    return errors

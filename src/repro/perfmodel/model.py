@@ -13,7 +13,7 @@ effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.models.specs import ModelSpec
 from repro.perfmodel.components import IterBreakdown, compute_breakdown
@@ -63,9 +63,3 @@ class PerfModel:
     ) -> float:
         """Predicted training throughput in samples/second (``b / T_iter``)."""
         return global_batch / self.iter_time(plan, shape, global_batch)
-
-    # ------------------------------------------------------------------
-    # Updates (continuous refitting support)
-    # ------------------------------------------------------------------
-    def with_params(self, params: PerfParams) -> "PerfModel":
-        return replace(self, params=params)

@@ -84,15 +84,6 @@ class EngineStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evals": self.evals,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class PlanRequest(NamedTuple):
     """One best-plan question: a model, batch and shape under a plan

@@ -5,14 +5,11 @@ from repro.plans.enumerate import (
     DP_FAMILY_SPACE,
     PlanSpace,
     enumerate_plans,
-    feasible_gpu_counts,
 )
 from repro.plans.memory import (
     MemoryEstimate,
     estimate_memory,
-    fits_gpu,
     host_mem_demand_per_node,
-    min_cpus_demand,
 )
 from repro.plans.plan import ExecutionPlan, ZeroStage
 
@@ -25,8 +22,5 @@ __all__ = [
     "ZeroStage",
     "enumerate_plans",
     "estimate_memory",
-    "feasible_gpu_counts",
-    "fits_gpu",
     "host_mem_demand_per_node",
-    "min_cpus_demand",
 ]

@@ -166,36 +166,3 @@ def enumerate_plans(
             <= gpu_mem_budget
         ]
     return plans
-
-
-def feasible_gpu_counts(
-    model: ModelSpec,
-    global_batch: int,
-    max_gpus: int,
-    *,
-    gpus_per_node: int = 8,
-    gpu_mem_budget: float | None = None,
-    space: PlanSpace = DEFAULT_SPACE,
-) -> list[int]:
-    """GPU counts for which at least one plan is feasible.
-
-    These are the "valid GPU numbers" of the paper's Fig. 6: partitioning
-    constraints of DP/TP/PP (and memory) make only certain counts usable.
-    """
-    counts = []
-    for gpus in range(1, max_gpus + 1):
-        min_per_node = min(gpus, gpus_per_node)
-        if gpus > gpus_per_node and gpus % gpus_per_node != 0:
-            # Multi-node allocations are whole-node in the canonical packing;
-            # ragged tails lower the TP bound to the remainder.
-            min_per_node = gpus % gpus_per_node
-        if enumerate_plans(
-            model,
-            global_batch,
-            gpus,
-            min_gpus_per_node=min_per_node,
-            gpu_mem_budget=gpu_mem_budget,
-            space=space,
-        ):
-            counts.append(gpus)
-    return counts

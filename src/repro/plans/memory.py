@@ -78,16 +78,6 @@ class MemoryEstimate:
             + self.workspace
         )
 
-    def breakdown(self) -> dict[str, float]:
-        return {
-            "weights": self.weights,
-            "gradients": self.gradients,
-            "optimizer": self.optimizer,
-            "activations": self.activations,
-            "logits": self.logits,
-            "workspace": self.workspace,
-        }
-
 
 def _activation_bytes_per_layer(model: ModelSpec, mbs: int, tp: int) -> float:
     """Full (no-GC) activation bytes for one transformer layer, one micro-batch."""
@@ -161,16 +151,6 @@ def estimate_memory(
     )
 
 
-def fits_gpu(
-    model: ModelSpec,
-    plan: ExecutionPlan,
-    global_batch: int,
-    gpu_mem_budget: float,
-) -> bool:
-    """Whether the plan's per-GPU footprint fits a device memory budget."""
-    return estimate_memory(model, plan, global_batch).gpu_total <= gpu_mem_budget
-
-
 @lru_cache(maxsize=200_000)
 def host_mem_demand_per_node(
     model: ModelSpec,
@@ -188,9 +168,3 @@ def host_mem_demand_per_node(
     est = estimate_memory(model, plan, global_batch)
     frac = gpus_on_node / max(plan.num_gpus, 1)
     return math.ceil(est.host_total * frac)
-
-
-def min_cpus_demand(plan: ExecutionPlan, gpus: int) -> int:
-    """Minimum CPUs a plan needs to run: one data-loading core per GPU."""
-    del plan  # every plan shares the same floor; offload merely *benefits* from more
-    return max(int(gpus), 1)

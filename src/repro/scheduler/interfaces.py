@@ -31,10 +31,6 @@ class Allocation:
     placement: Placement
     plan: ExecutionPlan
 
-    @property
-    def gpus(self) -> int:
-        return self.placement.total.gpus
-
 
 class PerfModelStore:
     """Fitted performance models keyed by model type (paper §3 reuse).

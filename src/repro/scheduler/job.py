@@ -150,13 +150,6 @@ class Job:
     def is_running(self) -> bool:
         return self.status in (JobStatus.RUNNING, JobStatus.PAUSED)
 
-    @property
-    def jct(self) -> float | None:
-        """Job completion time: finish - submit (None while active)."""
-        if self.finish_time is None:
-            return None
-        return self.finish_time - self.spec.submit_time
-
     def reconfig_gate_open(self, delta: float, threshold: float = 0.97) -> bool:
         """The paper's reconfiguration-frequency guard (DESIGN.md item 10).
 

@@ -122,7 +122,7 @@ class SimulationResult:
     #: ``max_records`` full records and streams every record's numeric
     #: fields into compact columns instead, so week-long 100k-job runs
     #: don't hold 100k record objects; aggregate statistics remain exact
-    #: over *all* completions.  Per-record slices (``by_tenant``,
+    #: over *all* completions.  Per-record slices (``by_priority``,
     #: ``sla_violations``) and serialization raise once anything was
     #: dropped — they cannot be answered faithfully from a bounded sample.
     max_records: int | None = None
@@ -211,7 +211,7 @@ class SimulationResult:
     def _jcts(self, subset: list[JobRecord] | None = None) -> np.ndarray:
         """JCTs of a record subset; NaN-valued when the subset is empty.
 
-        An empty subset (e.g. ``by_tenant`` of a tenant with no completions)
+        An empty subset (e.g. ``by_priority`` of a class with no completions)
         must *not* read as an instant 0.0 JCT in scenario tables — NaN
         propagates through mean/percentile and renders as ``—``.
         """
@@ -245,9 +245,6 @@ class SimulationResult:
     # ------------------------------------------------------------------
     def by_priority(self, priority: JobPriority) -> list[JobRecord]:
         return [r for r in self._full_records() if r.priority == priority]
-
-    def by_tenant(self, tenant: str) -> list[JobRecord]:
-        return [r for r in self._full_records() if r.tenant == tenant]
 
     # ------------------------------------------------------------------
     # Overheads (paper §7.3 "System overheads")

@@ -6,7 +6,6 @@ from repro.training.loss import (
     SEED_NOISE_SCALE,
     expected_loss,
     max_loss_difference,
-    relative_difference_curve,
     simulate_loss,
     simulate_reconfigured_loss,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "SEED_NOISE_SCALE",
     "expected_loss",
     "max_loss_difference",
-    "relative_difference_curve",
     "simulate_loss",
     "simulate_reconfigured_loss",
 ]

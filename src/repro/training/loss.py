@@ -145,12 +145,3 @@ def max_loss_difference(
         raise ValueError("curves must align")
     start = int(len(reference) * (1.0 - tail_fraction))
     return float(np.max(np.abs(reference[start:] - other[start:])))
-
-
-def relative_difference_curve(
-    reference: np.ndarray, other: np.ndarray
-) -> np.ndarray:
-    """Pointwise loss difference vs. a reference run (the curves of Fig. 9)."""
-    if reference.shape != other.shape:
-        raise ValueError("curves must align")
-    return other - reference

@@ -10,8 +10,8 @@ All quantities in the library are plain floats in SI base units:
 The exception is what the scheduler allocates (``ResourceVector``): GPUs,
 CPUs and host-memory bytes are integers.
 
-The helpers here exist so call sites read as ``4 * GiB`` or
-``seconds(minutes=5)`` instead of raw magic numbers.
+The constants here exist so call sites read as ``4 * GiB`` or
+``5 * MINUTE`` instead of raw magic numbers.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ BYTES_FP32 = 4
 ADAM_STATE_BYTES_PER_PARAM = 3 * BYTES_FP32
 
 
-def seconds(*, hours: float = 0.0, minutes: float = 0.0, secs: float = 0.0) -> float:
-    """Build a duration in seconds from mixed components."""
-    return hours * HOUR + minutes * MINUTE + secs
-
-
 def fmt_bytes(num_bytes: float) -> str:
     """Render a byte count as a short human-readable string (binary units)."""
     if num_bytes < 0:
@@ -55,18 +50,3 @@ def fmt_bytes(num_bytes: float) -> str:
         if num_bytes >= unit:
             return f"{num_bytes / unit:.2f} {name}"
     return f"{num_bytes:.0f} B"
-
-
-def fmt_duration(secs: float) -> str:
-    """Render a duration as ``1h23m``, ``4m10s`` or ``12.3s``."""
-    if secs < 0:
-        return "-" + fmt_duration(-secs)
-    if secs >= HOUR:
-        hours = int(secs // HOUR)
-        minutes = int((secs - hours * HOUR) // MINUTE)
-        return f"{hours}h{minutes:02d}m"
-    if secs >= MINUTE:
-        minutes = int(secs // MINUTE)
-        rem = secs - minutes * MINUTE
-        return f"{minutes}m{rem:02.0f}s"
-    return f"{secs:.1f}s"

@@ -19,16 +19,12 @@ against.
 """
 
 from repro.workloads.arrivals import (
-    ARRIVAL_KINDS,
     UNIFORM_PEAKS,
     ArrivalProcess,
     DiurnalArrivals,
-    FixedArrivals,
     MarkovModulatedArrivals,
     PoissonArrivals,
     UniformPeaksArrivals,
-    arrival_from_dict,
-    arrival_to_dict,
 )
 from repro.workloads.mix import DEFAULT_GPU_MIX, JobMix, validate_gpu_mix
 from repro.workloads.adapters import (
@@ -50,7 +46,6 @@ from repro.workloads.registry import (
 )
 
 __all__ = [
-    "ARRIVAL_KINDS",
     "DEFAULT_GPU_MIX",
     "DEFAULT_SCENARIO",
     "HELIOS_COLUMNS",
@@ -61,14 +56,11 @@ __all__ = [
     "ArrivalProcess",
     "ColumnMap",
     "DiurnalArrivals",
-    "FixedArrivals",
     "JobMix",
     "MarkovModulatedArrivals",
     "PoissonArrivals",
     "Scenario",
     "UniformPeaksArrivals",
-    "arrival_from_dict",
-    "arrival_to_dict",
     "load_external_trace",
     "load_helios_jsonl",
     "load_philly_csv",

@@ -13,20 +13,17 @@ generator (``repro.sim.workload.generate_trace``) samples through a single
 * :class:`MarkovModulatedArrivals` — bursty MMPP-2 arrivals flip-flopping
   between a calm and a burst state;
 * :class:`DiurnalArrivals` — day/night (and optionally weekday/weekend)
-  submission rhythm over multi-day windows, sampled by thinning;
-* :class:`FixedArrivals` — deterministic replay of explicit times.
+  submission rhythm over multi-day windows, sampled by thinning.
 
 Every process is deterministic in the generator's RNG stream and returns a
-sorted list of floats.  Process configs serialize through
-:func:`arrival_to_dict` / :func:`arrival_from_dict` for display and
-round-tripping.
+sorted list of floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.errors import WorkloadConfigError
 from repro.units import DAY, HOUR, MINUTE
@@ -36,7 +33,7 @@ from repro.units import DAY, HOUR, MINUTE
 class ArrivalProcess:
     """Base class: a deterministic sampler of job submission times."""
 
-    #: Registry key of the concrete process (used for (de)serialization).
+    #: Name of the concrete process (shown by ``repro workload show``).
     kind: ClassVar[str] = "abstract"
 
     def sample(self, rng, num_jobs: int, span: float) -> list[float]:
@@ -260,61 +257,6 @@ class DiurnalArrivals(ArrivalProcess):
         return times
 
 
-@dataclass(frozen=True)
-class FixedArrivals(ArrivalProcess):
-    """Deterministic replay of explicit submission times (ignores the RNG)."""
-
-    kind: ClassVar[str] = "fixed"
-
-    times: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "times", tuple(float(t) for t in self.times)
-        )
-        if any(t < 0.0 for t in self.times):
-            raise WorkloadConfigError("fixed arrival times must be >= 0")
-
-    def sample(self, rng, num_jobs: int, span: float) -> list[float]:
-        if num_jobs > len(self.times):
-            raise WorkloadConfigError(
-                f"fixed arrivals carry {len(self.times)} times, "
-                f"{num_jobs} jobs requested"
-            )
-        return sorted(self.times)[:num_jobs]
-
-
 #: The paper's default arrival shape (shared instance used as the
 #: ``WorkloadConfig.arrival`` default).
 UNIFORM_PEAKS = UniformPeaksArrivals()
-
-#: Registered process kinds, for deserialization and CLI listings.
-ARRIVAL_KINDS: dict[str, type[ArrivalProcess]] = {
-    cls.kind: cls
-    for cls in (
-        UniformPeaksArrivals,
-        PoissonArrivals,
-        MarkovModulatedArrivals,
-        DiurnalArrivals,
-        FixedArrivals,
-    )
-}
-
-
-def arrival_to_dict(process: ArrivalProcess) -> dict[str, Any]:
-    """Plain-JSON form: the ``kind`` tag plus the process's own fields."""
-    data = asdict(process)
-    # JSON has no tuples; keep nested sequences as lists uniformly.
-    return {"kind": process.kind, **data}
-
-
-def arrival_from_dict(data: dict[str, Any]) -> ArrivalProcess:
-    data = dict(data)
-    kind = data.pop("kind", None)
-    cls = ARRIVAL_KINDS.get(kind)
-    if cls is None:
-        known = ", ".join(sorted(ARRIVAL_KINDS))
-        raise WorkloadConfigError(
-            f"unknown arrival kind {kind!r}; known kinds: {known}"
-        )
-    return cls(**data)

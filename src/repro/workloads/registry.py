@@ -23,6 +23,7 @@ add its own compositions with ``SCENARIOS.register(name, scenario)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.cluster.dynamics import resolve_dynamics
 from repro.errors import ClusterDynamicsError, WorkloadError
@@ -96,6 +97,10 @@ class Scenario:
 
 
 def _replay_scenario(path: str) -> Scenario:
+    # A path typo fails here, where the name resolves, so a run spec refuses
+    # it before any run of the sweep starts.
+    if not Path(path).exists():
+        raise WorkloadError(f"no such file: {path}")
     return Scenario(
         name=REPLAY_PREFIX + path,
         description=f"deterministic replay of {path}",

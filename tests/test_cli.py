@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -161,6 +162,41 @@ class TestSweep:
         assert "2 scenarios" in text
         assert text.count("poisson-12h") >= 1
         assert len(list((out / "runs").glob("*.jsonl"))) == 2
+
+
+class TestServeSubmit:
+    @pytest.mark.parametrize(
+        "clock", [["--virtual-clock"], ["--speed", "100000"]],
+        ids=["virtual", "real-time"],
+    )
+    def test_session_drains_over_loopback(self, tmp_path, clock):
+        """`repro serve` in a thread, `repro submit` against its port file:
+        both exit 0 off a clean DRAIN and write the same completed result."""
+        session = [*SMALL, "--jobs", "4", *clock,
+                   "--port-file", str(tmp_path / "master.port")]
+        codes = {}
+        master = threading.Thread(
+            target=lambda: codes.update(serve=main(
+                ["serve", *session, "--policy", "rubick-n", "--port", "0",
+                 "--output", str(tmp_path / "served.json")]
+            )),
+            daemon=True,
+        )
+        master.start()
+        try:
+            codes["submit"] = main(
+                ["submit", *session, "--connect-timeout", "30",
+                 "--output", str(tmp_path / "streamed.json")]
+            )
+        finally:
+            master.join(timeout=60)
+        assert not master.is_alive(), "master did not exit after DRAIN"
+        assert codes == {"serve": 0, "submit": 0}
+        streamed = (tmp_path / "streamed.json").read_bytes()
+        assert streamed == (tmp_path / "served.json").read_bytes()
+        result = load_result(tmp_path / "streamed.json")
+        assert len(result.records) == 4
+        assert all(r.finish_time >= r.submit_time for r in result.records)
 
 
 class TestDynamicsFlag:

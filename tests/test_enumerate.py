@@ -13,7 +13,6 @@ from repro.plans import (
     ZeroStage,
     enumerate_plans,
     estimate_memory,
-    feasible_gpu_counts,
 )
 
 BUDGET = PAPER_CLUSTER.node.usable_gpu_mem
@@ -94,23 +93,26 @@ class TestMemoryFilter:
         assert all(p.uses_offload for p in plans)
 
 
+def _feasible(model, batch, gpus, **kwargs):
+    """Whether some plan runs on ``gpus`` GPUs of one node."""
+    return bool(enumerate_plans(
+        model, batch, gpus, min_gpus_per_node=gpus, gpu_mem_budget=BUDGET,
+        **kwargs,
+    ))
+
+
 class TestFeasibleGpuCounts:
     def test_vit_feasible_everywhere_small(self):
-        counts = feasible_gpu_counts(VIT, 256, 8, gpu_mem_budget=BUDGET)
-        assert counts == [1, 2, 4, 8] or set(counts) >= {1, 2, 4, 8}
-
-    def test_counts_sorted_unique(self):
-        counts = feasible_gpu_counts(GPT2, 16, 16, gpu_mem_budget=BUDGET)
-        assert counts == sorted(set(counts))
+        assert all(_feasible(VIT, 256, g) for g in (1, 2, 4, 8))
 
     def test_batch_limits_dp_sizes(self):
         # RoBERTa batch 64: dp sizes must divide 64, so 7 GPUs only works
         # with some (d, t, p) split — for a DP-only model 7 is infeasible.
-        counts = feasible_gpu_counts(
-            ROBERTA, 64, 8, gpu_mem_budget=BUDGET, space=DP_FAMILY_SPACE
+        assert not _feasible(ROBERTA, 64, 7, space=DP_FAMILY_SPACE)
+        assert all(
+            _feasible(ROBERTA, 64, g, space=DP_FAMILY_SPACE)
+            for g in (1, 2, 4, 8)
         )
-        assert 7 not in counts
-        assert {1, 2, 4, 8} <= set(counts)
 
 
 class TestEnumerationProperties:

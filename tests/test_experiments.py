@@ -158,6 +158,17 @@ class TestScenarioAxis:
         assert len(trace) == 12  # fixture rows with status Pass
         assert trace.name == "replay-philly_mini"
 
+    def test_missing_replay_file_fails_before_any_run(self, tmp_path):
+        spec = SweepSpec(
+            policies=("rubick-n",),
+            scenarios=("paper-12h", f"replay:{tmp_path / 'missing.csv'}"),
+            **SMALL,
+        )
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="no such file"):
+            run_sweep(spec, out_dir=str(out))
+        assert not out.exists()  # not even the spec was written
+
     def test_scenario_tenant_split_implies_tenants(self):
         run = RunSpec(policy="rubick-n", scenario="multitenant-burst", **SMALL)
         tenants = default_tenants(run)

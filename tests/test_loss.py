@@ -13,7 +13,6 @@ from repro.training import (
     LossCurveConfig,
     expected_loss,
     max_loss_difference,
-    relative_difference_curve,
     simulate_loss,
     simulate_reconfigured_loss,
 )
@@ -101,7 +100,7 @@ class TestReconfiguredRuns:
 class TestDiffHelpers:
     def test_relative_difference_zero_for_identical(self):
         a = simulate_loss(CFG, PLAN_A)
-        assert np.all(relative_difference_curve(a, a) == 0)
+        assert max_loss_difference(a, a) == 0
 
     def test_misaligned_curves_rejected(self):
         a = simulate_loss(CFG, PLAN_A)

@@ -10,8 +10,6 @@ from repro.analysis import (
     NO_DATA,
     format_series,
     format_table,
-    normalize_to_first,
-    ratio,
     span_cell,
 )
 from repro.analysis.report import perf_footer
@@ -50,15 +48,16 @@ class TestSimulationResult:
         assert res.reconfig_gpu_hour_fraction == 0.0
 
     def test_empty_subset_is_nan_not_zero(self):
-        """`by_tenant` of a tenant with no completions: NaN, not 0.0 h."""
+        """`by_priority` of a class with no completions: NaN, not 0.0 h."""
         res = SimulationResult(policy_name="p", trace_name="t")
         res.records = [_record("a", tenant="x")]
-        ghost = res.by_tenant("ghost")
+        ghost = res.by_priority(JobPriority.BEST_EFFORT)
         assert ghost == []
         assert math.isnan(res.avg_jct(ghost))
         assert math.isnan(res.p99_jct_hours(ghost))
         # Non-empty subsets are unaffected.
-        assert res.avg_jct_hours(res.by_tenant("x")) == pytest.approx(1.0)
+        guaranteed = res.by_priority(JobPriority.GUARANTEED)
+        assert res.avg_jct_hours(guaranteed) == pytest.approx(1.0)
         no_model = [r for r in res.records if r.model_name == "no-such-model"]
         assert math.isnan(res.avg_jct_hours(no_model))
 
@@ -69,7 +68,7 @@ class TestSimulationResult:
             _record("b", priority=JobPriority.BEST_EFFORT, tenant="y"),
         ]
         assert [r.job_id for r in res.by_priority(JobPriority.GUARANTEED)] == ["a"]
-        assert [r.job_id for r in res.by_tenant("y")] == ["b"]
+        assert [r.job_id for r in res.by_priority(JobPriority.BEST_EFFORT)] == ["b"]
 
     def test_sla_violations(self):
         res = SimulationResult(policy_name="p", trace_name="t")
@@ -172,10 +171,6 @@ class TestFormatting:
         text = format_table(["a"], [("x",)], title="T")
         assert text.startswith("T\n")
 
-    def test_ratio(self):
-        assert ratio(2.0, 1.0) == "(2.00x)"
-        assert ratio(1.0, 0.0) == "(n/a)"
-
     def test_series_bars_scale(self):
         text = format_series([1, 2], [1.0, 2.0], label="L", width=10)
         lines = text.splitlines()
@@ -186,11 +181,6 @@ class TestFormatting:
     def test_series_length_mismatch(self):
         with pytest.raises(ValueError):
             format_series([1], [1.0, 2.0])
-
-    def test_normalize_to_first(self):
-        assert normalize_to_first([2.0, 4.0]) == [1.0, 2.0]
-        assert normalize_to_first([]) == []
-        assert normalize_to_first([0.0, 1.0]) == [0.0, 0.0]
 
     def test_nan_renders_as_no_data(self):
         """NaN statistics (empty subsets) render as — in every table form."""

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InfeasiblePlanError
 from repro.models import (
     CATALOG,
     GPT2,
+    LARGE_MODEL_NAMES,
     LLAMA2_7B,
     LLAMA_30B,
     ModelSpec,
-    ModelWorkload,
     VIT,
     all_models,
     get_model,
-    is_large_model,
     is_small_model,
 )
 
@@ -41,9 +39,9 @@ class TestCatalog:
     def test_small_large_split(self):
         assert is_small_model(VIT)
         assert not is_small_model(GPT2)
-        assert is_large_model(LLAMA2_7B)
-        assert is_large_model(LLAMA_30B)
-        assert not is_large_model(GPT2)
+        assert LLAMA2_7B.name in LARGE_MODEL_NAMES
+        assert LLAMA_30B.name in LARGE_MODEL_NAMES
+        assert GPT2.name not in LARGE_MODEL_NAMES
 
     def test_gpt2_uses_paper_batch(self):
         assert GPT2.global_batch_size == 16  # paper Fig. 2
@@ -98,19 +96,7 @@ class TestDerivedQuantities:
     def test_valid_pp_divides_layers(self):
         assert GPT2.valid_pp(8)  # 48 layers
         assert not GPT2.valid_pp(5)
-        assert GPT2.layers_per_stage(6) == 8
+        assert GPT2.valid_pp(6)
 
     def test_layers_per_stage_rejects_invalid(self):
-        with pytest.raises(InfeasiblePlanError):
-            GPT2.layers_per_stage(7)
-
-
-class TestModelWorkload:
-    def test_defaults_to_spec_batch(self):
-        wl = ModelWorkload(spec=GPT2)
-        assert wl.global_batch_size == GPT2.global_batch_size
-        assert wl.name == GPT2.name
-
-    def test_override_batch(self):
-        wl = ModelWorkload(spec=GPT2, global_batch_size=64)
-        assert wl.global_batch_size == 64
+        assert not GPT2.valid_pp(7)  # 7 stages cannot split 48 layers

@@ -137,9 +137,9 @@ class TestSimulatorIntegration:
         )
         # A refit with different parameters bumps model_version; the
         # memo on the job must not serve the old model's prediction.
-        refit = perf.with_params(
-            replace(perf.params, k_const=perf.params.k_const + 1.0)
-        )
+        refit = replace(perf, params=replace(
+            perf.params, k_const=perf.params.k_const + 1.0
+        ))
         store.add(refit)
         expected = refit.throughput(PLAN, SHAPE, 16)
         assert expected != perf.throughput(PLAN, SHAPE, 16)
@@ -170,9 +170,9 @@ class TestSimulatorIntegration:
         cluster = Cluster(one_node)
         policy = SynergyPolicy()
         before = policy.schedule(jobs, cluster, ctx)
-        store.add(perf.with_params(
-            replace(perf.params, k_opt_off=perf.params.k_opt_off * 20)
-        ))
+        store.add(replace(perf, params=replace(
+            perf.params, k_opt_off=perf.params.k_opt_off * 20
+        )))
         after = policy.schedule(jobs, cluster, ctx)
         fresh = SynergyPolicy().schedule(jobs, cluster, ctx)
         assert fresh != before  # the refit moves the CPU split

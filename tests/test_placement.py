@@ -23,7 +23,7 @@ class TestConstruction:
             Placement({0: ResourceVector(gpus=-1)})
 
     def test_single(self):
-        p = Placement.single(3, ResourceVector(gpus=4, cpus=8))
+        p = Placement({3: ResourceVector(gpus=4, cpus=8)})
         assert sorted(p.shares) == [3]
         assert p.total == ResourceVector(4, 8, 0)
 

@@ -206,9 +206,9 @@ class TestVersionedInvalidation:
         before = engine.best(GPT2, 16, shape)
 
         perf = store.get(GPT2)
-        slower = perf.with_params(
-            dataclasses.replace(perf.params, k_const=perf.params.k_const + 0.5)
-        )
+        slower = dataclasses.replace(perf, params=dataclasses.replace(
+            perf.params, k_const=perf.params.k_const + 0.5
+        ))
         store.add(slower)
         after = engine.best(GPT2, 16, shape)
         assert after.throughput < before.throughput
@@ -249,9 +249,9 @@ class TestScaledDpCurveRegression:
         assert selector.curve(job) is curve_a  # memoized while fresh
 
         perf = store.get(GPT2)
-        slower = perf.with_params(
-            dataclasses.replace(perf.params, k_const=perf.params.k_const + 0.5)
-        )
+        slower = dataclasses.replace(perf, params=dataclasses.replace(
+            perf.params, k_const=perf.params.k_const + 0.5
+        ))
         store.add(slower)
 
         curve_b = selector.curve(job)

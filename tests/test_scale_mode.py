@@ -31,7 +31,7 @@ from repro.models import all_models
 from repro.oracle import SyntheticTestbed, build_perf_model
 from repro.scheduler import PerfModelStore
 from repro.scheduler.interfaces import Tenant
-from repro.scheduler.job import JobStatus
+from repro.scheduler.job import JobPriority, JobStatus
 from repro.scheduler.registry import make_policy
 from repro.sim import EngineConfig, Simulator, WorkloadConfig, generate_trace
 from repro.sim.serialization import result_to_dict
@@ -219,7 +219,7 @@ class TestStreamingMetrics:
     def test_per_record_slices_refuse(self, pair):
         _, bounded = pair
         with pytest.raises(ValueError):
-            bounded.by_tenant("default")
+            bounded.by_priority(JobPriority.GUARANTEED)
 
     def test_serialization_refuses(self, pair):
         _, bounded = pair

@@ -7,11 +7,7 @@ import pytest
 from repro.units import (
     GB,
     GiB,
-    HOUR,
-    MINUTE,
     fmt_bytes,
-    fmt_duration,
-    seconds,
 )
 
 
@@ -20,11 +16,6 @@ class TestConstants:
         assert GB == 1e9
         assert GiB == 2**30
         assert GiB > GB
-
-    def test_seconds_builder(self):
-        assert seconds(hours=1) == HOUR
-        assert seconds(minutes=2, secs=30) == 150.0
-        assert seconds(hours=1, minutes=1, secs=1) == 3661.0
 
 
 class TestFmtBytes:
@@ -43,17 +34,3 @@ class TestFmtBytes:
 
     def test_negative_value(self):
         assert fmt_bytes(-2048) == "-2.00 KiB"
-
-
-class TestFmtDuration:
-    def test_subminute(self):
-        assert fmt_duration(12.34) == "12.3s"
-
-    def test_minutes(self):
-        assert fmt_duration(4 * MINUTE + 10) == "4m10s"
-
-    def test_hours(self):
-        assert fmt_duration(HOUR + 23 * MINUTE) == "1h23m"
-
-    def test_negative(self):
-        assert fmt_duration(-90) == "-1m30s"

@@ -28,14 +28,11 @@ from repro.workloads import (
     DEFAULT_SCENARIO,
     SCENARIOS,
     DiurnalArrivals,
-    FixedArrivals,
     JobMix,
     MarkovModulatedArrivals,
     PoissonArrivals,
     Scenario,
     UniformPeaksArrivals,
-    arrival_from_dict,
-    arrival_to_dict,
     resolve_scenario,
     scenario_trace,
     scenario_workload_config,
@@ -161,13 +158,6 @@ class TestArrivalProcesses:
         # A uniform week would put 2/7 ~ 29% on the weekend.
         assert weekend / len(times) < 0.15
 
-    def test_fixed_arrivals_replay_and_bounds(self):
-        process = FixedArrivals(times=(30.0, 10.0, 20.0))
-        assert process.sample(self.rng(), 3, SPAN) == [10.0, 20.0, 30.0]
-        assert process.sample(self.rng(), 2, SPAN) == [10.0, 20.0]
-        with pytest.raises(WorkloadConfigError, match="3 times"):
-            process.sample(self.rng(), 4, SPAN)
-
     def test_knob_validation(self):
         with pytest.raises(WorkloadConfigError, match="sum to 1.0"):
             UniformPeaksArrivals(background=0.9)
@@ -175,21 +165,6 @@ class TestArrivalProcesses:
             MarkovModulatedArrivals(burst_factor=0.5)
         with pytest.raises(WorkloadConfigError, match="night_depth"):
             DiurnalArrivals(night_depth=0.0)
-        with pytest.raises(WorkloadConfigError, match=">= 0"):
-            FixedArrivals(times=(-1.0,))
-
-    def test_round_trip_serialization(self):
-        for process in (
-            UniformPeaksArrivals(),
-            PoissonArrivals(),
-            MarkovModulatedArrivals(burst_factor=3.0),
-            DiurnalArrivals(weekend_factor=0.5),
-            FixedArrivals(times=(1.0, 2.0)),
-        ):
-            data = json.loads(json.dumps(arrival_to_dict(process)))
-            assert arrival_from_dict(data) == process
-        with pytest.raises(WorkloadConfigError, match="unknown arrival"):
-            arrival_from_dict({"kind": "nope"})
 
 
 class TestMixValidation:
